@@ -5,15 +5,21 @@
 # doc drift, compile error, test failure, or sanitizer report fails the
 # script.
 #
-# After the plain pass, a perf-smoke step runs the scatter-engine and
-# MTTKRP-engine fixtures (bench_host_wallclock --smoke): it fails if the
-# privatized strategy is slower than atomic scatter on the short-mode
-# fixture or if the dimension-tree engine is slower than the flat kernels
-# on the 4-way fixture (DESIGN.md §13), and validates the emitted JSON
-# telemetry. A serve-smoke step then runs the serve-labeled
-# ctest group, a full save/load/serve workload through cstf_serve, and the
-# fold-in throughput bench (batched + pre-inverted must beat per-request
-# ADMM on modeled and host clocks at batch >= 8), and a chaos smoke replays
+# After the plain pass, a determinism gate repeats the mttkrp-, dimtree-,
+# exec- and determinism-labeled groups five times each at CSTF_THREADS=1
+# and 4 (ctest --repeat until-fail:5); the determinism label holds the
+# bit-identity tests registered a second time at one worker.
+#
+# A perf-smoke step then runs the scatter-engine and MTTKRP-engine
+# fixtures (bench_host_wallclock --smoke): it fails if the kAuto scatter
+# pick is more than 10% slower than sorted on the short-mode fixture (both
+# timed through the BLCO kernel, DESIGN.md §8) or if the dimension-tree
+# engine is slower than the flat kernels on the 4-way fixture (DESIGN.md
+# §13), and validates the emitted JSON telemetry. A serve-smoke step then
+# runs the serve-labeled ctest group, a full save/load/serve workload
+# through cstf_serve, and the fold-in throughput bench (batched +
+# pre-inverted must beat per-request ADMM on modeled and host clocks at
+# batch >= 8), and a chaos smoke replays
 # the workload under 1% injected kernel-launch failures (every request must
 # still succeed via retries/degraded mode). CSTF_CHECK_SKIP_PERF=1 skips
 # these (e.g. on loaded CI machines where wall-clock comparisons are
@@ -45,6 +51,13 @@ echo "=== pass 1/2: plain build + ctest"
 cmake -B build -S .
 cmake --build build -j
 ctest --test-dir build --output-on-failure -j
+
+echo "=== determinism gate: repeated label groups at 1 and 4 workers"
+for threads in 1 4; do
+  CSTF_THREADS=$threads ctest --test-dir build \
+    -L 'mttkrp|dimtree|exec|determinism' --repeat until-fail:5 \
+    --output-on-failure -j
+done
 
 if [ "${CSTF_CHECK_SKIP_PERF:-0}" = "1" ]; then
   echo "=== perf smoke skipped (CSTF_CHECK_SKIP_PERF=1)"

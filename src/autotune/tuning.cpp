@@ -35,37 +35,14 @@ double rank_metric(const TrialTime& t, bool use_host_clock) {
   return use_host_clock ? t.wall_s : t.modeled_s;
 }
 
-/// Does a full-size privatized pass fit the scratch budget? Mirrors
-/// resolve_scatter_strategy's feasibility test so trial candidates and the
-/// model prior agree on what is even legal.
-bool privatized_fits(const ScatterOptions& opts, index_t mode_len,
-                     index_t rank, index_t nnz) {
-  const double tile_bytes = static_cast<double>(mode_len) *
-                            static_cast<double>(rank) * simgpu::kWord;
-  const auto tiles = static_cast<double>(privatized_tile_count(nnz));
-  return tiles * tile_bytes <= opts.privatization_budget_bytes;
-}
-
-/// The strategy the cost model alone would run for this mode — through the
-/// same lens the engines use (deterministic forces the sorted order, the one
-/// that reproduces the reference bit-for-bit).
-ScatterStrategy model_scatter_pick(const ScatterOptions& opts,
-                                   index_t mode_len, index_t rank,
-                                   index_t nnz) {
-  if (opts.deterministic) return ScatterStrategy::kSorted;
-  return resolve_scatter_strategy(opts, mode_len, rank, nnz);
-}
-
-/// Candidate strategies for one mode. An explicit request (or determinism)
-/// collapses the set to the one strategy the engines would actually run;
-/// kAuto opens the full set, privatized gated on full-size feasibility.
+/// Candidate strategies for one mode. An explicit request collapses the set
+/// to that strategy; kAuto opens sorted, plus privatized when it fits the
+/// budget at full size.
 std::vector<ScatterStrategy> scatter_candidates(const ScatterOptions& opts,
                                                 index_t mode_len, index_t rank,
                                                 index_t full_nnz) {
-  if (opts.deterministic) return {ScatterStrategy::kSorted};
   if (opts.strategy != ScatterStrategy::kAuto) return {opts.strategy};
-  std::vector<ScatterStrategy> c = {ScatterStrategy::kAtomic,
-                                    ScatterStrategy::kSorted};
+  std::vector<ScatterStrategy> c = {ScatterStrategy::kSorted};
   if (privatized_fits(opts, mode_len, rank, full_nnz)) {
     c.push_back(ScatterStrategy::kPrivatized);
   }
@@ -160,7 +137,6 @@ TuningKey make_tuning_key(const TuneInputs& in, const TuningOptions& opts) {
   key.rank = static_cast<std::uint64_t>(in.rank);
   DigestBuilder d;
   d.u64(static_cast<std::uint64_t>(in.scatter.strategy))
-      .boolean(in.scatter.deterministic)
       .f64(in.scatter.privatization_budget_bytes)
       .u64(static_cast<std::uint64_t>(in.requested_mode))
       .f64(in.dimtree_budget_bytes)
@@ -251,7 +227,7 @@ TuningRecord run_tuning_trials(const TuneInputs& in,
   for (int m = 0; m < modes; ++m) {
     const index_t mode_len = full.dim(m);
     const ScatterStrategy prior =
-        model_scatter_pick(in.scatter, mode_len, rank, full.nnz());
+        resolve_scatter_strategy(in.scatter, mode_len, rank, full.nnz());
     model_per_mode.push_back(prior);
     const std::vector<ScatterStrategy> candidates =
         scatter_candidates(in.scatter, mode_len, rank, full.nnz());
@@ -402,9 +378,6 @@ bool record_applies(const TuningRecord& record, const TuneInputs& in) {
     const ScatterStrategy s =
         record.scatter_per_mode[static_cast<std::size_t>(m)];
     if (s == ScatterStrategy::kAuto) return false;
-    if (in.scatter.deterministic && s == ScatterStrategy::kAtomic) {
-      return false;
-    }
     if (s == ScatterStrategy::kPrivatized &&
         !privatized_fits(in.scatter, x.dim(m), in.rank, x.nnz())) {
       return false;

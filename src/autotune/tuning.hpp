@@ -107,8 +107,8 @@ TuningRecord run_tuning_trials(const TuneInputs& in,
                                const TuningOptions& opts);
 
 /// True when `record` can be applied to these inputs as-is: per-mode
-/// strategies cover every mode with concrete values, determinism is
-/// respected, and the privatized picks still fit the scratch budget.
+/// strategies cover every mode with concrete values, and the privatized
+/// picks still fit the scratch budget.
 bool record_applies(const TuningRecord& record, const TuneInputs& in);
 
 /// What resolve_tuning decided and how it got there.

@@ -48,7 +48,6 @@ std::uint64_t digest_device_spec(const simgpu::DeviceSpec& spec) {
       .f64(spec.launch_overhead)
       .f64(spec.saturation_parallelism)
       .f64(spec.serial_op_rate)
-      .f64(spec.atomic_rate)
       .f64(spec.host_link_bandwidth)
       .f64(spec.host_link_latency);
   return d.value();

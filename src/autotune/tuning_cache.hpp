@@ -4,7 +4,8 @@
 // targets (digest of every DeviceSpec field), the tensor fingerprint (order,
 // mode lengths, nonzero count, layout tag), the factorization rank, and a
 // digest of the options that change which candidate configurations are legal
-// (determinism, privatization/dimtree budgets, the trial protocol itself).
+// (the requested strategy, privatization/dimtree budgets, the trial protocol
+// itself).
 // A TuningRecord is the decision the micro-trials produced for that key plus
 // the evidence behind it — the measured (host wall) and modeled (roofline)
 // seconds of both the winning configuration and the cost model's own pick —
@@ -36,7 +37,10 @@
 
 namespace cstf::autotune {
 
-inline constexpr std::uint32_t kTuningCacheFormatVersion = 1;
+// v2: ScatterStrategy dropped its atomic value, renumbering the stored
+// strategy bytes, and the key digests dropped the determinism flag and the
+// device's atomic rate.
+inline constexpr std::uint32_t kTuningCacheFormatVersion = 2;
 inline constexpr std::size_t kDefaultTuningCacheCapacity = 64;
 
 /// Identity of one tuning problem. Two runs that agree on all four digests

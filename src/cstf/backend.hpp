@@ -77,7 +77,7 @@ class BlcoBackend final : public MttkrpBackend {
   /// call routes through the engine from now on. All modes go through it —
   /// BLCO blocking reorders nonzeros, so mixing the flat BLCO kernel with
   /// chain-derived modes would break the engine's bit-identity-to-
-  /// `mttkrp_ref` guarantee under deterministic scatter. Needs the original
+  /// `mttkrp_ref` guarantee under sorted scatter. Needs the original
   /// COO tensor (BLCO does not keep it); `rank` fixes the chain width and
   /// `budget_bytes` caps the chain intermediate.
   void enable_dimtree(const SparseTensor& coo, index_t rank,

@@ -93,7 +93,6 @@ CstfFramework::CstfFramework(const SparseTensor& tensor,
   // scatter-strategy change recompiles the plan.
   DigestBuilder scatter_digest;
   scatter_digest.u64(static_cast<std::uint64_t>(options_.scatter.strategy))
-      .boolean(options_.scatter.deterministic)
       .u64(static_cast<std::uint64_t>(resolved_mttkrp_));
   // The tuning policy and its applied per-mode picks also change the op
   // bodies' behavior (and fp accumulation order); a policy flip or a

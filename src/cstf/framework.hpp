@@ -58,18 +58,17 @@ struct FrameworkOptions {
   index_t blco_block_capacity = 4096;
 
   /// MTTKRP output-accumulation strategy (see mttkrp/scatter.hpp). The
-  /// default auto-selects per mode; set `scatter.deterministic` for
-  /// bit-identical repeated runs.
+  /// default auto-selects per mode. Every strategy is bit-reproducible run
+  /// to run at a fixed worker count.
   ScatterOptions scatter;
 
   /// How MTTKRPs are computed (see mttkrp/dimtree.hpp and DESIGN.md §13):
   /// kFlat uses the per-mode BLCO kernels, kDimtree the prefix-chain reuse
   /// engine, and kAuto lets resolve_mttkrp_mode model both over one AO
-  /// iteration on `device` and pick the faster. Under
-  /// `scatter.deterministic` each engine is bit-reproducible run to run,
-  /// and dimtree is additionally bit-identical to the COO reference
-  /// `mttkrp_ref` (the flat BLCO kernel regroups per-row sums by block, so
-  /// the two engines agree to fp tolerance, not bitwise).
+  /// iteration on `device` and pick the faster. With `scatter.strategy =
+  /// kSorted`, dimtree is bit-identical to the COO reference `mttkrp_ref`
+  /// (the flat BLCO kernel regroups per-row sums by block, so the two
+  /// engines agree to fp tolerance, not bitwise).
   MttkrpMode mttkrp_mode = MttkrpMode::kAuto;
 
   /// Byte cap on the dimension tree's nnz x R chain intermediate; over

@@ -113,7 +113,7 @@ void PoissonNtf::sweep_mode(int mode) {
   evaluate_model(tensor_, factors_, model_at_nnz_);
 
   // Phi = MTTKRP of the ratio tensor (x / x_hat): atomic scatter into the
-  // output rows, like the COO MTTKRP kernel.
+  // output rows.
   Matrix phi(h.rows(), rank);
   {
     simgpu::KernelStats stats;
@@ -124,6 +124,7 @@ void PoissonNtf::sweep_mode(int mode) {
     stats.bytes_streamed = nnz * (static_cast<double>(modes) * sizeof(index_t) +
                                   2.0 * sizeof(real_t));
     stats.parallel_items = nnz;
+    stats.atomic_ops = nnz * static_cast<double>(rank);
     device_.record("poisson_ratio_mttkrp", stats);
   }
   const auto& out_idx = tensor_.indices(mode);

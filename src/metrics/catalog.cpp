@@ -43,7 +43,8 @@ constexpr CatalogEntry kCatalog[] = {
      "1", "Serve requests by outcome (submitted|served|shed|timed_out|"
           "retried|degraded|failed)."},
     {"simgpu.kernel.atomic_ops", InstrumentType::kCounter, "device",
-     "1", "Simulated device atomic operations issued."},
+     "1", "Simulated device atomic operations issued (a count only; the "
+          "cost model adds no time for them)."},
     {"simgpu.kernel.bytes", InstrumentType::kCounter, "device",
      "bytes", "Simulated device bytes moved (streamed + reused + random)."},
     {"simgpu.kernel.flops", InstrumentType::kCounter, "device",

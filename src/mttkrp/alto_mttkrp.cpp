@@ -39,13 +39,6 @@ simgpu::KernelStats alto_mttkrp_stats(const AltoTensor& alto,
   return stats;
 }
 
-void mttkrp_alto(const AltoTensor& alto, const std::vector<Matrix>& factors,
-                 int mode, Matrix& out) {
-  ScatterOptions opts;
-  opts.strategy = ScatterStrategy::kAtomic;
-  mttkrp_alto(alto, factors, mode, out, opts);
-}
-
 ScatterStrategy mttkrp_alto(const AltoTensor& alto,
                             const std::vector<Matrix>& factors, int mode,
                             Matrix& out, const ScatterOptions& opts,

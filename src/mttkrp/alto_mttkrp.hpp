@@ -11,16 +11,13 @@
 namespace cstf {
 
 /// MTTKRP over the linearized stream: one pass decodes each nonzero's
-/// coordinates from its bit-packed lco and scatters into `out` with atomics.
-/// A single ALTO copy serves every mode. `out` must be dims()[mode] x R.
-void mttkrp_alto(const AltoTensor& alto, const std::vector<Matrix>& factors,
-                 int mode, Matrix& out);
-
-/// MTTKRP through the adaptive scatter engine; returns the concrete strategy
-/// used. A null `plan` with the sorted strategy builds a one-shot plan.
+/// coordinates from its bit-packed lco and accumulates into `out` through
+/// the scatter engine. A single ALTO copy serves every mode. `out` must be
+/// dims()[mode] x R. Returns the concrete strategy used; a null `plan` with
+/// the sorted strategy builds a one-shot plan.
 ScatterStrategy mttkrp_alto(const AltoTensor& alto,
                             const std::vector<Matrix>& factors, int mode,
-                            Matrix& out, const ScatterOptions& opts,
+                            Matrix& out, const ScatterOptions& opts = {},
                             const ScatterPlan* plan = nullptr);
 
 /// Builds the sorted-scatter plan for `mode` (bucket the linearized stream
@@ -28,8 +25,8 @@ ScatterStrategy mttkrp_alto(const AltoTensor& alto,
 ScatterPlan alto_scatter_plan(const AltoTensor& alto, int mode);
 
 /// Cost-model statistics for one mttkrp_alto call: linearized stream read
-/// once, factor gathers and the atomic output scatter charged as random
-/// traffic. Describes the shared (strategy-independent) work; use
+/// once, factor gathers charged as random traffic. Describes the shared
+/// (strategy-independent) work; use
 /// `apply_scatter_stats` to add the strategy-specific terms.
 simgpu::KernelStats alto_mttkrp_stats(const AltoTensor& alto,
                                       const std::vector<Matrix>& factors,

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "parallel/atomic.hpp"
 #include "simgpu/launch.hpp"
 
 namespace cstf {
@@ -37,7 +36,7 @@ simgpu::KernelStats blco_mttkrp_stats(const BlcoTensor& blco,
                        + nnz * rank * simgpu::kWord * 2.0;  // scatter RMW
   stats.working_set_bytes = factor_bytes + out_bytes;
   stats.parallel_items = nnz;
-  // Warp-level gathers and atomics keep the SMs below FMA peak.
+  // Warp-level gathers and the scatter keep the SMs below FMA peak.
   stats.compute_efficiency = 0.5;
   return stats;
 }
@@ -46,14 +45,12 @@ namespace {
 
 // Scales the extensive parts of a per-call record to a fraction of the
 // nonzeros (used to pro-rate the full-tensor stats over a streamed batch).
-// `atomic_slots` stays: every batch scatters into the same output rows.
 simgpu::KernelStats prorate(const simgpu::KernelStats& stats, double share) {
   simgpu::KernelStats scaled = stats;
   scaled.flops *= share;
   scaled.bytes_streamed *= share;
   scaled.bytes_reused *= share;
   scaled.bytes_random *= share;
-  scaled.atomic_ops *= share;
   scaled.parallel_items *= share;
   return scaled;
 }
@@ -70,7 +67,7 @@ real_t* krp_row_scratch(index_t rank) {
 }
 
 // Computes nonzero (blk, i)'s Khatri-Rao row into `row` and returns its
-// output-mode coordinate. Shared by all three device kernels.
+// output-mode coordinate. Shared by both device kernels.
 index_t blco_krp_row(const BlcoTensor& blco, const BlcoBlock& blk,
                      const BitReader& deltas, index_t i,
                      const std::vector<Matrix>& factors, int mode,
@@ -90,44 +87,28 @@ index_t blco_krp_row(const BlcoTensor& blco, const BlcoBlock& blk,
   return coords[mode];
 }
 
-// Atomic-scatter kernel over a contiguous block range [block_lo, block_lo +
-// grid): shared by the resident and streamed entry points. `stats` must
-// describe exactly this range's work.
-void launch_blco_range(simgpu::Device& dev, const char* name,
-                       const BlcoTensor& blco,
-                       const std::vector<Matrix>& factors, int mode,
-                       Matrix& out, index_t block_lo, index_t grid,
-                       simgpu::KernelStats stats) {
-  const index_t rank = factors[0].cols();
-  constexpr index_t kThreads = 128;
-  simgpu::LaunchConfig cfg{.grid_dim = grid, .block_dim = kThreads};
-  simgpu::launch(dev, name, cfg, stats, [&](const simgpu::KernelCtx& ctx) {
-    const BlcoBlock& blk = blco.block(block_lo + ctx.block_idx);
-    const BitReader deltas(blk.packed_deltas.data(), blk.delta_bits);
-    real_t* row = krp_row_scratch(rank);
-    for (index_t i = ctx.thread_idx; i < blk.count; i += ctx.block_dim) {
-      const index_t out_row =
-          blco_krp_row(blco, blk, deltas, i, factors, mode, rank, row);
-      for (index_t r = 0; r < rank; ++r) {
-        atomic_add(&out(out_row, r), row[r]);
-      }
-    }
-  });
+// Nonzeros held by the contiguous block range [block_lo, block_hi).
+index_t range_nnz(const BlcoTensor& blco, index_t block_lo, index_t block_hi) {
+  const BlcoBlock& last = blco.block(block_hi - 1);
+  return last.value_offset + last.count - blco.block(block_lo).value_offset;
 }
 
-// Privatized kernel: grid of `tiles` launch blocks, tile t accumulating its
-// fixed contiguous BLCO-block range into a private output tile (tile 0 is
-// `out` itself, already zeroed), followed by a reduce launch combining the
-// tiles with the fixed pairwise tree — atomic-free and bit-deterministic
-// regardless of which worker runs which tile.
-void launch_blco_priv(simgpu::Device& dev, const BlcoTensor& blco,
+// Privatized kernel over the block range [block_lo, block_hi): a grid of
+// `tiles` launch blocks, tile t accumulating its fixed contiguous sub-range
+// into a private output tile (tile 0 is `out` itself), followed by a reduce
+// launch that adds the tiles into `out` with the fixed pairwise tree. `out`
+// keeps what it held before, so consecutive ranges accumulate. Bit-
+// deterministic regardless of which worker runs which tile.
+void launch_blco_priv(simgpu::Device& dev, const char* name,
+                      const BlcoTensor& blco,
                       const std::vector<Matrix>& factors, int mode,
-                      Matrix& out, simgpu::KernelStats stats) {
+                      Matrix& out, index_t block_lo, index_t block_hi,
+                      simgpu::KernelStats stats) {
   const index_t rank = factors[0].cols();
   const index_t mode_len = out.rows();
-  const index_t num_blocks = blco.num_blocks();
-  const index_t tiles =
-      std::min(privatized_tile_count(blco.nnz()), num_blocks);
+  const index_t num_blocks = block_hi - block_lo;
+  const index_t tiles = std::min(
+      privatized_tile_count(range_nnz(blco, block_lo, block_hi)), num_blocks);
   const auto len = static_cast<std::size_t>(mode_len * rank);
   const double tile_bytes = static_cast<double>(len) * simgpu::kWord;
 
@@ -144,14 +125,13 @@ void launch_blco_priv(simgpu::Device& dev, const BlcoTensor& blco,
   // Accumulate launch: base stats plus the tile zero-fill traffic.
   stats.bytes_streamed += static_cast<double>(tiles) * tile_bytes;
   simgpu::LaunchConfig cfg{.grid_dim = tiles, .block_dim = 1};
-  simgpu::launch(dev, "mttkrp_blco_priv", cfg, stats,
-                 [&](const simgpu::KernelCtx& ctx) {
+  simgpu::launch(dev, name, cfg, stats, [&](const simgpu::KernelCtx& ctx) {
     const index_t t = ctx.block_idx;
     real_t* dst = tile[static_cast<std::size_t>(t)];
     if (t > 0) std::fill_n(dst, len, real_t{0});
     real_t* row = krp_row_scratch(rank);
-    const index_t b_lo = t * per_tile;
-    const index_t b_hi = std::min<index_t>(b_lo + per_tile, num_blocks);
+    const index_t b_lo = block_lo + t * per_tile;
+    const index_t b_hi = std::min<index_t>(b_lo + per_tile, block_hi);
     for (index_t b = b_lo; b < b_hi; ++b) {
       const BlcoBlock& blk = blco.block(b);
       const BitReader deltas(blk.packed_deltas.data(), blk.delta_bits);
@@ -181,9 +161,11 @@ void launch_blco_priv(simgpu::Device& dev, const BlcoTensor& blco,
 }
 
 // Sorted kernel: threads stride over the plan's segments; each segment owns
-// one output row, so the final writes are plain stores and the per-row
-// accumulation order is the plan's (fixed) order.
-void launch_blco_sorted(simgpu::Device& dev, const BlcoTensor& blco,
+// one output row and adds its sum onto it, so the writes need no atomics
+// and the per-row accumulation order is the plan's (fixed) order. Adding
+// onto `out` lets a streamed batch accumulate on top of earlier batches.
+void launch_blco_sorted(simgpu::Device& dev, const char* name,
+                        const BlcoTensor& blco,
                         const std::vector<Matrix>& factors, int mode,
                         Matrix& out, const ScatterPlan& plan,
                         simgpu::KernelStats stats) {
@@ -201,8 +183,7 @@ void launch_blco_sorted(simgpu::Device& dev, const BlcoTensor& blco,
   simgpu::LaunchConfig cfg{
       .grid_dim = simgpu::blocks_for(segments, kThreads),
       .block_dim = kThreads};
-  simgpu::launch(dev, "mttkrp_blco_sorted", cfg, stats,
-                 [&](const simgpu::KernelCtx& ctx) {
+  simgpu::launch(dev, name, cfg, stats, [&](const simgpu::KernelCtx& ctx) {
     thread_local std::vector<real_t> scratch;
     if (scratch.size() < 2 * static_cast<std::size_t>(rank)) {
       scratch.resize(2 * static_cast<std::size_t>(rank));
@@ -225,9 +206,34 @@ void launch_blco_sorted(simgpu::Device& dev, const BlcoTensor& blco,
         for (index_t r = 0; r < rank; ++r) acc[r] += row[r];
       }
       const index_t out_row = plan.seg_row[static_cast<std::size_t>(s)];
-      for (index_t r = 0; r < rank; ++r) out(out_row, r) = acc[r];
+      for (index_t r = 0; r < rank; ++r) out(out_row, r) += acc[r];
     }
   });
+}
+
+// Sorted-scatter plan over the nonzeros of blocks [block_lo, block_hi),
+// keyed by their global nonzero ids.
+ScatterPlan range_scatter_plan(const BlcoTensor& blco, int mode,
+                               index_t block_lo, index_t block_hi) {
+  const index_t base = blco.block(block_lo).value_offset;
+  const auto nnz =
+      static_cast<std::size_t>(range_nnz(blco, block_lo, block_hi));
+  std::vector<lco_t> keys(nnz);
+  std::vector<index_t> order(nnz);
+  const auto& enc = blco.encoding();
+  parallel_for(block_lo, block_hi, [&](index_t b) {
+    const BlcoBlock& blk = blco.block(b);
+    const BitReader deltas(blk.packed_deltas.data(), blk.delta_bits);
+    index_t coords[kMaxModes];
+    for (index_t i = 0; i < blk.count; ++i) {
+      const lco_t lco = blk.base + deltas.get(static_cast<std::size_t>(i));
+      enc.decode_all(lco, coords);
+      const auto at = static_cast<std::size_t>(blk.value_offset + i - base);
+      keys[at] = static_cast<lco_t>(coords[mode]);
+      order[at] = blk.value_offset + i;
+    }
+  });
+  return detail::finish_scatter_plan(std::move(keys), std::move(order));
 }
 
 // cudaMemset-equivalent launch clearing the output.
@@ -253,26 +259,13 @@ void check_mttkrp_args(const BlcoTensor& blco,
 
 }  // namespace
 
-void mttkrp_blco(simgpu::Device& dev, const BlcoTensor& blco,
-                 const std::vector<Matrix>& factors, int mode, Matrix& out) {
-  check_mttkrp_args(blco, factors, mode, out);
-  zero_output(dev, out);
-  simgpu::KernelStats stats = blco_mttkrp_stats(blco, factors, mode);
-  apply_scatter_stats(stats, ScatterStrategy::kAtomic, out.rows(), out.cols(),
-                      static_cast<double>(blco.nnz()));
-  launch_blco_range(dev, "mttkrp_blco", blco, factors, mode, out, 0,
-                    blco.num_blocks(), stats);
-}
-
 ScatterStrategy mttkrp_blco(simgpu::Device& dev, const BlcoTensor& blco,
                             const std::vector<Matrix>& factors, int mode,
                             Matrix& out, const ScatterOptions& opts,
                             const ScatterPlan* plan) {
   check_mttkrp_args(blco, factors, mode, out);
-  const index_t rank = factors[0].cols();
-  const index_t mode_len = out.rows();
-  const ScatterStrategy strategy =
-      resolve_scatter_strategy_for_mode(opts, mode, mode_len, rank, blco.nnz());
+  const ScatterStrategy strategy = resolve_scatter_strategy_for_mode(
+      opts, mode, out.rows(), out.cols(), blco.nnz());
 
   ScatterPlan local_plan;
   if (strategy == ScatterStrategy::kSorted && plan == nullptr) {
@@ -282,61 +275,40 @@ ScatterStrategy mttkrp_blco(simgpu::Device& dev, const BlcoTensor& blco,
 
   zero_output(dev, out);
   simgpu::KernelStats stats = blco_mttkrp_stats(blco, factors, mode);
-  switch (strategy) {
-    case ScatterStrategy::kAtomic:
-      apply_scatter_stats(stats, strategy, mode_len, rank,
-                          static_cast<double>(blco.nnz()));
-      launch_blco_range(dev, "mttkrp_blco", blco, factors, mode, out, 0,
-                        blco.num_blocks(), stats);
-      break;
-    case ScatterStrategy::kPrivatized:
-      // launch_blco_priv splits the privatized extras over its two launches.
-      launch_blco_priv(dev, blco, factors, mode, out, stats);
-      break;
-    case ScatterStrategy::kSorted:
-      apply_scatter_stats(stats, strategy, mode_len, rank,
-                          static_cast<double>(blco.nnz()));
-      launch_blco_sorted(dev, blco, factors, mode, out, *plan, stats);
-      break;
-    case ScatterStrategy::kAuto:
-      break;  // resolve_scatter_strategy never returns kAuto
+  if (strategy == ScatterStrategy::kSorted) {
+    apply_scatter_stats(stats, strategy, out.rows(), out.cols(),
+                        static_cast<double>(blco.nnz()));
+    launch_blco_sorted(dev, "mttkrp_blco_sorted", blco, factors, mode, out,
+                       *plan, stats);
+  } else {
+    // launch_blco_priv splits the privatized extras over its two launches.
+    launch_blco_priv(dev, "mttkrp_blco_priv", blco, factors, mode, out, 0,
+                     blco.num_blocks(), stats);
   }
   return strategy;
 }
 
 ScatterPlan blco_scatter_plan(const BlcoTensor& blco, int mode) {
   CSTF_CHECK(mode >= 0 && mode < blco.num_modes());
-  const index_t nnz = blco.nnz();
-  std::vector<lco_t> keys(static_cast<std::size_t>(nnz));
-  std::vector<index_t> order(static_cast<std::size_t>(nnz));
-  const auto& enc = blco.encoding();
-  parallel_for(0, blco.num_blocks(), [&](index_t b) {
-    const BlcoBlock& blk = blco.block(b);
-    const BitReader deltas(blk.packed_deltas.data(), blk.delta_bits);
-    index_t coords[kMaxModes];
-    for (index_t i = 0; i < blk.count; ++i) {
-      const lco_t lco = blk.base + deltas.get(static_cast<std::size_t>(i));
-      enc.decode_all(lco, coords);
-      const auto at = static_cast<std::size_t>(blk.value_offset + i);
-      keys[at] = static_cast<lco_t>(coords[mode]);
-      order[at] = blk.value_offset + i;
-    }
-  });
-  return detail::finish_scatter_plan(std::move(keys), std::move(order));
+  if (blco.num_blocks() == 0) return detail::finish_scatter_plan({}, {});
+  return range_scatter_plan(blco, mode, 0, blco.num_blocks());
 }
 
 index_t mttkrp_blco_streamed(simgpu::Device& dev, const BlcoTensor& blco,
                              const std::vector<Matrix>& factors, int mode,
                              Matrix& out, double device_budget_bytes,
-                             simgpu::Stream copy_stream) {
+                             simgpu::Stream copy_stream,
+                             const ScatterOptions& opts) {
   CSTF_CHECK(device_budget_bytes > 0.0);
   check_mttkrp_args(blco, factors, mode, out);
   const double tensor_bytes = blco.storage_bytes();
   if (tensor_bytes <= device_budget_bytes) {
-    mttkrp_blco(dev, blco, factors, mode, out);
+    mttkrp_blco(dev, blco, factors, mode, out, opts);
     return 1;
   }
 
+  const ScatterStrategy strategy = resolve_scatter_strategy_for_mode(
+      opts, mode, out.rows(), out.cols(), blco.nnz());
   zero_output(dev, out);
   auto batches =
       static_cast<index_t>(std::ceil(tensor_bytes / device_budget_bytes));
@@ -345,24 +317,26 @@ index_t mttkrp_blco_streamed(simgpu::Device& dev, const BlcoTensor& blco,
 
   const bool staged_async = !copy_stream.is_default();
   simgpu::KernelStats full_stats = blco_mttkrp_stats(blco, factors, mode);
-  apply_scatter_stats(full_stats, ScatterStrategy::kAtomic, out.rows(),
-                      out.cols(), static_cast<double>(blco.nnz()));
+  if (strategy == ScatterStrategy::kSorted) {
+    apply_scatter_stats(full_stats, strategy, out.rows(), out.cols(),
+                        static_cast<double>(blco.nnz()));
+  }
   std::vector<simgpu::Event> compute_done;  // per batch, for buffer reuse
   index_t used = 0;
   for (index_t lo = 0; lo < blco.num_blocks(); lo += per_batch) {
-    const index_t grid = std::min<index_t>(per_batch, blco.num_blocks() - lo);
+    const index_t hi = std::min<index_t>(lo + per_batch, blco.num_blocks());
     // Pro-rate the full-tensor traffic over this batch's nonzero share; the
     // batch's compressed bytes are what crosses the host link.
-    double batch_nnz = 0.0, batch_bytes = 0.0;
-    for (index_t b = lo; b < lo + grid; ++b) {
+    double batch_bytes = 0.0;
+    for (index_t b = lo; b < hi; ++b) {
       const BlcoBlock& blk = blco.block(b);
-      batch_nnz += static_cast<double>(blk.count);
       batch_bytes += static_cast<double>(blk.packed_deltas.size()) *
                          sizeof(std::uint64_t) +
                      static_cast<double>(blk.count) * sizeof(real_t);
     }
     simgpu::KernelStats stats =
-        prorate(full_stats, batch_nnz / static_cast<double>(blco.nnz()));
+        prorate(full_stats, static_cast<double>(range_nnz(blco, lo, hi)) /
+                                static_cast<double>(blco.nnz()));
     if (staged_async) {
       // Explicit pipeline: the staging transfer is its own span on the copy
       // stream. Two staging buffers — batch i's transfer reuses the buffer
@@ -381,8 +355,15 @@ index_t mttkrp_blco_streamed(simgpu::Device& dev, const BlcoTensor& blco,
       // the cost model overlaps the two inside the span (double buffering).
       stats.host_link_bytes = batch_bytes;
     }
-    launch_blco_range(dev, "mttkrp_blco_streamed", blco, factors, mode, out,
-                      lo, grid, stats);
+    if (strategy == ScatterStrategy::kSorted) {
+      // A plan over this batch's nonzeros only: it dies with the batch.
+      const ScatterPlan plan = range_scatter_plan(blco, mode, lo, hi);
+      launch_blco_sorted(dev, "mttkrp_blco_streamed", blco, factors, mode,
+                         out, plan, stats);
+    } else {
+      launch_blco_priv(dev, "mttkrp_blco_streamed", blco, factors, mode, out,
+                       lo, hi, stats);
+    }
     if (staged_async) compute_done.push_back(dev.record_event());
     ++used;
   }

@@ -8,15 +8,13 @@
 // two quantities whose interplay produces the MTTKRP-vs-ADMM speedup
 // trade-off of Figures 7–8.
 //
-// The output scatter goes through the adaptive scatter engine
-// (mttkrp/scatter.hpp). Three device kernels exist:
-//   mttkrp_blco         — atomic scatter (the original kernel), with the
-//                         atomic-op counts feeding the contention model;
+// The output scatter goes through the scatter engine (mttkrp/scatter.hpp).
+// Two device kernels exist, both bit-deterministic:
 //   mttkrp_blco_priv    — grid of private output tiles, one per fixed BLCO
 //                         block range, + a mttkrp_blco_reduce launch that
-//                         tree-combines them (atomic-free, deterministic);
+//                         tree-combines them;
 //   mttkrp_blco_sorted  — segment sweep over a row-bucketed plan, one owner
-//                         per output row (atomic-free, deterministic).
+//                         per output row.
 #pragma once
 
 #include <vector>
@@ -28,16 +26,12 @@
 
 namespace cstf {
 
-/// MTTKRP for `mode` on the simulated device using atomic scatter (the
-/// pre-engine behavior). `out` must be dims()[mode] x R.
-void mttkrp_blco(simgpu::Device& dev, const BlcoTensor& blco,
-                 const std::vector<Matrix>& factors, int mode, Matrix& out);
-
-/// MTTKRP through the adaptive scatter engine; returns the concrete strategy
-/// used. A null `plan` with the sorted strategy builds a one-shot plan.
+/// MTTKRP for `mode` on the simulated device through the scatter engine;
+/// returns the concrete strategy used. `out` must be dims()[mode] x R. A
+/// null `plan` with the sorted strategy builds a one-shot plan.
 ScatterStrategy mttkrp_blco(simgpu::Device& dev, const BlcoTensor& blco,
                             const std::vector<Matrix>& factors, int mode,
-                            Matrix& out, const ScatterOptions& opts,
+                            Matrix& out, const ScatterOptions& opts = {},
                             const ScatterPlan* plan = nullptr);
 
 /// Builds the sorted-scatter plan for `mode` (bucket the delta-decoded
@@ -55,10 +49,13 @@ simgpu::KernelStats blco_mttkrp_stats(const BlcoTensor& blco,
 /// Out-of-memory streamed MTTKRP (the BLCO substrate paper's headline mode):
 /// when the tensor exceeds `device_budget_bytes` of device memory (after the
 /// resident factors), its blocks are processed in batches staged over the
-/// host link, double-buffered so staging overlaps compute. Results are
-/// identical to `mttkrp_blco`. Always uses atomic scatter: the private-tile
-/// and plan structures would outlive the staged batches, defeating the
-/// memory budget the mode exists to honor.
+/// host link, double-buffered so staging overlaps compute. The strategy is
+/// resolved once from `opts`, as for `mttkrp_blco`; each batch then runs
+/// that kernel (as "mttkrp_blco_streamed") over its own block range,
+/// accumulating into `out`. A sorted batch builds a plan over its own
+/// nonzeros only, so nothing tensor-sized outlives a batch. Results agree
+/// with `mttkrp_blco` to fp tolerance (batching regroups the per-row sums)
+/// and are bit-reproducible run to run.
 ///
 /// Two ways to model the staging:
 ///  * default `copy_stream` — each batch's compute span carries its own
@@ -74,6 +71,7 @@ simgpu::KernelStats blco_mttkrp_stats(const BlcoTensor& blco,
 index_t mttkrp_blco_streamed(simgpu::Device& dev, const BlcoTensor& blco,
                              const std::vector<Matrix>& factors, int mode,
                              Matrix& out, double device_budget_bytes,
-                             simgpu::Stream copy_stream = {});
+                             simgpu::Stream copy_stream = {},
+                             const ScatterOptions& opts = {});
 
 }  // namespace cstf

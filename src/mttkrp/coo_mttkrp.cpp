@@ -32,13 +32,6 @@ void mttkrp_ref(const SparseTensor& x, const std::vector<Matrix>& factors,
   }
 }
 
-void mttkrp_coo(const SparseTensor& x, const std::vector<Matrix>& factors,
-                int mode, Matrix& out) {
-  ScatterOptions opts;
-  opts.strategy = ScatterStrategy::kAtomic;
-  mttkrp_coo(x, factors, mode, out, opts);
-}
-
 ScatterStrategy mttkrp_coo(const SparseTensor& x,
                            const std::vector<Matrix>& factors, int mode,
                            Matrix& out, const ScatterOptions& opts,

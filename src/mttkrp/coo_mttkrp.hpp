@@ -6,9 +6,9 @@
 //   out = X_(n) * (H_N ⊙ ... ⊙ H_{n+1} ⊙ H_{n-1} ⊙ ... ⊙ H_1),
 // materializing the Khatri-Rao rows on the fly per nonzero (Figure 2).
 //
-// The parallel kernel's output accumulation goes through the adaptive
-// scatter engine (mttkrp/scatter.hpp): atomic scatter, privatized tiles, or
-// a sorted segment plan, selected by ScatterOptions.
+// The parallel kernel's output accumulation goes through the scatter engine
+// (mttkrp/scatter.hpp): privatized tiles or a sorted segment plan, selected
+// by ScatterOptions.
 #pragma once
 
 #include <vector>
@@ -23,19 +23,14 @@ namespace cstf {
 void mttkrp_ref(const SparseTensor& x, const std::vector<Matrix>& factors,
                 int mode, Matrix& out);
 
-/// Parallel COO MTTKRP using atomic scatter into the output rows (the
-/// pre-engine behavior, kept for callers that want exactly that path).
-void mttkrp_coo(const SparseTensor& x, const std::vector<Matrix>& factors,
-                int mode, Matrix& out);
-
-/// Parallel COO MTTKRP through the adaptive scatter engine. Returns the
+/// Parallel COO MTTKRP through the scatter engine. Returns the
 /// concrete strategy used (after kAuto resolution). `plan` may carry a
 /// cached sorted-scatter plan for this (tensor, mode); when the sorted
 /// strategy is selected and `plan` is null, a one-shot plan is built
 /// internally.
 ScatterStrategy mttkrp_coo(const SparseTensor& x,
                            const std::vector<Matrix>& factors, int mode,
-                           Matrix& out, const ScatterOptions& opts,
+                           Matrix& out, const ScatterOptions& opts = {},
                            const ScatterPlan* plan = nullptr);
 
 /// Builds the sorted-scatter plan for `mode` of `x` (bucket nonzeros by

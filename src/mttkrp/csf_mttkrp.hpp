@@ -22,8 +22,8 @@ void mttkrp_csf(const CsfTensor& csf, const std::vector<Matrix>& factors,
 
 /// Cost-model statistics for one mttkrp_csf call: CSF structure streamed
 /// once, factor rows gathered randomly against the live-factor working set,
-/// output rows written race-free (no atomic read-modify-write, unlike the
-/// scatter formats).
+/// output rows written race-free, once each (the scatter formats accumulate
+/// into theirs).
 simgpu::KernelStats csf_mttkrp_stats(const CsfTensor& csf,
                                      const std::vector<Matrix>& factors);
 

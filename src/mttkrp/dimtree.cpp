@@ -117,16 +117,6 @@ simgpu::KernelStats derive_mode_stats(const std::vector<index_t>& dims,
   return s;
 }
 
-ScatterStrategy resolve_engine_strategy(const ScatterOptions& opts, int mode,
-                                        index_t mode_len, index_t rank,
-                                        index_t nnz) {
-  // Deterministic means ref-bit-identical here, which only the sorted
-  // accumulation order provides (privatized regroups the per-row sums) —
-  // it overrides even an autotuned per-mode pick.
-  if (opts.deterministic) return ScatterStrategy::kSorted;
-  return resolve_scatter_strategy_for_mode(opts, mode, mode_len, rank, nnz);
-}
-
 std::vector<simgpu::KernelStats> tree_sequence_stats(
     const std::vector<index_t>& dims, index_t nnz, index_t rank,
     double flat_stream_bytes, const ScatterOptions& opts) {
@@ -134,13 +124,13 @@ std::vector<simgpu::KernelStats> tree_sequence_stats(
   std::vector<simgpu::KernelStats> seq;
   seq.push_back(flat_mode_stats(
       dims, nnz, rank, flat_stream_bytes, 0,
-      resolve_engine_strategy(opts, 0, dims[0], rank, nnz)));
+      resolve_scatter_strategy_for_mode(opts, 0, dims[0], rank, nnz)));
   for (int m = 1; m < modes; ++m) {
     seq.push_back(extend_level_stats(dims, nnz, rank, m - 1));
     seq.push_back(derive_mode_stats(
         dims, nnz, rank, m,
-        resolve_engine_strategy(opts, m, dims[static_cast<std::size_t>(m)],
-                                rank, nnz)));
+        resolve_scatter_strategy_for_mode(
+            opts, m, dims[static_cast<std::size_t>(m)], rank, nnz)));
   }
   return seq;
 }
@@ -153,8 +143,8 @@ std::vector<simgpu::KernelStats> flat_sequence_stats(
   for (int m = 0; m < modes; ++m) {
     seq.push_back(flat_mode_stats(
         dims, nnz, rank, flat_stream_bytes, m,
-        resolve_engine_strategy(opts, m, dims[static_cast<std::size_t>(m)],
-                                rank, nnz)));
+        resolve_scatter_strategy_for_mode(
+            opts, m, dims[static_cast<std::size_t>(m)], rank, nnz)));
   }
   return seq;
 }
@@ -312,7 +302,7 @@ ScatterStrategy DimTreeEngine::mttkrp(simgpu::Device& dev,
   for (const Matrix& f : factors) CSTF_CHECK(f.cols() == rank_);
 
   const ScatterStrategy strategy =
-      resolve_engine_strategy(opts, mode, dim(mode), rank_, nnz_);
+      resolve_scatter_strategy_for_mode(opts, mode, dim(mode), rank_, nnz_);
   const ScatterPlan* plan =
       strategy == ScatterStrategy::kSorted ? &plan_for(mode) : nullptr;
   const index_t rank = rank_;

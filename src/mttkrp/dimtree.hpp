@@ -131,10 +131,9 @@ class DimTreeEngine {
   /// chain when it fits the budget (lazily extending to level `mode` with
   /// the *current* factor contents — correct mid-AO, where modes < `mode`
   /// hold their updated values), otherwise computes flat from the raw
-  /// nonzeros. Under opts.deterministic the scatter is forced to kSorted,
-  /// the one strategy whose accumulation order matches `mttkrp_ref` —
-  /// making the result bit-identical to the reference. Returns the scatter
-  /// strategy used.
+  /// nonzeros. With the sorted strategy — the one whose accumulation order
+  /// matches `mttkrp_ref` — the result is bit-identical to the reference.
+  /// Returns the scatter strategy used.
   ScatterStrategy mttkrp(simgpu::Device& dev,
                          const std::vector<Matrix>& factors, int mode,
                          Matrix& out, const ScatterOptions& opts = {});

@@ -1,22 +1,10 @@
 #include "mttkrp/scatter.hpp"
 
-#include <algorithm>
-
 #include "common/radix_sort.hpp"
 #include "metrics/registry.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace cstf {
-
-namespace {
-
-/// Average atomic updates per output row above which kAuto prefers the
-/// sorted plan over atomics when privatization does not fit: at >= 8
-/// expected colliders per row the CAS retry traffic outweighs the plan's
-/// indirect access (measured on the bundled fixtures; see DESIGN.md §8).
-constexpr double kSortedContentionThreshold = 8.0;
-
-}  // namespace
 
 void ScatterPlanCache::bump_metrics(bool hit) const {
   auto& reg = metrics::MetricsRegistry::global();
@@ -29,7 +17,6 @@ void ScatterPlanCache::bump_metrics(bool hit) const {
 const char* scatter_strategy_name(ScatterStrategy strategy) {
   switch (strategy) {
     case ScatterStrategy::kAuto: return "auto";
-    case ScatterStrategy::kAtomic: return "atomic";
     case ScatterStrategy::kPrivatized: return "privatized";
     case ScatterStrategy::kSorted: return "sorted";
   }
@@ -38,7 +25,6 @@ const char* scatter_strategy_name(ScatterStrategy strategy) {
 
 bool parse_scatter_strategy(const std::string& name, ScatterStrategy* out) {
   if (name == "auto") *out = ScatterStrategy::kAuto;
-  else if (name == "atomic") *out = ScatterStrategy::kAtomic;
   else if (name == "privatized") *out = ScatterStrategy::kPrivatized;
   else if (name == "sorted") *out = ScatterStrategy::kSorted;
   else return false;
@@ -50,27 +36,21 @@ index_t privatized_tile_count(index_t nnz) {
   return detail::parallel_chunk_count(nnz, workers, kParallelGrainDefault);
 }
 
-ScatterStrategy resolve_scatter_strategy(const ScatterOptions& opts,
-                                         index_t mode_len, index_t rank,
-                                         index_t nnz) {
-  ScatterStrategy s = opts.strategy;
-  if (opts.deterministic && s == ScatterStrategy::kAtomic) {
-    s = ScatterStrategy::kAuto;
-  }
-  if (s != ScatterStrategy::kAuto) return s;
-
+bool privatized_fits(const ScatterOptions& opts, index_t mode_len,
+                     index_t rank, index_t nnz) {
   const double tile_bytes = static_cast<double>(mode_len) *
                             static_cast<double>(rank) * simgpu::kWord;
   const auto tiles = static_cast<double>(privatized_tile_count(nnz));
-  if (tiles * tile_bytes <= opts.privatization_budget_bytes) {
-    return ScatterStrategy::kPrivatized;
-  }
-  if (opts.deterministic) return ScatterStrategy::kSorted;
-  const double updates_per_row =
-      static_cast<double>(nnz) / std::max<double>(1.0, static_cast<double>(mode_len));
-  return updates_per_row >= kSortedContentionThreshold
-             ? ScatterStrategy::kSorted
-             : ScatterStrategy::kAtomic;
+  return tiles * tile_bytes <= opts.privatization_budget_bytes;
+}
+
+ScatterStrategy resolve_scatter_strategy(const ScatterOptions& opts,
+                                         index_t mode_len, index_t rank,
+                                         index_t nnz) {
+  if (opts.strategy != ScatterStrategy::kAuto) return opts.strategy;
+  return privatized_fits(opts, mode_len, rank, nnz)
+             ? ScatterStrategy::kPrivatized
+             : ScatterStrategy::kSorted;
 }
 
 ScatterStrategy resolve_scatter_strategy_for_mode(const ScatterOptions& opts,
@@ -78,10 +58,7 @@ ScatterStrategy resolve_scatter_strategy_for_mode(const ScatterOptions& opts,
                                                   index_t rank, index_t nnz) {
   if (mode >= 0 && static_cast<std::size_t>(mode) < opts.per_mode.size()) {
     const ScatterStrategy s = opts.per_mode[static_cast<std::size_t>(mode)];
-    if (s != ScatterStrategy::kAuto &&
-        !(opts.deterministic && s == ScatterStrategy::kAtomic)) {
-      return s;
-    }
+    if (s != ScatterStrategy::kAuto) return s;
   }
   return resolve_scatter_strategy(opts, mode_len, rank, nnz);
 }
@@ -91,10 +68,6 @@ void apply_scatter_stats(simgpu::KernelStats& stats, ScatterStrategy strategy,
   const double out_words =
       static_cast<double>(mode_len) * static_cast<double>(rank);
   switch (strategy) {
-    case ScatterStrategy::kAtomic:
-      stats.atomic_ops = nnz * static_cast<double>(rank);
-      stats.atomic_slots = out_words;
-      break;
     case ScatterStrategy::kPrivatized: {
       const auto tiles = static_cast<double>(
           privatized_tile_count(static_cast<index_t>(nnz)));

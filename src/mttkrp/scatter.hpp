@@ -1,31 +1,30 @@
-// Adaptive scatter engine for sparse MTTKRP output accumulation.
+// Scatter engine for sparse MTTKRP output accumulation.
 //
 // Every sparse MTTKRP kernel in this library ends the same way: a rank-length
 // Khatri-Rao row, computed per nonzero, is accumulated into one row of the
 // output matrix, and concurrently processed nonzeros may target the same row.
-// This header centralizes the three ways to resolve that conflict:
+// This header centralizes the two ways to resolve that conflict:
 //
-//  * kAtomic      — CAS-loop accumulation directly into the output (the
-//                   GPU-style scatter of the paper's BLCO kernel). Cheap to
-//                   set up, but serializes under contention — pathological on
-//                   short modes, where many nonzeros land on few rows.
 //  * kPrivatized  — each of T fixed nonzero ranges accumulates into its own
 //                   private output tile; tiles are then combined by a
-//                   fixed-shape pairwise tree reduction. Atomic-free and
-//                   bit-deterministic, but needs T * dims[mode] * R reals of
-//                   scratch — only affordable on short modes.
+//                   fixed-shape pairwise tree reduction. Needs T * dims[mode]
+//                   * R reals of scratch — only affordable on short modes.
 //  * kSorted      — nonzeros are bucketed by output row once per (tensor,
 //                   mode) via the radix sort the format builders already use;
 //                   each row's contributions are then contiguous and a single
-//                   worker accumulates them with plain adds. Atomic-free and
-//                   bit-deterministic with no per-call scratch; pays one
-//                   plan build (reusable across iterations) and an indirect
-//                   nonzero access during accumulation.
+//                   worker accumulates them with plain adds. No per-call
+//                   scratch; pays one plan build (reusable across iterations)
+//                   and an indirect nonzero access during accumulation.
 //
-// kAuto picks per (mode length, rank, nnz/row, worker count): privatized when
-// the tiles fit the scratch budget, otherwise sorted when determinism is
-// required or the expected updates-per-row (the contention proxy) are high,
-// otherwise atomic. See DESIGN.md §8 for the derivation.
+// Neither uses atomics, so every MTTKRP is bit-reproducible run to run at a
+// fixed worker count. Sorted accumulates each row in ascending nonzero id —
+// the order of `mttkrp_ref` — and is the strategy to ask for when bit
+// identity to the reference is required; privatized regroups the per-row
+// sums by tile, and the tile count follows the worker count.
+//
+// kAuto is one rule: privatized when its tiles fit the scratch budget
+// (`privatized_fits`), otherwise sorted. See DESIGN.md §8 for the
+// measurements behind it.
 #pragma once
 
 #include <cstddef>
@@ -37,7 +36,6 @@
 #include "common/error.hpp"
 #include "common/types.hpp"
 #include "la/matrix.hpp"
-#include "parallel/atomic.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/reduce.hpp"
 #include "parallel/scratch_pool.hpp"
@@ -46,13 +44,12 @@
 namespace cstf {
 
 enum class ScatterStrategy {
-  kAuto,        // choose per mode/rank/nnz/workers (resolve_scatter_strategy)
-  kAtomic,      // CAS scatter into the shared output
+  kAuto,        // privatized when it fits the budget, else sorted
   kPrivatized,  // per-range private tiles + deterministic tree reduce
   kSorted,      // radix-bucketed segments, one owner per output row
 };
 
-/// Display name ("auto", "atomic", "privatized", "sorted").
+/// Display name ("auto", "privatized", "sorted").
 const char* scatter_strategy_name(ScatterStrategy strategy);
 
 /// Parses a strategy name; returns false (leaving `out` untouched) on an
@@ -64,15 +61,10 @@ bool parse_scatter_strategy(const std::string& name, ScatterStrategy* out);
 struct ScatterOptions {
   ScatterStrategy strategy = ScatterStrategy::kAuto;
 
-  /// Force atomic-free execution: kAuto never resolves to kAtomic, and an
-  /// explicit kAtomic request is re-resolved as if it were kAuto. With this
-  /// set, repeated runs produce bit-identical outputs (see DESIGN.md §8).
-  bool deterministic = false;
-
   /// Upper bound on the private-tile scratch (bytes) the privatized strategy
-  /// may allocate per call; above it, resolution falls through to
-  /// sorted/atomic. Tiles are pooled (ScratchPool), so this bounds steady-
-  /// state memory, not per-call allocation traffic.
+  /// may allocate per call; above it, kAuto resolves to sorted. Tiles are
+  /// pooled (ScratchPool), so this bounds steady-state memory, not per-call
+  /// allocation traffic.
   double privatization_budget_bytes = 64.0 * 1024.0 * 1024.0;
 
   /// Per-mode strategy overrides from the autotuner: entry m (when present
@@ -166,18 +158,24 @@ class ScatterPlanCache {
 /// not depend on which worker claims which range.
 index_t privatized_tile_count(index_t nnz);
 
-/// Resolves kAuto (and kAtomic under `deterministic`) to a concrete strategy
-/// for one mode. Explicit non-auto requests pass through unchanged. Ignores
-/// `opts.per_mode` (callers that do not know their mode index, e.g. the
-/// streaming path where each slice is a different tensor).
+/// Do the privatized strategy's tiles for `nnz` nonzeros — T * mode_len *
+/// rank words, T = privatized_tile_count(nnz) — fit
+/// `opts.privatization_budget_bytes`? The kAuto rule, shared by the
+/// resolver and the autotuner's candidate set.
+bool privatized_fits(const ScatterOptions& opts, index_t mode_len,
+                     index_t rank, index_t nnz);
+
+/// Resolves kAuto to a concrete strategy for one mode: privatized when
+/// privatized_fits, otherwise sorted. Explicit requests pass through
+/// unchanged. Ignores `opts.per_mode` (callers that do not know their mode
+/// index).
 ScatterStrategy resolve_scatter_strategy(const ScatterOptions& opts,
                                          index_t mode_len, index_t rank,
                                          index_t nnz);
 
 /// Mode-aware resolution: a concrete `opts.per_mode[mode]` entry (the
-/// autotuner's pick) wins — unless it is kAtomic under `deterministic`,
-/// which falls through to the auto resolution like any other atomic request.
-/// Without an override this is exactly resolve_scatter_strategy.
+/// autotuner's pick) wins. Without an override this is exactly
+/// resolve_scatter_strategy.
 ScatterStrategy resolve_scatter_strategy_for_mode(const ScatterOptions& opts,
                                                   int mode, index_t mode_len,
                                                   index_t rank, index_t nnz);
@@ -185,8 +183,6 @@ ScatterStrategy resolve_scatter_strategy_for_mode(const ScatterOptions& opts,
 /// Adds the strategy-specific cost terms to a kernel-stats record that
 /// already accounts for the shared work (stream + factor gathers + scatter
 /// write traffic):
-///  * kAtomic: the atomic-op count and slot count feeding the contention
-///    term of the cost model;
 ///  * kPrivatized: tile zeroing plus the tree-reduce traffic and flops;
 ///  * kSorted: the streamed read of the plan's permutation.
 void apply_scatter_stats(simgpu::KernelStats& stats, ScatterStrategy strategy,
@@ -232,22 +228,6 @@ void scatter_accumulate(ScatterStrategy strategy, Matrix& out, index_t nnz,
   if (nnz <= 0) return;
 
   switch (strategy) {
-    case ScatterStrategy::kAtomic: {
-      parallel_for_blocked(0, nnz, [&](index_t lo, index_t hi) {
-        thread_local std::vector<real_t> row;
-        if (row.size() < static_cast<std::size_t>(rank)) {
-          row.resize(static_cast<std::size_t>(rank));
-        }
-        for (index_t i = lo; i < hi; ++i) {
-          const index_t out_row = contribute(i, row.data());
-          for (index_t r = 0; r < rank; ++r) {
-            atomic_add(&out(out_row, r), row[static_cast<std::size_t>(r)]);
-          }
-        }
-      });
-      return;
-    }
-
     case ScatterStrategy::kPrivatized: {
       const index_t tiles = privatized_tile_count(nnz);
       const auto len = static_cast<std::size_t>(mode_len * rank);

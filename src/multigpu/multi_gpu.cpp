@@ -6,7 +6,6 @@
 #include "common/error.hpp"
 #include "exec/executor.hpp"
 #include "exec/planner.hpp"
-#include "mttkrp/blco_mttkrp.hpp"
 #include "parallel/parallel_for.hpp"
 #include "perfmodel/admm_model.hpp"
 
@@ -45,7 +44,7 @@ MultiGpuCstf::MultiGpuCstf(const SparseTensor& tensor, MultiGpuOptions options)
       shard.append(coords, sorted.values()[static_cast<std::size_t>(i)]);
     }
     shards_.push_back(
-        std::make_unique<BlcoTensor>(shard, options_.blco_block_capacity));
+        std::make_unique<BlcoBackend>(shard, options_.blco_block_capacity));
     devices_.push_back(std::make_unique<simgpu::Device>(options_.device));
   }
 }
@@ -61,7 +60,7 @@ void MultiGpuCstf::mttkrp(const std::vector<Matrix>& factors, int mode,
   for (std::size_t d = 0; d < shards_.size(); ++d) {
     devices_[d]->reset();
     partials[d].resize(out.rows(), out.cols());
-    mttkrp_blco(*devices_[d], *shards_[d], factors, mode, partials[d]);
+    shards_[d]->mttkrp(*devices_[d], factors, mode, partials[d]);
   }
   // Host-side reduction stands in for the ring all-reduce (whose cost the
   // model charges in modeled_mttkrp_time).

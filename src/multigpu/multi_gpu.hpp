@@ -4,7 +4,8 @@
 //
 // Decomposition (the standard medium-grained scheme for CPD):
 //  * The nonzero stream is split into `num_devices` contiguous slices of the
-//    linearized (ALTO-sorted) order; each device holds one BLCO tensor.
+//    linearized (ALTO-sorted) order; each device holds one BLCO backend, so
+//    a sorted mode's scatter plan is built once per shard and reused.
 //  * Factor matrices are replicated on every device.
 //  * Per mode: each device computes a *partial* MTTKRP over its slice; the
 //    partial outputs are combined with a ring all-reduce over the GPU
@@ -20,7 +21,6 @@
 #include <vector>
 
 #include "cstf/backend.hpp"
-#include "formats/blco.hpp"
 #include "simgpu/device.hpp"
 #include "updates/update_method.hpp"
 
@@ -87,9 +87,8 @@ class MultiGpuCstf {
  private:
   MultiGpuOptions options_;
   std::vector<index_t> dims_;
-  std::vector<std::unique_ptr<BlcoTensor>> shards_;
+  std::vector<std::unique_ptr<BlcoBackend>> shards_;
   std::vector<std::unique_ptr<simgpu::Device>> devices_;
-  mutable std::vector<double> last_shard_times_;  // per device, unscaled
 };
 
 }  // namespace cstf

@@ -1,8 +1,8 @@
 // Atomic floating-point accumulation, the CPU analog of CUDA's atomicAdd.
 //
-// COO-format MTTKRP scatters contributions from concurrently processed
-// nonzeros into shared output rows; this helper provides the lock-free
-// accumulate those kernels need.
+// The Poisson ratio MTTKRP and the ADMM residual reductions accumulate
+// from concurrent work items into shared words; this helper provides the
+// lock-free accumulate they need.
 #pragma once
 
 #include <atomic>

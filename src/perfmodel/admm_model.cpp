@@ -33,7 +33,6 @@ simgpu::KernelStats scale_stats(const simgpu::KernelStats& stats,
   scaled.host_link_bytes *= factor;
   scaled.working_set_bytes *= factor;
   scaled.atomic_ops *= factor;
-  scaled.atomic_slots *= factor;
   scaled.parallel_items *= factor;
   return scaled;
 }

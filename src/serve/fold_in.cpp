@@ -429,11 +429,8 @@ std::size_t FoldInBatcher::drain_and_solve(std::vector<Pending> batch) {
     try {
       std::vector<FoldInResult> results = solve_with_retries(*model, group);
       const double done_s = epoch_.seconds();
-      for (std::size_t g = 0; g < indices.size(); ++g) {
-        Pending& p = batch[indices[g]];
-        latency_.record(done_s - p.enqueue_s);
-        p.promise.set_value(std::move(results[g]));
-      }
+      // Count the batch before fulfilling its promises: a client that reads
+      // the counters after its future resolves must see its own request.
       batch_sizes_.record(static_cast<std::int64_t>(indices.size()));
       served += indices.size();
       any_success = true;
@@ -444,6 +441,11 @@ std::size_t FoldInBatcher::drain_and_solve(std::vector<Pending> batch) {
         reliability_.degraded.fetch_add(
             static_cast<std::int64_t>(indices.size()),
             std::memory_order_relaxed);
+      }
+      for (std::size_t g = 0; g < indices.size(); ++g) {
+        Pending& p = batch[indices[g]];
+        latency_.record(done_s - p.enqueue_s);
+        p.promise.set_value(std::move(results[g]));
       }
     } catch (...) {
       if (!options_.degraded_fallback) {
@@ -462,12 +464,12 @@ std::size_t FoldInBatcher::drain_and_solve(std::vector<Pending> batch) {
           std::vector<FoldInResult> one =
               solve_with_retries(*model, {p.request});
           latency_.record(epoch_.seconds() - p.enqueue_s);
-          p.promise.set_value(std::move(one.front()));
           ++served;
           any_success = true;
           reliability_.served.fetch_add(1, std::memory_order_relaxed);
           reliability_.degraded.fetch_add(1, std::memory_order_relaxed);
           batch_sizes_.record(1);
+          p.promise.set_value(std::move(one.front()));
         } catch (...) {
           reliability_.failed.fetch_add(1, std::memory_order_relaxed);
           p.promise.set_exception(std::current_exception());

@@ -36,8 +36,7 @@ std::uint64_t digest_options(const FrameworkOptions& options) {
       .f64(options.prox.param_b())
       .u64(static_cast<std::uint64_t>(options.admm_inner_iterations))
       .u64(static_cast<std::uint64_t>(options.blco_block_capacity))
-      .u64(static_cast<std::uint64_t>(options.scatter.strategy))
-      .boolean(options.scatter.deterministic);
+      .u64(static_cast<std::uint64_t>(options.scatter.strategy));
   return d.value();
 }
 

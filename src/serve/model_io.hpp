@@ -35,7 +35,9 @@
 
 namespace cstf::serve {
 
-inline constexpr std::uint32_t kModelFormatVersion = 1;
+// v2: the options digest dropped the determinism flag and the scatter
+// strategies were renumbered.
+inline constexpr std::uint32_t kModelFormatVersion = 2;
 
 // The typed status/error and the FNV-1a checksum live in common/binio.hpp
 // (shared with the trainer-side CSTFCKPT checkpoint format); re-exported

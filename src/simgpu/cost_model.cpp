@@ -17,11 +17,6 @@ double parallel_utilization(double parallel_items, double saturation) {
   return std::min(1.0, parallel_items / saturation);
 }
 
-double atomic_contention_factor(double concurrent_lanes, double slots) {
-  if (slots <= 0.0 || concurrent_lanes <= 1.0) return 1.0;
-  return 1.0 + (concurrent_lanes - 1.0) / slots;
-}
-
 TimeBreakdown model_time(const KernelStats& stats, const DeviceSpec& spec) {
   TimeBreakdown t;
 
@@ -58,26 +53,16 @@ TimeBreakdown model_time(const KernelStats& stats, const DeviceSpec& spec) {
 
   t.serial_s = stats.serial_depth / spec.serial_op_rate;
 
-  if (stats.atomic_ops > 0.0 && spec.atomic_rate > 0.0) {
-    // Lanes concurrently in flight: available work items, capped at what the
-    // device can keep resident.
-    const double lanes = std::min(std::max(1.0, stats.parallel_items),
-                                  spec.saturation_parallelism);
-    t.atomic_s = stats.atomic_ops *
-                 atomic_contention_factor(lanes, stats.atomic_slots) /
-                 spec.atomic_rate;
-  }
-
   if (stats.host_link_bytes > 0.0 && spec.host_link_bandwidth > 0.0) {
     t.link_s = stats.host_link_bytes / spec.host_link_bandwidth;
   }
 
   t.launch_s = static_cast<double>(stats.launches) * spec.launch_overhead;
 
-  // Compute, memory, serial chains, atomics, and double-buffered staging
-  // overlap (roofline max); launch overhead does not.
-  t.total_s = t.launch_s + std::max({t.compute_s, t.memory_s, t.serial_s,
-                                     t.atomic_s, t.link_s});
+  // Compute, memory, serial chains, and double-buffered staging overlap
+  // (roofline max); launch overhead does not.
+  t.total_s =
+      t.launch_s + std::max({t.compute_s, t.memory_s, t.serial_s, t.link_s});
   return t;
 }
 
@@ -89,7 +74,6 @@ TimeBreakdown model_sequence(const std::vector<KernelStats>& sequence,
     sum.compute_s += t.compute_s;
     sum.memory_s += t.memory_s;
     sum.serial_s += t.serial_s;
-    sum.atomic_s += t.atomic_s;
     sum.link_s += t.link_s;
     sum.launch_s += t.launch_s;
     sum.total_s += t.total_s;

@@ -38,17 +38,10 @@ struct KernelStats {
   /// Triangular solves make this O(R) per column; elementwise kernels O(1).
   double serial_depth = 0.0;
 
-  /// Atomic read-modify-write updates issued (e.g. MTTKRP scatter adds).
-  /// Their bandwidth cost is already part of `bytes_random`; this count
-  /// feeds the *contention* term — conflicting atomics serialize, and the
-  /// expected slowdown grows with concurrency over `atomic_slots`.
+  /// Atomic read-modify-write updates issued (e.g. the Poisson ratio-MTTKRP
+  /// scatter). A plain count for telemetry: their bandwidth is already part
+  /// of `bytes_random`, and the cost model adds no term for them.
   double atomic_ops = 0.0;
-
-  /// Number of distinct memory words the atomic updates target (the output
-  /// working set — dims[mode] * R for an MTTKRP scatter). Collision
-  /// probability, and hence serialization, scales as lanes / slots; a short
-  /// mode (few slots) under full occupancy is the pathological case.
-  double atomic_slots = 0.0;
 
   /// Number of independent work items available (for the saturation model).
   double parallel_items = 0.0;
@@ -76,14 +69,6 @@ struct KernelStats {
     host_link_bytes += o.host_link_bytes;
     serial_depth += o.serial_depth;
     atomic_ops += o.atomic_ops;
-    // Slot counts do not add across launches; keep the smallest nonzero one
-    // (fewer slots = more contention) so an accumulated record is never
-    // modeled faster than the sum of its launches.
-    if (atomic_slots <= 0.0) {
-      atomic_slots = o.atomic_slots;
-    } else if (o.atomic_slots > 0.0 && o.atomic_slots < atomic_slots) {
-      atomic_slots = o.atomic_slots;
-    }
     parallel_items =
         parallel_items > o.parallel_items ? parallel_items : o.parallel_items;
     launches += o.launches;

@@ -13,9 +13,6 @@ DeviceSpec a100() {
       .launch_overhead = 4e-6,
       .saturation_parallelism = 108.0 * 2048.0,  // SMs x resident threads
       .serial_op_rate = 1.41e9,   // one op per cycle on a single lane
-      // Conflict-free FP64 atomics resolve in L2, roughly the random-access
-      // bandwidth over one 16-byte RMW each.
-      .atomic_rate = 16e9,
       .host_link_bandwidth = 25e9,  // PCIe 4.0 x16 effective
       .host_link_latency = 10e-6,
   };
@@ -32,7 +29,6 @@ DeviceSpec h100() {
       .launch_overhead = 3e-6,
       .saturation_parallelism = 114.0 * 2048.0,
       .serial_op_rate = 1.98e9,
-      .atomic_rate = 21e9,        // larger L2, more atomic units than A100
       .host_link_bandwidth = 55e9,  // PCIe 5.0 x16 effective
       .host_link_latency = 10e-6,
   };
@@ -55,10 +51,6 @@ DeviceSpec xeon_8367hc() {
       .launch_overhead = 2e-6,    // OpenMP parallel-region fork/barrier
       .saturation_parallelism = 26.0 * 64.0,  // cores x unroll/vector depth
       .serial_op_rate = 2.0 * 3.2e9,  // superscalar scalar chain
-      // Uncontended lock-free CAS (~6 ns) per core x 26 cores; cross-core
-      // cacheline ping-pong under conflicts is what the contention factor
-      // multiplies on top.
-      .atomic_rate = 4e9,
   };
 }
 
@@ -78,7 +70,6 @@ DeviceSpec host_1core() {
       .launch_overhead = 1e-7,
       .saturation_parallelism = 16.0,
       .serial_op_rate = 2.0 * 3.0e9,
-      .atomic_rate = 1.5e8,  // one core's CAS loop, ~7 ns per update
   };
 }
 

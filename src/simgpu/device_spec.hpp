@@ -58,12 +58,6 @@ struct DeviceSpec {
   /// solve) executes.
   double serial_op_rate;
 
-  /// Conflict-free atomic read-modify-write throughput, updates/s (GPU: L2
-  /// atomic units; CPU: uncontended compare-exchange rate across cores).
-  /// The cost model multiplies the per-update cost by the expected
-  /// serialization from collisions on the atomic working set.
-  double atomic_rate = 0.0;
-
   /// Host-link (PCIe/NVLink) bandwidth in bytes/s for data staged between
   /// host and device memory; 0 means the device IS the host (no transfers).
   /// Full GPU offload — the paper's core design decision — exists to avoid

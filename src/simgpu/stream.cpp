@@ -76,7 +76,6 @@ double Timeline::makespan_s(const DeviceSpec& spec, double extensive_scale,
         stats.host_link_bytes *= extensive_scale;
         stats.working_set_bytes *= extensive_scale;
         stats.atomic_ops *= extensive_scale;
-        stats.atomic_slots *= extensive_scale;
         stats.parallel_items *= extensive_scale;
       }
       const TimeBreakdown t = model_time(stats, spec);

@@ -129,10 +129,7 @@ exec::PlanKey StreamingCstf::ingest_plan_key(const SparseTensor& slice) const {
   tensor_id.u64(static_cast<std::uint64_t>(slice.nnz()));
   for (index_t d : dims_) tensor_id.u64(static_cast<std::uint64_t>(d));
   DigestBuilder opts;
-  opts.boolean(options_.model_staging)
-      .boolean(options_.use_scatter_engine)
-      .u64(static_cast<std::uint64_t>(options_.scatter.strategy))
-      .boolean(options_.scatter.deterministic);
+  opts.boolean(options_.model_staging).boolean(options_.use_scatter_engine);
   exec::PlanKey key;
   key.tensor_id = tensor_id.value();
   key.rank = static_cast<std::uint64_t>(options_.rank);
@@ -236,25 +233,17 @@ exec::Plan StreamingCstf::compile_ingest_plan(const SparseTensor& shape_slice) {
     const Matrix& p = self->p_accum_[static_cast<std::size_t>(m)];
     Matrix& b = self->ws_.b;
     if (!b.same_shape(p)) b.resize(p.rows(), p.cols());
-    ScatterStrategy strategy = ScatterStrategy::kAuto;
     if (self->options_.use_scatter_engine) {
-      // Streaming forces deterministic resolution: slice results must be
-      // bit-identical to the serial reference so resumable/replayed streams
-      // agree regardless of worker count.
-      ScatterOptions scatter = self->options_.scatter;
-      scatter.deterministic = true;
-      strategy =
-          resolve_scatter_strategy(scatter, b.rows(), rank, slice.nnz());
-      const ScatterPlan* plan = nullptr;
-      if (strategy == ScatterStrategy::kSorted) {
-        plan = &self->plans_.get(m, [&] {
-          return build_scatter_plan(slice.nnz(), [&](index_t i) {
-            return slice.indices(m)[static_cast<std::size_t>(i)];
-          });
+      // Sorted only: its per-row order is the serial reference's, so slice
+      // results are bit-identical to it and to each other at any worker
+      // count (privatized would regroup the sums by worker-count tiles).
+      const ScatterPlan& plan = self->plans_.get(m, [&] {
+        return build_scatter_plan(slice.nnz(), [&](index_t i) {
+          return slice.indices(m)[static_cast<std::size_t>(i)];
         });
-      }
+      });
       scatter_accumulate(
-          strategy, b, slice.nnz(),
+          ScatterStrategy::kSorted, b, slice.nnz(),
           [&](index_t i, real_t* row) {
             const real_t v = slice.values()[static_cast<std::size_t>(i)];
             for (index_t r = 0; r < rank; ++r) {
@@ -271,7 +260,7 @@ exec::Plan StreamingCstf::compile_ingest_plan(const SparseTensor& shape_slice) {
             }
             return slice.indices(m)[static_cast<std::size_t>(i)];
           },
-          plan);
+          &plan);
     } else {
       slice_mttkrp(slice, self->factors_, self->ws_.s_row.data(), m, b);
     }
@@ -281,7 +270,7 @@ exec::Plan StreamingCstf::compile_ingest_plan(const SparseTensor& shape_slice) {
         static_cast<double>(slice.nnz() * rank * (modes + 1)) * simgpu::kWord;
     stats.parallel_items = static_cast<double>(slice.nnz());
     if (self->options_.use_scatter_engine) {
-      apply_scatter_stats(stats, strategy, b.rows(), rank,
+      apply_scatter_stats(stats, ScatterStrategy::kSorted, b.rows(), rank,
                           static_cast<double>(slice.nnz()));
     }
     ctx.device.record("stream_slice_mttkrp", stats, 0.0, ctx.stream);

@@ -48,15 +48,12 @@ struct StreamingOptions {
   /// default: staging is not modeled, matching the pre-stream behavior.
   bool model_staging = false;
 
-  /// Route the per-slice weighted MTTKRP through the adaptive scatter engine
-  /// (mttkrp/scatter.hpp) instead of the serial reference loop. Streaming
-  /// always resolves with `deterministic` forced on, so per-slice results
-  /// are bit-identical to the serial reference regardless of worker count.
+  /// Route the per-slice weighted MTTKRP through the scatter engine
+  /// (mttkrp/scatter.hpp) instead of the serial reference loop. The engine
+  /// path always uses the sorted strategy, whose per-row order is ascending
+  /// nonzero id, so per-slice results are bit-identical to the serial
+  /// reference regardless of worker count.
   bool use_scatter_engine = true;
-
-  /// Scatter configuration for the engine path (strategy/budget knobs;
-  /// `deterministic` is overridden to true as described above).
-  ScatterOptions scatter;
 };
 
 class StreamingCstf {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <vector>
@@ -212,6 +213,21 @@ TEST(TuningCacheIo, LoadOrEmptyTurnsEveryDefectIntoAnEmptyCache) {
   EXPECT_EQ(missing.size(), 0u);
 }
 
+TEST(TuningCacheIo, PreviousVersionIsRejectedAndLoadOrEmptyStartsEmpty) {
+  // A previous-version file stores renumbered strategy bytes and digests of
+  // other fields: it must be refused, and a tuned run must start cold.
+  const std::string path = ::testing::TempDir() + "/previous.cstftune";
+  TuningCache cache(4);
+  cache.put(key_of(5), sample_record(3));
+  cache.save(path);
+  std::vector<char> bytes = read_bytes(path);
+  const std::uint32_t previous = autotune::kTuningCacheFormatVersion - 1;
+  std::memcpy(bytes.data() + 8, &previous, sizeof(previous));
+  write_bytes(path, bytes);
+  EXPECT_EQ(load_status(path), ModelIoStatus::kBadVersion);
+  EXPECT_EQ(TuningCache::load_or_empty(path, 4).size(), 0u);
+}
+
 TEST(TuningTrials, SampleIsDeterministicAndBounded) {
   const SparseTensor x = random_tensor({64, 96, 128}, 5000, 21);
   const SparseTensor a = autotune::sample_nonzeros(x, 1000, 5);
@@ -262,7 +278,7 @@ TEST(TuningTrials, RecordAppliesValidation) {
   in.spec = simgpu::a100();
 
   TuningRecord good;
-  good.scatter_per_mode = {ScatterStrategy::kSorted, ScatterStrategy::kAtomic,
+  good.scatter_per_mode = {ScatterStrategy::kSorted, ScatterStrategy::kSorted,
                            ScatterStrategy::kPrivatized};
   good.mttkrp_mode = MttkrpMode::kFlat;
   good.chunks_per_worker = 4;
@@ -279,10 +295,6 @@ TEST(TuningTrials, RecordAppliesValidation) {
   TuningRecord auto_engine = good;
   auto_engine.mttkrp_mode = MttkrpMode::kAuto;
   EXPECT_FALSE(autotune::record_applies(auto_engine, in));
-
-  TuneInputs det = in;
-  det.scatter.deterministic = true;
-  EXPECT_FALSE(autotune::record_applies(good, det));  // entry 1 is atomic
 
   TuningRecord tree = good;
   tree.mttkrp_mode = MttkrpMode::kDimtree;
@@ -354,10 +366,9 @@ TEST(TuningResolve, CachedSecondRunHitsWithoutTrials) {
   EXPECT_EQ(cache.misses(), 1);
 }
 
-// Golden decision table for the scatter resolver across a
-// (mode length, nnz, budget, determinism) sweep. Budgets are expressed as
-// multiples of the exact tile footprint so the table is independent of the
-// host's worker count.
+// Golden decision table for the scatter resolver across a (mode length,
+// nnz, budget) sweep. Budgets are expressed as multiples of the exact tile
+// footprint so the table is independent of the host's worker count.
 TEST(DecisionGolden, ScatterStrategyTable) {
   const index_t rank = 16;
   const auto tile_footprint = [&](index_t mode_len, index_t nnz) {
@@ -368,45 +379,32 @@ TEST(DecisionGolden, ScatterStrategyTable) {
     index_t mode_len;
     index_t nnz;
     double budget_mult;  // x tile_footprint
-    bool deterministic;
     ScatterStrategy want;
   };
   const Case table[] = {
-      // Fits the scratch budget -> privatized, deterministic or not.
-      {256, 4096, 2.0, false, ScatterStrategy::kPrivatized},
-      {256, 4096, 2.0, true, ScatterStrategy::kPrivatized},
-      // Over budget, deterministic -> sorted.
-      {256, 4096, 0.5, true, ScatterStrategy::kSorted},
-      // Over budget, high contention (16 updates/row) -> sorted.
-      {256, 4096, 0.5, false, ScatterStrategy::kSorted},
-      // Over budget, exactly at the 8 updates/row threshold -> sorted.
-      {512, 4096, 0.5, false, ScatterStrategy::kSorted},
-      // Over budget, low contention (1 update/row) -> atomic.
-      {4096, 4096, 0.5, false, ScatterStrategy::kAtomic},
-      {4096, 4096, 0.5, true, ScatterStrategy::kSorted},
+      // Fits the scratch budget -> privatized.
+      {256, 4096, 2.0, ScatterStrategy::kPrivatized},
+      {4096, 4096, 1.0, ScatterStrategy::kPrivatized},
+      // Over budget -> sorted, at 16, 8 or 1 updates per row alike.
+      {256, 4096, 0.5, ScatterStrategy::kSorted},
+      {512, 4096, 0.5, ScatterStrategy::kSorted},
+      {4096, 4096, 0.5, ScatterStrategy::kSorted},
   };
   for (const Case& c : table) {
     ScatterOptions opts;
-    opts.deterministic = c.deterministic;
     opts.privatization_budget_bytes =
         c.budget_mult * tile_footprint(c.mode_len, c.nnz);
     EXPECT_EQ(resolve_scatter_strategy(opts, c.mode_len, rank, c.nnz), c.want)
         << "mode_len=" << c.mode_len << " nnz=" << c.nnz
-        << " budget_mult=" << c.budget_mult << " det=" << c.deterministic;
+        << " budget_mult=" << c.budget_mult;
   }
 
-  // Explicit requests pass through — except atomic under determinism, which
-  // re-resolves as auto.
+  // Explicit requests pass through, whatever the budget.
   ScatterOptions forced;
-  forced.strategy = ScatterStrategy::kSorted;
+  forced.strategy = ScatterStrategy::kPrivatized;
+  forced.privatization_budget_bytes = 1.0;
   EXPECT_EQ(resolve_scatter_strategy(forced, 4096, rank, 4096),
-            ScatterStrategy::kSorted);
-  ScatterOptions det_atomic;
-  det_atomic.strategy = ScatterStrategy::kAtomic;
-  det_atomic.deterministic = true;
-  det_atomic.privatization_budget_bytes = 1.0;
-  EXPECT_EQ(resolve_scatter_strategy(det_atomic, 4096, rank, 4096),
-            ScatterStrategy::kSorted);
+            ScatterStrategy::kPrivatized);
 }
 
 TEST(DecisionGolden, PerModeOverridesWinUnlessIllegal) {
@@ -418,19 +416,26 @@ TEST(DecisionGolden, PerModeOverridesWinUnlessIllegal) {
   // Concrete override wins even against the auto resolution.
   EXPECT_EQ(resolve_scatter_strategy_for_mode(opts, 0, 4096, rank, 4096),
             ScatterStrategy::kPrivatized);
-  // kAuto entry falls through (low contention -> atomic).
+  // kAuto entry falls through to the rule (over budget -> sorted).
   EXPECT_EQ(resolve_scatter_strategy_for_mode(opts, 1, 4096, rank, 4096),
-            ScatterStrategy::kAtomic);
+            ScatterStrategy::kSorted);
   // Modes beyond the vector fall through too.
   EXPECT_EQ(resolve_scatter_strategy_for_mode(opts, 2, 4096, rank, 4096),
-            ScatterStrategy::kAtomic);
-
-  // A cached atomic pick must not defeat determinism.
-  ScatterOptions det = opts;
-  det.deterministic = true;
-  det.per_mode = {ScatterStrategy::kAtomic};
-  EXPECT_EQ(resolve_scatter_strategy_for_mode(det, 0, 4096, rank, 4096),
             ScatterStrategy::kSorted);
+
+  // A cached privatized pick that no longer fits the budget is illegal for
+  // the tuner: record_applies refuses it rather than let the override
+  // allocate past the budget.
+  const SparseTensor x = random_tensor({64, 96, 128}, 3000, 43);
+  autotune::TuneInputs in;
+  in.tensor = &x;
+  in.rank = rank;
+  in.scatter = opts;
+  TuningRecord rec;
+  rec.scatter_per_mode = {ScatterStrategy::kPrivatized,
+                          ScatterStrategy::kSorted, ScatterStrategy::kSorted};
+  rec.mttkrp_mode = MttkrpMode::kFlat;
+  EXPECT_FALSE(autotune::record_applies(rec, in));
 }
 
 // Golden decision table for the engine resolver: the budget cap is exact,
@@ -505,14 +510,12 @@ TEST(BatcherTuner, PicksThroughputKneeAndLinger) {
 }
 
 // The default kModel policy must stay the bit-identical legacy path: no
-// trials, no per-mode picks, and two identical deterministic runs agree
-// bitwise.
+// trials, no per-mode picks, and two identical runs agree bitwise.
 TEST(TuningFramework, ModelPolicyKeepsFactorsBitIdentical) {
   const SparseTensor x = random_tensor({48, 64, 80}, 2500, 91);
   FrameworkOptions options;
   options.rank = 4;
   options.max_iterations = 2;
-  options.scatter.deterministic = true;
 
   CstfFramework a(x, options);
   a.run();

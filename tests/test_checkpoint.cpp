@@ -34,9 +34,6 @@ FrameworkOptions base_options() {
   options.max_iterations = 10;
   options.fit_tolerance = 0.0;  // fixed iteration count
   options.scheme = UpdateScheme::kCuAdmm;
-  // Bit-identity across runs requires atomic-free scatter: the atomic path's
-  // accumulation order depends on thread scheduling.
-  options.scatter.deterministic = true;
   return options;
 }
 
@@ -252,6 +249,23 @@ TEST(Checkpoint, CorruptionYieldsTypedErrors) {
   }
   // The original is still intact after all that.
   EXPECT_NO_THROW(load_checkpoint(good));
+}
+
+TEST(Checkpoint, PreviousFormatVersionIsRejected) {
+  // A checkpoint written before the last digest-definition change must not
+  // resume: its options digest means something else now.
+  const SparseTensor tensor = make_tensor();
+  FrameworkOptions options = base_options();
+  options.max_iterations = 1;
+  CstfFramework framework(tensor, options);
+  framework.run();
+  const std::string path = ::testing::TempDir() + "/previous_version.ckpt";
+  framework.write_checkpoint(path);
+  std::vector<char> bytes = read_bytes(path);
+  const std::uint32_t previous = kCheckpointFormatVersion - 1;
+  std::memcpy(bytes.data() + 8, &previous, sizeof(previous));
+  write_bytes(path, bytes);
+  EXPECT_EQ(load_status(path), ModelIoStatus::kBadVersion);
 }
 
 TEST(Checkpoint, NonFiniteFactorsAreRejectedAsInvalidModel) {

@@ -358,8 +358,8 @@ TEST(Auntf, SameSeedSameResultAcrossBackends) {
 
 TEST(Auntf, ScatterStrategiesAgreeAcrossEngines) {
   // The scatter strategy changes only the accumulation schedule, never the
-  // math: every concrete strategy must factor to (numerically) the same
-  // model as the atomic baseline.
+  // math: both concrete strategies must factor to (numerically) the same
+  // model.
   const LowRankTensor lr = make_low_rank(6);
   AdmmOptions admm_opt;
   admm_opt.inner_iterations = 5;
@@ -381,18 +381,16 @@ TEST(Auntf, ScatterStrategiesAgreeAcrossEngines) {
     return driver.ktensor();
   };
 
-  const KTensor atomic = run_with(ScatterStrategy::kAtomic);
   const KTensor privatized = run_with(ScatterStrategy::kPrivatized);
   const KTensor sorted = run_with(ScatterStrategy::kSorted);
   for (int m = 0; m < 3; ++m) {
-    EXPECT_LT(max_abs_diff(atomic.factors[m], privatized.factors[m]), 1e-8);
-    EXPECT_LT(max_abs_diff(atomic.factors[m], sorted.factors[m]), 1e-8);
+    EXPECT_LT(max_abs_diff(privatized.factors[m], sorted.factors[m]), 1e-8);
   }
 }
 
 TEST(Framework, DeterministicScatterGivesBitIdenticalRuns) {
-  // The end-to-end determinism guarantee: with scatter.deterministic set,
-  // two complete factorizations from the same seed agree bit for bit —
+  // The end-to-end determinism guarantee: no scatter strategy uses atomics,
+  // so two complete factorizations from the same seed agree bit for bit —
   // every factor entry and every lambda.
   const LowRankTensor lr = make_low_rank(9);
   FrameworkOptions options;
@@ -400,7 +398,6 @@ TEST(Framework, DeterministicScatterGivesBitIdenticalRuns) {
   options.max_iterations = 4;
   options.seed = 5;
   options.fit_tolerance = 0.0;
-  options.scatter.deterministic = true;
 
   auto run_once = [&]() {
     CstfFramework framework(lr.tensor, options);
@@ -446,7 +443,7 @@ TEST(Framework, BackendResolvesAutoAndCachesSortedPlans) {
 
 TEST(Framework, DimtreeMatchesFlatAndIsDeterministicEndToEnd) {
   // End-to-end guarantees of the reuse engine: (a) a dimtree run is
-  // bit-reproducible under deterministic scatter, (b) it agrees with the
+  // bit-reproducible run to run, (b) it agrees with the
   // flat engine to fp tolerance (the flat path is the BLCO kernel, whose
   // block ordering regroups the per-row sums, so the two engines are only
   // bitwise-equal against the *COO reference* order — which the dimtree
@@ -463,7 +460,6 @@ TEST(Framework, DimtreeMatchesFlatAndIsDeterministicEndToEnd) {
   options.rank = 4;
   options.max_iterations = 3;
   options.seed = 5;
-  options.scatter.deterministic = true;
 
   auto run_mode = [&](MttkrpMode mode) {
     FrameworkOptions o = options;
@@ -489,13 +485,13 @@ TEST(Framework, DimtreeMatchesFlatAndIsDeterministicEndToEnd) {
 }
 
 TEST(Framework, DimtreeBackendIsBitIdenticalToCooReference) {
-  // The acceptance bar: with deterministic scatter, the dimtree-enabled
-  // BLCO backend reproduces mttkrp_ref bit for bit on every mode — chain
+  // The acceptance bar: with sorted scatter, the dimtree-enabled BLCO
+  // backend reproduces mttkrp_ref bit for bit on every mode — chain
   // derives and the mode-0 from-raw path both fold factors in the
   // reference's ascending order and accumulate in ascending nonzero id.
   const LowRankTensor lr = make_low_rank(23);
   ScatterOptions scatter;
-  scatter.deterministic = true;
+  scatter.strategy = ScatterStrategy::kSorted;
   BlcoBackend backend(lr.tensor, 4096, scatter);
   backend.enable_dimtree(lr.tensor, 4);
   simgpu::Device dev(simgpu::a100());
@@ -557,7 +553,6 @@ TEST(Framework, UnequalModeSizesKeepMttkrpWorkspaceExact) {
   FrameworkOptions options;
   options.rank = 3;
   options.max_iterations = 3;
-  options.scatter.deterministic = true;
 
   auto run_mode = [&](MttkrpMode mode) {
     FrameworkOptions o = options;

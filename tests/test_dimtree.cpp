@@ -41,8 +41,8 @@ std::vector<Matrix> random_factors(const SparseTensor& t, index_t rank,
   return factors;
 }
 
-// Bitwise equality — the dimtree guarantee under deterministic scatter is
-// exact reproduction of mttkrp_ref, not just small error.
+// Bitwise equality — the dimtree guarantee under sorted scatter is exact
+// reproduction of mttkrp_ref, not just small error.
 ::testing::AssertionResult bit_identical(const Matrix& got,
                                          const Matrix& want) {
   if (got.rows() != want.rows() || got.cols() != want.cols()) {
@@ -58,9 +58,9 @@ std::vector<Matrix> random_factors(const SparseTensor& t, index_t rank,
   return ::testing::AssertionSuccess();
 }
 
-ScatterOptions deterministic_opts() {
+ScatterOptions sorted_opts() {
   ScatterOptions opts;
-  opts.deterministic = true;
+  opts.strategy = ScatterStrategy::kSorted;
   return opts;
 }
 
@@ -87,7 +87,7 @@ TEST_P(DimtreeSweep, BitIdenticalToReferenceOnEveryMode) {
     Matrix want(t.dim(mode), rank), got(t.dim(mode), rank);
     mttkrp_ref(t, factors, mode, want);
     const ScatterStrategy used =
-        engine.mttkrp(dev, factors, mode, got, deterministic_opts());
+        engine.mttkrp(dev, factors, mode, got, sorted_opts());
     EXPECT_EQ(used, ScatterStrategy::kSorted) << "mode " << mode;
     EXPECT_TRUE(bit_identical(got, want)) << "mode " << mode;
   }
@@ -109,7 +109,7 @@ TEST_P(DimtreeSweep, AoSweepWithFactorUpdatesStaysBitIdentical) {
     for (int mode = 0; mode < modes; ++mode) {
       Matrix want(t.dim(mode), rank), got(t.dim(mode), rank);
       mttkrp_ref(t, factors, mode, want);
-      engine.mttkrp(dev, factors, mode, got, deterministic_opts());
+      engine.mttkrp(dev, factors, mode, got, sorted_opts());
       EXPECT_TRUE(bit_identical(got, want))
           << "sweep " << sweep << " mode " << mode;
       factors[static_cast<std::size_t>(mode)].fill_uniform(rng, 0.1, 1.0);
@@ -129,7 +129,7 @@ TEST(DimtreeInvalidation, FingerprintCatchesSilentFactorMutation) {
   DimTreeEngine engine(t, 8);
   simgpu::Device dev(simgpu::a100());
   Matrix out(t.dim(2), 8), want(t.dim(2), 8);
-  engine.mttkrp(dev, factors, 2, out, deterministic_opts());
+  engine.mttkrp(dev, factors, 2, out, sorted_opts());
   ASSERT_EQ(engine.level(), 2);  // factors 0 and 1 folded
 
   // Mutate a folded factor in place without note_factor_updated — the
@@ -137,7 +137,7 @@ TEST(DimtreeInvalidation, FingerprintCatchesSilentFactorMutation) {
   // (0, 0) is always covered by the sampled hash.
   factors[0](0, 0) += 1.0;
   mttkrp_ref(t, factors, 2, want);
-  engine.mttkrp(dev, factors, 2, out, deterministic_opts());
+  engine.mttkrp(dev, factors, 2, out, sorted_opts());
   EXPECT_TRUE(bit_identical(out, want));
   ASSERT_EQ(engine.level(), 2);
 
@@ -147,7 +147,7 @@ TEST(DimtreeInvalidation, FingerprintCatchesSilentFactorMutation) {
   // the old contents.
   factors[1](0, 0) += 1.0;
   mttkrp_ref(t, factors, 2, want);
-  engine.mttkrp(dev, factors, 2, out, deterministic_opts());
+  engine.mttkrp(dev, factors, 2, out, sorted_opts());
   EXPECT_TRUE(bit_identical(out, want));
 }
 
@@ -186,7 +186,7 @@ TEST(DimtreeInvalidation, MidPrefixUpdateThenExtendStaysBitIdentical) {
   DimTreeEngine engine(t, 8);
   simgpu::Device dev(simgpu::a100());
   Matrix out(t.dim(2), 8), want(t.dim(2), 8);
-  engine.mttkrp(dev, factors, 2, out, deterministic_opts());
+  engine.mttkrp(dev, factors, 2, out, sorted_opts());
   ASSERT_EQ(engine.level(), 2);
 
   Rng rng(69);
@@ -196,7 +196,7 @@ TEST(DimtreeInvalidation, MidPrefixUpdateThenExtendStaysBitIdentical) {
   for (int mode = 2; mode < t.num_modes(); ++mode) {
     Matrix w(t.dim(mode), 8), g(t.dim(mode), 8);
     mttkrp_ref(t, factors, mode, w);
-    engine.mttkrp(dev, factors, mode, g, deterministic_opts());
+    engine.mttkrp(dev, factors, mode, g, sorted_opts());
     EXPECT_TRUE(bit_identical(g, w)) << "mode " << mode;
   }
 }
@@ -212,7 +212,7 @@ TEST(DimtreeInvalidation, ExtendBelowCurrentLevelRebuilds) {
   EXPECT_EQ(engine.level(), 1);
   Matrix want(t.dim(1), 4), got(t.dim(1), 4);
   mttkrp_ref(t, factors, 1, want);
-  engine.mttkrp(dev, factors, 1, got, deterministic_opts());
+  engine.mttkrp(dev, factors, 1, got, sorted_opts());
   EXPECT_TRUE(bit_identical(got, want));
 }
 
@@ -223,7 +223,7 @@ TEST(DimtreeBudget, CapFallsBackToFlatMidIteration) {
   simgpu::Device dev(simgpu::a100());
   Matrix want(t.dim(1), 8), got(t.dim(1), 8);
 
-  engine.mttkrp(dev, factors, 1, got, deterministic_opts());
+  engine.mttkrp(dev, factors, 1, got, sorted_opts());
   ASSERT_TRUE(engine.chain_fits());
   ASSERT_EQ(engine.level(), 1);
 
@@ -235,7 +235,7 @@ TEST(DimtreeBudget, CapFallsBackToFlatMidIteration) {
   for (int mode = 1; mode < t.num_modes(); ++mode) {
     Matrix w(t.dim(mode), 8), g(t.dim(mode), 8);
     mttkrp_ref(t, factors, mode, w);
-    engine.mttkrp(dev, factors, mode, g, deterministic_opts());
+    engine.mttkrp(dev, factors, mode, g, sorted_opts());
     EXPECT_TRUE(bit_identical(g, w)) << "mode " << mode;
     EXPECT_EQ(engine.level(), 0) << "mode " << mode;
   }
@@ -243,7 +243,7 @@ TEST(DimtreeBudget, CapFallsBackToFlatMidIteration) {
   // Raising the budget restores reuse.
   engine.set_budget_bytes(2.0 * engine.chain_bytes());
   mttkrp_ref(t, factors, 1, want);
-  engine.mttkrp(dev, factors, 1, got, deterministic_opts());
+  engine.mttkrp(dev, factors, 1, got, sorted_opts());
   EXPECT_TRUE(bit_identical(got, want));
   EXPECT_EQ(engine.level(), 1);
 }

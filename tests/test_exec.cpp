@@ -414,12 +414,13 @@ TEST(DigestStability, BuilderEncodingIsPinned) {
 
 TEST(DigestStability, TrainingDigestIgnoresConvergenceAndCheckpointKnobs) {
   FrameworkOptions base;
-  // Pinned for checkpoint format v4 (v2 added mttkrp_mode, v3 added
+  // Pinned for checkpoint format v5 (v2 added mttkrp_mode, v3 added
   // dimtree_budget_bytes — under auto the budget decides which engine the
   // resolver picks, and flat vs dimtree differ in accumulation order —
-  // and v4 added the autotuning policy, per-mode scatter picks, and the
-  // parallel chunk knob, all of which shape fp accumulation order).
-  EXPECT_EQ(digest_training_options(base), 0x82f78186c1f13b32ULL);
+  // v4 added the autotuning policy, per-mode scatter picks, and the
+  // parallel chunk knob, all of which shape fp accumulation order, and v5
+  // dropped the determinism flag).
+  EXPECT_EQ(digest_training_options(base), 0xe4f9bc81d5cbb3b2ULL);
 
   FrameworkOptions resumable = base;
   resumable.max_iterations = 500;
@@ -456,7 +457,7 @@ TEST(DigestStability, TrainingDigestIgnoresConvergenceAndCheckpointKnobs) {
             digest_training_options(base));
   FrameworkOptions different_per_mode = base;
   different_per_mode.scatter.per_mode = {ScatterStrategy::kSorted,
-                                         ScatterStrategy::kAtomic,
+                                         ScatterStrategy::kPrivatized,
                                          ScatterStrategy::kPrivatized};
   EXPECT_NE(digest_training_options(different_per_mode),
             digest_training_options(base));
@@ -464,13 +465,30 @@ TEST(DigestStability, TrainingDigestIgnoresConvergenceAndCheckpointKnobs) {
 
 TEST(DigestStability, ServingDigestTracksEverythingThatChangesTheModel) {
   FrameworkOptions base;
-  EXPECT_EQ(serve::digest_options(base), 0xf0eb40a20d81ccbeULL);
+  // Pinned for model format v2 (the determinism flag dropped).
+  EXPECT_EQ(serve::digest_options(base), 0x960722465bce40feULL);
 
   // Unlike the checkpoint digest, the serving digest pins max_iterations —
   // two models trained for different iteration counts are different models.
   FrameworkOptions longer = base;
   longer.max_iterations = 50;
   EXPECT_NE(serve::digest_options(longer), serve::digest_options(base));
+}
+
+TEST(DigestStability, TuningKeyAndDeviceDigestArePinned) {
+  // Both are persisted in every CSTFTUNE record key; pinned for tuning
+  // cache format v2 (the determinism flag and the atomic rate dropped).
+  EXPECT_EQ(autotune::digest_device_spec(simgpu::a100()),
+            0x80803e1f7413c7bbULL);
+  SparseTensor x({4, 5, 6});
+  x.append({1, 2, 3}, 1.0);
+  autotune::TuneInputs in;
+  in.tensor = &x;
+  in.rank = 8;
+  in.spec = simgpu::a100();
+  EXPECT_EQ(autotune::make_tuning_key(in, autotune::TuningOptions{})
+                .options_digest,
+            0xa560d1ff43904f4fULL);
 }
 
 }  // namespace

@@ -171,11 +171,17 @@ TEST(Mttkrp, BlcoMetersTrafficAndLaunches) {
   const BlcoTensor blco(t, 512);
   simgpu::Device dev(simgpu::h100());
   Matrix out(t.dim(0), 16);
-  mttkrp_blco(dev, blco, factors, 0, out);
-  const auto& stats = dev.per_kernel().at("mttkrp_blco");
+  ScatterOptions sorted;
+  sorted.strategy = ScatterStrategy::kSorted;
+  mttkrp_blco(dev, blco, factors, 0, out, sorted);
+  const auto& stats = dev.per_kernel().at("mttkrp_blco_sorted");
   EXPECT_GT(stats.flops, 0.0);
   EXPECT_GT(stats.bytes_random, 0.0);
-  EXPECT_NEAR(stats.bytes_streamed, blco.storage_bytes(), 1.0);
+  // The compressed tensor plus the plan's permutation, each streamed once.
+  EXPECT_NEAR(stats.bytes_streamed,
+              blco.storage_bytes() +
+                  static_cast<double>(blco.nnz()) * sizeof(index_t),
+              1.0);
   EXPECT_EQ(stats.launches, 1);
   EXPECT_GT(dev.modeled_time_s(), 0.0);
 }
@@ -206,7 +212,7 @@ TEST(Mttkrp, StreamedDegeneratesToResidentWhenItFits) {
   const index_t batches = mttkrp_blco_streamed(dev, blco, factors, 0, out,
                                                2.0 * blco.storage_bytes());
   EXPECT_EQ(batches, 1);
-  EXPECT_EQ(dev.per_kernel().count("mttkrp_blco"), 1u);
+  EXPECT_EQ(dev.per_kernel().count("mttkrp_blco_priv"), 1u);
   EXPECT_EQ(dev.per_kernel().count("mttkrp_blco_streamed"), 0u);
 }
 
@@ -230,7 +236,7 @@ TEST(Mttkrp, StreamedCopyStreamPipelineMatchesAndOverlaps) {
   const index_t batches2 = mttkrp_blco_streamed(
       piped, blco, factors, 0, got, blco.storage_bytes() / 4.0, copy);
   EXPECT_EQ(batches2, batches);
-  EXPECT_LT(max_abs_diff(got, want), 1e-15);
+  EXPECT_EQ(max_abs_diff(got, want), 0.0);
 
   // All staged bytes land on the stage spans, none on the compute kernel.
   const auto& stage = piped.per_kernel().at("mttkrp_stage_batch");
@@ -245,6 +251,35 @@ TEST(Mttkrp, StreamedCopyStreamPipelineMatchesAndOverlaps) {
       piped.modeled_kernel_time_s("mttkrp_blco_streamed");
   EXPECT_LE(overlap, serial * (1.0 + 1e-12));
   EXPECT_GE(overlap, compute_only * (1.0 - 1e-12));
+}
+
+TEST(Mttkrp, StreamedIsBitReproducibleUnderEitherStrategy) {
+  // Each batch runs the resident kernel over its own block range and adds
+  // into the output, so repeated runs agree bit for bit, and the result
+  // matches the resident kernel up to the regrouped per-row sums.
+  SparseTensor t = random_tensor({80, 70, 60}, 6000, 57);
+  const auto factors = random_factors(t, 16, 58);
+  const BlcoTensor blco(t, 256);
+  const double budget = blco.storage_bytes() / 4.0;
+  for (ScatterStrategy strategy :
+       {ScatterStrategy::kPrivatized, ScatterStrategy::kSorted}) {
+    ScatterOptions opts;
+    opts.strategy = strategy;
+    for (int mode = 0; mode < 3; ++mode) {
+      simgpu::Device dev(simgpu::a100());
+      Matrix resident(t.dim(mode), 16), a(t.dim(mode), 16),
+          b(t.dim(mode), 16);
+      mttkrp_blco(dev, blco, factors, mode, resident, opts);
+      const index_t batches = mttkrp_blco_streamed(dev, blco, factors, mode,
+                                                   a, budget, {}, opts);
+      mttkrp_blco_streamed(dev, blco, factors, mode, b, budget, {}, opts);
+      ASSERT_GE(batches, 4);
+      EXPECT_EQ(max_abs_diff(a, b), 0.0)
+          << scatter_strategy_name(strategy) << " mode " << mode;
+      EXPECT_LT(max_abs_diff(a, resident), 1e-12)
+          << scatter_strategy_name(strategy) << " mode " << mode;
+    }
+  }
 }
 
 TEST(Mttkrp, StreamedChargesHostLinkTraffic) {
@@ -305,8 +340,7 @@ TEST_P(ScatterStrategySweep, AllEnginesMatchReferenceOnEveryMode) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Strategies, ScatterStrategySweep,
-                         ::testing::Values(ScatterStrategy::kAtomic,
-                                           ScatterStrategy::kPrivatized,
+                         ::testing::Values(ScatterStrategy::kPrivatized,
                                            ScatterStrategy::kSorted),
                          [](const auto& info) {
                            return scatter_strategy_name(info.param);
@@ -374,12 +408,13 @@ TEST(Scatter, SortedPathIsBitIdenticalToReference) {
 }
 
 TEST(Scatter, DeterministicRunsAreBitIdentical) {
+  // Neither strategy uses atomics: repeated runs agree bit for bit.
   const SparseTensor t = random_tensor({31, 47, 300}, 5000, 101);
   const auto factors = random_factors(t, 16, 102);
   for (ScatterStrategy strategy :
-       {ScatterStrategy::kPrivatized, ScatterStrategy::kSorted}) {
-    ScatterOptions opts = explicit_strategy(strategy);
-    opts.deterministic = true;
+       {ScatterStrategy::kAuto, ScatterStrategy::kPrivatized,
+        ScatterStrategy::kSorted}) {
+    const ScatterOptions opts = explicit_strategy(strategy);
     for (int mode = 0; mode < t.num_modes(); ++mode) {
       Matrix a(t.dim(mode), 16), b(t.dim(mode), 16);
       mttkrp_coo(t, factors, mode, a, opts);
@@ -391,27 +426,28 @@ TEST(Scatter, DeterministicRunsAreBitIdentical) {
 }
 
 TEST(Scatter, ResolutionRespectsBudgetDeterminismAndContention) {
+  // One rule: privatized when its tiles fit the budget, otherwise sorted —
+  // whatever the updates per row; neither choice uses atomics.
   ScatterOptions opts;  // kAuto
   // Short mode, tiles fit the default 64 MB budget -> privatized.
+  EXPECT_TRUE(privatized_fits(opts, 512, 32, 100000));
   EXPECT_EQ(resolve_scatter_strategy(opts, 512, 32, 100000),
             ScatterStrategy::kPrivatized);
-  // Shrink the budget below one tile -> falls through; with ~195 updates
-  // per row the contention proxy picks sorted.
+  // Budget below one tile -> sorted, with ~195 updates per row...
   opts.privatization_budget_bytes = 1024.0;
+  EXPECT_FALSE(privatized_fits(opts, 512, 32, 100000));
   EXPECT_EQ(resolve_scatter_strategy(opts, 512, 32, 100000),
             ScatterStrategy::kSorted);
-  // Long sparse mode over budget, low updates-per-row -> atomic...
-  EXPECT_EQ(resolve_scatter_strategy(opts, 1 << 20, 32, 100000),
-            ScatterStrategy::kAtomic);
-  // ...unless determinism forbids atomics.
-  opts.deterministic = true;
+  // ...and with ~0.1 updates per row on a long sparse mode.
   EXPECT_EQ(resolve_scatter_strategy(opts, 1 << 20, 32, 100000),
             ScatterStrategy::kSorted);
-  // An explicit atomic request under determinism is re-resolved...
-  opts.strategy = ScatterStrategy::kAtomic;
-  EXPECT_NE(resolve_scatter_strategy(opts, 1 << 20, 32, 100000),
-            ScatterStrategy::kAtomic);
-  // ...but other explicit requests pass through.
+  // The budget compares against exactly T tiles of mode_len x rank words.
+  const double tiles = static_cast<double>(privatized_tile_count(100000));
+  opts.privatization_budget_bytes = tiles * 512.0 * 32.0 * 8.0;
+  EXPECT_TRUE(privatized_fits(opts, 512, 32, 100000));
+  opts.privatization_budget_bytes -= 1.0;
+  EXPECT_FALSE(privatized_fits(opts, 512, 32, 100000));
+  // Explicit requests pass through.
   opts.strategy = ScatterStrategy::kPrivatized;
   EXPECT_EQ(resolve_scatter_strategy(opts, 1 << 20, 32, 100000),
             ScatterStrategy::kPrivatized);
@@ -419,26 +455,22 @@ TEST(Scatter, ResolutionRespectsBudgetDeterminismAndContention) {
 
 TEST(Scatter, StrategyNamesRoundTrip) {
   for (ScatterStrategy s :
-       {ScatterStrategy::kAuto, ScatterStrategy::kAtomic,
-        ScatterStrategy::kPrivatized, ScatterStrategy::kSorted}) {
+       {ScatterStrategy::kAuto, ScatterStrategy::kPrivatized,
+        ScatterStrategy::kSorted}) {
     ScatterStrategy parsed;
     ASSERT_TRUE(parse_scatter_strategy(scatter_strategy_name(s), &parsed));
     EXPECT_EQ(parsed, s);
   }
   ScatterStrategy untouched = ScatterStrategy::kSorted;
   EXPECT_FALSE(parse_scatter_strategy("bogus", &untouched));
+  EXPECT_FALSE(parse_scatter_strategy("atomic", &untouched));
   EXPECT_EQ(untouched, ScatterStrategy::kSorted);
 }
 
-TEST(Scatter, ApplyStatsMetersAtomicOpsAgainstOutputSlots) {
-  simgpu::KernelStats stats;
-  apply_scatter_stats(stats, ScatterStrategy::kAtomic, /*mode_len=*/100,
-                      /*rank=*/8, /*nnz=*/5000.0);
-  EXPECT_DOUBLE_EQ(stats.atomic_ops, 5000.0 * 8.0);
-  EXPECT_DOUBLE_EQ(stats.atomic_slots, 100.0 * 8.0);
-
+TEST(Scatter, ApplyStatsMetersPrivatizedAndSortedTraffic) {
   simgpu::KernelStats priv;
-  apply_scatter_stats(priv, ScatterStrategy::kPrivatized, 100, 8, 5000.0);
+  apply_scatter_stats(priv, ScatterStrategy::kPrivatized, /*mode_len=*/100,
+                      /*rank=*/8, /*nnz=*/5000.0);
   EXPECT_DOUBLE_EQ(priv.atomic_ops, 0.0);
   EXPECT_GT(priv.bytes_streamed, 0.0);  // tile zero/accumulate/reduce traffic
   EXPECT_GT(priv.flops, 0.0);           // the tree combine
@@ -447,44 +479,6 @@ TEST(Scatter, ApplyStatsMetersAtomicOpsAgainstOutputSlots) {
   apply_scatter_stats(sorted, ScatterStrategy::kSorted, 100, 8, 5000.0);
   EXPECT_DOUBLE_EQ(sorted.atomic_ops, 0.0);
   EXPECT_DOUBLE_EQ(sorted.bytes_streamed, 5000.0 * sizeof(index_t));
-}
-
-TEST(Scatter, CostModelRanksAtomicVsPrivatizedWithContention) {
-  // Hand-computable collision regimes (A100, R=32, 1e6 updates-per-call):
-  //  * mode 512: 16384 output words; saturated lanes collide constantly, the
-  //    contention factor is 1 + (lanes-1)/16384 >> 1 and atomic loses to the
-  //    privatized tiles' streamed traffic;
-  //  * mode 2^24: 5.4e8 output words; the factor is ~1.0004, while the
-  //    privatized tiles must stream/reduce 13x the (huge) output — atomic
-  //    wins.
-  const simgpu::DeviceSpec spec = simgpu::a100();
-  const index_t rank = 32;
-  const double nnz = 1e6;
-  auto scatter_cost = [&](ScatterStrategy s, index_t mode_len) {
-    simgpu::KernelStats stats;
-    stats.parallel_items = nnz;
-    apply_scatter_stats(stats, s, mode_len, rank, nnz);
-    return simgpu::model_time(stats, spec).total_s;
-  };
-  EXPECT_LT(scatter_cost(ScatterStrategy::kPrivatized, 512),
-            scatter_cost(ScatterStrategy::kAtomic, 512));
-  EXPECT_LT(scatter_cost(ScatterStrategy::kAtomic, 1 << 24),
-            scatter_cost(ScatterStrategy::kPrivatized, 1 << 24));
-
-  // The contention factor itself, on hand-picked numbers: saturated lanes
-  // over 16384 slots.
-  const double lanes = std::min(nnz, spec.saturation_parallelism);
-  const simgpu::KernelStats atomic_short = [&] {
-    simgpu::KernelStats s;
-    s.parallel_items = nnz;
-    apply_scatter_stats(s, ScatterStrategy::kAtomic, 512, rank, nnz);
-    return s;
-  }();
-  const double expected =
-      atomic_short.atomic_ops *
-      (1.0 + (lanes - 1.0) / atomic_short.atomic_slots) / spec.atomic_rate;
-  EXPECT_NEAR(simgpu::model_time(atomic_short, spec).atomic_s, expected,
-              1e-12 * expected);
 }
 
 // Regression (scatter-engine audit): the per-nonzero Khatri-Rao row lives in
@@ -504,8 +498,7 @@ TEST(Scatter, ZeroFactorRowDoesNotLeakStaleScratch) {
   b(2, 0) = 4.0;
   b(2, 1) = 0.5;
   for (ScatterStrategy strategy :
-       {ScatterStrategy::kAtomic, ScatterStrategy::kPrivatized,
-        ScatterStrategy::kSorted}) {
+       {ScatterStrategy::kPrivatized, ScatterStrategy::kSorted}) {
     Matrix out(1, 2);
     mttkrp_coo(t, {a, b}, 0, out, explicit_strategy(strategy));
     EXPECT_DOUBLE_EQ(out(0, 0), 5.0 * 1.0 + 3.0 * 4.0)

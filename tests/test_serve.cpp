@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <future>
 #include <thread>
@@ -138,6 +139,18 @@ TEST(ModelIo, LoadRejectsBadVersion) {
   save_model(make_saved_model(), path);
   std::vector<char> bytes = read_bytes(path);
   bytes[8] = static_cast<char>(bytes[8] + 1);  // version u32 follows the magic
+  write_bytes(path, bytes);
+  EXPECT_EQ(load_status(path), ModelIoStatus::kBadVersion);
+}
+
+TEST(ModelIo, LoadRejectsPreviousVersion) {
+  // Models saved before the last options-digest change carry a digest that
+  // means something else now.
+  const std::string path = ::testing::TempDir() + "/previous_version.cstf";
+  save_model(make_saved_model(), path);
+  std::vector<char> bytes = read_bytes(path);
+  const std::uint32_t previous = kModelFormatVersion - 1;
+  std::memcpy(bytes.data() + 8, &previous, sizeof(previous));
   write_bytes(path, bytes);
   EXPECT_EQ(load_status(path), ModelIoStatus::kBadVersion);
 }

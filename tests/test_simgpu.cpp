@@ -110,86 +110,31 @@ TEST(CostModel, GpuBeatsCpuOnStreamingTraffic) {
   EXPECT_GT(t_cpu / t_gpu, 5.0);
 }
 
-TEST(CostModel, AtomicContentionFactorHandValues) {
-  // factor = 1 + (lanes - 1) / slots.
-  EXPECT_DOUBLE_EQ(simgpu::atomic_contention_factor(1.0, 1000.0), 1.0);
-  EXPECT_DOUBLE_EQ(simgpu::atomic_contention_factor(4.0, 2.0), 2.5);
-  EXPECT_DOUBLE_EQ(simgpu::atomic_contention_factor(100000.0, 1000.0),
-                   1.0 + 99999.0 / 1000.0);
-  // Unknown slot count -> no contention modeled.
-  EXPECT_DOUBLE_EQ(simgpu::atomic_contention_factor(8.0, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(simgpu::atomic_contention_factor(8.0, -1.0), 1.0);
-  // A single lane never collides.
-  EXPECT_DOUBLE_EQ(simgpu::atomic_contention_factor(0.5, 16.0), 1.0);
-}
-
-TEST(CostModel, AtomicTermMatchesHandComputation) {
-  const DeviceSpec spec = simgpu::a100();
+TEST(CostModel, AtomicOpsCarryNoCostTerm) {
+  // atomic_ops is a plain telemetry count: its bandwidth is already part of
+  // bytes_random, and adding ops never changes the modeled time.
   KernelStats stats;
-  stats.atomic_ops = 1e6;
-  stats.atomic_slots = 1000.0;
-  stats.parallel_items = 1e9;  // saturates: lanes = saturation_parallelism
-  const double lanes = spec.saturation_parallelism;
-  const double expected =
-      1e6 * (1.0 + (lanes - 1.0) / 1000.0) / spec.atomic_rate;
-  const auto t = simgpu::model_time(stats, spec);
-  EXPECT_NEAR(t.atomic_s, expected, 1e-12 * expected);
-  // The atomic term competes in the roofline max, so it bounds the total.
-  EXPECT_GE(t.total_s, t.atomic_s);
-}
-
-TEST(CostModel, AtomicTermDisabledWithoutRateOrOps) {
-  KernelStats stats;
-  stats.atomic_ops = 1e6;
-  stats.atomic_slots = 1000.0;
+  stats.bytes_random = 1e8;
   stats.parallel_items = 1e6;
-  DeviceSpec no_rate = simgpu::a100();
-  no_rate.atomic_rate = 0.0;  // machine not characterized -> term off
-  EXPECT_DOUBLE_EQ(simgpu::model_time(stats, no_rate).atomic_s, 0.0);
-  KernelStats no_atomics;
-  no_atomics.bytes_streamed = 1e9;
-  no_atomics.parallel_items = 1e6;
-  EXPECT_DOUBLE_EQ(simgpu::model_time(no_atomics, simgpu::a100()).atomic_s,
-                   0.0);
+  KernelStats with_atomics = stats;
+  with_atomics.atomic_ops = 1e9;
+  for (const DeviceSpec& spec :
+       {simgpu::a100(), simgpu::h100(), simgpu::xeon_8367hc()}) {
+    EXPECT_DOUBLE_EQ(simgpu::model_time(with_atomics, spec).total_s,
+                     simgpu::model_time(stats, spec).total_s)
+        << spec.name;
+  }
 }
 
-TEST(CostModel, FewerSlotsMeanMoreContention) {
-  // Same op count scattered over fewer output words must never model faster:
-  // the short-mode pathology of the paper's MTTKRP scatter.
-  const DeviceSpec spec = simgpu::a100();
-  auto time_with_slots = [&](double slots) {
-    KernelStats stats;
-    stats.atomic_ops = 1e7;
-    stats.atomic_slots = slots;
-    stats.parallel_items = 1e7;
-    return simgpu::model_time(stats, spec).atomic_s;
-  };
-  EXPECT_GT(time_with_slots(1e3), time_with_slots(1e5));
-  EXPECT_GT(time_with_slots(1e5), time_with_slots(1e8));
-}
-
-TEST(KernelStats, AccumulationKeepsSmallestNonzeroSlotCount) {
-  // Aggregated records must stay conservative: combining launches with
-  // different slot counts keeps the most contended (smallest) one, so the
-  // aggregate is never modeled faster than the sum of its launches.
+TEST(KernelStats, AccumulationSumsAtomicOps) {
   KernelStats a;
   a.atomic_ops = 10.0;
-  a.atomic_slots = 96.0;
   KernelStats b;
   b.atomic_ops = 5.0;
-  b.atomic_slots = 56.0;
   a += b;
   EXPECT_DOUBLE_EQ(a.atomic_ops, 15.0);
-  EXPECT_DOUBLE_EQ(a.atomic_slots, 56.0);
-  // Zero means "unset", not "zero slots": it never wins the min...
-  KernelStats c;
-  c.atomic_ops = 1.0;
-  a += c;
-  EXPECT_DOUBLE_EQ(a.atomic_slots, 56.0);
-  // ...and is replaced by the first real value.
-  KernelStats d;
-  d += a;
-  EXPECT_DOUBLE_EQ(d.atomic_slots, 56.0);
+  a += KernelStats{};
+  EXPECT_DOUBLE_EQ(a.atomic_ops, 15.0);
 }
 
 TEST(Launch, ExecutesEveryThreadExactlyOnce) {

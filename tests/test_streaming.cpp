@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "cstf/metrics.hpp"
+#include "parallel/parallel_for.hpp"
 #include "simgpu/fault.hpp"
 #include "streaming/streaming_cstf.hpp"
 #include "tensor/generate.hpp"
@@ -193,55 +194,77 @@ TEST(Streaming, KtensorIncludesTemporalMode) {
   EXPECT_TRUE(std::isfinite(kt.fit_to(scenario.full)));
 }
 
-TEST(Streaming, ScatterEngineIsBitIdenticalToReferenceAcrossChangingSlices) {
-  // Slices with DIFFERENT nonzero counts and patterns: a plan cached from
-  // slice t would permute the wrong nonzeros of slice t+1 (or trip the
-  // engine's size check), so this also regression-tests the per-ingest
-  // plan-cache invalidation.
-  Rng rng(17);
+// `count` random slices of `dims`, nonzero counts drawn from `nnz_choices`
+// in order (duplicates summed, so a slice may hold slightly fewer).
+std::vector<SparseTensor> random_slices(index_t dim0, index_t dim1,
+                                        std::vector<index_t> nnz_choices,
+                                        std::uint64_t seed) {
+  Rng rng(seed);
   std::vector<SparseTensor> slices;
   index_t coords[2];
-  for (index_t nnz : {20, 17, 11, 26}) {
-    SparseTensor slice({8, 6});
+  for (index_t nnz : nnz_choices) {
+    SparseTensor slice({dim0, dim1});
     for (index_t k = 0; k < nnz; ++k) {
-      coords[0] = static_cast<index_t>(rng.uniform_index(8));
-      coords[1] = static_cast<index_t>(rng.uniform_index(6));
+      coords[0] = static_cast<index_t>(rng.uniform_index(dim0));
+      coords[1] = static_cast<index_t>(rng.uniform_index(dim1));
       slice.append(coords, rng.uniform(0.5, 2.0));
     }
     slice.sort_by_mode(0);
     slice.dedup_sum();
     slices.push_back(std::move(slice));
   }
+  return slices;
+}
 
-  StreamingOptions reference_opt;
-  reference_opt.rank = 3;
-  reference_opt.use_scatter_engine = false;
-  StreamingCstf reference({8, 6}, reference_opt);
+TEST(Streaming, ScatterEngineIsBitIdenticalToReferenceAcrossChangingSlices) {
+  // Default options (scatter engine on) against the serial reference loop.
+  // Small slices with DIFFERENT nonzero counts and patterns: a plan cached
+  // from slice t would permute the wrong nonzeros of slice t+1 (or trip the
+  // engine's size check), so this also regression-tests the per-ingest
+  // plan-cache invalidation. Large slices sit above the parallel grain,
+  // where a tiled (privatized) accumulation would regroup the per-row sums
+  // by a worker-count-dependent tile count.
+  const auto expect_engine_matches_reference =
+      [](index_t dim0, index_t dim1, const std::vector<SparseTensor>& slices) {
+        StreamingOptions engine_opt;
+        engine_opt.rank = 3;
+        ASSERT_TRUE(engine_opt.use_scatter_engine);
+        StreamingCstf engine({dim0, dim1}, engine_opt);
 
-  StreamingOptions engine_opt = reference_opt;
-  engine_opt.use_scatter_engine = true;
-  engine_opt.scatter.strategy = ScatterStrategy::kSorted;
-  StreamingCstf engine({8, 6}, engine_opt);
+        StreamingOptions reference_opt = engine_opt;
+        reference_opt.use_scatter_engine = false;
+        StreamingCstf reference({dim0, dim1}, reference_opt);
 
-  for (const auto& slice : slices) {
-    const auto a = reference.ingest(slice);
-    const auto b = engine.ingest(slice);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t r = 0; r < a.size(); ++r) {
-      EXPECT_EQ(a[r], b[r]) << "temporal row component " << r;
-    }
+        for (const auto& slice : slices) {
+          const auto a = reference.ingest(slice);
+          const auto b = engine.ingest(slice);
+          ASSERT_EQ(a.size(), b.size());
+          for (std::size_t r = 0; r < a.size(); ++r) {
+            EXPECT_EQ(a[r], b[r]) << "temporal row component " << r;
+          }
+        }
+        for (std::size_t m = 0; m < reference.factors().size(); ++m) {
+          const Matrix& fa = reference.factors()[m];
+          const Matrix& fb = engine.factors()[m];
+          ASSERT_EQ(fa.rows(), fb.rows());
+          ASSERT_EQ(fa.cols(), fb.cols());
+          EXPECT_EQ(std::memcmp(fa.data(), fb.data(),
+                                static_cast<std::size_t>(fa.size()) *
+                                    sizeof(real_t)),
+                    0)
+              << "mode " << m << " factors differ bitwise";
+        }
+        EXPECT_GT(engine.device().per_kernel().count("stream_slice_mttkrp"),
+                  0u);
+      };
+  expect_engine_matches_reference(8, 6,
+                                  random_slices(8, 6, {20, 17, 11, 26}, 17));
+  const std::vector<SparseTensor> large =
+      random_slices(300, 200, {5000, 7000, 6000}, 29);
+  for (const SparseTensor& slice : large) {
+    ASSERT_GT(slice.nnz(), kParallelGrainDefault);
   }
-  for (std::size_t m = 0; m < reference.factors().size(); ++m) {
-    const Matrix& fa = reference.factors()[m];
-    const Matrix& fb = engine.factors()[m];
-    ASSERT_EQ(fa.rows(), fb.rows());
-    ASSERT_EQ(fa.cols(), fb.cols());
-    EXPECT_EQ(std::memcmp(fa.data(), fb.data(),
-                          static_cast<std::size_t>(fa.size()) * sizeof(real_t)),
-              0)
-        << "mode " << m << " factors differ bitwise";
-  }
-  EXPECT_GT(engine.device().per_kernel().count("stream_slice_mttkrp"), 0u);
+  expect_engine_matches_reference(300, 200, large);
 }
 
 TEST(Streaming, IngestFaultPoisonsTheStream) {

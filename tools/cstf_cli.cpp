@@ -11,8 +11,10 @@
 //   --constraint C      nonneg | none | l1:<w> | l1nn:<w> | box:<lo>,<hi> |
 //                       simplex | smooth:<w> (default nonneg)
 //   --device D          a100 | h100 | xeon (cost-model target, default a100)
-//   --scatter S         auto | atomic | privatized | sorted — MTTKRP output
-//                       accumulation strategy (default auto; see DESIGN.md §8)
+//   --scatter S         auto | privatized | sorted — MTTKRP output
+//                       accumulation strategy (default auto; sorted makes
+//                       the dimtree engine bit-identical to the reference;
+//                       see DESIGN.md §8)
 //   --mttkrp M          auto | flat | dimtree — MTTKRP engine: flat per-mode
 //                       kernels or the dimension-tree reuse engine; auto
 //                       models both and picks per tensor (DESIGN.md §13)
@@ -23,8 +25,6 @@
 //                       seeded micro-trials, see DESIGN.md §14)
 //   --tuning-cache F    CSTFTUNE cache file consulted/refreshed by
 //                       --tune cached|measure
-//   --deterministic     force atomic-free scatter: repeated runs with the
-//                       same seed produce bit-identical factors
 //   --seed N            RNG seed for the factor initialization (default 42)
 //   --output PREFIX     write factors to PREFIX.mode<k>.txt and lambda to
 //                       PREFIX.lambda.txt
@@ -36,7 +36,7 @@
 //   --checkpoint-path P where the periodic training checkpoint goes
 //   --resume PATH       resume training from a CSTFCKPT checkpoint; with the
 //                       same options the resumed run is bit-identical to an
-//                       uninterrupted one (pair with --deterministic)
+//                       uninterrupted one
 //   --save PATH         save a versioned, checksummed .cstf serving model
 //                       (factors + constraint + provenance; loadable by
 //                       cstf_serve and cstf::serve::load_model)
@@ -78,13 +78,12 @@ using namespace cstf;
                "                [--constraint nonneg|none|l1:W|l1nn:W|"
                "box:LO,HI|simplex|smooth:W]\n"
                "                [--device a100|h100|xeon]"
-               " [--scatter auto|atomic|privatized|sorted]\n"
+               " [--scatter auto|privatized|sorted]\n"
                "                [--mttkrp auto|flat|dimtree]"
                " [--dimtree-budget BYTES]\n"
                "                [--tune model|cached|measure]"
                " [--tuning-cache FILE]\n"
-               "                [--deterministic] [--seed N]"
-               " [--output PREFIX]\n"
+               "                [--seed N] [--output PREFIX]\n"
                "                [--checkpoint-every N --checkpoint-path P]"
                " [--resume P]\n"
                "                [--profile] [--trace FILE]"
@@ -197,7 +196,6 @@ int main(int argc, char** argv) {
       }
     }
     else if (arg == "--tuning-cache") options.tuning.cache_path = value();
-    else if (arg == "--deterministic") options.scatter.deterministic = true;
     else if (arg == "--seed") options.seed = std::strtoull(value().c_str(), nullptr, 10);
     else if (arg == "--output") output = value();
     else if (arg == "--checkpoint") checkpoint = value();
@@ -227,12 +225,11 @@ int main(int argc, char** argv) {
     const SparseTensor tensor =
         input.empty() ? make_analog(dataset).tensor : read_tns_file(input);
     std::printf("tensor: %s\n", tensor.shape_string().c_str());
-    std::printf("constraint: %s, rank %lld, device %s, scatter %s%s\n",
+    std::printf("constraint: %s, rank %lld, device %s, scatter %s\n",
                 options.prox.name().c_str(),
                 static_cast<long long>(options.rank),
                 options.device.name.c_str(),
-                scatter_strategy_name(options.scatter.strategy),
-                options.scatter.deterministic ? " (deterministic)" : "");
+                scatter_strategy_name(options.scatter.strategy));
 
     if (!options.resume_from.empty()) {
       std::printf("resuming from checkpoint %s\n", options.resume_from.c_str());

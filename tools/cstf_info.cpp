@@ -100,9 +100,8 @@ int main(int argc, char** argv) {
     std::printf("density    : %.3e\n", t.density());
     std::printf("||X||_F    : %.6e\n\n", std::sqrt(t.frobenius_norm_sq()));
 
-    std::printf("%-6s %12s %14s %16s %18s %13s %11s\n", "mode", "length",
-                "distinct", "nnz/used-idx", "update/mttkrp work",
-                "updates/row", "scatter");
+    std::printf("%-6s %12s %14s %16s %18s %11s\n", "mode", "length",
+                "distinct", "nnz/used-idx", "update/mttkrp work", "scatter");
     const ScatterOptions scatter_opts;  // defaults: kAuto resolution
     double sum_dims = 0.0;
     for (int m = 0; m < t.num_modes(); ++m) {
@@ -123,19 +122,15 @@ int main(int argc, char** argv) {
       const double mttkrp_w = static_cast<double>(t.nnz()) *
                               static_cast<double>(rank) *
                               static_cast<double>(t.num_modes());
-      // The scatter engine's contention proxy (expected MTTKRP updates per
-      // output row) and the strategy kAuto would pick for this mode.
-      const double updates_per_row =
-          static_cast<double>(t.nnz()) / static_cast<double>(t.dim(m));
+      // The strategy kAuto would pick for this mode.
       const ScatterStrategy picked =
           resolve_scatter_strategy(scatter_opts, t.dim(m), rank, t.nnz());
-      std::printf("%-6d %12lld %14lld %16.2f %18.3f %13.2f %11s\n", m,
+      std::printf("%-6d %12lld %14lld %16.2f %18.3f %11s\n", m,
                   static_cast<long long>(t.dim(m)),
                   static_cast<long long>(distinct),
                   static_cast<double>(t.nnz()) /
                       static_cast<double>(std::max<index_t>(distinct, 1)),
-                  update_w / mttkrp_w, updates_per_row,
-                  scatter_strategy_name(picked));
+                  update_w / mttkrp_w, scatter_strategy_name(picked));
     }
     std::printf("\nsum of mode lengths: %.3e (x R = factor elements: %.3e)\n",
                 sum_dims, sum_dims * static_cast<double>(rank));
