@@ -297,18 +297,17 @@ ScatterPlan blco_scatter_plan(const BlcoTensor& blco, int mode) {
 index_t mttkrp_blco_streamed(simgpu::Device& dev, const BlcoTensor& blco,
                              const std::vector<Matrix>& factors, int mode,
                              Matrix& out, double device_budget_bytes,
-                             simgpu::Stream copy_stream,
-                             const ScatterOptions& opts) {
+                             simgpu::Stream copy_stream) {
   CSTF_CHECK(device_budget_bytes > 0.0);
   check_mttkrp_args(blco, factors, mode, out);
   const double tensor_bytes = blco.storage_bytes();
   if (tensor_bytes <= device_budget_bytes) {
-    mttkrp_blco(dev, blco, factors, mode, out, opts);
+    mttkrp_blco(dev, blco, factors, mode, out);
     return 1;
   }
 
-  const ScatterStrategy strategy = resolve_scatter_strategy_for_mode(
-      opts, mode, out.rows(), out.cols(), blco.nnz());
+  const ScatterStrategy strategy = resolve_scatter_strategy(
+      ScatterOptions{}, out.rows(), out.cols(), blco.nnz());
   zero_output(dev, out);
   auto batches =
       static_cast<index_t>(std::ceil(tensor_bytes / device_budget_bytes));

@@ -50,8 +50,8 @@ simgpu::KernelStats blco_mttkrp_stats(const BlcoTensor& blco,
 /// when the tensor exceeds `device_budget_bytes` of device memory (after the
 /// resident factors), its blocks are processed in batches staged over the
 /// host link, double-buffered so staging overlaps compute. The strategy is
-/// resolved once from `opts`, as for `mttkrp_blco`; each batch then runs
-/// that kernel (as "mttkrp_blco_streamed") over its own block range,
+/// resolved once by the kAuto rule over the whole tensor; each batch then
+/// runs that kernel (as "mttkrp_blco_streamed") over its own block range,
 /// accumulating into `out`. A sorted batch builds a plan over its own
 /// nonzeros only, so nothing tensor-sized outlives a batch. Results agree
 /// with `mttkrp_blco` to fp tolerance (batching regroups the per-row sums)
@@ -71,7 +71,6 @@ simgpu::KernelStats blco_mttkrp_stats(const BlcoTensor& blco,
 index_t mttkrp_blco_streamed(simgpu::Device& dev, const BlcoTensor& blco,
                              const std::vector<Matrix>& factors, int mode,
                              Matrix& out, double device_budget_bytes,
-                             simgpu::Stream copy_stream = {},
-                             const ScatterOptions& opts = {});
+                             simgpu::Stream copy_stream = {});
 
 }  // namespace cstf

@@ -422,20 +422,6 @@ TEST(DecisionGolden, PerModeOverridesWinUnlessIllegal) {
   // Modes beyond the vector fall through too.
   EXPECT_EQ(resolve_scatter_strategy_for_mode(opts, 2, 4096, rank, 4096),
             ScatterStrategy::kSorted);
-
-  // A cached privatized pick that no longer fits the budget is illegal for
-  // the tuner: record_applies refuses it rather than let the override
-  // allocate past the budget.
-  const SparseTensor x = random_tensor({64, 96, 128}, 3000, 43);
-  autotune::TuneInputs in;
-  in.tensor = &x;
-  in.rank = rank;
-  in.scatter = opts;
-  TuningRecord rec;
-  rec.scatter_per_mode = {ScatterStrategy::kPrivatized,
-                          ScatterStrategy::kSorted, ScatterStrategy::kSorted};
-  rec.mttkrp_mode = MttkrpMode::kFlat;
-  EXPECT_FALSE(autotune::record_applies(rec, in));
 }
 
 // Golden decision table for the engine resolver: the budget cap is exact,

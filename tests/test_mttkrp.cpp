@@ -187,18 +187,34 @@ TEST(Mttkrp, BlcoMetersTrafficAndLaunches) {
 }
 
 TEST(Mttkrp, StreamedMatchesResidentExactly) {
-  SparseTensor t = random_tensor({80, 70, 60}, 6000, 51);
+  // Mode 0 is long enough that its private tiles exceed the default scratch
+  // budget at any worker count (>= 4 tiles x 150000 x 16 words), so kAuto
+  // streams it through the sorted kernel; the short modes stream privatized.
+  // Each batch adds its block range into the output, so repeated runs agree
+  // bit for bit and match the resident kernel up to the regrouped row sums.
+  SparseTensor t = random_tensor({150000, 70, 60}, 6000, 51);
   const auto factors = random_factors(t, 16, 52);
   const BlcoTensor blco(t, 256);
   simgpu::Device dev_resident(simgpu::a100());
-  simgpu::Device dev_streamed(simgpu::a100());
   for (int mode = 0; mode < 3; ++mode) {
-    Matrix want(t.dim(mode), 16), got(t.dim(mode), 16);
+    const ScatterStrategy strategy =
+        resolve_scatter_strategy(ScatterOptions{}, t.dim(mode), 16, t.nnz());
+    EXPECT_EQ(strategy, mode == 0 ? ScatterStrategy::kSorted
+                                  : ScatterStrategy::kPrivatized);
+    Matrix want(t.dim(mode), 16), got(t.dim(mode), 16),
+        again(t.dim(mode), 16);
     mttkrp_blco(dev_resident, blco, factors, mode, want);
+    simgpu::Device dev(simgpu::a100());
     // Budget forcing ~4 batches.
-    const index_t batches = mttkrp_blco_streamed(
-        dev_streamed, blco, factors, mode, got, blco.storage_bytes() / 4.0);
+    const double budget = blco.storage_bytes() / 4.0;
+    const index_t batches =
+        mttkrp_blco_streamed(dev, blco, factors, mode, got, budget);
+    mttkrp_blco_streamed(dev, blco, factors, mode, again, budget);
     EXPECT_GE(batches, 4);
+    EXPECT_EQ(dev.per_kernel().count("mttkrp_blco_reduce"),
+              strategy == ScatterStrategy::kPrivatized ? 1u : 0u)
+        << "mode " << mode;
+    EXPECT_EQ(max_abs_diff(got, again), 0.0) << "mode " << mode;
     EXPECT_LT(max_abs_diff(got, want), 1e-12) << "mode " << mode;
   }
 }
@@ -251,35 +267,6 @@ TEST(Mttkrp, StreamedCopyStreamPipelineMatchesAndOverlaps) {
       piped.modeled_kernel_time_s("mttkrp_blco_streamed");
   EXPECT_LE(overlap, serial * (1.0 + 1e-12));
   EXPECT_GE(overlap, compute_only * (1.0 - 1e-12));
-}
-
-TEST(Mttkrp, StreamedIsBitReproducibleUnderEitherStrategy) {
-  // Each batch runs the resident kernel over its own block range and adds
-  // into the output, so repeated runs agree bit for bit, and the result
-  // matches the resident kernel up to the regrouped per-row sums.
-  SparseTensor t = random_tensor({80, 70, 60}, 6000, 57);
-  const auto factors = random_factors(t, 16, 58);
-  const BlcoTensor blco(t, 256);
-  const double budget = blco.storage_bytes() / 4.0;
-  for (ScatterStrategy strategy :
-       {ScatterStrategy::kPrivatized, ScatterStrategy::kSorted}) {
-    ScatterOptions opts;
-    opts.strategy = strategy;
-    for (int mode = 0; mode < 3; ++mode) {
-      simgpu::Device dev(simgpu::a100());
-      Matrix resident(t.dim(mode), 16), a(t.dim(mode), 16),
-          b(t.dim(mode), 16);
-      mttkrp_blco(dev, blco, factors, mode, resident, opts);
-      const index_t batches = mttkrp_blco_streamed(dev, blco, factors, mode,
-                                                   a, budget, {}, opts);
-      mttkrp_blco_streamed(dev, blco, factors, mode, b, budget, {}, opts);
-      ASSERT_GE(batches, 4);
-      EXPECT_EQ(max_abs_diff(a, b), 0.0)
-          << scatter_strategy_name(strategy) << " mode " << mode;
-      EXPECT_LT(max_abs_diff(a, resident), 1e-12)
-          << scatter_strategy_name(strategy) << " mode " << mode;
-    }
-  }
 }
 
 TEST(Mttkrp, StreamedChargesHostLinkTraffic) {
