@@ -26,12 +26,20 @@
 // full AO iteration's MTTKRPs are timed under the tuned and the model-picked
 // configurations head to head.
 //
+// The fifth section times one ADMM factor update (10 inner iterations,
+// non-negative, 2^17 x 32): cuADMM — operation fusion and pre-inversion,
+// which the host runs as one row-tiled, cache-resident pass — against the
+// Algorithm-2 chain of BLAS-style calls with pre-inversion, which streams
+// the full matrices once per call. The two alternate within each repeat,
+// and their H must be bit-identical before a time is trusted.
+//
 // `--smoke` runs only the gated sections and exits nonzero when any gate
 // fails: the kAuto pick must stay within 25% of sorted on the short-mode
 // scatter fixture (the two tie there; best-of-7 ratios spread 0.88-1.11 on
 // a shared 4-core host), dimtree must not lose to flat on the 4-way
-// fixture, and the tuned configuration must not lose to the model-picked
-// one by more than 5% —
+// fixture, the tuned configuration must not lose to the model-picked
+// one by more than 5%, and cuADMM must be at least 2x faster than the
+// chain (0.15-0.19 s vs 0.65-0.72 s on a shared 4-core host) —
 // the perf regression gates scripts/check.sh runs (CSTF_CHECK_SKIP_PERF=1
 // skips them there).
 #include <algorithm>
@@ -40,6 +48,7 @@
 #include <cstring>
 
 #include "bench_util.hpp"
+#include "la/blas.hpp"
 #include "mttkrp/blco_mttkrp.hpp"
 #include "mttkrp/coo_mttkrp.hpp"
 #include "parallel/parallel_for.hpp"
@@ -402,6 +411,97 @@ bool run_autotune_section(int repeats) {
   return ok;
 }
 
+/// Times one ADMM update (best of N) under cuADMM and under the
+/// pre-inverted Algorithm-2 chain, alternating within each repeat. Each
+/// variant keeps its ModeState across repeats, as a trainer does, with the
+/// dual reset outside the timed call so every call does the same work.
+/// Aborts via CSTF_CHECK if the two H disagree in any bit. Returns false when
+/// the smoke gate fails (cuADMM less than 2x faster than the chain).
+bool run_admm_section(int repeats) {
+  const index_t rows = index_t{1} << 17;
+  const index_t rank = 32;
+  Matrix g(2 * rank, rank);
+  fill_factor(g, 0);
+  Matrix s(rank, rank);
+  la::gram(g, s);
+  Matrix m(rows, rank);
+  fill_factor(m, 1);
+  for (index_t i = 0; i < m.size(); ++i) m.data()[i] -= 0.75;  // mixed signs
+  Matrix h0(rows, rank);
+  fill_factor(h0, 2);
+
+  struct Variant {
+    const char* name;
+    bool fusion;
+    Matrix h;
+    ModeState state;
+    double best = 1e30;
+  };
+  Variant variants[2] = {{"admm_cuadmm", true, {}, {}},
+                         {"admm_chain_pi", false, {}, {}}};
+  for (int rep = 0; rep < repeats; ++rep) {
+    for (Variant& v : variants) {
+      AdmmOptions opt;
+      opt.prox = Proximity::non_negative();
+      opt.operation_fusion = v.fusion;
+      opt.preinversion = true;
+      const AdmmUpdate admm(opt);
+      simgpu::Device dev(simgpu::a100());
+      v.h = h0;
+      if (!v.state.dual.empty()) v.state.dual.set_all(0.0);
+      const double t0 = now_s();
+      admm.update(dev, s, m, v.h, v.state);
+      v.best = std::min(v.best, now_s() - t0);
+    }
+  }
+  CSTF_CHECK_MSG(std::equal(variants[0].h.data(),
+                            variants[0].h.data() + variants[0].h.size(),
+                            variants[1].h.data(),
+                            [](real_t a, real_t b) {
+                              return std::memcmp(&a, &b, sizeof a) == 0;
+                            }),
+                 "cuADMM and the Algorithm-2 chain disagree on the bench "
+                 "fixture");
+  const double cuadmm_s = variants[0].best;
+  const double chain_s = variants[1].best;
+
+  std::printf(
+      "\n=== ADMM update wall time, best of %d (%lld x %lld, non-negative, "
+      "10 inner iterations) ===\n\n",
+      repeats, static_cast<long long>(rows), static_cast<long long>(rank));
+  std::printf("%-14s %12s %12s %12s\n", "Update", "cuadmm[ms]", "chain[ms]",
+              "chain/cuadmm");
+  std::printf("%-14s %12.3f %12.3f %12.3f\n", "admm_nonneg", cuadmm_s * 1e3,
+              chain_s * 1e3, chain_s / cuadmm_s);
+
+  if (bench::JsonSession* session = bench::JsonSession::current()) {
+    bench::BenchRecord rec;
+    rec.dataset = "admm_update";
+    rec.machine = "host";
+    rec.rank = rank;
+    rec.wall.update = cuadmm_s;
+    // Ten inner iterations of the pre-inverted DGEMM (2 I R^2 flops each).
+    const double flops = 10.0 * 2.0 * static_cast<double>(rows) *
+                         static_cast<double>(rank) * static_cast<double>(rank);
+    for (const Variant& v : variants) {
+      bench::BenchKernelRow row;
+      row.name = v.name;
+      row.spans = 1;
+      row.launches = 1;
+      row.flops = flops;
+      row.wall_s = v.best;
+      rec.kernels.push_back(row);
+    }
+    session->add_record(std::move(rec));
+  }
+
+  const bool ok = 2.0 * cuadmm_s <= chain_s;
+  std::printf("\nGate: cuADMM %s 2x faster than the chain (%.3f ms vs "
+              "%.3f ms)\n",
+              ok ? "is at least" : "is NOT", cuadmm_s * 1e3, chain_s * 1e3);
+  return ok;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -459,6 +559,7 @@ int main(int argc, char** argv) {
   const bool scatter_ok = run_scatter_section(smoke ? 7 : 3);
   const bool dimtree_ok = run_dimtree_section(smoke ? 7 : 3);
   const bool autotune_ok = run_autotune_section(smoke ? 7 : 3);
+  const bool admm_ok = run_admm_section(smoke ? 7 : 3);
   if (smoke && !scatter_ok) {
     std::fprintf(stderr,
                  "bench_host_wallclock --smoke: the kAuto scatter pick is "
@@ -476,6 +577,12 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "bench_host_wallclock --smoke: autotuned config more than "
                  "5%% slower than the model-picked config\n");
+    return 1;
+  }
+  if (smoke && !admm_ok) {
+    std::fprintf(stderr,
+                 "bench_host_wallclock --smoke: cuADMM less than 2x faster "
+                 "than the Algorithm-2 chain on the ADMM fixture\n");
     return 1;
   }
   return 0;

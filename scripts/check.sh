@@ -6,16 +6,18 @@
 # script.
 #
 # After the plain pass, a determinism gate repeats the mttkrp-, dimtree-,
-# exec- and determinism-labeled groups five times each at CSTF_THREADS=1
-# and 4 (ctest --repeat until-fail:5); the determinism label holds the
-# bit-identity tests registered a second time at one worker.
+# exec-, updates- and determinism-labeled groups five times each at
+# CSTF_THREADS=1 and 4 (ctest --repeat until-fail:5); the determinism label
+# holds the bit-identity tests registered a second time at one worker.
 #
-# A perf-smoke step then runs the scatter-engine and MTTKRP-engine
+# A perf-smoke step then runs the scatter-engine, MTTKRP-engine and ADMM
 # fixtures (bench_host_wallclock --smoke): it fails if the kAuto scatter
 # pick is more than 25% slower than sorted on the short-mode fixture (both
-# timed through the BLCO kernel, DESIGN.md §8) or if the dimension-tree
+# timed through the BLCO kernel, DESIGN.md §8), if the dimension-tree
 # engine is slower than the flat kernels on the 4-way fixture (DESIGN.md
-# §13), and validates the emitted JSON telemetry. A serve-smoke step then
+# §13), or if a cuADMM update is not at least 2x faster than the
+# pre-inverted Algorithm-2 chain (the row-tiled host pass, DESIGN.md §2),
+# and validates the emitted JSON telemetry. A serve-smoke step then
 # runs the serve-labeled ctest group, a full save/load/serve workload
 # through cstf_serve, and the fold-in throughput bench (batched +
 # pre-inverted must beat per-request ADMM on modeled and host clocks at
@@ -34,10 +36,11 @@
 # Knobs (env vars): CSTF_CHECK_SKIP_SANITIZE=1 skips the second pass (useful
 # on toolchains without sanitizer runtimes), CSTF_CHECK_SKIP_PERF=1,
 # CSTF_CHECK_TSAN=1 adds a ThreadSanitizer pass (-DCSTF_TSAN=ON) over the
-# exec-, dimtree-, autotune-, and metrics-labeled ctest groups (the
+# exec-, dimtree-, autotune-, metrics- and updates-labeled ctest groups (the
 # executor/plan-cache layer every concurrent path now submits through, the
-# dimension-tree engine's parallel chain derives, and the metrics
-# registry's lock-free counter hot path), CSTF_THREADS.
+# dimension-tree engine's parallel chain derives, the metrics
+# registry's lock-free counter hot path, and the row-tiled ADMM pass's
+# per-worker buffers and per-tile partials), CSTF_THREADS.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -55,14 +58,14 @@ ctest --test-dir build --output-on-failure -j
 echo "=== determinism gate: repeated label groups at 1 and 4 workers"
 for threads in 1 4; do
   CSTF_THREADS=$threads ctest --test-dir build \
-    -L 'mttkrp|dimtree|exec|determinism' --repeat until-fail:5 \
+    -L 'mttkrp|dimtree|exec|updates|determinism' --repeat until-fail:5 \
     --output-on-failure -j
 done
 
 if [ "${CSTF_CHECK_SKIP_PERF:-0}" = "1" ]; then
   echo "=== perf smoke skipped (CSTF_CHECK_SKIP_PERF=1)"
 else
-  echo "=== perf smoke: scatter strategies + dimtree-vs-flat MTTKRP"
+  echo "=== perf smoke: scatter strategies + dimtree-vs-flat MTTKRP + ADMM"
   mkdir -p results/json
   CSTF_BENCH_JSON=1 CSTF_BENCH_JSON_DIR=results/json \
     ./build/bench/bench_host_wallclock --smoke
@@ -106,7 +109,7 @@ else
 fi
 
 if [ "${CSTF_CHECK_TSAN:-0}" = "1" ]; then
-  echo "=== TSan pass: exec- and dimtree-labeled suites under ThreadSanitizer"
+  echo "=== TSan pass: exec-, dimtree-, autotune-, metrics- and updates-labeled suites under ThreadSanitizer"
   # TSan and ASan cannot share a binary (the configure step enforces the
   # exclusivity), so this is its own build tree. The exec group covers the
   # executor, plan caches, and the trainer/streaming/serving paths that
@@ -119,10 +122,13 @@ if [ "${CSTF_CHECK_TSAN:-0}" = "1" ]; then
   # The metrics group rides along: the registry's lock-free counter hot path
   # (relaxed fetch_add from every kernel launch and serve request) is
   # exactly the kind of code TSan exists to vet.
+  # The updates group rides along: the row-tiled ADMM pass is a parallel
+  # region whose workers write per-worker tile buffers and per-tile
+  # residual partials.
   cmake -B build-tsan -S . -DCSTF_TSAN=ON
   cmake --build build-tsan -j
   TSAN_OPTIONS="halt_on_error=1" \
-    ctest --test-dir build-tsan -L 'exec|dimtree|autotune|metrics' \
+    ctest --test-dir build-tsan -L 'exec|dimtree|autotune|metrics|updates' \
     --output-on-failure
 fi
 

@@ -86,6 +86,10 @@ inline constexpr const char* kNormalize = "NORMALIZE";
 // factorization work in traces and telemetry.
 inline constexpr const char* kServeQuery = "SERVE_QUERY";
 inline constexpr const char* kServeFoldIn = "SERVE_FOLDIN";
+
+// Host-time sub-phase of UPDATE: the row-tiled cuADMM pass, whose device
+// records carry no host wall of their own (src/updates/admm.cpp).
+inline constexpr const char* kAdmmRowTiles = "admm_row_tiles";
 }  // namespace phase
 
 }  // namespace cstf

@@ -21,7 +21,10 @@
 //     ops plus a right-multiply by the R x R system), so B concurrent
 //     requests stack into one (B x R) fused solve that is bit-identical,
 //     row for row, to B separate single-row solves — batching costs nothing
-//     in accuracy and saves B-1 launches per inner iteration.
+//     in accuracy and saves B-1 launches per inner iteration. With
+//     pre-inversion and an elementwise constraint, the host runs that solve
+//     as cuADMM's row-tiled pass (updates/admm_kernels.hpp), where a row's
+//     bits do not depend on its place in a tile.
 //
 // FoldInBatcher implements the coalescing: concurrent submit()ers park on a
 // future while a collector drains the queue, groups by mode, and runs one

@@ -12,19 +12,19 @@ double matrix_bytes(const Matrix& m) {
 
 }  // namespace
 
-void dgemm(Device& dev, la::Op op_a, la::Op op_b, real_t alpha,
-           const Matrix& a, const Matrix& b, real_t beta,
-           Matrix& c, Stream stream) {
-  const double m = static_cast<double>(c.rows());
-  const double n = static_cast<double>(c.cols());
-  const double k = static_cast<double>(la::op_cols(a, op_a));
+KernelStats dgemm_stats(index_t m, index_t n, index_t k, real_t beta) {
+  const auto words = [](index_t rows, index_t cols) {
+    return static_cast<double>(rows * cols) * kWord;
+  };
   KernelStats stats;
-  stats.flops = 2.0 * m * n * k;
-  // A and B are read, C written; C also read when beta != 0. The smaller
-  // operand (for cSTF: the RxR matrix) is cache-resident during the sweep.
-  stats.bytes_streamed = matrix_bytes(c) * (beta != 0.0 ? 2.0 : 1.0);
-  const double bytes_a = matrix_bytes(a);
-  const double bytes_b = matrix_bytes(b);
+  stats.flops = 2.0 * static_cast<double>(m) * static_cast<double>(n) *
+                static_cast<double>(k);
+  // A (m x k) and B (k x n) are read, C written; C also read when
+  // beta != 0. The smaller operand (for cSTF: the RxR matrix) is
+  // cache-resident during the sweep.
+  stats.bytes_streamed = words(m, n) * (beta != 0.0 ? 2.0 : 1.0);
+  const double bytes_a = words(m, k);
+  const double bytes_b = words(k, n);
   if (bytes_a >= bytes_b) {
     stats.bytes_streamed += bytes_a;
     stats.bytes_reused += bytes_b;
@@ -34,8 +34,16 @@ void dgemm(Device& dev, la::Op op_a, la::Op op_b, real_t alpha,
     stats.bytes_reused += bytes_a;
     stats.working_set_bytes = bytes_a;
   }
-  stats.parallel_items = m * n;
+  stats.parallel_items = static_cast<double>(m) * static_cast<double>(n);
   stats.launches = 1;
+  return stats;
+}
+
+void dgemm(Device& dev, la::Op op_a, la::Op op_b, real_t alpha,
+           const Matrix& a, const Matrix& b, real_t beta,
+           Matrix& c, Stream stream) {
+  const KernelStats stats =
+      dgemm_stats(c.rows(), c.cols(), la::op_cols(a, op_a), beta);
   Timer wall;
   la::gemm(op_a, op_b, alpha, a, b, beta, c);
   dev.record("dgemm", stats, wall.seconds(), stream);

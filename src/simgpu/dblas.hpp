@@ -15,6 +15,12 @@
 
 namespace cstf::simgpu {
 
+/// The traffic and work dgemm() records for an m x n result with inner
+/// dimension k. Shared with callers that run a GEMM's arithmetic some other
+/// way but meter it as this launch (the row-tiled ADMM pass), so the two
+/// cannot drift apart.
+KernelStats dgemm_stats(index_t m, index_t n, index_t k, real_t beta);
+
 /// C = alpha*op(A)*op(B) + beta*C (cublasDgemm).
 void dgemm(Device& dev, la::Op op_a, la::Op op_b, real_t alpha,
            const Matrix& a, const Matrix& b, real_t beta,

@@ -55,17 +55,27 @@ struct KernelCtx {
   index_t total_threads() const { return grid_dim * block_dim; }
 };
 
-/// Executes `body` for every (block, thread) pair and records `stats` (with
-/// launches/parallel_items auto-filled if left 0) on `device`.
-template <typename Body>
-void launch(Device& device, const std::string& kernel_name, LaunchConfig cfg,
-            KernelStats stats, const Body& body) {
+/// Records one launch of `kernel_name` with geometry `cfg` on `device`:
+/// `stats` with launches/parallel_items auto-filled if left 0. launch()
+/// records through this; a caller that executes a kernel's work some other
+/// way (the row-tiled ADMM pass) meters it as the same launch with it.
+inline void record_launch(Device& device, const std::string& kernel_name,
+                          const LaunchConfig& cfg, KernelStats stats,
+                          double wall_s = 0.0) {
   CSTF_CHECK(cfg.grid_dim >= 1 && cfg.block_dim >= 1);
   if (stats.launches == 0) stats.launches = 1;
   if (stats.parallel_items == 0.0) {
     stats.parallel_items = static_cast<double>(cfg.grid_dim * cfg.block_dim);
   }
+  device.record(kernel_name, stats, wall_s, cfg.stream);
+}
 
+/// Executes `body` for every (block, thread) pair and records `stats` on
+/// `device` (record_launch).
+template <typename Body>
+void launch(Device& device, const std::string& kernel_name, LaunchConfig cfg,
+            const KernelStats& stats, const Body& body) {
+  CSTF_CHECK(cfg.grid_dim >= 1 && cfg.block_dim >= 1);
   Timer wall;
   const auto shmem = static_cast<std::size_t>(cfg.shmem_reals);
   parallel_for(0, cfg.grid_dim, [&](index_t block) {
@@ -85,7 +95,7 @@ void launch(Device& device, const std::string& kernel_name, LaunchConfig cfg,
       body(ctx);
     }
   }, /*grain=*/1);
-  device.record(kernel_name, stats, wall.seconds(), cfg.stream);
+  record_launch(device, kernel_name, cfg, stats, wall.seconds());
 }
 
 /// Grid-stride helper: number of blocks covering `n` items with `block_dim`

@@ -43,30 +43,7 @@ std::string Proximity::name() const {
 }
 
 real_t Proximity::apply_scalar(real_t x, real_t rho_scale) const {
-  switch (kind_) {
-    case ProxKind::kIdentity:
-      return x;
-    case ProxKind::kNonNegative:
-      return x > 0.0 ? x : 0.0;
-    case ProxKind::kL1: {
-      const real_t t = a_ * rho_scale;
-      if (x > t) return x - t;
-      if (x < -t) return x + t;
-      return 0.0;
-    }
-    case ProxKind::kL1NonNegative: {
-      const real_t t = a_ * rho_scale;
-      return x > t ? x - t : 0.0;
-    }
-    case ProxKind::kBox:
-      return std::clamp(x, a_, b_);
-    case ProxKind::kL2Ball:
-    case ProxKind::kSimplex:
-    case ProxKind::kSmooth:
-      break;  // not elementwise
-  }
-  CSTF_CHECK_MSG(false, "apply_scalar on non-elementwise prox");
-  return x;
+  return with_scalar_map(rho_scale, [x](const auto& map) { return map(x); });
 }
 
 namespace {

@@ -7,8 +7,10 @@
 // (Section 4.3.1).
 #pragma once
 
+#include <algorithm>
 #include <string>
 
+#include "common/error.hpp"
 #include "common/types.hpp"
 #include "la/matrix.hpp"
 
@@ -81,6 +83,13 @@ class Proximity {
   /// by the ADMM step size (the prox of (lambda/rho)*||.||_1).
   real_t apply_scalar(real_t x, real_t rho_scale) const;
 
+  /// Calls `f(map)` with this elementwise kind's scalar map as a callable
+  /// real_t(real_t), `rho_scale` folded in, and returns its result. The one
+  /// definition apply_scalar uses too; a loop that calls it once outside its
+  /// element loop dispatches the kind once instead of per element.
+  template <typename F>
+  decltype(auto) with_scalar_map(real_t rho_scale, F&& f) const;
+
   /// Applies the operator to a full matrix in place (used by the unfused
   /// baseline path and by non-ADMM callers; rho_scale as above).
   void apply(Matrix& h, real_t rho_scale) const;
@@ -96,5 +105,37 @@ class Proximity {
   real_t a_;  // lambda (L1), lo (box), radius (L2 ball)
   real_t b_;  // hi (box)
 };
+
+template <typename F>
+decltype(auto) Proximity::with_scalar_map(real_t rho_scale, F&& f) const {
+  switch (kind_) {
+    case ProxKind::kIdentity:
+      return f([](real_t x) { return x; });
+    case ProxKind::kNonNegative:
+      return f([](real_t x) { return x > 0.0 ? x : 0.0; });
+    case ProxKind::kL1: {
+      const real_t t = a_ * rho_scale;
+      return f([t](real_t x) {
+        if (x > t) return x - t;
+        if (x < -t) return x + t;
+        return real_t{0.0};
+      });
+    }
+    case ProxKind::kL1NonNegative: {
+      const real_t t = a_ * rho_scale;
+      return f([t](real_t x) { return x > t ? x - t : 0.0; });
+    }
+    case ProxKind::kBox: {
+      const real_t lo = a_, hi = b_;
+      return f([lo, hi](real_t x) { return std::clamp(x, lo, hi); });
+    }
+    case ProxKind::kL2Ball:
+    case ProxKind::kSimplex:
+    case ProxKind::kSmooth:
+      break;  // not elementwise
+  }
+  CSTF_CHECK_MSG(false, "scalar map of a non-elementwise prox");
+  return f([](real_t x) { return x; });  // unreachable
+}
 
 }  // namespace cstf

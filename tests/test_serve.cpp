@@ -393,24 +393,37 @@ TEST(FoldIn, RowIsFeasibleAndMatchesFromScratchSolve) {
 }
 
 TEST(FoldIn, BatchRowsBitIdenticalToSingleRowSolves) {
-  const ServableModel snapshot(make_saved_model(), 1);
+  // Rank 6: the row-tiled pass runs its 4-column micro-kernel and a ragged
+  // scalar column pair. The batch sizes reach the 8-row micro-kernel block,
+  // a full 64-row tile, and a second and third tile.
+  SavedModel saved = make_saved_model();
+  Rng rng(9);
+  for (Matrix& f : saved.model.factors) {
+    f.resize(f.rows(), 6);
+    f.fill_uniform(rng, 0.1, 1.0);
+  }
+  saved.model.lambda = {2.0, 1.5, 0.5, 1.0, 0.75, 1.25};
+  const ServableModel snapshot(std::move(saved), 1);
   simgpu::Device device(simgpu::a100());
   ServeRuntime runtime(device, global_pool());
   FoldInEngine engine(runtime);
 
   const int mode = 2;
-  std::vector<FoldInRequest> reqs;
-  for (std::uint64_t i = 0; i < 6; ++i) {
-    reqs.push_back(make_request(snapshot, mode, 100 + i));
-  }
-  const std::vector<FoldInResult> batched =
-      engine.fold_in_batch(snapshot, reqs);
-  ASSERT_EQ(batched.size(), reqs.size());
-  for (std::size_t i = 0; i < reqs.size(); ++i) {
-    const FoldInResult single = engine.fold_in(snapshot, reqs[i]);
-    ASSERT_EQ(batched[i].row.size(), single.row.size());
-    for (std::size_t r = 0; r < single.row.size(); ++r) {
-      EXPECT_EQ(batched[i].row[r], single.row[r]);  // bit-identical
+  for (std::uint64_t batch : {6, 8, 64, 65, 130}) {
+    SCOPED_TRACE("batch " + std::to_string(batch));
+    std::vector<FoldInRequest> reqs;
+    for (std::uint64_t i = 0; i < batch; ++i) {
+      reqs.push_back(make_request(snapshot, mode, 100 + i));
+    }
+    const std::vector<FoldInResult> batched =
+        engine.fold_in_batch(snapshot, reqs);
+    ASSERT_EQ(batched.size(), reqs.size());
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+      const FoldInResult single = engine.fold_in(snapshot, reqs[i]);
+      ASSERT_EQ(batched[i].row.size(), single.row.size());
+      for (std::size_t r = 0; r < single.row.size(); ++r) {
+        EXPECT_EQ(batched[i].row[r], single.row[r]);  // bit-identical
+      }
     }
   }
 }

@@ -4,8 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "common/random.hpp"
+#include "common/timer.hpp"
 #include "la/blas.hpp"
 #include "la/cholesky.hpp"
 #include "common/error.hpp"
@@ -59,6 +63,16 @@ Instance make_nonneg_instance(index_t i_len, index_t rank, std::uint64_t seed) {
   inst.m.resize(i_len, rank);
   la::gemm(la::Op::kNone, la::Op::kNone, 1.0, inst.h_true, inst.s, 0.0, inst.m);
   return inst;
+}
+
+bool same_bits(real_t a, real_t b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+bool bitwise_equal(const Matrix& a, const Matrix& b) {
+  return a.same_shape(b) &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.size()) * sizeof(real_t)) == 0;
 }
 
 // Quadratic objective f(H) = 0.5*tr(H S H^T) - tr(H M^T); the quantity every
@@ -372,31 +386,42 @@ TEST(Admm, DegenerateRhoClampedConsistentlyAcrossPaths) {
 
 TEST(Admm, AllFourConfigurationsAgreeNumerically) {
   // OF and PI are performance transformations; the math is identical, so all
-  // four variants must produce (near-)identical iterates.
+  // four variants must produce (near-)identical iterates. Fusion changes no
+  // arithmetic at all: the fused kernels (and the row-tiled pass) evaluate
+  // the BLAS chain's expressions, so H and U are bitwise equal at either
+  // pre-inversion setting, for every constraint.
   const Instance inst = make_instance(150, 10, 7);
   Matrix h0(150, 10);
   Rng rng(8);
   h0.fill_uniform(rng, 0.0, 1.0);
 
-  Matrix results[4];
-  int idx = 0;
-  for (bool fusion : {false, true}) {
-    for (bool pi : {false, true}) {
-      AdmmOptions opt;
-      opt.prox = Proximity::non_negative();
-      opt.inner_iterations = 10;
-      opt.operation_fusion = fusion;
-      opt.preinversion = pi;
-      AdmmUpdate admm(opt);
-      simgpu::Device dev(simgpu::a100());
-      Matrix h = h0;
-      ModeState state;
-      admm.update(dev, inst.s, inst.m, h, state);
-      results[idx++] = std::move(h);
+  for (const Proximity& prox :
+       {Proximity::non_negative(), Proximity::identity(), Proximity::l1(0.3),
+        Proximity::l1_non_negative(0.3), Proximity::box(0.1, 0.6),
+        Proximity::l2_ball(2.0), Proximity::simplex(), Proximity::smooth(0.5)}) {
+    SCOPED_TRACE(prox.name());
+    Matrix h_out[2][2], u_out[2][2];  // [fusion][pi]
+    for (bool fusion : {false, true}) {
+      for (bool pi : {false, true}) {
+        AdmmOptions opt;
+        opt.prox = prox;
+        opt.inner_iterations = 10;
+        opt.operation_fusion = fusion;
+        opt.preinversion = pi;
+        AdmmUpdate admm(opt);
+        simgpu::Device dev(simgpu::a100());
+        Matrix h = h0;
+        ModeState state;
+        admm.update(dev, inst.s, inst.m, h, state);
+        h_out[fusion][pi] = std::move(h);
+        u_out[fusion][pi] = std::move(state.dual);
+      }
     }
-  }
-  for (int i = 1; i < 4; ++i) {
-    EXPECT_LT(max_abs_diff(results[0], results[i]), 1e-9) << "config " << i;
+    for (bool pi : {false, true}) {
+      EXPECT_TRUE(bitwise_equal(h_out[0][pi], h_out[1][pi])) << "pi " << pi;
+      EXPECT_TRUE(bitwise_equal(u_out[0][pi], u_out[1][pi])) << "pi " << pi;
+    }
+    EXPECT_LT(max_abs_diff(h_out[1][0], h_out[1][1]), 1e-9);
   }
 }
 
@@ -467,6 +492,170 @@ TEST(Admm, EarlyExitHonorsTolerance) {
   admm.update(dev, inst.s, inst.m, h, state);
   EXPECT_LT(admm.last().iterations, 200);
   EXPECT_LT(admm.last().primal_residual, 1e-8);
+}
+
+// The residual reductions sum their block partials in block order, so a
+// multi-block update's diagnostics — and with them the tolerance exit and
+// the factors — repeat bit for bit at any worker count.
+TEST(Admm, DiagnosticsBitReproducibleAcrossRepeatedRuns) {
+  // Mixed-sign M keeps the constraint active, so the duals settle away
+  // from zero and the non-negative run exits on the tolerance.
+  Instance inst = make_instance(4000, 16, 21);
+  Rng rng(22);
+  inst.m.fill_uniform(rng, -1.0, 1.0);
+  Matrix h0(4000, 16);
+  h0.fill_uniform(rng, 0.0, 1.0);
+  for (const Proximity& prox : {Proximity::non_negative(), Proximity::simplex()}) {
+    SCOPED_TRACE(prox.name());
+    AdmmOptions opt;
+    opt.prox = prox;
+    opt.inner_iterations = 40;
+    opt.tolerance = 1e-6;
+    AdmmUpdate admm(opt);
+    AdmmDiagnostics first;
+    Matrix h_first, u_first;
+    for (int run = 0; run < 5; ++run) {
+      simgpu::Device dev(simgpu::a100());
+      Matrix h = h0;
+      ModeState state;
+      admm.update(dev, inst.s, inst.m, h, state);
+      if (run == 0) {
+        if (prox.kind() == ProxKind::kNonNegative) {
+          EXPECT_LT(admm.last().iterations, opt.inner_iterations);
+        }
+        first = admm.last();
+        h_first = std::move(h);
+        u_first = std::move(state.dual);
+        continue;
+      }
+      EXPECT_EQ(admm.last().iterations, first.iterations) << "run " << run;
+      EXPECT_TRUE(same_bits(admm.last().primal_residual, first.primal_residual))
+          << "run " << run;
+      EXPECT_TRUE(same_bits(admm.last().dual_residual, first.dual_residual))
+          << "run " << run;
+      EXPECT_TRUE(bitwise_equal(h, h_first)) << "run " << run;
+      EXPECT_TRUE(bitwise_equal(state.dual, u_first)) << "run " << run;
+    }
+  }
+}
+
+// Runs `prox` through the per-kernel cuADMM path (a positive tolerance too
+// small to ever exit, so every inner iteration runs) and through the
+// row-tiled pass (tolerance 0) from the same start, and requires identical
+// H and U bits and an identical device record: the same spans, in the same
+// order, on the same stream, with the same stats.
+void expect_row_tiles_match_per_kernel(const Matrix& s, const Matrix& m,
+                                       const Matrix& h0, const Proximity& prox) {
+  constexpr int kIterations = 10;
+  Matrix h_out[2], u_out[2];
+  std::vector<simgpu::Timeline::Span> spans[2];
+  for (int tiled = 0; tiled < 2; ++tiled) {
+    AdmmOptions opt;
+    opt.prox = prox;
+    opt.inner_iterations = kIterations;
+    opt.tolerance = tiled ? 0.0 : 1e-300;
+    simgpu::Device dev(simgpu::a100());
+    opt.stream = dev.create_stream("update");
+    AdmmUpdate admm(opt);
+    Matrix h = h0;
+    ModeState state;
+    admm.update(dev, s, m, h, state);
+    ASSERT_EQ(admm.last().iterations, kIterations);
+    // The tiled pass leaves the per-kernel path's scratch unallocated.
+    EXPECT_EQ(state.aux.empty(), tiled == 1);
+    h_out[tiled] = std::move(h);
+    u_out[tiled] = std::move(state.dual);
+    for (std::size_t i = 0; i < dev.timeline().span_count(); ++i) {
+      spans[tiled].push_back(dev.timeline().span(static_cast<std::int64_t>(i)));
+    }
+  }
+  EXPECT_TRUE(bitwise_equal(h_out[0], h_out[1]));
+  EXPECT_TRUE(bitwise_equal(u_out[0], u_out[1]));
+  ASSERT_EQ(spans[0].size(), spans[1].size());
+  for (std::size_t i = 0; i < spans[0].size(); ++i) {
+    const simgpu::Timeline::Span& a = spans[0][i];
+    const simgpu::Timeline::Span& b = spans[1][i];
+    SCOPED_TRACE("span " + std::to_string(i) + " " + a.kernel);
+    EXPECT_EQ(a.kernel, b.kernel);
+    EXPECT_EQ(a.stream, b.stream);
+    EXPECT_EQ(a.stats.flops, b.stats.flops);
+    EXPECT_EQ(a.stats.bytes_streamed, b.stats.bytes_streamed);
+    EXPECT_EQ(a.stats.bytes_reused, b.stats.bytes_reused);
+    EXPECT_EQ(a.stats.working_set_bytes, b.stats.working_set_bytes);
+    EXPECT_EQ(a.stats.bytes_random, b.stats.bytes_random);
+    EXPECT_EQ(a.stats.host_link_bytes, b.stats.host_link_bytes);
+    EXPECT_EQ(a.stats.serial_depth, b.stats.serial_depth);
+    EXPECT_EQ(a.stats.atomic_ops, b.stats.atomic_ops);
+    EXPECT_EQ(a.stats.parallel_items, b.stats.parallel_items);
+    EXPECT_EQ(a.stats.launches, b.stats.launches);
+    EXPECT_EQ(a.stats.compute_efficiency, b.stats.compute_efficiency);
+  }
+}
+
+TEST(AdmmRowTiles, MatchPerKernelPathBitwise) {
+  // Rows around the 8-row micro-kernel block and the 64-row tile; ranks
+  // below, at and between multiples of the 4-column block.
+  for (const Proximity& prox :
+       {Proximity::identity(), Proximity::non_negative(), Proximity::l1(0.2),
+        Proximity::l1_non_negative(0.2), Proximity::box(0.05, 0.7)}) {
+    for (index_t rows : {1, 7, 8, 63, 64, 65, 1000}) {
+      for (index_t rank : {1, 5, 17, 32}) {
+        SCOPED_TRACE(prox.name() + " rows " + std::to_string(rows) + " R " +
+                     std::to_string(rank));
+        const Instance inst =
+            make_instance(rows, rank, 100 + static_cast<std::uint64_t>(rows));
+        Matrix h0(rows, rank);
+        Rng rng(static_cast<std::uint64_t>(rank));
+        h0.fill_uniform(rng, -0.5, 1.0);
+        expect_row_tiles_match_per_kernel(inst.s, inst.m, h0, prox);
+      }
+    }
+  }
+}
+
+TEST(AdmmRowTiles, DiagonalSystemTakesTheScalarFallback) {
+  // A diagonal S has an inverse with exact zeros, which la::gemm skips; the
+  // pass must then use the in-order scalar loop everywhere and still match.
+  const index_t rows = 200, rank = 8;
+  Matrix s(rank, rank);
+  for (index_t r = 0; r < rank; ++r) s(r, r) = 1.0 + 0.25 * static_cast<real_t>(r);
+  const AdmmGram gram = prepare_admm_gram(s, /*preinvert=*/true);
+  ASSERT_EQ(gram.inverse(0, 1), 0.0);
+  Rng rng(31);
+  Matrix m(rows, rank), h0(rows, rank);
+  m.fill_uniform(rng, -1.0, 2.0);
+  h0.fill_uniform(rng, 0.0, 1.0);
+  for (const Proximity& prox : {Proximity::non_negative(), Proximity::l1(0.1)}) {
+    SCOPED_TRACE(prox.name());
+    expect_row_tiles_match_per_kernel(s, m, h0, prox);
+  }
+}
+
+TEST(AdmmRowTiles, HostTimeIsATracerPhaseAndRecordsCarryNone) {
+  const Instance inst = make_instance(300, 8, 41);
+  simgpu::Tracer tracer;
+  simgpu::Device dev(simgpu::a100());
+  dev.set_tracer(&tracer);
+  AdmmUpdate admm(AdmmOptions{});
+  Matrix h(300, 8);
+  h.set_all(0.5);
+  ModeState state;
+  {
+    simgpu::ScopedPhase update(&tracer, phase::kUpdate);
+    admm.update(dev, inst.s, inst.m, h, state);
+  }
+  std::vector<std::string> phases;
+  for (const simgpu::PhaseSpan& p : tracer.phase_spans()) {
+    phases.push_back(p.phase);
+  }
+  EXPECT_EQ(phases, (std::vector<std::string>{"UPDATE/admm_row_tiles",
+                                              "UPDATE"}));
+  for (const simgpu::TraceSpan& span : tracer.spans()) {
+    EXPECT_EQ(span.phase, "UPDATE") << span.kernel;
+    if (span.kernel.rfind("admm_", 0) == 0 || span.kernel == "dgemm") {
+      EXPECT_EQ(span.wall_s, 0.0) << span.kernel;
+    }
+  }
 }
 
 TEST(Admm, DualVariableWarmStartsAcrossCalls) {
