@@ -167,27 +167,6 @@ ModeledIteration modeled_iteration(const DatasetAnalog& data,
 
 double overlapped_total(const std::vector<ModeledIteration>& per_mode,
                         const simgpu::DeviceSpec& spec) {
-  // Fixed-span timeline: per mode, the Gram work runs on its own lane
-  // concurrently with the default-lane MTTKRP (both only need the previous
-  // mode's normalized factor), and the update joins the two. The phase times
-  // are already scaled, so the spans carry them as externally modeled
-  // durations.
-  simgpu::Device dev(spec);
-  const simgpu::Stream gram = dev.create_stream("gram");
-  for (const ModeledIteration& m : per_mode) {
-    // Gram_n starts once the default lane has retired Normalize_{n-1}.
-    dev.wait_event(gram, dev.record_event());
-    dev.record_fixed("gram", m.gram, gram);
-    dev.record_fixed("mttkrp", m.mttkrp);
-    dev.wait_event(simgpu::Stream{}, dev.record_event(gram));
-    dev.record_fixed("update", m.update);
-    dev.record_fixed("normalize", m.normalize);
-  }
-  return dev.modeled_makespan_s();
-}
-
-double planner_overlapped_total(const std::vector<ModeledIteration>& per_mode,
-                                const simgpu::DeviceSpec& spec) {
   std::vector<exec::FixedModePhases> modes;
   modes.reserve(per_mode.size());
   for (const ModeledIteration& m : per_mode) {

@@ -88,19 +88,12 @@ ModeledIteration modeled_iteration(const DatasetAnalog& data,
 /// Modeled iteration time when each mode's Gram work is pipelined against
 /// its MTTKRP on a second stream (the AuntfOptions::pipeline_streams
 /// schedule): Gram_n and MTTKRP_n both depend only on Normalize_{n-1}, the
-/// update joins them. Built from the already-scaled per-mode phase times on
-/// a stream timeline of fixed spans; always within
+/// update joins them. The schedule is compiled by
+/// exec::Planner::compile_fixed_pipeline from the already-scaled per-mode
+/// phase times and realized by exec::Executor as fixed spans; always within
 /// [max-per-mode-path, serial total].
 double overlapped_total(const std::vector<ModeledIteration>& per_mode,
                         const simgpu::DeviceSpec& spec);
-
-/// The same schedule compiled through exec::Planner::compile_fixed_pipeline
-/// and realized by exec::Executor (the path the trainer now runs on).
-/// Bit-identical to overlapped_total() by construction; benches print both
-/// as a planner-vs-legacy makespan-parity column, keeping the hand-rolled
-/// version above alive purely as the legacy reference.
-double planner_overlapped_total(const std::vector<ModeledIteration>& per_mode,
-                                const simgpu::DeviceSpec& spec);
 
 /// Convenience bundles for the three systems the figures compare.
 ModeledIteration gpu_iteration(const DatasetAnalog& data,

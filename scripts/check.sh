@@ -36,11 +36,12 @@
 # Knobs (env vars): CSTF_CHECK_SKIP_SANITIZE=1 skips the second pass (useful
 # on toolchains without sanitizer runtimes), CSTF_CHECK_SKIP_PERF=1,
 # CSTF_CHECK_TSAN=1 adds a ThreadSanitizer pass (-DCSTF_TSAN=ON) over the
-# exec-, dimtree-, autotune-, metrics- and updates-labeled ctest groups (the
-# executor/plan-cache layer every concurrent path now submits through, the
-# dimension-tree engine's parallel chain derives, the metrics
-# registry's lock-free counter hot path, and the row-tiled ADMM pass's
-# per-worker buffers and per-tile partials), CSTF_THREADS.
+# exec-, dimtree-, autotune-, metrics-, updates- and serve-labeled ctest
+# groups (the executor/plan-cache layer the trainer and multi-GPU schedules
+# submit through, the dimension-tree engine's parallel chain derives, the
+# metrics registry's lock-free counter hot path, the row-tiled ADMM pass's
+# per-worker buffers and per-tile partials, and the fold-in batcher's
+# collector, submit and stop threads), CSTF_THREADS.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -109,10 +110,10 @@ else
 fi
 
 if [ "${CSTF_CHECK_TSAN:-0}" = "1" ]; then
-  echo "=== TSan pass: exec-, dimtree-, autotune-, metrics- and updates-labeled suites under ThreadSanitizer"
+  echo "=== TSan pass: exec-, dimtree-, autotune-, metrics-, updates- and serve-labeled suites under ThreadSanitizer"
   # TSan and ASan cannot share a binary (the configure step enforces the
   # exclusivity), so this is its own build tree. The exec group covers the
-  # executor, plan caches, and the trainer/streaming/serving paths that
+  # executor, plan caches, and the trainer and multi-GPU schedules that
   # submit through them — the layer where stream/event races would live.
   # The dimtree group rides along: the chain derives scatter through the
   # same parallel accumulation engine, and its lazy extends must be race-
@@ -125,11 +126,14 @@ if [ "${CSTF_CHECK_TSAN:-0}" = "1" ]; then
   # The updates group rides along: the row-tiled ADMM pass is a parallel
   # region whose workers write per-worker tile buffers and per-tile
   # residual partials.
+  # The serve group rides along: the fold-in batcher's collector, submit
+  # and stop threads share its queue, counters and last-good snapshot, and
+  # the hot-swap test serves under concurrent publishes.
   cmake -B build-tsan -S . -DCSTF_TSAN=ON
   cmake --build build-tsan -j
   TSAN_OPTIONS="halt_on_error=1" \
-    ctest --test-dir build-tsan -L 'exec|dimtree|autotune|metrics|updates' \
-    --output-on-failure
+    ctest --test-dir build-tsan \
+    -L 'exec|dimtree|autotune|metrics|updates|serve' --output-on-failure
 fi
 
 if [ "${CSTF_CHECK_SKIP_SANITIZE:-0}" = "1" ]; then

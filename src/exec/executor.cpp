@@ -38,7 +38,7 @@ Executor::Executor(simgpu::Device& dev, std::shared_ptr<const Plan> plan)
   events_.resize(static_cast<std::size_t>(plan_->graph().num_ops()));
 }
 
-void Executor::run(OpObserver* observer, const simgpu::Event* external) {
+void Executor::run(OpObserver* observer) {
   const OpGraph& graph = plan_->graph();
   for (int i = 0; i < graph.num_ops(); ++i) {
     const Op& op = graph.op(i);
@@ -50,9 +50,6 @@ void Executor::run(OpObserver* observer, const simgpu::Event* external) {
       if (graph.op(d).lane != op.lane) {
         dev_.wait_event(stream, events_[static_cast<std::size_t>(d)]);
       }
-    }
-    if (op.wait_external && external != nullptr) {
-      dev_.wait_event(stream, *external);
     }
 
     if (observer != nullptr) observer->on_op_begin(op, i);

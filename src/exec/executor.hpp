@@ -34,12 +34,11 @@ class Executor {
   /// device must outlive the executor.
   Executor(simgpu::Device& dev, std::shared_ptr<const Plan> plan);
 
-  /// Runs every op in issue order: waits on cross-lane dependency events
-  /// (and on `external`, for ops marked wait_external), executes the body
-  /// (or records the fixed-duration span) on the op's lane, and records an
-  /// event afterwards if a cross-lane dependent needs it.
-  void run(OpObserver* observer = nullptr,
-           const simgpu::Event* external = nullptr);
+  /// Runs every op in issue order: waits on cross-lane dependency events,
+  /// executes the body (or records the fixed-duration span) on the op's
+  /// lane, and records an event afterwards if a cross-lane dependent needs
+  /// it.
+  void run(OpObserver* observer = nullptr);
 
   const Plan& plan() const { return *plan_; }
   simgpu::Device& device() { return dev_; }

@@ -14,7 +14,6 @@ const char* op_kind_name(OpKind kind) {
     case OpKind::kUpdate: return "update";
     case OpKind::kNormalize: return "normalize";
     case OpKind::kFit: return "fit";
-    case OpKind::kCopy: return "copy";
     case OpKind::kAllReduce: return "allreduce";
     case OpKind::kCheckpointBarrier: return "ckpt-barrier";
     case OpKind::kGeneric: return "generic";
@@ -116,7 +115,6 @@ std::string Plan::describe() const {
     out << head << " " << op.name;
     if (!op.phase.empty()) out << " [" << op.phase << "]";
     if (op.fixed_s >= 0.0) out << " fixed=" << op.fixed_s << "s";
-    if (op.wait_external) out << " waits-external";
     if (!op.deps.empty()) {
       out << " deps={";
       for (std::size_t d = 0; d < op.deps.size(); ++d) {

@@ -1,10 +1,10 @@
 // OpGraph — the execution-graph IR for one compiled iteration.
 //
-// The AO-ADMM inner loop (and its streaming / multi-GPU / serving variants)
-// used to hand-roll its stream/event wiring at every call site. This IR
-// makes the iteration explicit instead: a DAG of typed ops (MTTKRP, Gram,
-// Hadamard-gram assembly, factor update, fit, copy/all-reduce, checkpoint
-// barrier), each assigned to a lane (a simgpu stream), with dependency
+// The AO-ADMM inner loop (and its multi-GPU variant) used to hand-roll its
+// stream/event wiring at every call site. This IR makes the iteration
+// explicit instead: a DAG of typed ops (MTTKRP, Gram, Hadamard-gram
+// assembly, factor update, fit, all-reduce, checkpoint barrier), each
+// assigned to a lane (a simgpu stream), with dependency
 // edges that the Executor turns into event waits and buffer declarations
 // whose first-use/last-use lifetimes feed a peak-memory estimate.
 //
@@ -37,7 +37,6 @@ enum class OpKind {
   kUpdate,            // constrained factor update (ADMM/MU/HALS/ALS/BPP)
   kNormalize,         // column-norm absorption into lambda
   kFit,               // fit / residual evaluation
-  kCopy,              // host-link staging / device copy
   kAllReduce,         // multi-GPU ring all-reduce (fixed-duration)
   kCheckpointBarrier, // iteration boundary; snapshot-consistent point
   kGeneric,           // anything else
@@ -81,7 +80,6 @@ struct Op {
   std::string phase;             ///< tracer/phase-timer label; may be empty
   int lane = 0;                  ///< index into Plan::lanes (0 = default)
   double fixed_s = -1.0;         ///< >= 0: record_fixed span, no body
-  bool wait_external = false;    ///< waits on the Executor's external event
   std::vector<int> deps;
   std::vector<int> reads;        ///< buffer ids
   std::vector<int> writes;       ///< buffer ids

@@ -304,181 +304,6 @@ Plan Planner::compile_chunked_allreduce(const ChunkedAllReduceSpec& spec) {
   return Plan(std::move(g), std::move(lanes));
 }
 
-Plan Planner::compile_streaming_ingest(const StreamingIngestSpec& spec) {
-  CSTF_CHECK_MSG(spec.num_modes >= 1, "streaming plan needs modes");
-  CSTF_CHECK_MSG(
-      static_cast<int>(spec.mode_rows.size()) == spec.num_modes,
-      "streaming plan: mode_rows size mismatch");
-  CSTF_CHECK_MSG(spec.temporal_project && spec.temporal_solve &&
-                     spec.mode_mttkrp && spec.mode_fold && spec.mode_update &&
-                     spec.mode_gram,
-                 "streaming plan: missing an op body");
-  if (spec.staging) {
-    CSTF_CHECK_MSG(spec.stage != nullptr,
-                   "streaming plan: staging enabled but no stage body");
-  }
-
-  OpGraph g;
-  const double r = static_cast<double>(spec.rank);
-  const double rows_max = static_cast<double>(max_rows_of(spec.mode_rows));
-  const int slice_buf = g.add_buffer("slice", spec.slice_bytes);
-  const int c_buf = g.add_buffer("temporal_rhs", r * word());
-  const int srow_buf = g.add_buffer("temporal_row", r * word());
-  const int b_buf = g.add_buffer("mttkrp_out", rows_max * r * word());
-  std::vector<int> factor_buf, gram_buf, p_buf, q_buf;
-  for (int m = 0; m < spec.num_modes; ++m) {
-    const double rows = static_cast<double>(
-        spec.mode_rows[static_cast<std::size_t>(m)]);
-    factor_buf.push_back(
-        g.add_buffer("factor_" + std::to_string(m), rows * r * word()));
-    gram_buf.push_back(
-        g.add_buffer("gram_" + std::to_string(m), r * r * word()));
-    p_buf.push_back(
-        g.add_buffer("p_accum_" + std::to_string(m), rows * r * word()));
-    q_buf.push_back(
-        g.add_buffer("q_accum_" + std::to_string(m), r * r * word()));
-  }
-
-  int stage_op = -1;
-  if (spec.staging) {
-    // Double-buffered host-link transfer: waits on the executor's external
-    // event (compute-done of the slice whose buffer this transfer reuses);
-    // every compute op below transitively waits on the transfer.
-    Op st;
-    st.kind = OpKind::kCopy;
-    st.name = "stream_stage_slice";
-    st.lane = 1;
-    st.wait_external = true;
-    st.writes = {slice_buf};
-    st.run = spec.stage;
-    stage_op = g.add_op(std::move(st));
-  }
-
-  Op proj;
-  proj.kind = OpKind::kMttkrp;
-  proj.name = "stream_slice_project";
-  proj.lane = 0;
-  if (stage_op >= 0) proj.deps.push_back(stage_op);  // the event join
-  proj.reads.push_back(slice_buf);
-  for (int m = 0; m < spec.num_modes; ++m) {
-    proj.reads.push_back(factor_buf[static_cast<std::size_t>(m)]);
-  }
-  proj.writes = {c_buf};
-  proj.run = spec.temporal_project;
-  const int proj_op = g.add_op(std::move(proj));
-
-  Op solve;
-  solve.kind = OpKind::kUpdate;
-  solve.name = "temporal_solve";
-  solve.lane = 0;
-  solve.deps = {proj_op};
-  solve.reads.push_back(c_buf);
-  for (int m = 0; m < spec.num_modes; ++m) {
-    solve.reads.push_back(gram_buf[static_cast<std::size_t>(m)]);
-  }
-  solve.writes = {srow_buf};
-  solve.run = spec.temporal_solve;
-  int prev = g.add_op(std::move(solve));
-
-  for (int m = 0; m < spec.num_modes; ++m) {
-    const auto mi = static_cast<std::size_t>(m);
-    Op mk;
-    mk.kind = OpKind::kMttkrp;
-    mk.name = "stream_slice_mttkrp_" + std::to_string(m);
-    mk.lane = 0;
-    mk.deps = {prev};
-    mk.reads = {slice_buf, srow_buf};
-    for (int k = 0; k < spec.num_modes; ++k) {
-      if (k != m) mk.reads.push_back(factor_buf[static_cast<std::size_t>(k)]);
-    }
-    mk.writes = {b_buf};
-    mk.run = [body = spec.mode_mttkrp, m](ExecContext& ctx) { body(ctx, m); };
-    prev = g.add_op(std::move(mk));
-
-    Op fold;
-    fold.kind = OpKind::kHadamardGram;
-    fold.name = "fold_accumulators_" + std::to_string(m);
-    fold.lane = 0;
-    fold.deps = {prev};
-    fold.reads = {b_buf, srow_buf};
-    for (int k = 0; k < spec.num_modes; ++k) {
-      if (k != m) fold.reads.push_back(gram_buf[static_cast<std::size_t>(k)]);
-    }
-    fold.writes = {p_buf[mi], q_buf[mi]};
-    fold.run = [body = spec.mode_fold, m](ExecContext& ctx) { body(ctx, m); };
-    prev = g.add_op(std::move(fold));
-
-    Op up;
-    up.kind = OpKind::kUpdate;
-    up.name = "factor_update_" + std::to_string(m);
-    up.lane = 0;
-    up.deps = {prev};
-    up.reads = {p_buf[mi], q_buf[mi]};
-    up.writes = {factor_buf[mi]};
-    up.run = [body = spec.mode_update, m](ExecContext& ctx) { body(ctx, m); };
-    prev = g.add_op(std::move(up));
-
-    Op gr;
-    gr.kind = OpKind::kGram;
-    gr.name = "gram_" + std::to_string(m);
-    gr.lane = 0;
-    gr.deps = {prev};
-    gr.reads = {factor_buf[mi]};
-    gr.writes = {gram_buf[mi]};
-    gr.run = [body = spec.mode_gram, m](ExecContext& ctx) { body(ctx, m); };
-    prev = g.add_op(std::move(gr));
-  }
-
-  std::vector<std::string> lanes = {"default"};
-  if (spec.staging) lanes.push_back("slice_copy");
-  return Plan(std::move(g), std::move(lanes));
-}
-
-Plan Planner::compile_fold_in(const FoldInSpec& spec) {
-  CSTF_CHECK_MSG(spec.rhs && spec.solve, "fold-in plan: missing an op body");
-  if (spec.build_gram) {
-    CSTF_CHECK_MSG(spec.gram_build != nullptr,
-                   "fold-in plan: build_gram set but no gram body");
-  }
-  OpGraph g;
-  const double r = static_cast<double>(spec.rank);
-  const double batch = static_cast<double>(spec.batch_rows);
-  const int rhs_buf = g.add_buffer("foldin_rhs", batch * r * word());
-  const int gram_buf = g.add_buffer("foldin_gram", r * r * word());
-  const int h_buf = g.add_buffer("foldin_rows", batch * r * word());
-
-  Op rhs;
-  rhs.kind = OpKind::kMttkrp;
-  rhs.name = "serve_foldin_rhs";
-  rhs.lane = 0;
-  rhs.writes = {rhs_buf};
-  rhs.run = spec.rhs;
-  int prev = g.add_op(std::move(rhs));
-
-  if (spec.build_gram) {
-    Op gb;
-    gb.kind = OpKind::kGram;
-    gb.name = "foldin_gram_build";
-    gb.lane = 0;
-    gb.deps = {prev};
-    gb.writes = {gram_buf};
-    gb.run = spec.gram_build;
-    prev = g.add_op(std::move(gb));
-  }
-
-  Op solve;
-  solve.kind = OpKind::kUpdate;
-  solve.name = "foldin_solve";
-  solve.lane = 0;
-  solve.deps = {prev};
-  solve.reads = {rhs_buf, gram_buf};
-  solve.writes = {h_buf};
-  solve.run = spec.solve;
-  g.add_op(std::move(solve));
-
-  return Plan(std::move(g), {"default"});
-}
-
 void PlanCache::bump_metrics(bool hit) {
   static metrics::Counter* hits =
       metrics::MetricsRegistry::global().counter("exec.plan_cache.hits");

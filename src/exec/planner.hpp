@@ -1,17 +1,16 @@
-// Planner — compiles one iteration of each AO-style loop into a Plan.
+// Planner — compiles the schedules that have (or can have) a second lane.
 //
-// This is the single home of the scheduling rules that used to be
-// hand-rolled per call site:
+// This is the single home of the multi-lane scheduling rules that used to
+// be hand-rolled per call site:
 //  * the batch AO-ADMM iteration (auntf), with the optional gram-lane
 //    pipeline (Gram_n overlaps MTTKRP_n; both depend only on
 //    Normalize_{n-1}; the update joins them);
 //  * the fixed-span variant of the same schedule benches use to model
 //    overlap from already-scaled per-mode phase times;
 //  * the multi-GPU chunked compute-vs-ring-all-reduce overlap (the
-//    all-reduce of chunk i starts once every shard finished chunk i);
-//  * the streaming ingest pipeline (slice staging on a copy lane,
-//    double-buffered against the previous slice's compute);
-//  * the serving fold-in solve (RHS gather -> Gram -> fused ADMM).
+//    all-reduce of chunk i starts once every shard finished chunk i).
+// A single-lane loop (a streaming slice, a serving fold-in) is one in-order
+// chain on the default stream and issues its steps directly instead.
 //
 // Callers supply the op *bodies* (closures issuing the actual metered
 // kernels); the planner supplies the *structure*: lanes, dependency edges,
@@ -80,43 +79,11 @@ struct ChunkedAllReduceSpec {
   double chunk_comm_s = 0.0;
 };
 
-/// Spec for one streaming ingest (one time slice). When `staging` is set the
-/// slice transfer runs on a copy lane and waits on the Executor's external
-/// event (the compute-done event of the slice whose buffer it reuses).
-struct StreamingIngestSpec {
-  int num_modes = 0;
-  index_t rank = 0;
-  bool staging = false;
-  double slice_bytes = 0.0;     ///< staged slice footprint (peak-memory model)
-  std::vector<index_t> mode_rows;
-
-  std::function<void(ExecContext&)> stage;
-  std::function<void(ExecContext&)> temporal_project;
-  std::function<void(ExecContext&)> temporal_solve;
-  std::function<void(ExecContext&, int)> mode_mttkrp;
-  std::function<void(ExecContext&, int)> mode_fold;    // P/Q aging
-  std::function<void(ExecContext&, int)> mode_update;
-  std::function<void(ExecContext&, int)> mode_gram;
-};
-
-/// Spec for one serving fold-in solve (single lane; the value of compiling
-/// it is the uniform hook/trace/fault surface and the --plan dump).
-struct FoldInSpec {
-  index_t rank = 0;
-  index_t batch_rows = 0;       ///< solve height for the peak-memory model
-  bool build_gram = false;      ///< rebuild+factorize the Gram system per call
-  std::function<void(ExecContext&)> rhs;
-  std::function<void(ExecContext&)> gram_build;
-  std::function<void(ExecContext&)> solve;
-};
-
 class Planner {
  public:
   static Plan compile_ao_iteration(const AoIterationSpec& spec);
   static Plan compile_fixed_pipeline(const std::vector<FixedModePhases>& modes);
   static Plan compile_chunked_allreduce(const ChunkedAllReduceSpec& spec);
-  static Plan compile_streaming_ingest(const StreamingIngestSpec& spec);
-  static Plan compile_fold_in(const FoldInSpec& spec);
 };
 
 /// Cache key: tensor identity (address/nnz-derived token), factorization
@@ -152,8 +119,8 @@ class PlanCache {
     return plan_;
   }
 
-  /// Drops the cached plan (callers whose tensor changes between solves —
-  /// the streaming path — must clear or re-key before reuse).
+  /// Drops the cached plan (a caller whose tensor changes between runs must
+  /// clear or re-key before reuse).
   void clear() { plan_.reset(); }
 
   bool cached() const { return plan_ != nullptr; }

@@ -6,10 +6,7 @@
 #include <thread>
 #include <utility>
 
-#include "common/digest.hpp"
-#include "la/cholesky.hpp"
 #include "parallel/parallel_for.hpp"
-#include "simgpu/dblas.hpp"
 #include "simgpu/fault.hpp"
 
 namespace cstf::serve {
@@ -60,24 +57,36 @@ std::vector<FoldInResult> FoldInEngine::fold_in_batch(
   std::vector<FoldInResult> results(reqs.size());
   {
     std::lock_guard<std::mutex> submit(runtime_.submit_mu);
-    // One tracer phase spans the whole fused solve (the plan's ops carry no
-    // phases of their own), matching the pre-plan begin/end pattern exactly.
+    // One tracer phase spans the whole fused solve.
     simgpu::ScopedPhase scope(runtime_.device.tracer(), phase::kServeFoldIn);
 
-    ws_.model = &model;
-    ws_.reqs = &reqs;
-    ws_.mode = mode;
-    ws_.gram = nullptr;
-    ensure_executor(model, mode, batch);
-    executor_->run();
+    Matrix m(batch, rank);
+    gather_rhs(model, reqs, mode, m);
+
+    // AdmmOptions' defaults are cuADMM with a fixed ten inner iterations and
+    // no early exit, so batch rows stay bit-identical to single-row solves.
+    AdmmOptions admm_options;
+    admm_options.prox = model.meta().prox();
+    AdmmUpdate admm(admm_options);
+    Matrix h(batch, rank);
+    ModeState state;  // cold start: fresh dual per batch, deterministic
+    if (options_.use_cached_gram) {
+      // One Cholesky per published snapshot, amortized over every request.
+      admm.update_with_gram(runtime_.device, model.fold_in_gram(mode), m, h,
+                            state);
+    } else {
+      // The per-request baseline: re-factorize S + rho*I through the metered
+      // device solver on every call.
+      admm.update(runtime_.device, model.fold_in_system(mode), m, h, state);
+    }
 
     for (index_t b = 0; b < batch; ++b) {
       FoldInResult& result = results[static_cast<std::size_t>(b)];
       result.row.resize(static_cast<std::size_t>(rank));
       for (index_t r = 0; r < rank; ++r) {
-        result.row[static_cast<std::size_t>(r)] = ws_.h(b, r);
+        result.row[static_cast<std::size_t>(r)] = h(b, r);
       }
-      result.diagnostics = ws_.diagnostics;
+      result.diagnostics = admm.last();
       result.generation = model.generation();
     }
   }
@@ -85,151 +94,52 @@ std::vector<FoldInResult> FoldInEngine::fold_in_batch(
   return results;
 }
 
-exec::PlanKey FoldInEngine::plan_key(const ServableModel& model, int mode,
-                                     index_t batch) const {
-  // Generation pins the snapshot (a hot-swap must recompile: the Gram cache
-  // pointer and factors change); mode and batch shape size the buffers; the
-  // solve options add/remove the gram-build op and flip the inner solver.
-  DigestBuilder tensor_id;
-  tensor_id.u64(model.generation())
-      .u64(static_cast<std::uint64_t>(mode))
-      .u64(static_cast<std::uint64_t>(batch));
-  DigestBuilder opts;
-  opts.boolean(options_.use_cached_gram)
-      .boolean(options_.preinversion)
-      .u64(static_cast<std::uint64_t>(options_.inner_iterations));
-  exec::PlanKey key;
-  key.tensor_id = tensor_id.value();
-  key.rank = static_cast<std::uint64_t>(model.rank());
-  key.options_digest = opts.value();
-  return key;
-}
-
-exec::Plan FoldInEngine::compile_plan(index_t plan_rank, index_t plan_batch) {
-  FoldInEngine* self = this;
-  exec::FoldInSpec spec;
-  spec.rank = plan_rank;
-  spec.batch_rows = plan_batch;
-  spec.build_gram = !options_.use_cached_gram;
-
-  // Right-hand sides: row b of M is sum_j value_j * lambda .* (hadamard of
-  // the other modes' rows at coordinate j) — the sparse-MTTKRP of the new
-  // slice, one fused gather pass per request.
-  spec.rhs = [self](exec::ExecContext& ctx) {
-    const ServableModel& model = *self->ws_.model;
-    const std::vector<FoldInRequest>& reqs = *self->ws_.reqs;
-    const int modes = model.num_modes();
-    const int mode = self->ws_.mode;
-    const index_t rank = model.rank();
-    const auto batch = static_cast<index_t>(reqs.size());
-    const KTensor& kt = model.model();
-
-    Matrix& m = self->ws_.m;
-    m.resize(batch, rank);
-    m.set_all(0.0);
-    double nnz_total = 0.0;
-    for (const FoldInRequest& req : reqs) {
-      nnz_total += static_cast<double>(req.values.size());
-    }
-    Timer rhs_timer;
-    parallel_for(
-        self->runtime_.pool, 0, batch,
-        [&](index_t b) {
-          const FoldInRequest& req = reqs[static_cast<std::size_t>(b)];
-          const auto width = static_cast<std::size_t>(modes - 1);
-          for (std::size_t j = 0; j < req.values.size(); ++j) {
-            const index_t* c = req.coords.data() + j * width;
-            const real_t v = req.values[j];
-            for (index_t r = 0; r < rank; ++r) {
-              real_t term = v * kt.lambda[static_cast<std::size_t>(r)];
-              std::size_t pos = 0;
-              for (int n = 0; n < modes; ++n) {
-                if (n == mode) continue;
-                term *= kt.factors[static_cast<std::size_t>(n)](c[pos++], r);
-              }
-              m(b, r) += term;
+void FoldInEngine::gather_rhs(const ServableModel& model,
+                              const std::vector<FoldInRequest>& reqs,
+                              int mode, Matrix& m) {
+  // Row b of M is sum_j value_j * lambda .* (hadamard of the other modes'
+  // rows at coordinate j) — the sparse MTTKRP of the new slice, one fused
+  // gather pass per request.
+  const int modes = model.num_modes();
+  const index_t rank = model.rank();
+  const auto batch = static_cast<index_t>(reqs.size());
+  const KTensor& kt = model.model();
+  double nnz_total = 0.0;
+  for (const FoldInRequest& req : reqs) {
+    nnz_total += static_cast<double>(req.values.size());
+  }
+  Timer rhs_timer;
+  parallel_for(
+      runtime_.pool, 0, batch,
+      [&](index_t b) {
+        const FoldInRequest& req = reqs[static_cast<std::size_t>(b)];
+        const auto width = static_cast<std::size_t>(modes - 1);
+        for (std::size_t j = 0; j < req.values.size(); ++j) {
+          const index_t* c = req.coords.data() + j * width;
+          const real_t v = req.values[j];
+          for (index_t r = 0; r < rank; ++r) {
+            real_t term = v * kt.lambda[static_cast<std::size_t>(r)];
+            std::size_t pos = 0;
+            for (int n = 0; n < modes; ++n) {
+              if (n == mode) continue;
+              term *= kt.factors[static_cast<std::size_t>(n)](c[pos++], r);
             }
+            m(b, r) += term;
           }
-        },
-        /*grain=*/1);
-    simgpu::KernelStats stats;
-    const double nmodes = static_cast<double>(modes);
-    const double nrank = static_cast<double>(rank);
-    stats.flops = nnz_total * nrank * (nmodes + 1.0);
-    stats.bytes_random = nnz_total * (nmodes - 1.0) * nrank * simgpu::kWord;
-    stats.bytes_streamed =
-        (nnz_total * nmodes + static_cast<double>(batch) * nrank) *
-        simgpu::kWord;
-    stats.parallel_items = static_cast<double>(batch);
-    stats.launches = 1;
-    ctx.device.record("serve_foldin_rhs", stats, rhs_timer.seconds(),
-                      ctx.stream);
-  };
-
-  // Per-call Gram rebuild through the metered solver — the baseline the
-  // serving bench measures against (the cached path has no such op: the
-  // snapshot's pre-factorized Gram is resolved inside the solve).
-  if (spec.build_gram) {
-    spec.gram_build = [self](exec::ExecContext& ctx) {
-      const ServableModel& model = *self->ws_.model;
-      const index_t rank = model.rank();
-      AdmmGram& rebuilt = self->ws_.rebuilt;
-      rebuilt = AdmmGram{};
-      const Matrix& s = model.fold_in_system(self->ws_.mode);
-      for (index_t r = 0; r < rank; ++r) rebuilt.rho += s(r, r);
-      rebuilt.rho /= static_cast<real_t>(rank);
-      if (rebuilt.rho <= 0.0) rebuilt.rho = 1.0;
-      Matrix s_loaded = s;
-      la::add_diagonal(s_loaded, rebuilt.rho);
-      simgpu::dpotrf(ctx.device, s_loaded, rebuilt.l);
-      if (self->options_.preinversion) {
-        simgpu::dpotri(ctx.device, rebuilt.l, rebuilt.inverse);
-      }
-      self->ws_.gram = &rebuilt;
-    };
-  }
-
-  spec.solve = [self](exec::ExecContext& ctx) {
-    const ServableModel& model = *self->ws_.model;
-    const index_t rank = model.rank();
-    const auto batch = static_cast<index_t>(self->ws_.reqs->size());
-    if (self->options_.use_cached_gram) {
-      // One Cholesky per published snapshot, amortized over every request.
-      CSTF_CHECK_MSG(
-          model.preinverted() == self->options_.preinversion,
-          "fold-in: snapshot Gram cache pre-inversion does not match options");
-      self->ws_.gram = &model.fold_in_gram(self->ws_.mode);
-    }
-
-    AdmmOptions admm_options;
-    admm_options.prox = model.meta().prox();
-    admm_options.inner_iterations = self->options_.inner_iterations;
-    admm_options.tolerance = 0.0;  // fixed iterations: batch rows stay
-                                   // bit-identical to single-row solves
-    admm_options.operation_fusion = true;
-    admm_options.preinversion = self->options_.preinversion;
-    AdmmUpdate admm(admm_options);
-
-    Matrix& h = self->ws_.h;
-    h.resize(batch, rank);
-    h.set_all(0.0);
-    ModeState state;  // cold start: fresh dual per batch, deterministic
-    admm.update_with_gram(ctx.device, *self->ws_.gram, self->ws_.m, h, state);
-    self->ws_.diagnostics = admm.last();
-  };
-
-  return exec::Planner::compile_fold_in(spec);
-}
-
-void FoldInEngine::ensure_executor(const ServableModel& model, int mode,
-                                   index_t batch) {
-  std::shared_ptr<const exec::Plan> plan =
-      plan_cache_.get(plan_key(model, mode, batch),
-                      [&] { return compile_plan(model.rank(), batch); });
-  if (executor_ == nullptr || &executor_->plan() != plan.get()) {
-    executor_ =
-        std::make_unique<exec::Executor>(runtime_.device, std::move(plan));
-  }
+        }
+      },
+      /*grain=*/1);
+  simgpu::KernelStats stats;
+  const double nmodes = static_cast<double>(modes);
+  const double nrank = static_cast<double>(rank);
+  stats.flops = nnz_total * nrank * (nmodes + 1.0);
+  stats.bytes_random = nnz_total * (nmodes - 1.0) * nrank * simgpu::kWord;
+  stats.bytes_streamed =
+      (nnz_total * nmodes + static_cast<double>(batch) * nrank) *
+      simgpu::kWord;
+  stats.parallel_items = static_cast<double>(batch);
+  stats.launches = 1;
+  runtime_.device.record("serve_foldin_rhs", stats, rhs_timer.seconds());
 }
 
 FoldInBatcher::FoldInBatcher(FoldInEngine& engine, ModelStore& store,
@@ -366,10 +276,8 @@ std::vector<FoldInResult> FoldInBatcher::solve_with_retries(
       if (!e.transient() || attempt >= options_.max_retries) throw;
       reliability_.retries.fetch_add(1, std::memory_order_relaxed);
       if (options_.retry_backoff_s > 0.0) {
-        const double backoff_s =
-            options_.retry_backoff_s * static_cast<double>(1 << attempt);
-        std::this_thread::sleep_for(
-            std::chrono::duration<double>(backoff_s));
+        std::this_thread::sleep_for(std::chrono::duration<double>(
+            retry_backoff_s(options_.retry_backoff_s, attempt)));
       }
     }
   }

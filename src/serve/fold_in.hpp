@@ -41,8 +41,6 @@
 #include <vector>
 
 #include "common/timer.hpp"
-#include "exec/executor.hpp"
-#include "exec/planner.hpp"
 #include "serve/model_store.hpp"
 #include "serve/runtime.hpp"
 #include "serve/serve_stats.hpp"
@@ -90,18 +88,11 @@ struct FoldInResult {
 };
 
 struct FoldInOptions {
-  /// Inner ADMM iterations (same default the trainer uses).
-  int inner_iterations = 10;
-
   /// Solve against the snapshot's cached pre-factorized Gram (the fast
   /// path). When false, every call re-factorizes S + rho*I through the
   /// metered device solver — the per-request baseline the serving bench
   /// compares against.
   bool use_cached_gram = true;
-
-  /// Pre-inversion (GEMM inner iteration vs triangular solves). Must match
-  /// how the ServableModel's cache was built when use_cached_gram is set.
-  bool preinversion = true;
 };
 
 /// Solves fold-in requests, one or fused-many at a time.
@@ -109,8 +100,6 @@ class FoldInEngine {
  public:
   FoldInEngine(ServeRuntime& runtime, FoldInOptions options = {})
       : runtime_(runtime), options_(options) {}
-
-  const FoldInOptions& options() const { return options_; }
 
   FoldInResult fold_in(const ServableModel& model, const FoldInRequest& req);
 
@@ -123,35 +112,13 @@ class FoldInEngine {
   /// Per-call latency (one sample per fold_in / fold_in_batch invocation).
   LatencyRecorder& latency() { return latency_; }
 
-  /// Compiled fold-in plan cache, keyed by (snapshot generation, mode, batch
-  /// shape, solve options): repeated same-shape batches against the same
-  /// snapshot reuse the plan; a hot-swap or batch-shape change recompiles.
-  const exec::PlanCache& plan_cache() const { return plan_cache_; }
-
  private:
   void check_request(const ServableModel& model,
                      const FoldInRequest& req) const;
-  void ensure_executor(const ServableModel& model, int mode, index_t batch);
-  exec::PlanKey plan_key(const ServableModel& model, int mode,
-                         index_t batch) const;
-  exec::Plan compile_plan(index_t rank, index_t batch);
-
-  // Guarded by runtime_.submit_mu (one fused solve at a time): the cached
-  // plan's op bodies reach the current call's model and requests through
-  // this workspace.
-  struct Workspace {
-    const ServableModel* model = nullptr;
-    const std::vector<FoldInRequest>* reqs = nullptr;
-    int mode = 0;
-    Matrix m;          // batch x R right-hand sides
-    Matrix h;          // solved rows
-    AdmmGram rebuilt;  // per-call Gram system (non-cached path)
-    const AdmmGram* gram = nullptr;
-    AdmmDiagnostics diagnostics;
-  };
-  Workspace ws_;
-  exec::PlanCache plan_cache_;
-  std::unique_ptr<exec::Executor> executor_;
+  /// Gathers the batch's right-hand sides into `m` (zeroed, batch x R) and
+  /// records the gather as one kernel.
+  void gather_rhs(const ServableModel& model,
+                  const std::vector<FoldInRequest>& reqs, int mode, Matrix& m);
 
   ServeRuntime& runtime_;
   FoldInOptions options_;
@@ -192,8 +159,8 @@ class FoldInBatcher {
     /// falling back to degraded per-request isolation.
     int max_retries = 3;
 
-    /// Base sleep between retries; doubles per attempt (exponential
-    /// backoff). 0 retries immediately.
+    /// Base sleep between retries; doubles per attempt up to a cap
+    /// (retry_backoff_s). 0 retries immediately.
     double retry_backoff_s = 0.0005;
 
     /// Degraded-mode behavior. When the model vanishes from the store, a

@@ -7,10 +7,8 @@
 
 namespace cstf::serve {
 
-ServableModel::ServableModel(SavedModel saved, std::uint64_t generation,
-                             bool preinvert)
-    : saved_(std::move(saved)), generation_(generation),
-      preinvert_(preinvert) {
+ServableModel::ServableModel(SavedModel saved, std::uint64_t generation)
+    : saved_(std::move(saved)), generation_(generation) {
   saved_.model.validate();
   const KTensor& model = saved_.model;
   const int modes = model.num_modes();
@@ -39,7 +37,7 @@ ServableModel::ServableModel(SavedModel saved, std::uint64_t generation,
                    model.lambda[static_cast<std::size_t>(c)];
       }
     }
-    fold_in_grams_.push_back(prepare_admm_gram(s, preinvert_));
+    fold_in_grams_.push_back(prepare_admm_gram(s, /*preinvert=*/true));
   }
 }
 
@@ -69,10 +67,10 @@ ServableModelPtr ModelStore::publish(SavedModel saved) {
     std::lock_guard<std::mutex> lock(mu_);
     generation = ++generation_;
   }
-  // Cache construction (Grams + Cholesky + optional inverse) happens outside
-  // the lock: a publish never stalls concurrent get() calls.
-  auto snapshot = std::make_shared<const ServableModel>(
-      std::move(saved), generation, preinvert_);
+  // Cache construction (Grams + Cholesky + inverse) happens outside the
+  // lock: a publish never stalls concurrent get() calls.
+  auto snapshot =
+      std::make_shared<const ServableModel>(std::move(saved), generation);
   {
     std::lock_guard<std::mutex> lock(mu_);
     models_[snapshot->meta().name] = snapshot;

@@ -3,7 +3,7 @@
 // A ServableModel is an *immutable* snapshot of a loaded model plus every
 // cache the serving engines need: per-mode Gram matrices, the lambda-scaled
 // Hadamard-of-Grams system matrix of each mode's fold-in subproblem, and that
-// system's pre-factorized (optionally pre-inverted) AdmmGram. All caches are
+// system's pre-factorized, pre-inverted AdmmGram. All caches are
 // built eagerly at publish time, so a hot-swap is a single shared_ptr
 // exchange: in-flight requests finish against the snapshot they already
 // hold, new requests pick up the fresh snapshot — and because the Gram
@@ -27,12 +27,11 @@ namespace cstf::serve {
 /// from any number of threads concurrently.
 class ServableModel {
  public:
-  /// Validates the model and builds all serving caches. `preinvert` selects
-  /// whether the fold-in AdmmGrams carry the explicit inverse (the paper's
-  /// pre-inversion optimization, amortized here across every fold-in request
-  /// served from this snapshot).
-  ServableModel(SavedModel saved, std::uint64_t generation,
-                bool preinvert = true);
+  /// Validates the model and builds all serving caches. The fold-in
+  /// AdmmGrams carry the explicit inverse (the paper's pre-inversion
+  /// optimization, amortized here across every fold-in request served from
+  /// this snapshot).
+  ServableModel(SavedModel saved, std::uint64_t generation);
 
   const KTensor& model() const { return saved_.model; }
   const ModelMetadata& meta() const { return saved_.meta; }
@@ -45,7 +44,6 @@ class ServableModel {
   int num_modes() const { return saved_.model.num_modes(); }
   index_t rank() const { return saved_.model.rank(); }
   index_t mode_size(int mode) const;
-  bool preinverted() const { return preinvert_; }
 
   /// Gram matrix H_m^T H_m of mode `mode`'s factor (R x R).
   const Matrix& gram(int mode) const;
@@ -56,15 +54,14 @@ class ServableModel {
   /// folded-in row lives on the same scale as the stored factor rows.
   const Matrix& fold_in_system(int mode) const;
 
-  /// The pre-factorized fold-in system: Cholesky of S_m + rho*I, plus the
-  /// explicit inverse when preinverted(). Built once here; reused by every
-  /// fold-in against this snapshot.
+  /// The pre-factorized fold-in system: Cholesky of S_m + rho*I and its
+  /// explicit inverse. Built once here; reused by every fold-in against this
+  /// snapshot.
   const AdmmGram& fold_in_gram(int mode) const;
 
  private:
   SavedModel saved_;
   std::uint64_t generation_;
-  bool preinvert_;
   std::vector<Matrix> grams_;
   std::vector<Matrix> systems_;
   std::vector<AdmmGram> fold_in_grams_;
@@ -77,8 +74,6 @@ using ServableModelPtr = std::shared_ptr<const ServableModel>;
 /// the map exchange, never cache construction or I/O).
 class ModelStore {
  public:
-  explicit ModelStore(bool preinvert = true) : preinvert_(preinvert) {}
-
   /// Builds a snapshot (outside the lock) and swaps it in under the model's
   /// name. Returns the published snapshot.
   ServableModelPtr publish(SavedModel saved);
@@ -99,7 +94,6 @@ class ModelStore {
   std::uint64_t generation() const;
 
  private:
-  bool preinvert_;
   mutable std::mutex mu_;
   std::uint64_t generation_ = 0;
   std::map<std::string, ServableModelPtr> models_;

@@ -11,6 +11,8 @@
 // which is the serving layer's entire performance thesis.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <mutex>
 
 #include "parallel/thread_pool.hpp"
@@ -32,5 +34,15 @@ struct ServeRuntime {
   /// fold-in batch): one submission context, in-order, like a GPU stream.
   std::mutex submit_mu;
 };
+
+/// The exponential backoff doubles at most this many times, so any retry
+/// count gives a finite, defined delay of at most 2^16 base backoffs.
+inline constexpr int kMaxBackoffDoublings = 16;
+
+/// Sleep before retry number `attempt` (0-based) of a serving request:
+/// `base_s` doubled per attempt, capped at kMaxBackoffDoublings doublings.
+inline double retry_backoff_s(double base_s, int attempt) {
+  return std::ldexp(base_s, std::min(attempt, kMaxBackoffDoublings));
+}
 
 }  // namespace cstf::serve

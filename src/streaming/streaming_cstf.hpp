@@ -20,8 +20,6 @@
 #include <vector>
 
 #include "cstf/ktensor.hpp"
-#include "exec/executor.hpp"
-#include "exec/planner.hpp"
 #include "mttkrp/scatter.hpp"
 #include "simgpu/device.hpp"
 #include "tensor/coo.hpp"
@@ -41,12 +39,6 @@ struct StreamingOptions {
   Proximity prox = Proximity::non_negative();
   std::uint64_t seed = 42;
   simgpu::DeviceSpec device = simgpu::a100();
-
-  /// Model the host->device staging of each arriving slice as spans on a
-  /// copy stream, double-buffered against the previous slice's ADMM compute
-  /// (staging of slice t reuses the buffer slice t-2 computed from). Off by
-  /// default: staging is not modeled, matching the pre-stream behavior.
-  bool model_staging = false;
 
   /// Route the per-slice weighted MTTKRP through the scatter engine
   /// (mttkrp/scatter.hpp) instead of the serial reference loop. The engine
@@ -87,16 +79,12 @@ class StreamingCstf {
 
   simgpu::Device& device() { return device_; }
 
-  /// Compiled ingest-plan cache: keyed by (slice nnz, rank, options digest),
-  /// so a same-shape slice reuses the compiled plan and an nnz change
-  /// recompiles — its hit/miss counters back the invalidation tests.
-  const exec::PlanCache& plan_cache() const { return exec_plans_; }
-
  private:
   std::vector<real_t> ingest_impl(const SparseTensor& slice);
-  void ensure_executor(const SparseTensor& slice);
-  exec::PlanKey ingest_plan_key(const SparseTensor& slice) const;
-  exec::Plan compile_ingest_plan(const SparseTensor& slice);
+  /// The slice's weighted MTTKRP for `mode` into `b` (dims[mode] x R),
+  /// recorded as one kernel.
+  void slice_mode_mttkrp(const SparseTensor& slice, int mode,
+                         const Matrix& s_row, Matrix& b);
 
   StreamingOptions options_;
   std::vector<index_t> dims_;
@@ -121,28 +109,6 @@ class StreamingCstf {
   // the accumulators may hold a half-applied slice, so further ingests
   // refuse rather than silently diverge.
   bool poisoned_ = false;
-
-  // Plan op bodies reach the arriving slice and the per-slice temporaries
-  // through `this` plus this workspace; every field is fully overwritten
-  // before it is read, so reuse across slices is safe.
-  struct IngestWorkspace {
-    const SparseTensor* slice = nullptr;
-    Matrix c;      // temporal RHS (1 x R)
-    Matrix s_all;  // Hadamard of all Grams
-    Matrix s_row;  // solved temporal row (1 x R)
-    Matrix ssT;    // s_row^T s_row
-    Matrix b;      // per-mode weighted MTTKRP output
-  };
-  IngestWorkspace ws_;
-
-  exec::PlanCache exec_plans_;
-  std::unique_ptr<exec::Executor> executor_;
-
-  // Staging pipeline state (model_staging): the compute completion events of
-  // the two most recent slices (two staging buffers); the copy lane itself
-  // belongs to the compiled plan's executor.
-  simgpu::Event prev_done_;
-  simgpu::Event prev_prev_done_;
 };
 
 }  // namespace cstf

@@ -1,7 +1,7 @@
 // Execution-graph layer tests: OpGraph/Plan validation and analysis, the
 // Executor's stream/event realization against hand-rolled choreography,
-// plan-cache invalidation across the trainer / streaming / serving paths,
-// and the stability of the persisted options digests.
+// plan-cache invalidation on the trainer path, and the stability of the
+// persisted options digests.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -15,12 +15,8 @@
 #include "exec/executor.hpp"
 #include "exec/op_graph.hpp"
 #include "exec/planner.hpp"
-#include "serve/fold_in.hpp"
 #include "serve/model_io.hpp"
-#include "serve/model_store.hpp"
-#include "serve/runtime.hpp"
 #include "simgpu/device.hpp"
-#include "streaming/streaming_cstf.hpp"
 #include "tensor/coo.hpp"
 
 namespace cstf {
@@ -325,71 +321,6 @@ TEST(PlanCacheTest, AuntfReusesPlanAcrossIterationsAndKeysOnOptions) {
   // Scatter options feed the options digest (they change op-body behavior
   // without touching rank or tensor identity).
   EXPECT_NE(base_key.options_digest, scatter_key.options_digest);
-}
-
-TEST(PlanCacheTest, StreamingRecompilesWhenSliceNnzSetChanges) {
-  StreamingOptions opt;
-  opt.rank = 3;
-  opt.seed = 11;
-  StreamingCstf stream({10, 8}, opt);
-
-  SparseTensor slice_a({10, 8});
-  SparseTensor slice_b({10, 8});
-  SparseTensor slice_wider({10, 8});
-  Rng rng(3);
-  for (index_t i = 0; i < 20; ++i) {
-    const index_t coords[2] = {static_cast<index_t>(rng.uniform_index(10)),
-                               static_cast<index_t>(rng.uniform_index(8))};
-    slice_a.append(coords, 1.0);
-    slice_b.append(coords, 0.5);
-    slice_wider.append(coords, 0.25);
-  }
-  {
-    const index_t extra[2] = {0, 0};
-    slice_wider.append(extra, 1.0);  // different nonzero count
-  }
-
-  stream.ingest(slice_a);
-  EXPECT_EQ(stream.plan_cache().misses(), 1);
-  stream.ingest(slice_b);  // same nnz set size: the compiled plan is reused
-  EXPECT_EQ(stream.plan_cache().misses(), 1);
-  EXPECT_GE(stream.plan_cache().hits(), 1);
-  stream.ingest(slice_wider);  // nnz change: recompile
-  EXPECT_EQ(stream.plan_cache().misses(), 2);
-}
-
-TEST(PlanCacheTest, FoldInRecompilesOnSnapshotOrBatchShapeChange) {
-  Rng rng(5);
-  serve::SavedModel saved;
-  saved.model.factors.emplace_back(9, 3);
-  saved.model.factors.emplace_back(7, 3);
-  saved.model.factors.emplace_back(5, 3);
-  for (Matrix& f : saved.model.factors) f.fill_uniform(rng, 0.1, 1.0);
-  saved.model.lambda = {1.0, 1.0, 1.0};
-  saved.meta.set_constraint(Proximity::non_negative());
-
-  serve::ModelStore store;
-  serve::ServableModelPtr snap1 = store.publish(saved);
-  serve::ServableModelPtr snap2 = store.publish(saved);  // new generation
-
-  simgpu::Device device(simgpu::a100());
-  serve::ServeRuntime runtime(device, global_pool());
-  serve::FoldInEngine engine(runtime);
-
-  serve::FoldInRequest req;
-  req.mode = 0;
-  req.coords = {2, 1};
-  req.values = {0.7};
-
-  engine.fold_in(*snap1, req);
-  EXPECT_EQ(engine.plan_cache().misses(), 1);
-  engine.fold_in(*snap1, req);  // same snapshot + shape: reuse
-  EXPECT_EQ(engine.plan_cache().misses(), 1);
-  EXPECT_GE(engine.plan_cache().hits(), 1);
-  engine.fold_in_batch(*snap1, {req, req});  // batch-shape change
-  EXPECT_EQ(engine.plan_cache().misses(), 2);
-  engine.fold_in(*snap2, req);  // hot-swapped generation
-  EXPECT_EQ(engine.plan_cache().misses(), 3);
 }
 
 // ---------------------------------------------------------------------------

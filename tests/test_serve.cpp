@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "device_program.hpp"
 #include "la/blas.hpp"
 #include "la/elementwise.hpp"
 #include "parallel/thread_pool.hpp"
@@ -225,7 +226,6 @@ TEST(ServableModel, CachesMatchDirectComputation) {
       EXPECT_DOUBLE_EQ(snapshot.fold_in_system(0)(r, c), expected(r, c));
     }
   }
-  EXPECT_TRUE(snapshot.preinverted());
   EXPECT_TRUE(snapshot.fold_in_gram(0).preinverted());
   EXPECT_GT(snapshot.fold_in_gram(0).rho, 0.0);
 }
@@ -380,7 +380,6 @@ TEST(FoldIn, RowIsFeasibleAndMatchesFromScratchSolve) {
   }
   AdmmOptions admm_options;
   admm_options.prox = saved.meta.prox();
-  admm_options.inner_iterations = engine.options().inner_iterations;
   admm_options.tolerance = 0.0;
   AdmmUpdate admm(admm_options);
   simgpu::Device scratch_device(simgpu::a100());
@@ -467,6 +466,59 @@ TEST(FoldIn, RejectsMalformedRequests) {
   FoldInRequest mixed_a = make_request(snapshot, 0, 3);
   FoldInRequest mixed_b = make_request(snapshot, 1, 4);
   EXPECT_THROW(engine.fold_in_batch(snapshot, {mixed_a, mixed_b}), Error);
+}
+
+// The device program of one fused fold-in of two rows on mode 1 of the
+// rank-3 test model: the right-hand-side gather, then (per-request path
+// only) the Gram factorization, then ten cuADMM rounds on 2 x 3 rows.
+std::vector<FoldInRequest> program_requests(const ServableModel& snapshot) {
+  return {make_request(snapshot, 1, 23), make_request(snapshot, 1, 24)};
+}
+
+const golden::ExpectedSpan kFoldInRhs = {
+    "serve_foldin_rhs", {.flops = 108, .bytes_streamed = 264,
+                         .bytes_random = 432, .parallel_items = 2,
+                         .launches = 1}};
+
+const golden::AdmmRoundStats kFoldInRound = {
+    .auxiliary = {.flops = 18, .bytes_streamed = 192, .parallel_items = 6,
+                  .launches = 1},
+    .gemm = {.flops = 36, .bytes_streamed = 120, .bytes_reused = 48,
+             .working_set_bytes = 48, .parallel_items = 6, .launches = 1},
+    .proximity = {.flops = 24, .bytes_streamed = 192, .parallel_items = 6,
+                  .launches = 1},
+    .dual = {.flops = 48, .bytes_streamed = 192, .parallel_items = 6,
+             .launches = 1}};
+
+TEST(FoldInProgram, CachedGramPathIssuesRhsThenTenAdmmRounds) {
+  const ServableModel snapshot(make_saved_model(), 1);
+  simgpu::Device device(simgpu::a100());
+  ServeRuntime runtime(device, global_pool());
+  FoldInEngine engine(runtime);
+  engine.fold_in_batch(snapshot, program_requests(snapshot));
+
+  std::vector<golden::ExpectedSpan> program = {kFoldInRhs};
+  golden::append_admm_rounds(program, kFoldInRound, 10);
+  golden::expect_device_program(device, program);
+}
+
+TEST(FoldInProgram, PerRequestPathFactorsTheGramBeforeTheAdmmRounds) {
+  const ServableModel snapshot(make_saved_model(), 1);
+  simgpu::Device device(simgpu::a100());
+  ServeRuntime runtime(device, global_pool());
+  FoldInOptions options;
+  options.use_cached_gram = false;
+  FoldInEngine engine(runtime, options);
+  engine.fold_in_batch(snapshot, program_requests(snapshot));
+
+  std::vector<golden::ExpectedSpan> program = {
+      kFoldInRhs,
+      {"dpotrf", {.flops = 9, .bytes_streamed = 144, .serial_depth = 9,
+                  .parallel_items = 3, .launches = 1}},
+      {"dpotri", {.flops = 54, .bytes_streamed = 144, .serial_depth = 18,
+                  .parallel_items = 3, .launches = 1}}};
+  golden::append_admm_rounds(program, kFoldInRound, 10);
+  golden::expect_device_program(device, program);
 }
 
 TEST(FoldInBatcher, ManualFlushIsDeterministic) {
@@ -636,6 +688,42 @@ TEST(FoldInBatcher, TransientFaultIsRetriedInvisibly) {
   EXPECT_EQ(rel.retries, 1);
   EXPECT_EQ(rel.failed, 0);
   EXPECT_EQ(rel.served, 2);
+}
+
+TEST(FoldInBatcher, RetryBackoffStaysDefinedPastThirtyOneRetries) {
+  // Every launch faults, so the request exhausts all 40 retries; the
+  // backoff of attempts 31..39 must stay a finite, capped sleep.
+  ModelStore store;
+  store.publish(make_saved_model());
+  simgpu::Device device(simgpu::a100());
+  simgpu::FaultPlan plan("launch:p=1");
+  device.set_fault_plan(&plan);
+  ServeRuntime runtime(device, global_pool());
+  FoldInEngine engine(runtime);
+  FoldInBatcher::Options options;
+  options.background = false;
+  options.max_retries = 40;
+  options.retry_backoff_s = 1e-12;
+  options.degraded_fallback = false;
+  FoldInBatcher batcher(engine, store, "test-model", options);
+
+  std::future<FoldInResult> doomed =
+      batcher.submit(make_request(*store.get("test-model"), 0, 1));
+  EXPECT_EQ(batcher.flush(), 0u);
+  EXPECT_THROW(doomed.get(), simgpu::FaultError);
+  const ReliabilitySnapshot rel = batcher.reliability().snapshot();
+  EXPECT_EQ(rel.retries, 40);
+  EXPECT_EQ(rel.failed, 1);
+}
+
+TEST(RetryBackoff, DoublesPerAttemptUpToTheCap) {
+  EXPECT_EQ(retry_backoff_s(0.5, 0), 0.5);
+  EXPECT_EQ(retry_backoff_s(0.5, 3), 4.0);
+  const double capped = retry_backoff_s(1.0, kMaxBackoffDoublings);
+  EXPECT_EQ(capped, 65536.0);
+  EXPECT_EQ(retry_backoff_s(1.0, 31), capped);
+  EXPECT_EQ(retry_backoff_s(1.0, 40), capped);
+  EXPECT_EQ(retry_backoff_s(0.0, 40), 0.0);
 }
 
 TEST(FoldInBatcher, FatalFaultIsolatesRequestsInsteadOfFailingBatch) {

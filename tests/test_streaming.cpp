@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "cstf/metrics.hpp"
+#include "device_program.hpp"
 #include "parallel/parallel_for.hpp"
 #include "simgpu/fault.hpp"
 #include "streaming/streaming_cstf.hpp"
@@ -73,33 +74,6 @@ TEST(Streaming, FactorsStayNonNegative) {
   }
   const Matrix t = stream.temporal();
   EXPECT_TRUE(Proximity::non_negative().is_feasible(t, 1e-9));
-}
-
-TEST(Streaming, ModelStagingIsBitIdenticalAndOverlapBounded) {
-  // model_staging only adds copy-stream spans to the time model: the
-  // factorization itself is unchanged, and the double-buffered makespan
-  // never exceeds the serial copy-then-compute sum.
-  StreamScenario scenario = make_scenario(14, 11, 6, 2, 8);
-  StreamingOptions opt;
-  opt.rank = 3;
-  StreamingCstf plain({14, 11}, opt);
-  opt.model_staging = true;
-  StreamingCstf staged({14, 11}, opt);
-  for (const auto& slice : scenario.slices) {
-    const auto a = plain.ingest(slice);
-    const auto b = staged.ingest(slice);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t r = 0; r < a.size(); ++r) EXPECT_DOUBLE_EQ(a[r], b[r]);
-  }
-  for (std::size_t m = 0; m < plain.factors().size(); ++m) {
-    EXPECT_DOUBLE_EQ(max_abs_diff(plain.factors()[m], staged.factors()[m]),
-                     0.0);
-  }
-  EXPECT_FALSE(plain.device().timeline().concurrent());
-  EXPECT_TRUE(staged.device().timeline().concurrent());
-  EXPECT_GT(staged.device().per_kernel().count("stream_stage_slice"), 0u);
-  EXPECT_LE(staged.device().modeled_time_s(),
-            staged.device().serial_modeled_time_s() * (1.0 + 1e-9));
 }
 
 TEST(Streaming, ConvergesToGoodFitOnStationaryData) {
@@ -265,6 +239,75 @@ TEST(Streaming, ScatterEngineIsBitIdenticalToReferenceAcrossChangingSlices) {
     ASSERT_GT(slice.nnz(), kParallelGrainDefault);
   }
   expect_engine_matches_reference(300, 200, large);
+}
+
+TEST(StreamingProgram, EachSliceProjectsSolvesTimeThenUpdatesEveryMode) {
+  // Two rank-2 slices of a 4 x 3 stream. Per slice: the temporal projection,
+  // the temporal row's converged ADMM solve (tolerance-driven, so its round
+  // count is part of the program), then per mode the weighted slice MTTKRP
+  // and a ten-round factor update — all on the default stream.
+  StreamingOptions opt;
+  opt.rank = 2;
+  StreamingCstf stream({4, 3}, opt);
+  const std::vector<SparseTensor> slices = random_slices(4, 3, {5, 8}, 31);
+  ASSERT_EQ(slices[0].nnz(), 4);
+  ASSERT_EQ(slices[1].nnz(), 5);
+  for (const SparseTensor& slice : slices) stream.ingest(slice);
+
+  const golden::AdmmRoundStats round_1x2 = {
+      .auxiliary = {.flops = 6, .bytes_streamed = 64, .parallel_items = 2,
+                    .launches = 1},
+      .gemm = {.flops = 8, .bytes_streamed = 48, .bytes_reused = 16,
+               .working_set_bytes = 16, .parallel_items = 2, .launches = 1},
+      .proximity = {.flops = 8, .bytes_streamed = 64, .parallel_items = 2,
+                    .launches = 1},
+      .dual = {.flops = 16, .bytes_streamed = 64, .parallel_items = 2,
+               .launches = 1}};
+  const golden::AdmmRoundStats round_4x2 = {
+      .auxiliary = {.flops = 24, .bytes_streamed = 256, .parallel_items = 8,
+                    .launches = 1},
+      .gemm = {.flops = 32, .bytes_streamed = 128, .bytes_reused = 32,
+               .working_set_bytes = 32, .parallel_items = 8, .launches = 1},
+      .proximity = {.flops = 32, .bytes_streamed = 256, .parallel_items = 8,
+                    .launches = 1},
+      .dual = {.flops = 64, .bytes_streamed = 256, .parallel_items = 8,
+               .launches = 1}};
+  const golden::AdmmRoundStats round_3x2 = {
+      .auxiliary = {.flops = 18, .bytes_streamed = 192, .parallel_items = 6,
+                    .launches = 1},
+      .gemm = {.flops = 24, .bytes_streamed = 96, .bytes_reused = 32,
+               .working_set_bytes = 32, .parallel_items = 6, .launches = 1},
+      .proximity = {.flops = 24, .bytes_streamed = 192, .parallel_items = 6,
+                    .launches = 1},
+      .dual = {.flops = 48, .bytes_streamed = 192, .parallel_items = 6,
+               .launches = 1}};
+  const golden::ExpectedSpan factor = {
+      "dpotrf", {.flops = 8.0 / 3.0, .bytes_streamed = 64, .serial_depth = 4,
+                 .parallel_items = 2, .launches = 1}};
+  const golden::ExpectedSpan invert = {
+      "dpotri", {.flops = 16, .bytes_streamed = 64, .serial_depth = 8,
+                 .parallel_items = 2, .launches = 1}};
+
+  std::vector<golden::ExpectedSpan> program;
+  const auto append_slice = [&](double nnz, int temporal_rounds) {
+    program.push_back({"stream_slice_project",
+                       {.flops = 6 * nnz, .bytes_streamed = 24 * nnz,
+                        .bytes_random = 32 * nnz, .parallel_items = nnz}});
+    program.push_back(factor);
+    program.push_back(invert);
+    golden::append_admm_rounds(program, round_1x2, temporal_rounds);
+    for (const golden::AdmmRoundStats& round : {round_4x2, round_3x2}) {
+      program.push_back({"stream_slice_mttkrp",
+                         {.flops = 8 * nnz, .bytes_streamed = 8 * nnz,
+                          .bytes_random = 48 * nnz, .parallel_items = nnz}});
+      program.push_back(factor);
+      program.push_back(invert);
+      golden::append_admm_rounds(program, round, 10);
+    }
+  };
+  append_slice(4, 22);
+  append_slice(5, 64);
+  golden::expect_device_program(stream.device(), program);
 }
 
 TEST(Streaming, IngestFaultPoisonsTheStream) {

@@ -29,8 +29,10 @@
 // Reliability options (chaos testing, see DESIGN.md §11):
 //   --fault-plan S   inject faults into the serving device, e.g.
 //                    "launch:p=0.01,seed=7" (defaults to $CSTF_FAULT_PLAN)
-//   --retries N      transient-fault retries per query / fused fold-in (10)
-//   --backoff S      base retry backoff, doubled per attempt (0.0002)
+//   --retries N      transient-fault retries per query / fused fold-in,
+//                    at most 2147483647 (10)
+//   --backoff S      base retry backoff, doubled per attempt up to 2^16x
+//                    (0.0002)
 //   --deadline S     per-request fold-in deadline; 0 = none (0)
 //   --max-queue N    fold-in admission-queue bound; beyond it requests are
 //                    shed, not queued (1024)
@@ -58,6 +60,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -111,16 +114,20 @@ simgpu::DeviceSpec parse_device(const std::string& spec) {
 // --dimtree-budget): the whole token must parse and land in range; trailing
 // garbage, overflow, and out-of-range values are rejected instead of
 // silently truncating to 0 the way atoi would.
-long long parse_count_flag(const std::string& arg, const std::string& spec,
-                           long long min_value) {
+long long parse_count_flag(
+    const std::string& arg, const std::string& spec, long long min_value,
+    long long max_value = std::numeric_limits<long long>::max()) {
   char* end = nullptr;
   errno = 0;
   const long long v = std::strtoll(spec.c_str(), &end, 10);
   if (end == spec.c_str() || *end != '\0' || errno == ERANGE ||
-      v < min_value) {
-    usage((arg + " must be an integer >= " + std::to_string(min_value) +
-           ", got: " + spec)
-              .c_str());
+      v < min_value || v > max_value) {
+    const std::string range =
+        max_value == std::numeric_limits<long long>::max()
+            ? ">= " + std::to_string(min_value)
+            : "in [" + std::to_string(min_value) + ", " +
+                  std::to_string(max_value) + "]";
+    usage((arg + " must be an integer " + range + ", got: " + spec).c_str());
   }
   return v;
 }
@@ -239,7 +246,8 @@ int main(int argc, char** argv) {
     else if (arg == "--device") device_spec = parse_device(value());
     else if (arg == "--fault-plan") { fault_spec = value(); fault_spec_given = true; }
     else if (arg == "--retries") {
-      retries = static_cast<int>(parse_count_flag(arg, value(), 0));
+      retries = static_cast<int>(parse_count_flag(
+          arg, value(), 0, std::numeric_limits<int>::max()));
     }
     else if (arg == "--backoff") backoff_s = parse_seconds_flag(arg, value());
     else if (arg == "--deadline") deadline_s = parse_seconds_flag(arg, value());
@@ -397,7 +405,7 @@ int main(int argc, char** argv) {
               query_retries.fetch_add(1, std::memory_order_relaxed);
               if (backoff_s > 0.0) {
                 std::this_thread::sleep_for(std::chrono::duration<double>(
-                    backoff_s * static_cast<double>(1 << attempt)));
+                    serve::retry_backoff_s(backoff_s, attempt)));
               }
             }
           }
