@@ -17,14 +17,15 @@
 // The third section times the two MTTKRP engines (DESIGN.md §13) head to
 // head on a 4-way short-mode fixture: the flat per-mode BLCO kernels against
 // the dimension-tree reuse engine, one full AO iteration's MTTKRPs (all
-// modes) per measurement. Order 4 is where the chain's reuse has room to pay
-// (~9 vs 12 per-nonzero multiplies); the fixture's short modes keep the
-// factor gathers cache-resident so the flop saving shows up in host time.
+// modes) per measurement, the two alternating within each repeat. Order 4
+// is where the chain's reuse has room to pay (~9 vs 12 per-nonzero
+// multiplies); the fixture's short modes keep the factor gathers
+// cache-resident so the flop saving shows up in host time.
 //
 // The fourth section pits the autotuner against the cost model (DESIGN.md
 // §14): run_tuning_trials picks a configuration for a 3-way fixture, and one
 // full AO iteration's MTTKRPs are timed under the tuned and the model-picked
-// configurations head to head.
+// configurations head to head, alternating within each repeat.
 //
 // The fifth section times one ADMM factor update (10 inner iterations,
 // non-negative, 2^17 x 32): cuADMM — operation fusion and pre-inversion,
@@ -212,9 +213,31 @@ bool run_scatter_section(int repeats) {
   return ok;
 }
 
+/// One timed measurement of the engine and autotune sections: a full AO
+/// iteration's MTTKRP sequence (all modes) through `backend`, each output
+/// checked against its mttkrp_ref result before the time is trusted. For a
+/// dimension-tree backend the lazy chain folds run inside the mode-n calls,
+/// so their cost is charged — this is the steady-state per-iteration work,
+/// not a warm-cache shortcut.
+double time_iteration_mttkrps(const BlcoBackend& backend, simgpu::Device& dev,
+                              const std::vector<Matrix>& factors,
+                              const std::vector<Matrix>& refs) {
+  double total = 0.0;
+  for (std::size_t m = 0; m < factors.size(); ++m) {
+    Matrix out(refs[m].rows(), refs[m].cols());
+    const double t0 = now_s();
+    backend.mttkrp(dev, factors, static_cast<int>(m), out);
+    total += now_s() - t0;
+    CSTF_CHECK_MSG(max_abs_diff(refs[m], out) <=
+                       1e-6 * static_cast<real_t>(out.cols()),
+                   "mttkrp disagrees with mttkrp_ref on mode " << m);
+  }
+  return total;
+}
+
 /// Times one full AO iteration's MTTKRPs (all modes, best of N) through a
-/// BLCO backend, flat vs dimension-tree. Every mode's output is checked
-/// against mttkrp_ref before a time is trusted. Returns false when the
+/// BLCO backend, flat vs dimension-tree, the two alternating within each
+/// repeat so host speed drift lands on both alike. Returns false when the
 /// smoke gate fails (dimtree slower than flat).
 bool run_dimtree_section(int repeats) {
   const index_t rank = 32;
@@ -235,35 +258,19 @@ bool run_dimtree_section(int repeats) {
     mttkrp_ref(x, factors, m, refs.back());
   }
 
-  // One timed measurement = the full iteration's MTTKRP sequence. For the
-  // tree backend the lazy chain folds run inside the mode-n calls, so their
-  // cost is charged — this is the steady-state per-iteration work, not a
-  // warm-cache shortcut.
-  auto best_of = [&](const BlcoBackend& backend) {
-    simgpu::Device dev(simgpu::a100());
-    double best = 1e30;
-    for (int rep = 0; rep < repeats; ++rep) {
-      double total = 0.0;
-      for (int m = 0; m < x.num_modes(); ++m) {
-        Matrix out(x.dim(m), rank);
-        const double t0 = now_s();
-        backend.mttkrp(dev, factors, m, out);
-        total += now_s() - t0;
-        CSTF_CHECK_MSG(
-            max_abs_diff(refs[static_cast<std::size_t>(m)], out) <=
-                1e-6 * static_cast<real_t>(rank),
-            "mttkrp engine disagrees with mttkrp_ref on mode " << m);
-      }
-      best = std::min(best, total);
-    }
-    return best;
-  };
-
   BlcoBackend flat(x);
   BlcoBackend tree(x);
   tree.enable_dimtree(x, rank);
-  const double flat_s = best_of(flat);
-  const double tree_s = best_of(tree);
+  simgpu::Device flat_dev(simgpu::a100());
+  simgpu::Device tree_dev(simgpu::a100());
+  double flat_s = 1e30;
+  double tree_s = 1e30;
+  for (int rep = 0; rep < repeats; ++rep) {
+    flat_s = std::min(flat_s,
+                      time_iteration_mttkrps(flat, flat_dev, factors, refs));
+    tree_s = std::min(tree_s,
+                      time_iteration_mttkrps(tree, tree_dev, factors, refs));
+  }
 
   std::printf(
       "\n=== MTTKRP engine wall time, best of %d (4-way %lldx%lldx%lldx%lld, "
@@ -297,7 +304,8 @@ bool run_dimtree_section(int repeats) {
 }
 
 /// Times one AO iteration's MTTKRPs (all modes, best of N) under the cost
-/// model's configuration and under the autotuned one. The autotuner defers
+/// model's configuration and under the autotuned one, the two alternating
+/// within each repeat. The autotuner defers
 /// to the model whenever the measured win is inside its tie-break tolerance,
 /// so the tuned configuration losing by more than 5% means the trial harness
 /// stopped reflecting the real kernels — that is the gate.
@@ -328,26 +336,6 @@ bool run_autotune_section(int repeats) {
     mttkrp_ref(x, factors, m, refs.back());
   }
 
-  auto best_of = [&](const BlcoBackend& backend) {
-    simgpu::Device dev(simgpu::a100());
-    double best = 1e30;
-    for (int rep = 0; rep < repeats; ++rep) {
-      double total = 0.0;
-      for (int m = 0; m < x.num_modes(); ++m) {
-        Matrix out(x.dim(m), rank);
-        const double t0 = now_s();
-        backend.mttkrp(dev, factors, m, out);
-        total += now_s() - t0;
-        CSTF_CHECK_MSG(
-            max_abs_diff(refs[static_cast<std::size_t>(m)], out) <=
-                1e-6 * static_cast<real_t>(rank),
-            "tuned mttkrp disagrees with mttkrp_ref on mode " << m);
-      }
-      best = std::min(best, total);
-    }
-    return best;
-  };
-
   // Model side: the exact configuration a kModel run would use, kAuto engine
   // resolution included.
   BlcoBackend model_backend(x);
@@ -357,9 +345,9 @@ bool run_autotune_section(int repeats) {
   if (model_mode == MttkrpMode::kDimtree) {
     model_backend.enable_dimtree(x, rank);
   }
-  const double model_s = best_of(model_backend);
 
-  // Tuned side: the record's per-mode scatter picks, engine, and chunk knob.
+  // Tuned side: the record's per-mode scatter picks, engine, and chunk knob
+  // (set for the tuned measurement only).
   ScatterOptions tuned_scatter;
   tuned_scatter.per_mode = rec.scatter_per_mode;
   BlcoBackend tuned_backend(x, 4096, tuned_scatter);
@@ -367,11 +355,22 @@ bool run_autotune_section(int repeats) {
     tuned_backend.enable_dimtree(x, rank, rec.dimtree_budget_bytes);
   }
   const index_t saved_chunks = parallel_chunks_per_worker();
-  if (rec.chunks_per_worker > 0) {
-    set_parallel_chunks_per_worker(static_cast<index_t>(rec.chunks_per_worker));
+
+  simgpu::Device model_dev(simgpu::a100());
+  simgpu::Device tuned_dev(simgpu::a100());
+  double model_s = 1e30;
+  double tuned_s = 1e30;
+  for (int rep = 0; rep < repeats; ++rep) {
+    model_s = std::min(model_s, time_iteration_mttkrps(
+                                    model_backend, model_dev, factors, refs));
+    if (rec.chunks_per_worker > 0) {
+      set_parallel_chunks_per_worker(
+          static_cast<index_t>(rec.chunks_per_worker));
+    }
+    tuned_s = std::min(tuned_s, time_iteration_mttkrps(
+                                    tuned_backend, tuned_dev, factors, refs));
+    set_parallel_chunks_per_worker(saved_chunks);
   }
-  const double tuned_s = best_of(tuned_backend);
-  set_parallel_chunks_per_worker(saved_chunks);
 
   std::printf(
       "\n=== Autotuned vs model-picked MTTKRP config, best of %d "

@@ -36,12 +36,13 @@
 # Knobs (env vars): CSTF_CHECK_SKIP_SANITIZE=1 skips the second pass (useful
 # on toolchains without sanitizer runtimes), CSTF_CHECK_SKIP_PERF=1,
 # CSTF_CHECK_TSAN=1 adds a ThreadSanitizer pass (-DCSTF_TSAN=ON) over the
-# exec-, dimtree-, autotune-, metrics-, updates- and serve-labeled ctest
-# groups (the executor/plan-cache layer the trainer and multi-GPU schedules
-# submit through, the dimension-tree engine's parallel chain derives, the
-# metrics registry's lock-free counter hot path, the row-tiled ADMM pass's
-# per-worker buffers and per-tile partials, and the fold-in batcher's
-# collector, submit and stop threads), CSTF_THREADS.
+# exec-, mttkrp-, dimtree-, autotune-, metrics-, updates- and serve-labeled
+# ctest groups (the executor/plan-cache layer the trainer and multi-GPU
+# schedules submit through, the MTTKRP kernels' pooled private tiles and
+# parallel transposes, the dimension-tree engine's parallel chain derives,
+# the metrics registry's lock-free counter hot path, the row-tiled ADMM
+# pass's per-worker buffers and per-tile partials, and the fold-in
+# batcher's collector, submit and stop threads), CSTF_THREADS.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -110,11 +111,14 @@ else
 fi
 
 if [ "${CSTF_CHECK_TSAN:-0}" = "1" ]; then
-  echo "=== TSan pass: exec-, dimtree-, autotune-, metrics-, updates- and serve-labeled suites under ThreadSanitizer"
+  echo "=== TSan pass: exec-, mttkrp-, dimtree-, autotune-, metrics-, updates- and serve-labeled suites under ThreadSanitizer"
   # TSan and ASan cannot share a binary (the configure step enforces the
   # exclusivity), so this is its own build tree. The exec group covers the
   # executor, plan caches, and the trainer and multi-GPU schedules that
   # submit through them — the layer where stream/event races would live.
+  # The mttkrp group rides along: the privatized and streamed kernels lease
+  # pooled private tiles, fill them from concurrent launch blocks and
+  # transpose the reduced tile into the output in parallel.
   # The dimtree group rides along: the chain derives scatter through the
   # same parallel accumulation engine, and its lazy extends must be race-
   # free against the plan's explicit extend ops.
@@ -133,7 +137,7 @@ if [ "${CSTF_CHECK_TSAN:-0}" = "1" ]; then
   cmake --build build-tsan -j
   TSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir build-tsan \
-    -L 'exec|dimtree|autotune|metrics|updates|serve' --output-on-failure
+    -L 'exec|mttkrp|dimtree|autotune|metrics|updates|serve' --output-on-failure
 fi
 
 if [ "${CSTF_CHECK_SKIP_SANITIZE:-0}" = "1" ]; then

@@ -30,19 +30,4 @@ void BitWriter::push(std::uint64_t value) {
   ++count_;
 }
 
-std::uint64_t BitReader::get(std::size_t index) const {
-  const std::size_t bit = index * static_cast<std::size_t>(width_);
-  const std::size_t word = bit >> 6;
-  const int offset = static_cast<int>(bit & 63);
-  std::uint64_t value = words_[word] >> offset;
-  const int spill = offset + width_ - 64;
-  if (spill > 0) {
-    value |= words_[word + 1] << (width_ - spill);
-  }
-  if (width_ < 64) {
-    value &= (std::uint64_t{1} << width_) - 1;
-  }
-  return value;
-}
-
 }  // namespace cstf

@@ -18,6 +18,8 @@ BlcoTensor::BlcoTensor(const SparseTensor& coo, index_t block_capacity,
   values_ = alto.values();
   const index_t n = static_cast<index_t>(lcos.size());
 
+  // Every block except the last holds exactly block_capacity_ nonzeros:
+  // block_of() relies on it.
   for (index_t start = 0; start < n; start += block_capacity_) {
     const index_t end = std::min<index_t>(start + block_capacity_, n);
     BlcoBlock blk;
@@ -25,7 +27,8 @@ BlcoTensor::BlcoTensor(const SparseTensor& coo, index_t block_capacity,
     blk.count = end - start;
     blk.value_offset = start;
     const lco_t span = lcos[static_cast<std::size_t>(end - 1)] - blk.base;
-    blk.delta_bits = bits_for(span + 1);
+    // span + 1 wraps to 0 when the block spans the whole 64-bit range.
+    blk.delta_bits = span == ~lco_t{0} ? 64 : bits_for(span + 1);
     BitWriter writer(blk.delta_bits);
     for (index_t i = start; i < end; ++i) {
       writer.push(lcos[static_cast<std::size_t>(i)] - blk.base);

@@ -44,6 +44,11 @@ class BlcoTensor {
   const BlcoBlock& block(index_t b) const {
     return blocks_[static_cast<std::size_t>(b)];
   }
+
+  /// Block holding nonzero `i` (0 <= i < nnz()). Every block but the last
+  /// holds exactly block_capacity() nonzeros, so this is one division.
+  index_t block_of(index_t i) const { return i / block_capacity_; }
+
   const std::vector<real_t>& values() const { return values_; }
 
   /// Reconstructs the linearized coordinate of element `i` within block `b`.

@@ -55,6 +55,39 @@ LinearizedEncoding::LinearizedEncoding(const std::vector<index_t>& dims,
       }
     }
   }
+
+  // Fields word: mode 0's bits lowest, each mode's bits end to end in
+  // coordinate order. field_bit[p] is where lco bit p lands.
+  field_shift_.resize(static_cast<std::size_t>(modes));
+  field_mask_.resize(static_cast<std::size_t>(modes));
+  std::vector<int> field_bit(static_cast<std::size_t>(total_bits_), 0);
+  int shift = 0;
+  for (int m = 0; m < modes; ++m) {
+    const auto mi = static_cast<std::size_t>(m);
+    field_shift_[mi] = shift;
+    // A lone mode may take all 64 bits; shifting by 64 is undefined.
+    field_mask_[mi] =
+        bits_[mi] >= 64 ? ~lco_t{0} : (lco_t{1} << bits_[mi]) - 1;
+    for (int b = 0; b < bits_[mi]; ++b) {
+      field_bit[static_cast<std::size_t>(
+          positions_[mi][static_cast<std::size_t>(b)])] = shift + b;
+    }
+    shift += bits_[mi];
+  }
+  table_count_ = (total_bits_ + 7) / 8;
+  byte_tables_.assign(static_cast<std::size_t>(table_count_) * 256, 0);
+  for (int k = 0; k < table_count_; ++k) {
+    for (unsigned v = 0; v < 256; ++v) {
+      lco_t word = 0;
+      for (int j = 0; j < 8; ++j) {
+        const int p = 8 * k + j;
+        if (p < total_bits_ && ((v >> j) & 1u)) {
+          word |= lco_t{1} << field_bit[static_cast<std::size_t>(p)];
+        }
+      }
+      byte_tables_[static_cast<std::size_t>(k) * 256 + v] = word;
+    }
+  }
 }
 
 lco_t LinearizedEncoding::encode(const index_t* coords) const {
@@ -67,20 +100,6 @@ lco_t LinearizedEncoding::encode(const index_t* coords) const {
     }
   }
   return lco;
-}
-
-index_t LinearizedEncoding::decode(lco_t lco, int mode) const {
-  const auto mi = static_cast<std::size_t>(mode);
-  lco_t c = 0;
-  for (int b = 0; b < bits_[mi]; ++b) {
-    c |= ((lco >> positions_[mi][static_cast<std::size_t>(b)]) & 1u)
-         << b;
-  }
-  return static_cast<index_t>(c);
-}
-
-void LinearizedEncoding::decode_all(lco_t lco, index_t* coords) const {
-  for (int m = 0; m < num_modes(); ++m) coords[m] = decode(lco, m);
 }
 
 }  // namespace cstf

@@ -51,12 +51,32 @@ class LinearizedEncoding {
   lco_t encode(const index_t* coords) const;
 
   /// Extracts one mode's coordinate from a linearized value.
-  index_t decode(lco_t lco, int mode) const;
+  index_t decode(lco_t lco, int mode) const { return field(gather(lco), mode); }
 
   /// Extracts all coordinates (coords must hold num_modes() entries).
-  void decode_all(lco_t lco, index_t* coords) const;
+  void decode_all(lco_t lco, index_t* coords) const {
+    const lco_t fields = gather(lco);
+    for (int m = 0; m < num_modes(); ++m) coords[m] = field(fields, m);
+  }
 
  private:
+  // Moves every mode's bits to its field of one word, mode m's coordinate
+  // occupying field_shift_[m] upward: the OR of one table lookup per byte of
+  // the lco (at most 8).
+  lco_t gather(lco_t lco) const {
+    lco_t fields = 0;
+    const lco_t* table = byte_tables_.data();
+    for (int k = 0; k < table_count_; ++k, table += 256) {
+      fields |= table[(lco >> (8 * k)) & 0xFFu];
+    }
+    return fields;
+  }
+
+  index_t field(lco_t fields, int mode) const {
+    const auto mi = static_cast<std::size_t>(mode);
+    return static_cast<index_t>((fields >> field_shift_[mi]) & field_mask_[mi]);
+  }
+
   std::vector<index_t> dims_;
   BitOrder order_;
   std::vector<int> bits_;
@@ -64,6 +84,13 @@ class LinearizedEncoding {
   // Flat position table: positions_[mode][bit] = bit position within the lco.
   std::vector<std::vector<int>> positions_;
   int total_bits_ = 0;
+  // Decode tables: ceil(total_bits / 8) tables of 256 words; entry v of
+  // table k holds the bits of byte value v at lco byte k, each moved to its
+  // place in the fields word (at most 16 KiB per encoding).
+  int table_count_ = 0;
+  std::vector<lco_t> byte_tables_;
+  std::vector<int> field_shift_;
+  std::vector<lco_t> field_mask_;
 };
 
 }  // namespace cstf

@@ -95,30 +95,28 @@ index_t range_nnz(const BlcoTensor& blco, index_t block_lo, index_t block_hi) {
 
 // Privatized kernel over the block range [block_lo, block_hi): a grid of
 // `tiles` launch blocks, tile t accumulating its fixed contiguous sub-range
-// into a private output tile (tile 0 is `out` itself), followed by a reduce
-// launch that adds the tiles into `out` with the fixed pairwise tree. `out`
-// keeps what it held before, so consecutive ranges accumulate. Bit-
-// deterministic regardless of which worker runs which tile.
+// into a private row-major output tile, followed by a reduce launch that
+// adds the tiles with the fixed pairwise tree and transposes the sum into
+// `out`. Tile 0 starts as a copy of `out`, so consecutive ranges
+// accumulate. Bit-deterministic regardless of which worker runs which tile.
 void launch_blco_priv(simgpu::Device& dev, const char* name,
                       const BlcoTensor& blco,
                       const std::vector<Matrix>& factors, int mode,
                       Matrix& out, index_t block_lo, index_t block_hi,
                       simgpu::KernelStats stats) {
   const index_t rank = factors[0].cols();
-  const index_t mode_len = out.rows();
   const index_t num_blocks = block_hi - block_lo;
   const index_t tiles = std::min(
       privatized_tile_count(range_nnz(blco, block_lo, block_hi)), num_blocks);
-  const auto len = static_cast<std::size_t>(mode_len * rank);
+  const auto len = static_cast<std::size_t>(out.size());
   const double tile_bytes = static_cast<double>(len) * simgpu::kWord;
 
-  ScratchPool::Lease lease = ScratchPool::global().acquire(
-      static_cast<std::size_t>(tiles - 1), len);
+  ScratchPool::Lease lease =
+      ScratchPool::global().acquire(static_cast<std::size_t>(tiles), len);
   std::vector<real_t*> tile(static_cast<std::size_t>(tiles));
-  tile[0] = out.data();
-  for (index_t t = 1; t < tiles; ++t) {
+  for (index_t t = 0; t < tiles; ++t) {
     tile[static_cast<std::size_t>(t)] =
-        lease.tile(static_cast<std::size_t>(t - 1));
+        lease.tile(static_cast<std::size_t>(t));
   }
   const index_t per_tile = (num_blocks + tiles - 1) / tiles;
 
@@ -128,7 +126,11 @@ void launch_blco_priv(simgpu::Device& dev, const char* name,
   simgpu::launch(dev, name, cfg, stats, [&](const simgpu::KernelCtx& ctx) {
     const index_t t = ctx.block_idx;
     real_t* dst = tile[static_cast<std::size_t>(t)];
-    if (t > 0) std::fill_n(dst, len, real_t{0});
+    if (t == 0) {
+      copy_to_row_major(out, dst);
+    } else {
+      std::fill_n(dst, len, real_t{0});
+    }
     real_t* row = krp_row_scratch(rank);
     const index_t b_lo = block_lo + t * per_tile;
     const index_t b_hi = std::min<index_t>(b_lo + per_tile, block_hi);
@@ -138,15 +140,15 @@ void launch_blco_priv(simgpu::Device& dev, const char* name,
       for (index_t i = 0; i < blk.count; ++i) {
         const index_t out_row =
             blco_krp_row(blco, blk, deltas, i, factors, mode, rank, row);
-        for (index_t r = 0; r < rank; ++r) {
-          dst[static_cast<std::size_t>(r * mode_len + out_row)] += row[r];
-        }
+        real_t* dst_row = dst + static_cast<std::size_t>(out_row * rank);
+        for (index_t r = 0; r < rank; ++r) dst_row[r] += row[r];
       }
     }
   });
 
   // Reduce launch: single-block (the element-level parallelism happens
-  // inside deterministic_tree_reduce), metered as the tree's traffic.
+  // inside deterministic_tree_reduce and the transpose), metered as the
+  // tree's traffic.
   simgpu::KernelStats red;
   red.bytes_streamed = 3.0 * static_cast<double>(tiles - 1) * tile_bytes;
   red.flops = static_cast<double>(tiles - 1) * static_cast<double>(len);
@@ -157,6 +159,7 @@ void launch_blco_priv(simgpu::Device& dev, const char* name,
                    deterministic_tree_reduce(tile.data(),
                                              static_cast<std::size_t>(tiles),
                                              static_cast<index_t>(len));
+                   copy_from_row_major(tile[0], out);
                  });
 }
 
@@ -170,14 +173,7 @@ void launch_blco_sorted(simgpu::Device& dev, const char* name,
                         Matrix& out, const ScatterPlan& plan,
                         simgpu::KernelStats stats) {
   const index_t rank = factors[0].cols();
-  const index_t num_blocks = blco.num_blocks();
   const index_t segments = plan.num_segments();
-
-  // Global-nonzero-id -> block lookup: blocks are ordered by value_offset.
-  std::vector<index_t> offsets(static_cast<std::size_t>(num_blocks));
-  for (index_t b = 0; b < num_blocks; ++b) {
-    offsets[static_cast<std::size_t>(b)] = blco.block(b).value_offset;
-  }
 
   constexpr index_t kThreads = 128;
   simgpu::LaunchConfig cfg{
@@ -197,9 +193,7 @@ void launch_blco_sorted(simgpu::Device& dev, const char* name,
       const index_t hi = plan.seg_ptr[static_cast<std::size_t>(s) + 1];
       for (index_t k = lo; k < hi; ++k) {
         const index_t i = plan.order[static_cast<std::size_t>(k)];
-        const auto it = std::upper_bound(offsets.begin(), offsets.end(), i);
-        const auto b = static_cast<index_t>(it - offsets.begin()) - 1;
-        const BlcoBlock& blk = blco.block(b);
+        const BlcoBlock& blk = blco.block(blco.block_of(i));
         const BitReader deltas(blk.packed_deltas.data(), blk.delta_bits);
         blco_krp_row(blco, blk, deltas, i - blk.value_offset, factors, mode,
                      rank, row);

@@ -181,6 +181,45 @@ std::uint64_t content_hash(const Matrix& f) {
   return h;
 }
 
+// Row-major copies of the factors one engine loop gathers from (row j of
+// factor m is R contiguous entries at row(m, j)), carved out of one pooled
+// buffer of sum(I_m) * R reals. A column-major gather touches R cache lines
+// per nonzero; a row-major one reads R * 8 contiguous bytes.
+class RowMajorFactors {
+ public:
+  /// Copies factors[m] for every m in [lo, hi) except `skip`.
+  RowMajorFactors(const std::vector<Matrix>& factors, int lo, int hi,
+                  int skip = -1)
+      : rank_(factors[0].cols()), rows_(factors.size(), nullptr) {
+    std::size_t total = 0;
+    for (int m = lo; m < hi; ++m) {
+      if (m == skip) continue;
+      total += static_cast<std::size_t>(
+          factors[static_cast<std::size_t>(m)].size());
+    }
+    if (total == 0) return;  // the last mode's derive gathers nothing
+    lease_ = ScratchPool::global().acquire(1, total);
+    real_t* next = lease_.tile(0);
+    for (int m = lo; m < hi; ++m) {
+      if (m == skip) continue;
+      const Matrix& f = factors[static_cast<std::size_t>(m)];
+      copy_to_row_major(f, next);
+      rows_[static_cast<std::size_t>(m)] = next;
+      next += f.size();
+    }
+  }
+
+  const real_t* row(int m, index_t j) const {
+    return rows_[static_cast<std::size_t>(m)] +
+           static_cast<std::size_t>(j * rank_);
+  }
+
+ private:
+  index_t rank_;
+  std::vector<const real_t*> rows_;
+  ScratchPool::Lease lease_;
+};
+
 }  // namespace
 
 bool DimTreeEngine::Fingerprint::matches(const Matrix& f) const {
@@ -244,12 +283,14 @@ void DimTreeEngine::check_fingerprints(const std::vector<Matrix>& factors) {
   }
 }
 
-void DimTreeEngine::fold(simgpu::Device& dev, const Matrix& factor, int k) {
+void DimTreeEngine::fold(simgpu::Device& dev,
+                         const std::vector<Matrix>& factors, int k) {
   const index_t rank = rank_;
   const index_t nnz = nnz_;
   const index_t* idx = idx_[static_cast<std::size_t>(k)].data();
   const real_t* vals = values_.data();
   real_t* chain = chain_;
+  const RowMajorFactors rows(factors, k, k + 1);
   constexpr index_t kThreads = 128;
   simgpu::LaunchConfig cfg{
       .grid_dim = simgpu::blocks_for(nnz, kThreads), .block_dim = kThreads};
@@ -259,19 +300,20 @@ void DimTreeEngine::fold(simgpu::Device& dev, const Matrix& factor, int k) {
     for (index_t i = ctx.global_thread_id(); i < nnz;
          i += ctx.total_threads()) {
       real_t* p = chain + static_cast<std::size_t>(i * rank);
-      const index_t j = idx[static_cast<std::size_t>(i)];
+      const real_t* h = rows.row(k, idx[static_cast<std::size_t>(i)]);
       if (k == 0) {
         const real_t v = vals[static_cast<std::size_t>(i)];
         for (index_t r = 0; r < rank; ++r) {
-          p[static_cast<std::size_t>(r)] = v * factor(j, r);
+          p[static_cast<std::size_t>(r)] = v * h[r];
         }
       } else {
         for (index_t r = 0; r < rank; ++r) {
-          p[static_cast<std::size_t>(r)] *= factor(j, r);
+          p[static_cast<std::size_t>(r)] *= h[r];
         }
       }
     }
   });
+  const Matrix& factor = factors[static_cast<std::size_t>(k)];
   fps_[static_cast<std::size_t>(k)] =
       Fingerprint{factor.data(), content_hash(factor)};
   level_ = k + 1;
@@ -287,7 +329,7 @@ void DimTreeEngine::extend_to(simgpu::Device& dev,
   check_fingerprints(factors);
   if (level_ > target_level) level_ = 0;  // cannot unfold; rebuild
   while (level_ < target_level) {
-    fold(dev, factors[static_cast<std::size_t>(level_)], level_);
+    fold(dev, factors, level_);
   }
 }
 
@@ -314,6 +356,7 @@ ScatterStrategy DimTreeEngine::mttkrp(simgpu::Device& dev,
   Timer wall;
   if (use_chain) {
     const real_t* chain = chain_;
+    const RowMajorFactors suffix(factors, mode + 1, modes);
     scatter_accumulate(
         strategy, out, nnz_,
         [&](index_t i, real_t* row) {
@@ -322,11 +365,11 @@ ScatterStrategy DimTreeEngine::mttkrp(simgpu::Device& dev,
             row[static_cast<std::size_t>(r)] = p[static_cast<std::size_t>(r)];
           }
           for (int m = mode + 1; m < modes; ++m) {
-            const index_t j =
-                idx_[static_cast<std::size_t>(m)][static_cast<std::size_t>(i)];
-            const Matrix& f = factors[static_cast<std::size_t>(m)];
+            const real_t* h = suffix.row(
+                m,
+                idx_[static_cast<std::size_t>(m)][static_cast<std::size_t>(i)]);
             for (index_t r = 0; r < rank; ++r) {
-              row[static_cast<std::size_t>(r)] *= f(j, r);
+              row[static_cast<std::size_t>(r)] *= h[r];
             }
           }
           return out_rows[static_cast<std::size_t>(i)];
@@ -338,6 +381,7 @@ ScatterStrategy DimTreeEngine::mttkrp(simgpu::Device& dev,
   } else {
     // Mode 0 (no prefix to reuse) or over-budget fallback: the flat from-raw
     // computation, in the reference's ascending product order.
+    const RowMajorFactors others(factors, 0, modes, mode);
     scatter_accumulate(
         strategy, out, nnz_,
         [&](index_t i, real_t* row) {
@@ -347,11 +391,11 @@ ScatterStrategy DimTreeEngine::mttkrp(simgpu::Device& dev,
           }
           for (int m = 0; m < modes; ++m) {
             if (m == mode) continue;
-            const index_t j =
-                idx_[static_cast<std::size_t>(m)][static_cast<std::size_t>(i)];
-            const Matrix& f = factors[static_cast<std::size_t>(m)];
+            const real_t* h = others.row(
+                m,
+                idx_[static_cast<std::size_t>(m)][static_cast<std::size_t>(i)]);
             for (index_t r = 0; r < rank; ++r) {
-              row[static_cast<std::size_t>(r)] *= f(j, r);
+              row[static_cast<std::size_t>(r)] *= h[r];
             }
           }
           return out_rows[static_cast<std::size_t>(i)];

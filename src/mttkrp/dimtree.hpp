@@ -29,8 +29,10 @@
 // Memory: the chain is one nnz x R double buffer leased from ScratchPool
 // (`chain_bytes()`); when it exceeds `budget_bytes` the engine releases it
 // and every derive falls back to the flat from-raw path — correctness is
-// unaffected, only the reuse is lost. Staleness: the chain is folded in
-// place, so the buffer only ever holds its top level — when
+// unaffected, only the reuse is lost. Each fold, derive and flat call also
+// leases row-major copies of the factors it gathers from (at most
+// sum(I_m) x R reals) for the call's duration. Staleness: the chain is
+// folded in place, so the buffer only ever holds its top level — when
 // `note_factor_updated` / `invalidate` (or the fingerprint backstop) find
 // any folded factor stale, the whole chain is dropped and rebuilt from the
 // overwriting level-0 fold; there is no intermediate level to resume from.
@@ -183,7 +185,7 @@ class DimTreeEngine {
   /// note_factor_updated). Probabilistic: the hash samples O(1) entries
   /// per factor.
   void check_fingerprints(const std::vector<Matrix>& factors);
-  void fold(simgpu::Device& dev, const Matrix& factor, int k);
+  void fold(simgpu::Device& dev, const std::vector<Matrix>& factors, int k);
   simgpu::KernelStats extend_stats(int k) const;
   simgpu::KernelStats derive_stats(int mode, ScatterStrategy strategy) const;
   simgpu::KernelStats flat_stats(int mode, ScatterStrategy strategy) const;

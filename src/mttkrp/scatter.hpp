@@ -188,6 +188,40 @@ ScatterStrategy resolve_scatter_strategy_for_mode(const ScatterOptions& opts,
 void apply_scatter_stats(simgpu::KernelStats& stats, ScatterStrategy strategy,
                          index_t mode_len, index_t rank, double nnz);
 
+/// Copies `src` (column-major) into `dst` row-major — row i's cols()
+/// entries contiguous at dst + i * cols() — parallel over row blocks. The
+/// privatized tiles and the dimension-tree gathers use this layout: one
+/// nonzero's R-wide row is then one contiguous run, not R strided entries.
+inline void copy_to_row_major(const Matrix& src, real_t* dst) {
+  const index_t rows = src.rows();
+  const index_t cols = src.cols();
+  const real_t* col_major = src.data();
+  parallel_for_blocked(0, rows, [&](index_t lo, index_t hi) {
+    for (index_t i = lo; i < hi; ++i) {
+      for (index_t j = 0; j < cols; ++j) {
+        dst[static_cast<std::size_t>(i * cols + j)] =
+            col_major[static_cast<std::size_t>(j * rows + i)];
+      }
+    }
+  });
+}
+
+/// The inverse of copy_to_row_major: overwrites `dst` from a row-major
+/// buffer of dst.rows() x dst.cols() entries.
+inline void copy_from_row_major(const real_t* src, Matrix& dst) {
+  const index_t rows = dst.rows();
+  const index_t cols = dst.cols();
+  real_t* col_major = dst.data();
+  parallel_for_blocked(0, rows, [&](index_t lo, index_t hi) {
+    for (index_t i = lo; i < hi; ++i) {
+      for (index_t j = 0; j < cols; ++j) {
+        col_major[static_cast<std::size_t>(j * rows + i)] =
+            src[static_cast<std::size_t>(i * cols + j)];
+      }
+    }
+  });
+}
+
 namespace detail {
 /// Builds the segment table from row keys; `order` must be the identity
 /// permutation of the same length. Sorts (stable LSD radix) then scans for
@@ -231,15 +265,15 @@ void scatter_accumulate(ScatterStrategy strategy, Matrix& out, index_t nnz,
     case ScatterStrategy::kPrivatized: {
       const index_t tiles = privatized_tile_count(nnz);
       const auto len = static_cast<std::size_t>(mode_len * rank);
-      // `out` itself serves as tile 0 (already zeroed); the pool lends the
-      // other tiles-1 buffers, unzeroed — each range zeroes its own prefix.
+      // The pool lends all T row-major tiles, unzeroed — each range zeroes
+      // its own prefix. Row-major, a nonzero's contribution is one
+      // contiguous run of R entries; tile 0 is transposed into `out` last.
       ScratchPool::Lease lease = ScratchPool::global().acquire(
-          static_cast<std::size_t>(tiles - 1), len);
+          static_cast<std::size_t>(tiles), len);
       std::vector<real_t*> tile(static_cast<std::size_t>(tiles));
-      tile[0] = out.data();
-      for (index_t t = 1; t < tiles; ++t) {
+      for (index_t t = 0; t < tiles; ++t) {
         tile[static_cast<std::size_t>(t)] =
-            lease.tile(static_cast<std::size_t>(t - 1));
+            lease.tile(static_cast<std::size_t>(t));
       }
       const index_t chunk = (nnz + tiles - 1) / tiles;
       // One loop item per tile: tile t accumulates exactly the nonzeros of
@@ -248,7 +282,7 @@ void scatter_accumulate(ScatterStrategy strategy, Matrix& out, index_t nnz,
           0, tiles,
           [&](index_t t) {
             real_t* dst = tile[static_cast<std::size_t>(t)];
-            if (t > 0) std::fill_n(dst, len, real_t{0});
+            std::fill_n(dst, len, real_t{0});
             thread_local std::vector<real_t> row;
             if (row.size() < static_cast<std::size_t>(rank)) {
               row.resize(static_cast<std::size_t>(rank));
@@ -257,15 +291,16 @@ void scatter_accumulate(ScatterStrategy strategy, Matrix& out, index_t nnz,
             const index_t hi = std::min<index_t>(lo + chunk, nnz);
             for (index_t i = lo; i < hi; ++i) {
               const index_t out_row = contribute(i, row.data());
+              real_t* dst_row = dst + static_cast<std::size_t>(out_row * rank);
               for (index_t r = 0; r < rank; ++r) {
-                dst[static_cast<std::size_t>(r * mode_len + out_row)] +=
-                    row[static_cast<std::size_t>(r)];
+                dst_row[r] += row[static_cast<std::size_t>(r)];
               }
             }
           },
           /*grain=*/1);
       deterministic_tree_reduce(tile.data(), static_cast<std::size_t>(tiles),
                                 static_cast<index_t>(len));
+      copy_from_row_major(tile[0], out);
       return;
     }
 

@@ -2,6 +2,7 @@
 // (including the ADMM dual state), corruption handling, and recovery from an
 // injected mid-training fault.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstring>
 #include <filesystem>
@@ -17,6 +18,25 @@
 
 namespace cstf {
 namespace {
+
+// A scratch path in a directory private to this test process, removed when
+// the process exits. ctest runs each "Checkpoint.*Resume*" test and its
+// ".threads1" twin as two processes, in parallel under -j, and a shared
+// file lets one read the other's checkpoint.
+std::string temp_path(const std::string& name) {
+  struct Dir {
+    std::filesystem::path path =
+        std::filesystem::path(::testing::TempDir()) /
+        ("cstf_checkpoint_" + std::to_string(::getpid()));
+    Dir() { std::filesystem::create_directories(path); }
+    ~Dir() {
+      std::error_code ec;
+      std::filesystem::remove_all(path, ec);
+    }
+  };
+  static const Dir dir;
+  return (dir.path / name).string();
+}
 
 SparseTensor make_tensor(std::uint64_t seed = 1) {
   LowRankTensorParams params;
@@ -83,7 +103,7 @@ TEST(Checkpoint, RoundTripPreservesTrainingState) {
   CstfFramework framework(tensor, options);
   framework.run();
 
-  const std::string path = ::testing::TempDir() + "/roundtrip.ckpt";
+  const std::string path = temp_path("roundtrip.ckpt");
   framework.write_checkpoint(path);
   const TrainingCheckpoint loaded = load_checkpoint(path);
 
@@ -111,7 +131,7 @@ TEST(Checkpoint, RoundTripPreservesTrainingState) {
 
 TEST(Checkpoint, KillAndResumeIsBitIdenticalToUninterruptedRun) {
   const SparseTensor tensor = make_tensor();
-  const std::string path = ::testing::TempDir() + "/resume.ckpt";
+  const std::string path = temp_path("resume.ckpt");
 
   // Reference: 10 uninterrupted iterations.
   FrameworkOptions options = base_options();
@@ -145,7 +165,7 @@ TEST(Checkpoint, KillAndResumeIsBitIdenticalToUninterruptedRun) {
 
 TEST(Checkpoint, InjectedFaultMidTrainingThenResumeMatches) {
   const SparseTensor tensor = make_tensor();
-  const std::string path = ::testing::TempDir() + "/chaos.ckpt";
+  const std::string path = temp_path("chaos.ckpt");
   FrameworkOptions options = base_options();
 
   // Reference run; count its launches so the fault can be planted at ~70%
@@ -181,7 +201,7 @@ TEST(Checkpoint, InjectedFaultMidTrainingThenResumeMatches) {
 
 TEST(Checkpoint, PeriodicWritesKeepPreviousCheckpointOnFailure) {
   const SparseTensor tensor = make_tensor();
-  const std::string path = ::testing::TempDir() + "/stable.ckpt";
+  const std::string path = temp_path("stable.ckpt");
   FrameworkOptions options = base_options();
   options.max_iterations = 3;
   CstfFramework framework(tensor, options);
@@ -212,15 +232,15 @@ TEST(Checkpoint, CorruptionYieldsTypedErrors) {
   options.max_iterations = 2;
   CstfFramework framework(tensor, options);
   framework.run();
-  const std::string good = ::testing::TempDir() + "/good.ckpt";
+  const std::string good = temp_path("good.ckpt");
   framework.write_checkpoint(good);
   const std::vector<char> bytes = read_bytes(good);
   ASSERT_GT(bytes.size(), 64u);
 
-  EXPECT_EQ(load_status(::testing::TempDir() + "/nonexistent.ckpt"),
+  EXPECT_EQ(load_status(temp_path("nonexistent.ckpt")),
             ModelIoStatus::kOpenFailed);
 
-  const std::string bad = ::testing::TempDir() + "/bad.ckpt";
+  const std::string bad = temp_path("bad.ckpt");
 
   {  // Wrong magic.
     std::vector<char> mutated = bytes;
@@ -259,7 +279,7 @@ TEST(Checkpoint, PreviousFormatVersionIsRejected) {
   options.max_iterations = 1;
   CstfFramework framework(tensor, options);
   framework.run();
-  const std::string path = ::testing::TempDir() + "/previous_version.ckpt";
+  const std::string path = temp_path("previous_version.ckpt");
   framework.write_checkpoint(path);
   std::vector<char> bytes = read_bytes(path);
   const std::uint32_t previous = kCheckpointFormatVersion - 1;
@@ -276,14 +296,14 @@ TEST(Checkpoint, NonFiniteFactorsAreRejectedAsInvalidModel) {
   f(0, 0) = std::numeric_limits<real_t>::quiet_NaN();
   state.factors.push_back(std::move(f));
   state.lambda = {1.0, 1.0};
-  const std::string path = ::testing::TempDir() + "/nan.ckpt";
+  const std::string path = temp_path("nan.ckpt");
   save_checkpoint(checkpoint, path);
   EXPECT_EQ(load_status(path), ModelIoStatus::kInvalidModel);
 }
 
 TEST(Checkpoint, ResumeRefusesMismatchedOptions) {
   const SparseTensor tensor = make_tensor();
-  const std::string path = ::testing::TempDir() + "/mismatch.ckpt";
+  const std::string path = temp_path("mismatch.ckpt");
   FrameworkOptions options = base_options();
   options.max_iterations = 2;
   options.checkpoint_every = 2;

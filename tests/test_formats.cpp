@@ -1,9 +1,11 @@
 // Unit tests for src/formats: bit packing, linearization, CSF, ALTO, BLCO.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 
+#include "common/random.hpp"
 #include "formats/alto.hpp"
 #include "formats/bitpack.hpp"
 #include "formats/blco.hpp"
@@ -162,6 +164,77 @@ TEST(Linearize, ModeMajorOrderMatchesLexicographic) {
   EXPECT_LT(enc.encode(c), enc.encode(d));
 }
 
+// Reference decode, one bit at a time: the b-th set bit of mode_mask(m),
+// counting up from the LSB, is bit b of mode m's coordinate.
+index_t bit_loop_decode(const LinearizedEncoding& enc, lco_t lco, int mode) {
+  const lco_t mask = enc.mode_mask(mode);
+  lco_t c = 0;
+  int b = 0;
+  for (int p = 0; p < 64; ++p) {
+    if ((mask >> p) & 1u) c |= ((lco >> p) & 1u) << b++;
+  }
+  return static_cast<index_t>(c);
+}
+
+// A dimension needing exactly `bits` bits (bits_for(dim) == bits).
+index_t dim_with_bits(int bits, Rng& rng) {
+  if (bits == 1) return 1 + static_cast<index_t>(rng.uniform_index(2));
+  const std::uint64_t half = std::uint64_t{1} << (bits - 1);
+  // (half, 2 * half], capped at the largest index_t for 63 bits.
+  const std::uint64_t span = bits == 63 ? half - 1 : half;
+  return static_cast<index_t>(half + 1 + rng.uniform_index(span));
+}
+
+TEST(Linearize, TableDecodeMatchesBitLoopDecode) {
+  Rng rng(2024);
+  int full_width = 0;
+  int with_one_bit_mode = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const int modes = 2 + static_cast<int>(rng.uniform_index(5));  // 2..6
+    std::vector<int> bits(static_cast<std::size_t>(modes));
+    int total = 0;
+    for (int& b : bits) {
+      b = 1 + static_cast<int>(rng.uniform_index(16));
+      total += b;
+    }
+    // Every third encoding uses all 64 bits; the rest at most 64.
+    const int target = trial % 3 == 0 ? 64 : std::min(total, 64);
+    while (total != target) {
+      int& b = bits[static_cast<std::size_t>(rng.uniform_index(
+          static_cast<std::uint64_t>(modes)))];
+      if (total > target && b > 1) {
+        --b;
+        --total;
+      } else if (total < target && b < 63) {
+        ++b;
+        ++total;
+      }
+    }
+    std::vector<index_t> dims;
+    for (int b : bits) dims.push_back(dim_with_bits(b, rng));
+    full_width += total == 64;
+    with_one_bit_mode += std::count(bits.begin(), bits.end(), 1) > 0;
+
+    for (BitOrder order : {BitOrder::kInterleaved, BitOrder::kModeMajor}) {
+      const LinearizedEncoding enc(dims, order);
+      ASSERT_EQ(enc.total_bits(), total);
+      for (int k = 0; k < 64; ++k) {
+        // Full 64-bit words: bits above total_bits() must be ignored too.
+        const lco_t lco = k == 0 ? 0 : k == 1 ? ~lco_t{0} : rng();
+        index_t coords[kMaxModes];
+        enc.decode_all(lco, coords);
+        for (int m = 0; m < modes; ++m) {
+          const index_t want = bit_loop_decode(enc, lco, m);
+          ASSERT_EQ(coords[m], want) << "trial " << trial << " mode " << m;
+          ASSERT_EQ(enc.decode(lco, m), want);
+        }
+      }
+    }
+  }
+  EXPECT_GT(full_width, 0);
+  EXPECT_GT(with_one_bit_mode, 0);
+}
+
 TEST(Blco, BothBitOrdersReconstructIdentically) {
   SparseTensor t = random_tensor({50, 40, 30}, 2000, 12);
   for (BitOrder order : {BitOrder::kInterleaved, BitOrder::kModeMajor}) {
@@ -311,6 +384,54 @@ TEST(Blco, BlockCapacityIsRespected) {
   for (index_t b = 0; b < blco.num_blocks(); ++b) {
     EXPECT_LE(blco.block(b).count, 128);
     EXPECT_GT(blco.block(b).count, 0);
+  }
+}
+
+TEST(Blco, BlockOfFindsTheBlockHoldingEachNonzero) {
+  SparseTensor t = random_tensor({60, 50, 40}, 6000, 13);
+  for (index_t capacity : {index_t{1}, index_t{7}, index_t{256},
+                           index_t{4096}}) {
+    const BlcoTensor blco(t, capacity);
+    if (capacity > 1) {
+      // A short last block, so the division meets a partial block.
+      ASSERT_NE(blco.nnz() % capacity, 0) << "capacity " << capacity;
+    }
+    index_t seen = 0;
+    for (index_t b = 0; b < blco.num_blocks(); ++b) {
+      const BlcoBlock& blk = blco.block(b);
+      for (index_t i = blk.value_offset; i < blk.value_offset + blk.count;
+           ++i) {
+        ASSERT_EQ(blco.block_of(i), b) << "capacity " << capacity;
+        ++seen;
+      }
+    }
+    EXPECT_EQ(seen, blco.nnz());
+  }
+}
+
+TEST(Blco, BlockSpanningTheWholeLcoRangeBuilds) {
+  // Regression: a block whose deltas span all 64 bits needs 64-bit deltas
+  // (span + 1 wraps to 0, and bits_for(0) is 1).
+  const index_t n = index_t{1} << 32;
+  SparseTensor t({n, n});
+  t.append({0, 0}, 1.0);
+  t.append({n - 1, n - 1}, 2.0);
+  EXPECT_NO_THROW(AltoTensor{t});
+  for (BitOrder order : {BitOrder::kInterleaved, BitOrder::kModeMajor}) {
+    const BlcoTensor blco(t, 4096, order);
+    ASSERT_EQ(blco.encoding().total_bits(), 64);
+    ASSERT_EQ(blco.num_blocks(), 1);
+    const BlcoBlock& blk = blco.block(0);
+    EXPECT_EQ(blk.delta_bits, 64);
+    index_t coords[kMaxModes];
+    blco.encoding().decode_all(blco.element_lco(blk, 0), coords);
+    EXPECT_EQ(coords[0], 0);
+    EXPECT_EQ(coords[1], 0);
+    blco.encoding().decode_all(blco.element_lco(blk, 1), coords);
+    EXPECT_EQ(coords[0], n - 1);
+    EXPECT_EQ(coords[1], n - 1);
+    EXPECT_DOUBLE_EQ(blco.values()[0], 1.0);
+    EXPECT_DOUBLE_EQ(blco.values()[1], 2.0);
   }
 }
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <tuple>
 
 #include "formats/alto.hpp"
@@ -14,6 +16,7 @@
 #include "simgpu/cost_model.hpp"
 #include "mttkrp/coo_mttkrp.hpp"
 #include "mttkrp/csf_mttkrp.hpp"
+#include "mttkrp/dimtree.hpp"
 #include "tensor/datasets.hpp"
 #include "tensor/generate.hpp"
 
@@ -492,6 +495,266 @@ TEST(Scatter, ZeroFactorRowDoesNotLeakStaleScratch) {
         << scatter_strategy_name(strategy);
     EXPECT_DOUBLE_EQ(out(0, 1), 5.0 * 2.0 + 3.0 * 0.5)
         << scatter_strategy_name(strategy);
+  }
+}
+
+TEST(Mttkrp, BlcoBlockSpanningTheWholeLcoRangeMatchesReference) {
+  // Eight 8-bit modes fill all 64 linearized bits, and the two corners put
+  // one block's deltas across the whole range (64-bit deltas).
+  SparseTensor t(std::vector<index_t>(8, 256));
+  t.append(std::vector<index_t>(8, 0), 1.5);
+  Rng rng(116);
+  for (int k = 0; k < 200; ++k) {
+    std::vector<index_t> coords;
+    for (int m = 0; m < 8; ++m) {
+      coords.push_back(static_cast<index_t>(rng.uniform_index(256)));
+    }
+    t.append(coords, rng.uniform(0.5, 1.0));
+  }
+  t.append(std::vector<index_t>(8, 255), 2.5);
+  t.validate();
+  const BlcoTensor blco(t);
+  ASSERT_EQ(blco.num_blocks(), 1);
+  ASSERT_EQ(blco.block(0).delta_bits, 64);
+  const auto factors = random_factors(t, 4, 117);
+  simgpu::Device dev(simgpu::a100());
+  for (ScatterStrategy strategy :
+       {ScatterStrategy::kPrivatized, ScatterStrategy::kSorted}) {
+    for (int mode = 0; mode < t.num_modes(); ++mode) {
+      Matrix want(t.dim(mode), 4), got(t.dim(mode), 4);
+      mttkrp_ref(t, factors, mode, want);
+      mttkrp_blco(dev, blco, factors, mode, got, explicit_strategy(strategy));
+      EXPECT_LT(max_abs_diff(got, want), 1e-12)
+          << scatter_strategy_name(strategy) << " mode " << mode;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Serial tile oracle: the privatized paths' exact bits
+// ---------------------------------------------------------------------------
+//
+// The privatized kernels regroup each output row's sum by tile, so they are
+// not bitwise equal to mttkrp_ref. Their grouping is fixed, though: the
+// oracle below rebuilds it serially — each tile accumulates its nonzero
+// range in order into a zeroed column-major buffer, each Khatri-Rao row
+// formed as v, then *= H_m(c_m) for ascending m != mode, and the tiles are
+// combined by the same pairwise tree — and the kernels must match it bit for
+// bit at any worker count.
+
+struct OracleNonzero {
+  index_t coords[kMaxModes] = {};
+  real_t value = 0.0;
+};
+
+std::vector<OracleNonzero> coo_order(const SparseTensor& t) {
+  std::vector<OracleNonzero> nz(static_cast<std::size_t>(t.nnz()));
+  for (index_t i = 0; i < t.nnz(); ++i) {
+    auto& e = nz[static_cast<std::size_t>(i)];
+    for (int m = 0; m < t.num_modes(); ++m) {
+      e.coords[m] = t.indices(m)[static_cast<std::size_t>(i)];
+    }
+    e.value = t.values()[static_cast<std::size_t>(i)];
+  }
+  return nz;
+}
+
+// The order ALTO and BLCO visit the nonzeros: ascending linearized
+// coordinate. generate_random coalesces duplicates, so the keys are distinct.
+std::vector<OracleNonzero> linearized_order(const SparseTensor& t) {
+  const LinearizedEncoding enc(t.dims());
+  std::vector<OracleNonzero> nz = coo_order(t);
+  std::sort(nz.begin(), nz.end(),
+            [&](const OracleNonzero& a, const OracleNonzero& b) {
+              return enc.encode(a.coords) < enc.encode(b.coords);
+            });
+  return nz;
+}
+
+// Adds nonzeros [lo, hi) of `nz` into the column-major tile, in order.
+void oracle_accumulate(const std::vector<OracleNonzero>& nz, index_t lo,
+                       index_t hi, const std::vector<Matrix>& factors,
+                       int mode, index_t mode_len, std::vector<real_t>& tile) {
+  const index_t rank = factors[0].cols();
+  std::vector<real_t> row(static_cast<std::size_t>(rank));
+  for (index_t i = lo; i < hi; ++i) {
+    const OracleNonzero& e = nz[static_cast<std::size_t>(i)];
+    for (index_t r = 0; r < rank; ++r) {
+      row[static_cast<std::size_t>(r)] = e.value;
+    }
+    for (int m = 0; m < static_cast<int>(factors.size()); ++m) {
+      if (m == mode) continue;
+      for (index_t r = 0; r < rank; ++r) {
+        row[static_cast<std::size_t>(r)] *=
+            factors[static_cast<std::size_t>(m)](e.coords[m], r);
+      }
+    }
+    for (index_t r = 0; r < rank; ++r) {
+      tile[static_cast<std::size_t>(r * mode_len + e.coords[mode])] +=
+          row[static_cast<std::size_t>(r)];
+    }
+  }
+}
+
+// Level by level, tiles[i] += tiles[i + stride]; the sum lands in tiles[0].
+void oracle_tree(std::vector<std::vector<real_t>>& tiles) {
+  for (std::size_t stride = 1; stride < tiles.size(); stride *= 2) {
+    for (std::size_t i = 0; i + stride < tiles.size(); i += 2 * stride) {
+      for (std::size_t j = 0; j < tiles[i].size(); ++j) {
+        tiles[i][j] += tiles[i + stride][j];
+      }
+    }
+  }
+}
+
+// The shared engine's grouping: ceil(nnz / T) nonzero-range chunks.
+Matrix engine_oracle(const std::vector<OracleNonzero>& nz,
+                     const std::vector<Matrix>& factors, int mode,
+                     index_t mode_len) {
+  const auto nnz = static_cast<index_t>(nz.size());
+  const index_t rank = factors[0].cols();
+  const index_t tiles = privatized_tile_count(nnz);
+  const index_t chunk = (nnz + tiles - 1) / tiles;
+  std::vector<std::vector<real_t>> tile(
+      static_cast<std::size_t>(tiles),
+      std::vector<real_t>(static_cast<std::size_t>(mode_len * rank), 0.0));
+  for (index_t t = 0; t < tiles; ++t) {
+    const index_t lo = std::min(t * chunk, nnz);
+    oracle_accumulate(nz, lo, std::min(lo + chunk, nnz), factors, mode,
+                      mode_len, tile[static_cast<std::size_t>(t)]);
+  }
+  oracle_tree(tile);
+  Matrix out(mode_len, rank);
+  std::copy(tile[0].begin(), tile[0].end(), out.data());
+  return out;
+}
+
+// BLCO's grouping over blocks [block_lo, block_hi): min(T(range nnz),
+// blocks) tiles of ceil(blocks / tiles) whole blocks each, tile 0 seeded
+// from `out`, the result written back to `out`.
+void blco_range_oracle(const BlcoTensor& blco,
+                       const std::vector<OracleNonzero>& nz,
+                       const std::vector<Matrix>& factors, int mode,
+                       index_t block_lo, index_t block_hi, Matrix& out) {
+  const index_t blocks = block_hi - block_lo;
+  const index_t first = blco.block(block_lo).value_offset;
+  const BlcoBlock& last = blco.block(block_hi - 1);
+  const index_t range_nnz = last.value_offset + last.count - first;
+  const index_t tiles = std::min(privatized_tile_count(range_nnz), blocks);
+  const index_t per_tile = (blocks + tiles - 1) / tiles;
+  std::vector<std::vector<real_t>> tile(
+      static_cast<std::size_t>(tiles),
+      std::vector<real_t>(static_cast<std::size_t>(out.size()), 0.0));
+  std::copy(out.data(), out.data() + out.size(), tile[0].begin());
+  for (index_t t = 0; t < tiles; ++t) {
+    const index_t b_lo = block_lo + t * per_tile;
+    const index_t b_hi = std::min(b_lo + per_tile, block_hi);
+    if (b_lo >= b_hi) continue;
+    const BlcoBlock& end = blco.block(b_hi - 1);
+    oracle_accumulate(nz, blco.block(b_lo).value_offset,
+                      end.value_offset + end.count, factors, mode, out.rows(),
+                      tile[static_cast<std::size_t>(t)]);
+  }
+  oracle_tree(tile);
+  std::copy(tile[0].begin(), tile[0].end(), out.data());
+}
+
+bool bitwise_equal(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::equal(a.data(), a.data() + a.size(), b.data(),
+                    [](real_t x, real_t y) {
+                      return std::memcmp(&x, &y, sizeof x) == 0;
+                    });
+}
+
+// A 3-way and a 4-way tensor with short modes (every mode's tiles fit the
+// default budget) and enough nonzeros for several tiles at any worker count.
+std::vector<SparseTensor> oracle_tensors() {
+  std::vector<SparseTensor> ts;
+  ts.push_back(random_tensor({37, 41, 53}, 20000, 111));
+  ts.push_back(random_tensor({13, 17, 19, 23}, 20000, 112));
+  return ts;
+}
+
+TEST(Scatter, PrivatizedEngineMatchesSerialTileOracleBitwise) {
+  const ScatterOptions opts = explicit_strategy(ScatterStrategy::kPrivatized);
+  for (const SparseTensor& t : oracle_tensors()) {
+    const auto factors = random_factors(t, 16, 113);
+    const auto coo_nz = coo_order(t);
+    const auto lin_nz = linearized_order(t);
+    const AltoTensor alto(t);
+    DimTreeEngine tree(t, 16);
+    simgpu::Device dev(simgpu::a100());
+    for (int mode = 0; mode < t.num_modes(); ++mode) {
+      const Matrix want_coo = engine_oracle(coo_nz, factors, mode, t.dim(mode));
+      const Matrix want_lin = engine_oracle(lin_nz, factors, mode, t.dim(mode));
+      Matrix coo(t.dim(mode), 16), alto_out(t.dim(mode), 16),
+          derived(t.dim(mode), 16);
+      mttkrp_coo(t, factors, mode, coo, opts);
+      mttkrp_alto(alto, factors, mode, alto_out, opts);
+      // Mode 0 runs the engine's flat path, the others derive from the
+      // chain; both form each row in the same product order.
+      tree.mttkrp(dev, factors, mode, derived, opts);
+      EXPECT_TRUE(bitwise_equal(coo, want_coo))
+          << t.num_modes() << "-way coo mode " << mode;
+      EXPECT_TRUE(bitwise_equal(alto_out, want_lin))
+          << t.num_modes() << "-way alto mode " << mode;
+      EXPECT_TRUE(bitwise_equal(derived, want_coo))
+          << t.num_modes() << "-way dimtree mode " << mode;
+    }
+  }
+}
+
+TEST(Scatter, PrivatizedBlcoMatchesSerialTileOracleBitwise) {
+  const ScatterOptions opts = explicit_strategy(ScatterStrategy::kPrivatized);
+  for (const SparseTensor& t : oracle_tensors()) {
+    const auto factors = random_factors(t, 16, 114);
+    const auto nz = linearized_order(t);
+    // 256: more blocks than tiles; 4096: fewer blocks than T at 4 workers.
+    for (index_t capacity : {index_t{256}, index_t{4096}}) {
+      const BlcoTensor blco(t, capacity);
+      simgpu::Device dev(simgpu::a100());
+      for (int mode = 0; mode < t.num_modes(); ++mode) {
+        Matrix want(t.dim(mode), 16), got(t.dim(mode), 16);
+        blco_range_oracle(blco, nz, factors, mode, 0, blco.num_blocks(), want);
+        mttkrp_blco(dev, blco, factors, mode, got, opts);
+        EXPECT_TRUE(bitwise_equal(got, want))
+            << t.num_modes() << "-way capacity " << capacity << " mode "
+            << mode;
+      }
+    }
+  }
+}
+
+TEST(Scatter, StreamedPrivatizedMatchesSerialTileOracleBitwise) {
+  for (const SparseTensor& t : oracle_tensors()) {
+    const auto factors = random_factors(t, 16, 115);
+    const auto nz = linearized_order(t);
+    const BlcoTensor blco(t, 256);
+    const double budget = blco.storage_bytes() / 5.0;
+    for (int mode = 0; mode < t.num_modes(); ++mode) {
+      ASSERT_EQ(resolve_scatter_strategy(ScatterOptions{}, t.dim(mode), 16,
+                                         t.nnz()),
+                ScatterStrategy::kPrivatized);
+      // Batch by batch, as the streamed kernel cuts them; each batch's
+      // tile 0 starts from what the earlier batches left in the output.
+      Matrix want(t.dim(mode), 16);
+      const index_t batches = std::min(
+          static_cast<index_t>(std::ceil(blco.storage_bytes() / budget)),
+          blco.num_blocks());
+      const index_t per_batch = (blco.num_blocks() + batches - 1) / batches;
+      index_t used = 0;
+      for (index_t lo = 0; lo < blco.num_blocks(); lo += per_batch, ++used) {
+        blco_range_oracle(blco, nz, factors, mode, lo,
+                          std::min(lo + per_batch, blco.num_blocks()), want);
+      }
+      simgpu::Device dev(simgpu::a100());
+      Matrix got(t.dim(mode), 16);
+      EXPECT_EQ(mttkrp_blco_streamed(dev, blco, factors, mode, got, budget),
+                used);
+      EXPECT_TRUE(bitwise_equal(got, want))
+          << t.num_modes() << "-way mode " << mode;
+    }
   }
 }
 
