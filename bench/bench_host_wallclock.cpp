@@ -22,12 +22,7 @@
 // multiplies); the fixture's short modes keep the factor gathers
 // cache-resident so the flop saving shows up in host time.
 //
-// The fourth section pits the autotuner against the cost model (DESIGN.md
-// §14): run_tuning_trials picks a configuration for a 3-way fixture, and one
-// full AO iteration's MTTKRPs are timed under the tuned and the model-picked
-// configurations head to head, alternating within each repeat.
-//
-// The fifth section times one ADMM factor update (10 inner iterations,
+// The fourth section times one ADMM factor update (10 inner iterations,
 // non-negative, 2^17 x 32): cuADMM — operation fusion and pre-inversion,
 // which the host runs as one row-tiled, cache-resident pass — against the
 // Algorithm-2 chain of BLAS-style calls with pre-inversion, which streams
@@ -38,11 +33,10 @@
 // fails: the kAuto pick must stay within 25% of sorted on the short-mode
 // scatter fixture (the two tie there; best-of-7 ratios spread 0.88-1.11 on
 // a shared 4-core host), dimtree must not lose to flat on the 4-way
-// fixture, the tuned configuration must not lose to the model-picked
-// one by more than 5%, and cuADMM must be at least 2x faster than the
-// chain (0.15-0.19 s vs 0.65-0.72 s on a shared 4-core host) —
-// the perf regression gates scripts/check.sh runs (CSTF_CHECK_SKIP_PERF=1
-// skips them there).
+// fixture, and cuADMM must be at least 2x faster than the chain
+// (0.15-0.19 s vs 0.65-0.72 s on a shared 4-core host) — the perf
+// regression gates scripts/check.sh runs (CSTF_CHECK_SKIP_PERF=1 skips them
+// there).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -52,7 +46,6 @@
 #include "la/blas.hpp"
 #include "mttkrp/blco_mttkrp.hpp"
 #include "mttkrp/coo_mttkrp.hpp"
-#include "parallel/parallel_for.hpp"
 #include "tensor/generate.hpp"
 
 namespace {
@@ -213,8 +206,8 @@ bool run_scatter_section(int repeats) {
   return ok;
 }
 
-/// One timed measurement of the engine and autotune sections: a full AO
-/// iteration's MTTKRP sequence (all modes) through `backend`, each output
+/// One timed measurement of the engine section: a full AO iteration's
+/// MTTKRP sequence (all modes) through `backend`, each output
 /// checked against its mttkrp_ref result before the time is trusted. For a
 /// dimension-tree backend the lazy chain folds run inside the mode-n calls,
 /// so their cost is charged — this is the steady-state per-iteration work,
@@ -300,113 +293,6 @@ bool run_dimtree_section(int repeats) {
               "%.3f ms)\n",
               ok ? "does not lose to" : "LOSES TO", tree_s * 1e3,
               flat_s * 1e3);
-  return ok;
-}
-
-/// Times one AO iteration's MTTKRPs (all modes, best of N) under the cost
-/// model's configuration and under the autotuned one, the two alternating
-/// within each repeat. The autotuner defers
-/// to the model whenever the measured win is inside its tie-break tolerance,
-/// so the tuned configuration losing by more than 5% means the trial harness
-/// stopped reflecting the real kernels — that is the gate.
-bool run_autotune_section(int repeats) {
-  const index_t rank = 32;
-  RandomTensorParams p;
-  p.dims = {1024, 2048, 4096};
-  p.target_nnz = 150000;
-  p.seed = 17;
-  const SparseTensor x = generate_random(p);
-
-  autotune::TuneInputs in;
-  in.tensor = &x;
-  in.rank = rank;
-  in.spec = simgpu::a100();
-  autotune::TuningOptions topts;
-  topts.policy = autotune::TuningPolicy::kMeasure;
-  const autotune::TuningRecord rec = autotune::run_tuning_trials(in, topts);
-
-  std::vector<Matrix> factors;
-  for (int m = 0; m < x.num_modes(); ++m) {
-    factors.emplace_back(x.dim(m), rank);
-    fill_factor(factors.back(), m);
-  }
-  std::vector<Matrix> refs;
-  for (int m = 0; m < x.num_modes(); ++m) {
-    refs.emplace_back(x.dim(m), rank);
-    mttkrp_ref(x, factors, m, refs.back());
-  }
-
-  // Model side: the exact configuration a kModel run would use, kAuto engine
-  // resolution included.
-  BlcoBackend model_backend(x);
-  const MttkrpMode model_mode = resolve_mttkrp_mode(
-      x, rank, ScatterOptions{}, simgpu::a100(), kDefaultDimtreeBudgetBytes,
-      model_backend.tensor().storage_bytes());
-  if (model_mode == MttkrpMode::kDimtree) {
-    model_backend.enable_dimtree(x, rank);
-  }
-
-  // Tuned side: the record's per-mode scatter picks, engine, and chunk knob
-  // (set for the tuned measurement only).
-  ScatterOptions tuned_scatter;
-  tuned_scatter.per_mode = rec.scatter_per_mode;
-  BlcoBackend tuned_backend(x, 4096, tuned_scatter);
-  if (rec.mttkrp_mode == MttkrpMode::kDimtree) {
-    tuned_backend.enable_dimtree(x, rank, rec.dimtree_budget_bytes);
-  }
-  const index_t saved_chunks = parallel_chunks_per_worker();
-
-  simgpu::Device model_dev(simgpu::a100());
-  simgpu::Device tuned_dev(simgpu::a100());
-  double model_s = 1e30;
-  double tuned_s = 1e30;
-  for (int rep = 0; rep < repeats; ++rep) {
-    model_s = std::min(model_s, time_iteration_mttkrps(
-                                    model_backend, model_dev, factors, refs));
-    if (rec.chunks_per_worker > 0) {
-      set_parallel_chunks_per_worker(
-          static_cast<index_t>(rec.chunks_per_worker));
-    }
-    tuned_s = std::min(tuned_s, time_iteration_mttkrps(
-                                    tuned_backend, tuned_dev, factors, refs));
-    set_parallel_chunks_per_worker(saved_chunks);
-  }
-
-  std::printf(
-      "\n=== Autotuned vs model-picked MTTKRP config, best of %d "
-      "(3-way %lldx%lldx%lld, %lld nnz, R=%lld) ===\n\n",
-      repeats, static_cast<long long>(x.dim(0)),
-      static_cast<long long>(x.dim(1)), static_cast<long long>(x.dim(2)),
-      static_cast<long long>(x.nnz()), static_cast<long long>(rank));
-  std::printf("%-14s %12s %12s %12s\n", "Config", "model[ms]", "tuned[ms]",
-              "tuned/model");
-  std::printf("%-14s %12.3f %12.3f %12.3f\n", "iteration", model_s * 1e3,
-              tuned_s * 1e3, tuned_s / model_s);
-  std::printf("tuned: engine %s, chunks/worker %u, scatter",
-              mttkrp_mode_name(rec.mttkrp_mode), rec.chunks_per_worker);
-  for (ScatterStrategy s : rec.scatter_per_mode) {
-    std::printf(" %s", scatter_strategy_name(s));
-  }
-  std::printf("  (model engine %s)\n", mttkrp_mode_name(model_mode));
-
-  if (bench::JsonSession* session = bench::JsonSession::current()) {
-    bench::BenchRecord brec;
-    brec.dataset = "autotune_3way";
-    brec.machine = "host";
-    brec.rank = rank;
-    brec.wall.mttkrp = tuned_s;
-    brec.extras.emplace_back("mttkrp_model_config_wall_s", model_s);
-    brec.extras.emplace_back("mttkrp_tuned_config_wall_s", tuned_s);
-    brec.extras.emplace_back("tuned_chunks_per_worker",
-                             static_cast<double>(rec.chunks_per_worker));
-    session->add_record(std::move(brec));
-  }
-
-  const bool ok = tuned_s <= 1.05 * model_s;
-  std::printf("\nGate: tuned config %s the model-picked config "
-              "(%.3f ms vs %.3f ms, tolerance 5%%)\n",
-              ok ? "does not lose to" : "LOSES TO", tuned_s * 1e3,
-              model_s * 1e3);
   return ok;
 }
 
@@ -557,7 +443,6 @@ int main(int argc, char** argv) {
 
   const bool scatter_ok = run_scatter_section(smoke ? 7 : 3);
   const bool dimtree_ok = run_dimtree_section(smoke ? 7 : 3);
-  const bool autotune_ok = run_autotune_section(smoke ? 7 : 3);
   const bool admm_ok = run_admm_section(smoke ? 7 : 3);
   if (smoke && !scatter_ok) {
     std::fprintf(stderr,
@@ -570,12 +455,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "bench_host_wallclock --smoke: dimtree MTTKRP slower than "
                  "flat on the 4-way fixture\n");
-    return 1;
-  }
-  if (smoke && !autotune_ok) {
-    std::fprintf(stderr,
-                 "bench_host_wallclock --smoke: autotuned config more than "
-                 "5%% slower than the model-picked config\n");
     return 1;
   }
   if (smoke && !admm_ok) {

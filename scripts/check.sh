@@ -27,17 +27,11 @@
 # these (e.g. on loaded CI machines where wall-clock comparisons are
 # unreliable); the chaos smoke is repeated against the sanitized build.
 #
-# An autotune-smoke step runs the autotune-labeled ctest group (cache round
-# trip, corruption taxonomy, trial determinism, decision goldens, plus the
-# cstf_tune populate-then-hit fixture pair) and a counter-verified cache
-# round trip through cstf_tune: measure-populate a fresh CSTFTUNE file,
-# then require the second run to be a pure cache hit (--expect-cached).
-#
 # Knobs (env vars): CSTF_CHECK_SKIP_SANITIZE=1 skips the second pass (useful
 # on toolchains without sanitizer runtimes), CSTF_CHECK_SKIP_PERF=1,
 # CSTF_CHECK_TSAN=1 adds a ThreadSanitizer pass (-DCSTF_TSAN=ON) over the
-# exec-, mttkrp-, dimtree-, autotune-, metrics-, updates- and serve-labeled
-# ctest groups (the executor/plan-cache layer the trainer and multi-GPU
+# exec-, mttkrp-, dimtree-, metrics-, updates- and serve-labeled ctest
+# groups (the executor/plan-cache layer the trainer and multi-GPU
 # schedules submit through, the MTTKRP kernels' pooled private tiles and
 # parallel transposes, the dimension-tree engine's parallel chain derives,
 # the metrics registry's lock-free counter hot path, the row-tiled ADMM
@@ -96,22 +90,10 @@ else
   ./build/tools/cstf_serve --dataset Uber --rank 4 --iters 2 --requests 200 \
     --clients 4 --retries 10 --fault-plan "launch:p=0.01,seed=7" \
     --json results/check_chaos_telemetry.json
-
-  echo "=== autotune smoke: tuning cache round trip, counter-verified"
-  # The autotune-labeled ctest group (unit suite + cstf_tune/cstf_cli smoke),
-  # then an explicit populate-then-hit pass against a fresh cache file:
-  # the first cstf_tune run must measure (trials), the second must be a pure
-  # cache hit — --expect-cached exits nonzero if any decision re-ran trials.
-  ctest --test-dir build -L autotune --output-on-failure
-  rm -f results/check_tuning.cstftune
-  ./build/tools/cstf_tune --dataset Uber --dataset NIPS --rank 8 \
-    --tune measure --tuning-cache results/check_tuning.cstftune
-  ./build/tools/cstf_tune --dataset Uber --dataset NIPS --rank 8 \
-    --tune cached --tuning-cache results/check_tuning.cstftune --expect-cached
 fi
 
 if [ "${CSTF_CHECK_TSAN:-0}" = "1" ]; then
-  echo "=== TSan pass: exec-, mttkrp-, dimtree-, autotune-, metrics-, updates- and serve-labeled suites under ThreadSanitizer"
+  echo "=== TSan pass: exec-, mttkrp-, dimtree-, metrics-, updates- and serve-labeled suites under ThreadSanitizer"
   # TSan and ASan cannot share a binary (the configure step enforces the
   # exclusivity), so this is its own build tree. The exec group covers the
   # executor, plan caches, and the trainer and multi-GPU schedules that
@@ -122,8 +104,6 @@ if [ "${CSTF_CHECK_TSAN:-0}" = "1" ]; then
   # The dimtree group rides along: the chain derives scatter through the
   # same parallel accumulation engine, and its lazy extends must be race-
   # free against the plan's explicit extend ops.
-  # The autotune group rides along: micro-trials run warmup+timed kernels
-  # through the same parallel-for engine the chunk sweep retunes.
   # The metrics group rides along: the registry's lock-free counter hot path
   # (relaxed fetch_add from every kernel launch and serve request) is
   # exactly the kind of code TSan exists to vet.
@@ -137,7 +117,7 @@ if [ "${CSTF_CHECK_TSAN:-0}" = "1" ]; then
   cmake --build build-tsan -j
   TSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir build-tsan \
-    -L 'exec|mttkrp|dimtree|autotune|metrics|updates|serve' --output-on-failure
+    -L 'exec|mttkrp|dimtree|metrics|updates|serve' --output-on-failure
 fi
 
 if [ "${CSTF_CHECK_SKIP_SANITIZE:-0}" = "1" ]; then
@@ -152,14 +132,13 @@ cmake --build build-asan -j
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
   ctest --test-dir build-asan --output-on-failure -j
 
-echo "=== dimtree + autotune + metrics groups under ASan+UBSan (label re-run)"
+echo "=== dimtree + metrics groups under ASan+UBSan (label re-run)"
 # Redundant with the full sanitized suite above, but keeps the dimension-
-# tree engine's pointer-heavy chain arithmetic, the tuning cache's binary
-# parser (attacker-controlled bytes on the load path), and the metrics
+# tree engine's pointer-heavy chain arithmetic and the metrics
 # registry/exposition layer visibly gated even if the full pass is ever
 # narrowed.
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-  ctest --test-dir build-asan -L 'dimtree|autotune|metrics' --output-on-failure
+  ctest --test-dir build-asan -L 'dimtree|metrics' --output-on-failure
 
 echo "=== chaos smoke under ASan: fault-recovery paths must be leak-free"
 # The retry/degraded paths unwind through exceptions mid-batch; run them under

@@ -35,8 +35,7 @@ void BlcoBackend::mttkrp(simgpu::Device& dev,
     return;
   }
   ScatterOptions opts = scatter_;
-  opts.strategy =
-      resolve_scatter_strategy_for_mode(opts, mode, dim(mode), out.cols(), nnz());
+  opts.strategy = resolve_scatter_strategy(opts, dim(mode), out.cols(), nnz());
   const ScatterPlan* plan = nullptr;
   if (opts.strategy == ScatterStrategy::kSorted) {
     plan = &plans_.get(mode, [&] { return blco_scatter_plan(blco_, mode); });
@@ -67,8 +66,7 @@ void AltoBackend::mttkrp(simgpu::Device& dev,
                          const std::vector<Matrix>& factors, int mode,
                          Matrix& out) const {
   ScatterOptions opts = scatter_;
-  opts.strategy =
-      resolve_scatter_strategy_for_mode(opts, mode, dim(mode), out.cols(), nnz());
+  opts.strategy = resolve_scatter_strategy(opts, dim(mode), out.cols(), nnz());
   const ScatterPlan* plan = nullptr;
   if (opts.strategy == ScatterStrategy::kSorted) {
     plan = &plans_.get(mode, [&] { return alto_scatter_plan(alto_, mode); });
@@ -89,8 +87,7 @@ void CooBackend::mttkrp(simgpu::Device& dev,
                         const std::vector<Matrix>& factors, int mode,
                         Matrix& out) const {
   ScatterOptions opts = scatter_;
-  opts.strategy =
-      resolve_scatter_strategy_for_mode(opts, mode, dim(mode), out.cols(), nnz());
+  opts.strategy = resolve_scatter_strategy(opts, dim(mode), out.cols(), nnz());
   const ScatterPlan* plan = nullptr;
   if (opts.strategy == ScatterStrategy::kSorted) {
     plan = &plans_.get(mode, [&] { return coo_scatter_plan(coo_, mode); });

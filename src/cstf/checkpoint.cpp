@@ -8,7 +8,6 @@
 
 #include "common/digest.hpp"
 #include "metrics/registry.hpp"
-#include "parallel/parallel_for.hpp"
 
 namespace cstf {
 
@@ -34,10 +33,10 @@ std::uint64_t digest_training_options(const FrameworkOptions& options) {
   // kCheckpointFormatVersion if it changes (v2 added mttkrp_mode, v3 added
   // dimtree_budget_bytes, v4 added the autotuning policy / per-mode picks /
   // chunk knob, v5 dropped the determinism flag and renumbered the scatter
-  // strategies). Convergence and checkpoint cadence knobs (max_iterations,
-  // fit_tolerance, checkpoint_*) are deliberately excluded: a resumed run
-  // may legitimately extend or re-schedule a training job without
-  // invalidating its checkpoints.
+  // strategies, v6 dropped the v4 fields again). Convergence and checkpoint
+  // cadence knobs (max_iterations, fit_tolerance, checkpoint_*) are
+  // deliberately excluded: a resumed run may legitimately extend or
+  // re-schedule a training job without invalidating its checkpoints.
   DigestBuilder d;
   d.u64(static_cast<std::uint64_t>(options.rank))
       .u64(options.seed)
@@ -54,18 +53,6 @@ std::uint64_t digest_training_options(const FrameworkOptions& options) {
       // budget shapes the numerics and must pin the digest.
       .f64(options.dimtree_budget_bytes)
       .boolean(options.compute_fit);
-  // Autotuning shapes the numerics the same way: a tuned per-mode scatter
-  // pick changes the fp accumulation order, and the chunk knob resizes the
-  // privatized tile set. The framework folds applied picks into
-  // options.scatter.per_mode before this digest is ever taken, so a
-  // checkpoint written under a tuned configuration refuses to resume under
-  // a different one.
-  d.u64(static_cast<std::uint64_t>(options.tuning.policy))
-      .u64(static_cast<std::uint64_t>(options.scatter.per_mode.size()));
-  for (ScatterStrategy s : options.scatter.per_mode) {
-    d.u64(static_cast<std::uint64_t>(s));
-  }
-  d.u64(static_cast<std::uint64_t>(parallel_chunks_per_worker()));
   return d.value();
 }
 

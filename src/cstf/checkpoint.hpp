@@ -36,7 +36,7 @@
 
 namespace cstf {
 
-inline constexpr std::uint32_t kCheckpointFormatVersion = 5;
+inline constexpr std::uint32_t kCheckpointFormatVersion = 6;
 
 /// A training snapshot plus the provenance needed to refuse a mismatched
 /// resume.

@@ -37,34 +37,9 @@ std::unique_ptr<UpdateMethod> CstfFramework::make_update(
   throw Error("unknown update scheme");
 }
 
-FrameworkOptions CstfFramework::apply_tuning(const SparseTensor& tensor,
-                                             FrameworkOptions options,
-                                             autotune::TuningOutcome* outcome) {
-  autotune::TuneInputs in;
-  in.tensor = &tensor;
-  in.rank = options.rank;
-  in.spec = options.device;
-  in.scatter = options.scatter;
-  in.requested_mode = options.mttkrp_mode;
-  in.dimtree_budget_bytes = options.dimtree_budget_bytes;
-  // The BLCO backend is not built yet, so the trials model the raw COO
-  // stream footprint; the block capacity still enters the fingerprint.
-  in.layout_tag = static_cast<std::uint64_t>(options.blco_block_capacity);
-  *outcome = autotune::resolve_tuning(in, options.tuning);
-  if (outcome->applied) {
-    options.scatter.per_mode = outcome->record.scatter_per_mode;
-    options.mttkrp_mode = outcome->record.mttkrp_mode;
-    if (outcome->record.chunks_per_worker > 0) {
-      set_parallel_chunks_per_worker(
-          static_cast<index_t>(outcome->record.chunks_per_worker));
-    }
-  }
-  return options;
-}
-
 CstfFramework::CstfFramework(const SparseTensor& tensor,
                              FrameworkOptions options)
-    : options_(apply_tuning(tensor, std::move(options), &tuning_outcome_)),
+    : options_(std::move(options)),
       device_(options_.device),
       backend_(tensor, options_.blco_block_capacity, options_.scatter),
       update_(make_update(options_.scheme, options_.prox,
@@ -94,16 +69,6 @@ CstfFramework::CstfFramework(const SparseTensor& tensor,
   DigestBuilder scatter_digest;
   scatter_digest.u64(static_cast<std::uint64_t>(options_.scatter.strategy))
       .u64(static_cast<std::uint64_t>(resolved_mttkrp_));
-  // The tuning policy and its applied per-mode picks also change the op
-  // bodies' behavior (and fp accumulation order); a policy flip or a
-  // different cached decision must recompile the plan.
-  scatter_digest.u64(static_cast<std::uint64_t>(options_.tuning.policy))
-      .u64(static_cast<std::uint64_t>(options_.scatter.per_mode.size()));
-  for (ScatterStrategy s : options_.scatter.per_mode) {
-    scatter_digest.u64(static_cast<std::uint64_t>(s));
-  }
-  scatter_digest.u64(
-      static_cast<std::uint64_t>(parallel_chunks_per_worker()));
   auntf.plan_digest_extra = scatter_digest.value();
   if (options_.checkpoint_every > 0) {
     CSTF_CHECK_MSG(!options_.checkpoint_path.empty(),

@@ -15,7 +15,6 @@
 
 #include <memory>
 
-#include "autotune/tuning.hpp"
 #include "cstf/auntf.hpp"
 #include "updates/admm.hpp"
 #include "updates/als.hpp"
@@ -80,13 +79,6 @@ struct FrameworkOptions {
   /// (see AuntfOptions::pipeline_streams). Off by default: serial modeling.
   bool pipeline_streams = false;
 
-  /// Autotuning policy and trial protocol (see autotune/tuning.hpp). The
-  /// default kModel runs no trials and keeps the cost-model path
-  /// bit-identical; kMeasure/kCached replace the kAuto resolutions above
-  /// with measured per-mode scatter picks, a measured engine choice, and a
-  /// tuned chunk count — consulting/refreshing `tuning.cache_path` when set.
-  autotune::TuningOptions tuning;
-
   /// Write a crash-consistent training checkpoint (CSTFCKPT, see
   /// cstf/checkpoint.hpp) to `checkpoint_path` every N completed outer
   /// iterations. 0 disables checkpointing.
@@ -134,9 +126,6 @@ class CstfFramework {
   /// kAuto). `cstf_info --plan` and the benches report this.
   MttkrpMode resolved_mttkrp_mode() const { return resolved_mttkrp_; }
 
-  /// What the autotuner decided for this run (applied=false under kModel).
-  const autotune::TuningOutcome& tuning() const { return tuning_outcome_; }
-
   /// Builds an update method for a scheme outside the framework (used by
   /// benches that drive Auntf directly).
   static std::unique_ptr<UpdateMethod> make_update(
@@ -155,17 +144,6 @@ class CstfFramework {
  private:
   void resume_from_checkpoint(const std::string& path);
 
-  /// Runs resolve_tuning per `options.tuning` and folds the decision into
-  /// the returned options (per-mode scatter picks, concrete MTTKRP mode,
-  /// chunk count). Called from options_'s member initializer — the tuned
-  /// options must exist before backend_ is constructed from them.
-  static FrameworkOptions apply_tuning(const SparseTensor& tensor,
-                                       FrameworkOptions options,
-                                       autotune::TuningOutcome* outcome);
-
-  // Declared before options_: apply_tuning fills it while options_
-  // initializes.
-  autotune::TuningOutcome tuning_outcome_;
   FrameworkOptions options_;
   simgpu::Device device_;
   BlcoBackend backend_;

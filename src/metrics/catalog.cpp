@@ -9,14 +9,6 @@ namespace {
 // Sorted by name (binary-searched in find_catalog_entry). Keep
 // docs/METRICS.md in sync — scripts/check_docs.sh cross-checks the names.
 constexpr CatalogEntry kCatalog[] = {
-    {"autotune.trials", InstrumentType::kCounter, "",
-     "1", "Autotune measurement trials executed."},
-    {"autotune.tuning_cache.evictions", InstrumentType::kCounter, "",
-     "1", "Entries evicted from the LRU tuning cache."},
-    {"autotune.tuning_cache.hits", InstrumentType::kCounter, "",
-     "1", "Tuning-cache lookups answered from the cache."},
-    {"autotune.tuning_cache.misses", InstrumentType::kCounter, "",
-     "1", "Tuning-cache lookups that required a fresh tuning run."},
     {"checkpoint.loads", InstrumentType::kCounter, "result",
      "1", "Checkpoint load attempts by result (ok|error)."},
     {"checkpoint.saves", InstrumentType::kCounter, "result",

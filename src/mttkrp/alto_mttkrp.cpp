@@ -51,7 +51,7 @@ ScatterStrategy mttkrp_alto(const AltoTensor& alto,
   CSTF_CHECK(out.rows() == mode_len && out.cols() == rank);
 
   const ScatterStrategy strategy =
-      resolve_scatter_strategy_for_mode(opts, mode, mode_len, rank, alto.nnz());
+      resolve_scatter_strategy(opts, mode_len, rank, alto.nnz());
 
   ScatterPlan local_plan;
   if (strategy == ScatterStrategy::kSorted && plan == nullptr) {

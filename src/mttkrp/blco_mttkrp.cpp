@@ -258,8 +258,8 @@ ScatterStrategy mttkrp_blco(simgpu::Device& dev, const BlcoTensor& blco,
                             Matrix& out, const ScatterOptions& opts,
                             const ScatterPlan* plan) {
   check_mttkrp_args(blco, factors, mode, out);
-  const ScatterStrategy strategy = resolve_scatter_strategy_for_mode(
-      opts, mode, out.rows(), out.cols(), blco.nnz());
+  const ScatterStrategy strategy =
+      resolve_scatter_strategy(opts, out.rows(), out.cols(), blco.nnz());
 
   ScatterPlan local_plan;
   if (strategy == ScatterStrategy::kSorted && plan == nullptr) {

@@ -43,7 +43,7 @@ ScatterStrategy mttkrp_coo(const SparseTensor& x,
   CSTF_CHECK(out.rows() == x.dim(mode) && out.cols() == rank);
 
   const ScatterStrategy strategy =
-      resolve_scatter_strategy_for_mode(opts, mode, x.dim(mode), rank, x.nnz());
+      resolve_scatter_strategy(opts, x.dim(mode), rank, x.nnz());
 
   // One-shot plan when the caller has no cache for this (tensor, mode).
   ScatterPlan local_plan;

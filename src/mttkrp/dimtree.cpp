@@ -124,13 +124,13 @@ std::vector<simgpu::KernelStats> tree_sequence_stats(
   std::vector<simgpu::KernelStats> seq;
   seq.push_back(flat_mode_stats(
       dims, nnz, rank, flat_stream_bytes, 0,
-      resolve_scatter_strategy_for_mode(opts, 0, dims[0], rank, nnz)));
+      resolve_scatter_strategy(opts, dims[0], rank, nnz)));
   for (int m = 1; m < modes; ++m) {
     seq.push_back(extend_level_stats(dims, nnz, rank, m - 1));
     seq.push_back(derive_mode_stats(
         dims, nnz, rank, m,
-        resolve_scatter_strategy_for_mode(
-            opts, m, dims[static_cast<std::size_t>(m)], rank, nnz)));
+        resolve_scatter_strategy(
+            opts, dims[static_cast<std::size_t>(m)], rank, nnz)));
   }
   return seq;
 }
@@ -143,8 +143,8 @@ std::vector<simgpu::KernelStats> flat_sequence_stats(
   for (int m = 0; m < modes; ++m) {
     seq.push_back(flat_mode_stats(
         dims, nnz, rank, flat_stream_bytes, m,
-        resolve_scatter_strategy_for_mode(
-            opts, m, dims[static_cast<std::size_t>(m)], rank, nnz)));
+        resolve_scatter_strategy(
+            opts, dims[static_cast<std::size_t>(m)], rank, nnz)));
   }
   return seq;
 }
@@ -344,7 +344,7 @@ ScatterStrategy DimTreeEngine::mttkrp(simgpu::Device& dev,
   for (const Matrix& f : factors) CSTF_CHECK(f.cols() == rank_);
 
   const ScatterStrategy strategy =
-      resolve_scatter_strategy_for_mode(opts, mode, dim(mode), rank_, nnz_);
+      resolve_scatter_strategy(opts, dim(mode), rank_, nnz_);
   const ScatterPlan* plan =
       strategy == ScatterStrategy::kSorted ? &plan_for(mode) : nullptr;
   const index_t rank = rank_;

@@ -168,7 +168,7 @@ class DimTreeEngine {
       const ScatterOptions& opts) const;
 
   /// The engine's per-mode sorted-scatter plan cache — exposed so its
-  /// hit/miss counters are observable (cstf_info, tuning telemetry).
+  /// hit/miss counters are observable (cstf_info).
   const ScatterPlanCache& scatter_plans() const { return plans_; }
 
  private:

@@ -53,16 +53,6 @@ ScatterStrategy resolve_scatter_strategy(const ScatterOptions& opts,
              : ScatterStrategy::kSorted;
 }
 
-ScatterStrategy resolve_scatter_strategy_for_mode(const ScatterOptions& opts,
-                                                  int mode, index_t mode_len,
-                                                  index_t rank, index_t nnz) {
-  if (mode >= 0 && static_cast<std::size_t>(mode) < opts.per_mode.size()) {
-    const ScatterStrategy s = opts.per_mode[static_cast<std::size_t>(mode)];
-    if (s != ScatterStrategy::kAuto) return s;
-  }
-  return resolve_scatter_strategy(opts, mode_len, rank, nnz);
-}
-
 void apply_scatter_stats(simgpu::KernelStats& stats, ScatterStrategy strategy,
                          index_t mode_len, index_t rank, double nnz) {
   const double out_words =

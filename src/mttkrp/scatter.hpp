@@ -66,13 +66,6 @@ struct ScatterOptions {
   /// pooled (ScratchPool), so this bounds steady-state memory, not per-call
   /// allocation traffic.
   double privatization_budget_bytes = 64.0 * 1024.0 * 1024.0;
-
-  /// Per-mode strategy overrides from the autotuner: entry m (when present
-  /// and not kAuto) pins mode m's strategy ahead of `strategy`. Modes beyond
-  /// the vector (or kAuto entries) fall through to the normal resolution.
-  /// Only resolve_scatter_strategy_for_mode consults this — call sites that
-  /// do not know their mode (streaming slices) ignore it.
-  std::vector<ScatterStrategy> per_mode;
 };
 
 /// Reusable sorted-scatter plan for one (tensor, mode): the nonzero ids
@@ -127,8 +120,8 @@ class ScatterPlanCache {
   }
 
   /// Plan reuse counters (cumulative across clear()): a miss builds a plan,
-  /// a hit reuses one. Surfaced by cstf_info and the tuning telemetry so
-  /// plan-build overhead is observable.
+  /// a hit reuses one. Surfaced by cstf_info so plan-build overhead is
+  /// observable.
   std::int64_t hits() const { return hits_; }
   std::int64_t misses() const { return misses_; }
 
@@ -160,25 +153,16 @@ index_t privatized_tile_count(index_t nnz);
 
 /// Do the privatized strategy's tiles for `nnz` nonzeros — T * mode_len *
 /// rank words, T = privatized_tile_count(nnz) — fit
-/// `opts.privatization_budget_bytes`? The kAuto rule, shared by the
-/// resolver and the autotuner's candidate set.
+/// `opts.privatization_budget_bytes`? The kAuto rule.
 bool privatized_fits(const ScatterOptions& opts, index_t mode_len,
                      index_t rank, index_t nnz);
 
 /// Resolves kAuto to a concrete strategy for one mode: privatized when
 /// privatized_fits, otherwise sorted. Explicit requests pass through
-/// unchanged. Ignores `opts.per_mode` (callers that do not know their mode
-/// index).
+/// unchanged.
 ScatterStrategy resolve_scatter_strategy(const ScatterOptions& opts,
                                          index_t mode_len, index_t rank,
                                          index_t nnz);
-
-/// Mode-aware resolution: a concrete `opts.per_mode[mode]` entry (the
-/// autotuner's pick) wins. Without an override this is exactly
-/// resolve_scatter_strategy.
-ScatterStrategy resolve_scatter_strategy_for_mode(const ScatterOptions& opts,
-                                                  int mode, index_t mode_len,
-                                                  index_t rank, index_t nnz);
 
 /// Adds the strategy-specific cost terms to a kernel-stats record that
 /// already accounts for the shared work (stream + factor gathers + scatter

@@ -24,48 +24,22 @@ namespace cstf {
 /// costs more than the loop body for tiny ranges.
 inline constexpr index_t kParallelGrainDefault = 1024;
 
-/// Default chunk oversubscription factor: chunks created per worker. 4x
-/// keeps the longest post-imbalance tail at ~25% of one worker's share while
-/// keeping per-chunk overhead (one ticket fetch_add) amortized over many
-/// elements.
+/// Chunk oversubscription factor: chunks created per worker. 4x keeps the
+/// longest post-imbalance tail at ~25% of one worker's share while keeping
+/// per-chunk overhead (one ticket fetch_add) amortized over many elements.
+/// It also sizes the privatized scatter's tile set (privatized_tile_count),
+/// so it is part of that strategy's accumulation grouping.
 inline constexpr index_t kParallelChunksPerWorker = 4;
 
 namespace detail {
 
-inline std::atomic<index_t>& chunks_per_worker_knob() {
-  static std::atomic<index_t> knob{kParallelChunksPerWorker};
-  return knob;
-}
-
-}  // namespace detail
-
-/// Runtime chunk oversubscription factor; defaults to
-/// kParallelChunksPerWorker. The autotuner sweeps it and applies the tuned
-/// value process-wide; every run that never touches it behaves exactly as
-/// before. NOTE: it also sizes the privatized scatter's tile set, so
-/// changing it between runs changes privatized accumulation grouping —
-/// which is why the tuned value enters the checkpoint options digest.
-inline index_t parallel_chunks_per_worker() {
-  return detail::chunks_per_worker_knob().load(std::memory_order_relaxed);
-}
-
-/// Clamped to [1, 64]; values outside are pinned, never rejected.
-inline void set_parallel_chunks_per_worker(index_t chunks) {
-  detail::chunks_per_worker_knob().store(
-      std::max<index_t>(1, std::min<index_t>(chunks, 64)),
-      std::memory_order_relaxed);
-}
-
-namespace detail {
-
 /// Number of dynamic chunks for a range of `n` elements: ~4x the worker
-/// count (see the runtime knob above), but never chunks smaller than `grain`
-/// elements (tiny chunks would pay more in ticket traffic than they win in
-/// balance).
+/// count, but never chunks smaller than `grain` elements (tiny chunks would
+/// pay more in ticket traffic than they win in balance).
 inline index_t parallel_chunk_count(index_t n, index_t workers, index_t grain) {
   const index_t by_grain = grain > 0 ? (n + grain - 1) / grain : n;
   return std::max<index_t>(
-      1, std::min(workers * parallel_chunks_per_worker(), by_grain));
+      1, std::min(workers * kParallelChunksPerWorker, by_grain));
 }
 
 /// Runs `block(lo, hi)` for every chunk of [begin, end), chunks claimed

@@ -209,9 +209,8 @@ class FoldInBatcher {
   ReliabilityCounters& reliability() { return reliability_; }
 
   /// Mean arrival rate since construction: submitted requests (shed ones
-  /// included — they arrived) over elapsed wall time. This is the measured
-  /// rate the autotuner's batcher calibration feeds on; 0 until the first
-  /// submit.
+  /// included — they arrived) over elapsed wall time; 0 until the first
+  /// submit. cstf_serve prints it.
   double measured_arrival_rate_rps() const {
     const double elapsed = epoch_.seconds();
     if (elapsed <= 0.0) return 0.0;

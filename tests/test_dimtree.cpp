@@ -306,5 +306,40 @@ TEST(DimtreeStats, TreeSequenceModelsFasterOnTreeFavorableShape) {
   EXPECT_GT(flat_s / tree_s, 1.3);
 }
 
+// Golden decision table for the engine resolver: the budget cap is exact,
+// and the full-scale analog decisions pin the roofline comparison on both a
+// default and a forced-sorted scatter configuration.
+TEST(DecisionGolden, MttkrpModeTable) {
+  const SparseTensor small = random_tensor({29, 31, 23}, 1000, 73);
+  const auto spec = simgpu::a100();
+
+  // Chain over budget -> flat, regardless of everything else.
+  EXPECT_EQ(resolve_mttkrp_mode(small, 8, ScatterOptions{}, spec, 1.0),
+            MttkrpMode::kFlat);
+
+  const index_t rank = 32;
+  const auto decide = [&](const char* name, const ScatterOptions& opts) {
+    const DatasetAnalog data = make_analog(name);
+    const BlcoTensor blco(data.tensor);
+    return resolve_mttkrp_mode(data.tensor, rank, opts, spec,
+                               kDefaultDimtreeBudgetBytes,
+                               blco.storage_bytes(), data.nnz_scale());
+  };
+  const ScatterOptions defaults;
+  ScatterOptions sorted;
+  sorted.strategy = ScatterStrategy::kSorted;
+  // Cache-resident factors (NIPS/Uber): random traffic is nearly free, the
+  // chain streaming only adds cost -> flat. Long-mode 4-way tensors: the
+  // suffix derives shrink the working set -> dimtree. The forced-sorted
+  // configuration prices both engines' scatters identically, so the
+  // decisions must not flip.
+  EXPECT_EQ(decide("NIPS", defaults), MttkrpMode::kFlat);
+  EXPECT_EQ(decide("NIPS", sorted), MttkrpMode::kFlat);
+  EXPECT_EQ(decide("Uber", defaults), MttkrpMode::kFlat);
+  EXPECT_EQ(decide("Chicago", defaults), MttkrpMode::kDimtree);
+  EXPECT_EQ(decide("Chicago", sorted), MttkrpMode::kDimtree);
+  EXPECT_EQ(decide("Delicious", defaults), MttkrpMode::kDimtree);
+}
+
 }  // namespace
 }  // namespace cstf

@@ -781,5 +781,46 @@ TEST(Mttkrp, DatasetAnalogAllFormatsAgree) {
   }
 }
 
+// Golden decision table for the scatter resolver across a (mode length,
+// nnz, budget) sweep. Budgets are expressed as multiples of the exact tile
+// footprint so the table is independent of the host's worker count.
+TEST(DecisionGolden, ScatterStrategyTable) {
+  const index_t rank = 16;
+  const auto tile_footprint = [&](index_t mode_len, index_t nnz) {
+    return static_cast<double>(privatized_tile_count(nnz)) *
+           static_cast<double>(mode_len) * static_cast<double>(rank) * 8.0;
+  };
+  struct Case {
+    index_t mode_len;
+    index_t nnz;
+    double budget_mult;  // x tile_footprint
+    ScatterStrategy want;
+  };
+  const Case table[] = {
+      // Fits the scratch budget -> privatized.
+      {256, 4096, 2.0, ScatterStrategy::kPrivatized},
+      {4096, 4096, 1.0, ScatterStrategy::kPrivatized},
+      // Over budget -> sorted, at 16, 8 or 1 updates per row alike.
+      {256, 4096, 0.5, ScatterStrategy::kSorted},
+      {512, 4096, 0.5, ScatterStrategy::kSorted},
+      {4096, 4096, 0.5, ScatterStrategy::kSorted},
+  };
+  for (const Case& c : table) {
+    ScatterOptions opts;
+    opts.privatization_budget_bytes =
+        c.budget_mult * tile_footprint(c.mode_len, c.nnz);
+    EXPECT_EQ(resolve_scatter_strategy(opts, c.mode_len, rank, c.nnz), c.want)
+        << "mode_len=" << c.mode_len << " nnz=" << c.nnz
+        << " budget_mult=" << c.budget_mult;
+  }
+
+  // Explicit requests pass through, whatever the budget.
+  ScatterOptions forced;
+  forced.strategy = ScatterStrategy::kPrivatized;
+  forced.privatization_budget_bytes = 1.0;
+  EXPECT_EQ(resolve_scatter_strategy(forced, 4096, rank, 4096),
+            ScatterStrategy::kPrivatized);
+}
+
 }  // namespace
 }  // namespace cstf

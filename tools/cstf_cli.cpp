@@ -20,11 +20,6 @@
 //                       models both and picks per tensor (DESIGN.md §13)
 //   --dimtree-budget B  byte cap on the dimension tree's chain intermediate
 //                       (default 256 MiB; over budget falls back to flat)
-//   --tune P            model | cached | measure — autotuning policy
-//                       (default model = cost model only; cached/measure run
-//                       seeded micro-trials, see DESIGN.md §14)
-//   --tuning-cache F    CSTFTUNE cache file consulted/refreshed by
-//                       --tune cached|measure
 //   --seed N            RNG seed for the factor initialization (default 42)
 //   --output PREFIX     write factors to PREFIX.mode<k>.txt and lambda to
 //                       PREFIX.lambda.txt
@@ -81,8 +76,6 @@ using namespace cstf;
                " [--scatter auto|privatized|sorted]\n"
                "                [--mttkrp auto|flat|dimtree]"
                " [--dimtree-budget BYTES]\n"
-               "                [--tune model|cached|measure]"
-               " [--tuning-cache FILE]\n"
                "                [--seed N] [--output PREFIX]\n"
                "                [--checkpoint-every N --checkpoint-path P]"
                " [--resume P]\n"
@@ -189,13 +182,6 @@ int main(int argc, char** argv) {
       }
       options.dimtree_budget_bytes = bytes;
     }
-    else if (arg == "--tune") {
-      const std::string spec = value();
-      if (!autotune::parse_tuning_policy(spec, &options.tuning.policy)) {
-        usage(("unknown tuning policy: " + spec).c_str());
-      }
-    }
-    else if (arg == "--tuning-cache") options.tuning.cache_path = value();
     else if (arg == "--seed") options.seed = std::strtoull(value().c_str(), nullptr, 10);
     else if (arg == "--output") output = value();
     else if (arg == "--checkpoint") checkpoint = value();
@@ -244,17 +230,6 @@ int main(int argc, char** argv) {
                 mttkrp_mode_name(framework.resolved_mttkrp_mode()),
                 options.mttkrp_mode == MttkrpMode::kAuto
                     ? " (auto-resolved)" : "");
-    const autotune::TuningOutcome& tuned = framework.tuning();
-    if (tuned.applied) {
-      std::printf("autotune (%s): %s, chunks/worker %u, scatter",
-                  autotune::tuning_policy_name(options.tuning.policy),
-                  tuned.cache_hit ? "cache hit" : "micro-trials",
-                  tuned.record.chunks_per_worker);
-      for (ScatterStrategy s : tuned.record.scatter_per_mode) {
-        std::printf(" %s", scatter_strategy_name(s));
-      }
-      std::printf("\n");
-    }
     simgpu::Tracer tracer;
     if (profile || !trace_path.empty()) {
       framework.device().set_tracer(&tracer);

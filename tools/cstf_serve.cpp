@@ -14,7 +14,7 @@
 //   --query-frac F   fraction of requests that are queries; the rest are
 //                    fold-ins (0.5)
 //   --topk K         every 4th query is a top-k scoring of this size (5)
-//   --batch B        fold-in batcher max batch size (16)
+//   --batch B        fold-in batcher max batch size, >= 1 (64)
 //   --linger S       batcher linger window in seconds (0.002)
 //   --per-request    disable Gram caching AND batching: every fold-in
 //                    re-factorizes S + rho*I alone (the baseline mode)
@@ -37,15 +37,6 @@
 //   --max-queue N    fold-in admission-queue bound; beyond it requests are
 //                    shed, not queued (1024)
 //
-// Autotuning options (DESIGN.md §14):
-//   --tune P         model | cached | measure — batcher autotuning policy.
-//                    measure calibrates the fused-solve cost after the
-//                    workload and derives a tuned max_batch/linger from the
-//                    measured arrival rate; cached applies a previously
-//                    stored decision before serving starts
-//   --tuning-cache F CSTFTUNE cache file the decision is read from /
-//                    written to
-//
 // Output: model provenance, query and fold-in latency summaries
 // (p50/p95/p99), the realized batch-size histogram, the worst fold-in ADMM
 // residual, reliability counters (shed/timeout/retry/degraded), and the
@@ -67,8 +58,6 @@
 #include <thread>
 #include <vector>
 
-#include "autotune/tuning.hpp"
-#include "common/digest.hpp"
 #include "cstf/framework.hpp"
 #include "metrics/exposition.hpp"
 #include "metrics/registry.hpp"
@@ -96,8 +85,6 @@ using namespace cstf;
                "                  [--fault-plan SPEC] [--retries N]"
                " [--backoff S]\n"
                "                  [--deadline S] [--max-queue N]\n"
-               "                  [--tune model|cached|measure]"
-               " [--tuning-cache FILE]\n"
                "                  [--seed N] [--trace FILE] [--json FILE]\n"
                "                  [--metrics-out FILE]\n");
   std::exit(2);
@@ -211,8 +198,8 @@ int main(int argc, char** argv) {
   int clients = 4;
   double query_frac = 0.5;
   int topk = 5;
-  std::size_t batch = 16;
-  double linger_s = 0.002;
+  std::size_t batch = serve::FoldInBatcher::Options{}.max_batch;
+  double linger_s = serve::FoldInBatcher::Options{}.max_linger_s;
   bool per_request = false;
   std::uint64_t seed = 42;
   simgpu::DeviceSpec device_spec = simgpu::a100();
@@ -222,8 +209,6 @@ int main(int argc, char** argv) {
   double backoff_s = 0.0002;
   double deadline_s = 0.0;
   std::size_t max_queue = 1024;
-  autotune::TuningPolicy tune_policy = autotune::TuningPolicy::kModel;
-  std::string tuning_cache_path;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -240,8 +225,10 @@ int main(int argc, char** argv) {
     else if (arg == "--clients") clients = std::atoi(value().c_str());
     else if (arg == "--query-frac") query_frac = std::atof(value().c_str());
     else if (arg == "--topk") topk = std::atoi(value().c_str());
-    else if (arg == "--batch") batch = static_cast<std::size_t>(std::atoll(value().c_str()));
-    else if (arg == "--linger") linger_s = std::atof(value().c_str());
+    else if (arg == "--batch") {
+      batch = static_cast<std::size_t>(parse_count_flag(arg, value(), 1));
+    }
+    else if (arg == "--linger") linger_s = parse_seconds_flag(arg, value());
     else if (arg == "--per-request") per_request = true;
     else if (arg == "--device") device_spec = parse_device(value());
     else if (arg == "--fault-plan") { fault_spec = value(); fault_spec_given = true; }
@@ -254,13 +241,6 @@ int main(int argc, char** argv) {
     else if (arg == "--max-queue") {
       max_queue = static_cast<std::size_t>(parse_count_flag(arg, value(), 0));
     }
-    else if (arg == "--tune") {
-      const std::string spec = value();
-      if (!autotune::parse_tuning_policy(spec, &tune_policy)) {
-        usage(("unknown tuning policy: " + spec).c_str());
-      }
-    }
-    else if (arg == "--tuning-cache") tuning_cache_path = value();
     else if (arg == "--seed") seed = std::strtoull(value().c_str(), nullptr, 10);
     else if (arg == "--trace") trace_path = value();
     else if (arg == "--json") json_path = value();
@@ -336,42 +316,6 @@ int main(int argc, char** argv) {
     batcher_options.default_deadline_s = deadline_s;
     batcher_options.max_retries = retries;
     batcher_options.retry_backoff_s = backoff_s;
-
-    // Batcher autotuning key: this device + the served model's shape. The
-    // arrival rate is workload-dependent, so the stored record carries the
-    // measured rate it was tuned for as evidence.
-    autotune::TuningKey serve_key;
-    autotune::TuningCache tuning_cache;
-    bool tuned_from_cache = false;
-    if (tune_policy != autotune::TuningPolicy::kModel) {
-      std::vector<index_t> dims(static_cast<std::size_t>(modes));
-      for (int m = 0; m < modes; ++m) {
-        dims[static_cast<std::size_t>(m)] = model->mode_size(m);
-      }
-      serve_key.device_digest = autotune::digest_device_spec(device_spec);
-      serve_key.tensor_digest = autotune::digest_shape_fingerprint(
-          dims, 0, /*layout_tag=*/0x53455256);  // "SERV": batcher records
-      serve_key.rank = static_cast<std::uint64_t>(model->rank());
-      serve_key.options_digest = DigestBuilder()
-                                     .u64(static_cast<std::uint64_t>(batch))
-                                     .boolean(per_request)
-                                     .value();
-      if (!tuning_cache_path.empty()) {
-        tuning_cache = autotune::TuningCache::load_or_empty(tuning_cache_path);
-      }
-      if (tune_policy == autotune::TuningPolicy::kCached && !per_request) {
-        const autotune::TuningRecord* rec = tuning_cache.find(serve_key);
-        if (rec != nullptr && rec->batcher_max_batch > 0) {
-          batcher_options.max_batch = rec->batcher_max_batch;
-          batcher_options.max_linger_s = rec->batcher_linger_s;
-          tuned_from_cache = true;
-          std::printf("autotune: cached batcher decision (max_batch %u, "
-                      "linger %.4f s, tuned at %.1f req/s)\n",
-                      rec->batcher_max_batch, rec->batcher_linger_s,
-                      rec->batcher_arrival_rate_rps);
-        }
-      }
-    }
 
     serve::FoldInBatcher batcher(fold_engine, store, model->meta().name,
                                  batcher_options);
@@ -493,81 +437,6 @@ int main(int argc, char** argv) {
                 failures.load());
     std::printf("measured fold-in arrival rate: %.1f req/s\n", arrival_rps);
 
-    // Post-workload batcher calibration: fit the fused-solve cost model
-    // t(B) = base + per_row * B from two timed solves, combine it with the
-    // measured arrival rate, and store the tuned (max_batch, linger) for the
-    // next run to pick up with --tune cached.
-    autotune::BatcherTuning batcher_tuning;
-    if (tune_policy != autotune::TuningPolicy::kModel) {
-      auto timed_solve = [&](int rows) {
-        std::vector<serve::FoldInRequest> reqs;
-        Rng cal_rng(seed ^ 0xb47cULL);
-        for (int j = 0; j < rows; ++j) {
-          serve::FoldInRequest req;
-          req.mode = 0;
-          for (int e = 0; e < 4; ++e) {
-            for (int m = 0; m < modes; ++m) {
-              if (m == req.mode) continue;
-              req.coords.push_back(static_cast<index_t>(cal_rng.uniform_index(
-                  static_cast<std::uint64_t>(model->mode_size(m)))));
-            }
-            req.values.push_back(cal_rng.uniform(0.0, 2.0));
-          }
-          reqs.push_back(std::move(req));
-        }
-        // Calibration runs outside the serving retry wrapper, so absorb
-        // transient (injected) faults here; a retried attempt re-times the
-        // solve from scratch.
-        for (int attempt = 0;; ++attempt) {
-          try {
-            Timer t;
-            fold_engine.fold_in_batch(*model, reqs);
-            return t.seconds();
-          } catch (const Error&) {
-            if (attempt >= 5) throw;
-          }
-        }
-      };
-      autotune::BatcherCalibration cal;
-      bool calibrated = true;
-      try {
-        const double t1 = timed_solve(1);
-        const double t8 = timed_solve(8);
-        cal.solve_per_row_s = std::max(0.0, (t8 - t1) / 7.0);
-        cal.solve_base_s = std::max(0.0, t1 - cal.solve_per_row_s);
-      } catch (const Error& e) {
-        // A fault-ridden measurement is worthless; keep the current knobs
-        // rather than failing an otherwise successful serve run.
-        calibrated = false;
-        std::printf("autotune: batcher calibration aborted (%s); keeping %s "
-                    "batcher knobs\n",
-                    e.what(), tuned_from_cache ? "cached" : "default");
-      }
-      cal.arrival_rate_rps = arrival_rps;
-      if (calibrated) {
-        batcher_tuning = autotune::tune_fold_in_batcher(cal);
-        std::printf("autotune (%s): solve base %.1f us + %.1f us/row -> "
-                    "tuned max_batch %u, linger %.4f s%s\n",
-                    autotune::tuning_policy_name(tune_policy),
-                    cal.solve_base_s * 1e6, cal.solve_per_row_s * 1e6,
-                    batcher_tuning.max_batch, batcher_tuning.linger_s,
-                    tuned_from_cache ? " (served with cached decision)" : "");
-      }
-      if (calibrated && !tuned_from_cache) {
-        autotune::TuningRecord rec;
-        rec.batcher_max_batch = batcher_tuning.max_batch;
-        rec.batcher_linger_s = batcher_tuning.linger_s;
-        rec.batcher_arrival_rate_rps = arrival_rps;
-        rec.seed = seed;
-        rec.provenance = "cstf_serve batcher calibration, model '" +
-                         model->meta().name + "'";
-        tuning_cache.put(serve_key, std::move(rec));
-        if (!tuning_cache_path.empty()) {
-          tuning_cache.save(tuning_cache_path);
-          std::printf("tuning cache updated: %s\n", tuning_cache_path.c_str());
-        }
-      }
-    }
     print_summary("query latency", query_lat);
     print_summary("fold-in latency", fold_lat);
     std::printf("fold-in batches: %lld (mean size %.2f)\n",
@@ -629,11 +498,6 @@ int main(int argc, char** argv) {
                         ",\n  \"mean_batch_size\": " +
                         number(batcher.batch_sizes().mean_batch_size()) +
                         ",\n  \"arrival_rate_rps\": " + number(arrival_rps) +
-                        ",\n  \"tuned_max_batch\": " +
-                        number(static_cast<double>(
-                            batcher_tuning.max_batch)) +
-                        ",\n  \"tuned_linger_s\": " +
-                        number(batcher_tuning.linger_s) +
                         ",\n  \"worst_primal_residual\": " + number(worst) +
                         ",\n  \"reliability\": {\"injected_faults\":" +
                         number(static_cast<double>(fault_plan.injected())) +
