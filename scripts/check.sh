@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Tier-1 gate: a documentation drift check (scripts/check_docs.sh + its
 # negative self-test), then the full test suite twice — a plain
-# RelWithDebInfo build, then an ASan+UBSan build (-DCSTF_SANITIZE=ON). Any
-# doc drift, compile error, test failure, or sanitizer report fails the
-# script.
+# RelWithDebInfo build, then an ASan+UBSan build (-DCSTF_SANITIZE=ON, which
+# also makes UBSan findings fatal with -fno-sanitize-recover=undefined and
+# turns on libstdc++'s container bounds checks with -D_GLIBCXX_ASSERTIONS).
+# Any doc drift, compile error, test failure, sanitizer report or
+# out-of-range container index fails the script.
 #
 # After the plain pass, a determinism gate repeats the mttkrp-, dimtree-,
 # exec-, updates- and determinism-labeled groups five times each at

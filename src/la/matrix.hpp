@@ -58,8 +58,7 @@ class Matrix {
     return data_[static_cast<std::size_t>(j * rows_ + i)];
   }
 
-  /// Row-pointer-free row access helper (strided); prefer column access in
-  /// hot loops.
+  /// Sets every entry to `value`.
   void set_all(real_t value);
 
   /// Fills with uniform values in [lo, hi) from `rng`.

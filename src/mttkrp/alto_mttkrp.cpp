@@ -63,23 +63,20 @@ ScatterStrategy mttkrp_alto(const AltoTensor& alto,
   const auto& lcos = alto.linearized();
   const auto& vals = alto.values();
 
-  scatter_accumulate(
-      strategy, out, alto.nnz(),
-      [&](index_t i, real_t* row) {
-        index_t coords[kMaxModes];
-        enc.decode_all(lcos[static_cast<std::size_t>(i)], coords);
-        const real_t v = vals[static_cast<std::size_t>(i)];
-        for (index_t r = 0; r < rank; ++r) row[static_cast<std::size_t>(r)] = v;
-        for (int m = 0; m < modes; ++m) {
-          if (m == mode) continue;
-          const Matrix& f = factors[static_cast<std::size_t>(m)];
-          for (index_t r = 0; r < rank; ++r) {
-            row[static_cast<std::size_t>(r)] *= f(coords[m], r);
-          }
-        }
-        return coords[mode];
-      },
-      plan);
+  const ColumnGather gather(factors, mode);
+  with_gather_count(gather.count, [&](auto count) {
+    constexpr int G = decltype(count)::value;
+    scatter_accumulate(
+        strategy, out, alto.nnz(),
+        [&](index_t i, const auto& acc) {
+          index_t coords[kMaxModes];
+          enc.decode_all(lcos[static_cast<std::size_t>(i)], coords);
+          const real_t v = vals[static_cast<std::size_t>(i)];
+          gather.add<G>(acc(coords[mode]), rank, [v](index_t) { return v; },
+                        [&](int g) { return coords[gather.mode[g]]; });
+        },
+        plan);
+  });
   return strategy;
 }
 

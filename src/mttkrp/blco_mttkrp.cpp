@@ -55,36 +55,21 @@ simgpu::KernelStats prorate(const simgpu::KernelStats& stats, double share) {
   return scaled;
 }
 
-// Per-worker Khatri-Rao row scratch, reused across blocks and launches (the
-// launch.hpp shared-memory pattern): a fresh vector per block costs a heap
-// round-trip per block per call.
-real_t* krp_row_scratch(index_t rank) {
-  thread_local std::vector<real_t> row;
-  if (row.size() < static_cast<std::size_t>(rank)) {
-    row.resize(static_cast<std::size_t>(rank));
-  }
-  return row.data();
-}
-
-// Computes nonzero (blk, i)'s Khatri-Rao row into `row` and returns its
-// output-mode coordinate. Shared by both device kernels.
-index_t blco_krp_row(const BlcoTensor& blco, const BlcoBlock& blk,
-                     const BitReader& deltas, index_t i,
-                     const std::vector<Matrix>& factors, int mode,
-                     index_t rank, real_t* row) {
-  const int modes = blco.num_modes();
+// Adds nonzero i of block `blk` into the R-vector acc(row), row = its
+// output-mode coordinate: the value times its gathered factor rows, formed
+// and added in one pass (add_krp_product). Shared by both device kernels.
+template <int G, typename Acc>
+void add_blco_nonzero(const BlcoTensor& blco, const BlcoBlock& blk,
+                      const BitReader& deltas, index_t i,
+                      const ColumnGather& gather, int mode, index_t rank,
+                      const Acc& acc) {
   index_t coords[kMaxModes];
-  const lco_t lco = blk.base + deltas.get(static_cast<std::size_t>(i));
-  blco.encoding().decode_all(lco, coords);
+  blco.encoding().decode_all(
+      blk.base + deltas.get(static_cast<std::size_t>(i)), coords);
   const real_t v =
       blco.values()[static_cast<std::size_t>(blk.value_offset + i)];
-  for (index_t r = 0; r < rank; ++r) row[r] = v;
-  for (int m = 0; m < modes; ++m) {
-    if (m == mode) continue;
-    const Matrix& f = factors[static_cast<std::size_t>(m)];
-    for (index_t r = 0; r < rank; ++r) row[r] *= f(coords[m], r);
-  }
-  return coords[mode];
+  gather.add<G>(acc(coords[mode]), rank, [v](index_t) { return v; },
+                [&](int g) { return coords[gather.mode[g]]; });
 }
 
 // Nonzeros held by the contiguous block range [block_lo, block_hi).
@@ -123,27 +108,31 @@ void launch_blco_priv(simgpu::Device& dev, const char* name,
   // Accumulate launch: base stats plus the tile zero-fill traffic.
   stats.bytes_streamed += static_cast<double>(tiles) * tile_bytes;
   simgpu::LaunchConfig cfg{.grid_dim = tiles, .block_dim = 1};
-  simgpu::launch(dev, name, cfg, stats, [&](const simgpu::KernelCtx& ctx) {
-    const index_t t = ctx.block_idx;
-    real_t* dst = tile[static_cast<std::size_t>(t)];
-    if (t == 0) {
-      copy_to_row_major(out, dst);
-    } else {
-      std::fill_n(dst, len, real_t{0});
-    }
-    real_t* row = krp_row_scratch(rank);
-    const index_t b_lo = block_lo + t * per_tile;
-    const index_t b_hi = std::min<index_t>(b_lo + per_tile, block_hi);
-    for (index_t b = b_lo; b < b_hi; ++b) {
-      const BlcoBlock& blk = blco.block(b);
-      const BitReader deltas(blk.packed_deltas.data(), blk.delta_bits);
-      for (index_t i = 0; i < blk.count; ++i) {
-        const index_t out_row =
-            blco_krp_row(blco, blk, deltas, i, factors, mode, rank, row);
-        real_t* dst_row = dst + static_cast<std::size_t>(out_row * rank);
-        for (index_t r = 0; r < rank; ++r) dst_row[r] += row[r];
+  const ColumnGather gather(factors, mode);
+  with_gather_count(gather.count, [&](auto count) {
+    constexpr int G = decltype(count)::value;
+    simgpu::launch(dev, name, cfg, stats, [&](const simgpu::KernelCtx& ctx) {
+      const index_t t = ctx.block_idx;
+      real_t* dst = tile[static_cast<std::size_t>(t)];
+      if (t == 0) {
+        copy_to_row_major(out, dst);
+      } else {
+        std::fill_n(dst, len, real_t{0});
       }
-    }
+      const auto tile_row = [dst, rank](index_t row) {
+        return dst + static_cast<std::size_t>(row * rank);
+      };
+      const index_t b_lo = block_lo + t * per_tile;
+      const index_t b_hi = std::min<index_t>(b_lo + per_tile, block_hi);
+      for (index_t b = b_lo; b < b_hi; ++b) {
+        const BlcoBlock& blk = blco.block(b);
+        const BitReader deltas(blk.packed_deltas.data(), blk.delta_bits);
+        for (index_t i = 0; i < blk.count; ++i) {
+          add_blco_nonzero<G>(blco, blk, deltas, i, gather, mode, rank,
+                              tile_row);
+        }
+      }
+    });
   });
 
   // Reduce launch: single-block (the element-level parallelism happens
@@ -179,29 +168,32 @@ void launch_blco_sorted(simgpu::Device& dev, const char* name,
   simgpu::LaunchConfig cfg{
       .grid_dim = simgpu::blocks_for(segments, kThreads),
       .block_dim = kThreads};
-  simgpu::launch(dev, name, cfg, stats, [&](const simgpu::KernelCtx& ctx) {
-    thread_local std::vector<real_t> scratch;
-    if (scratch.size() < 2 * static_cast<std::size_t>(rank)) {
-      scratch.resize(2 * static_cast<std::size_t>(rank));
-    }
-    real_t* row = scratch.data();
-    real_t* acc = scratch.data() + rank;
-    for (index_t s = ctx.global_thread_id(); s < segments;
-         s += ctx.total_threads()) {
-      std::fill_n(acc, static_cast<std::size_t>(rank), real_t{0});
-      const index_t lo = plan.seg_ptr[static_cast<std::size_t>(s)];
-      const index_t hi = plan.seg_ptr[static_cast<std::size_t>(s) + 1];
-      for (index_t k = lo; k < hi; ++k) {
-        const index_t i = plan.order[static_cast<std::size_t>(k)];
-        const BlcoBlock& blk = blco.block(blco.block_of(i));
-        const BitReader deltas(blk.packed_deltas.data(), blk.delta_bits);
-        blco_krp_row(blco, blk, deltas, i - blk.value_offset, factors, mode,
-                     rank, row);
-        for (index_t r = 0; r < rank; ++r) acc[r] += row[r];
+  const ColumnGather gather(factors, mode);
+  with_gather_count(gather.count, [&](auto count) {
+    constexpr int G = decltype(count)::value;
+    simgpu::launch(dev, name, cfg, stats, [&](const simgpu::KernelCtx& ctx) {
+      thread_local std::vector<real_t> segment_acc;
+      if (segment_acc.size() < static_cast<std::size_t>(rank)) {
+        segment_acc.resize(static_cast<std::size_t>(rank));
       }
-      const index_t out_row = plan.seg_row[static_cast<std::size_t>(s)];
-      for (index_t r = 0; r < rank; ++r) out(out_row, r) += acc[r];
-    }
+      real_t* acc = segment_acc.data();
+      const auto into_acc = [acc](index_t) { return acc; };
+      for (index_t s = ctx.global_thread_id(); s < segments;
+           s += ctx.total_threads()) {
+        std::fill_n(acc, static_cast<std::size_t>(rank), real_t{0});
+        const index_t lo = plan.seg_ptr[static_cast<std::size_t>(s)];
+        const index_t hi = plan.seg_ptr[static_cast<std::size_t>(s) + 1];
+        for (index_t k = lo; k < hi; ++k) {
+          const index_t i = plan.order[static_cast<std::size_t>(k)];
+          const BlcoBlock& blk = blco.block(blco.block_of(i));
+          const BitReader deltas(blk.packed_deltas.data(), blk.delta_bits);
+          add_blco_nonzero<G>(blco, blk, deltas, i - blk.value_offset, gather,
+                              mode, rank, into_acc);
+        }
+        const index_t out_row = plan.seg_row[static_cast<std::size_t>(s)];
+        for (index_t r = 0; r < rank; ++r) out(out_row, r) += acc[r];
+      }
+    });
   });
 }
 

@@ -53,22 +53,24 @@ ScatterStrategy mttkrp_coo(const SparseTensor& x,
   }
 
   const index_t* out_rows = x.indices(mode).data();
-  scatter_accumulate(
-      strategy, out, x.nnz(),
-      [&](index_t i, real_t* row) {
-        const real_t v = x.values()[static_cast<std::size_t>(i)];
-        for (index_t r = 0; r < rank; ++r) row[static_cast<std::size_t>(r)] = v;
-        for (int m = 0; m < modes; ++m) {
-          if (m == mode) continue;
-          const index_t idx = x.indices(m)[static_cast<std::size_t>(i)];
-          const Matrix& f = factors[static_cast<std::size_t>(m)];
-          for (index_t r = 0; r < rank; ++r) {
-            row[static_cast<std::size_t>(r)] *= f(idx, r);
-          }
-        }
-        return out_rows[static_cast<std::size_t>(i)];
-      },
-      plan);
+  const real_t* values = x.values().data();
+  const ColumnGather gather(factors, mode);
+  const index_t* coords[kMaxModes];
+  for (int g = 0; g < gather.count; ++g) {
+    coords[g] = x.indices(gather.mode[g]).data();
+  }
+  with_gather_count(gather.count, [&](auto count) {
+    constexpr int G = decltype(count)::value;
+    scatter_accumulate(
+        strategy, out, x.nnz(),
+        [&](index_t i, const auto& acc) {
+          const auto at = static_cast<std::size_t>(i);
+          const real_t v = values[at];
+          gather.add<G>(acc(out_rows[at]), rank, [v](index_t) { return v; },
+                        [&](int g) { return coords[g][at]; });
+        },
+        plan);
+  });
   return strategy;
 }
 

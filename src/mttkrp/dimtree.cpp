@@ -1,5 +1,6 @@
 #include "mttkrp/dimtree.hpp"
 
+#include <array>
 #include <cstdio>
 #include <cstring>
 
@@ -181,16 +182,25 @@ std::uint64_t content_hash(const Matrix& f) {
   return h;
 }
 
-// Row-major copies of the factors one engine loop gathers from (row j of
-// factor m is R contiguous entries at row(m, j)), carved out of one pooled
-// buffer of sum(I_m) * R reals. A column-major gather touches R cache lines
-// per nonzero; a row-major one reads R * 8 contiguous bytes.
+// Distances between the entries of a row-major row: all 1.
+constexpr std::array<index_t, kMaxModes> kUnitStride = [] {
+  std::array<index_t, kMaxModes> ld{};
+  ld.fill(1);
+  return ld;
+}();
+
+// Row-major copies of the factors one engine loop gathers from, in ascending
+// mode order (gathered factor g's row j is R contiguous entries), carved out
+// of one pooled buffer of sum(I_m) * R reals, plus each one's coordinate
+// array. A column-major gather touches R cache lines per nonzero; a
+// row-major one reads R * 8 contiguous bytes.
 class RowMajorFactors {
  public:
   /// Copies factors[m] for every m in [lo, hi) except `skip`.
-  RowMajorFactors(const std::vector<Matrix>& factors, int lo, int hi,
-                  int skip = -1)
-      : rank_(factors[0].cols()), rows_(factors.size(), nullptr) {
+  RowMajorFactors(const std::vector<Matrix>& factors,
+                  const std::vector<std::vector<index_t>>& coords, int lo,
+                  int hi, int skip = -1)
+      : rank_(factors[0].cols()) {
     std::size_t total = 0;
     for (int m = lo; m < hi; ++m) {
       if (m == skip) continue;
@@ -204,19 +214,35 @@ class RowMajorFactors {
       if (m == skip) continue;
       const Matrix& f = factors[static_cast<std::size_t>(m)];
       copy_to_row_major(f, next);
-      rows_[static_cast<std::size_t>(m)] = next;
+      base_[count_] = next;
+      coords_[count_] = coords[static_cast<std::size_t>(m)].data();
+      ++count_;
       next += f.size();
     }
   }
 
-  const real_t* row(int m, index_t j) const {
-    return rows_[static_cast<std::size_t>(m)] +
-           static_cast<std::size_t>(j * rank_);
+  int count() const { return count_; }
+
+  /// Gathered factor g's row for nonzero i.
+  const real_t* row(int g, std::size_t i) const {
+    return base_[g] + static_cast<std::size_t>(coords_[g][i] * rank_);
+  }
+
+  /// add_krp_product of nonzero i over the copied factors' rows; G must
+  /// equal count().
+  template <int G, typename Seed>
+  void add(real_t* acc, const Seed& seed, std::size_t i) const {
+    const real_t* rows[kMaxModes];
+#pragma GCC unroll kMaxModes
+    for (int g = 0; g < G; ++g) rows[g] = row(g, i);
+    add_krp_product<G>(acc, rank_, seed, rows, kUnitStride.data());
   }
 
  private:
   index_t rank_;
-  std::vector<const real_t*> rows_;
+  int count_ = 0;
+  const real_t* base_[kMaxModes] = {};
+  const index_t* coords_[kMaxModes] = {};
   ScratchPool::Lease lease_;
 };
 
@@ -287,10 +313,9 @@ void DimTreeEngine::fold(simgpu::Device& dev,
                          const std::vector<Matrix>& factors, int k) {
   const index_t rank = rank_;
   const index_t nnz = nnz_;
-  const index_t* idx = idx_[static_cast<std::size_t>(k)].data();
   const real_t* vals = values_.data();
   real_t* chain = chain_;
-  const RowMajorFactors rows(factors, k, k + 1);
+  const RowMajorFactors rows(factors, idx_, k, k + 1);
   constexpr index_t kThreads = 128;
   simgpu::LaunchConfig cfg{
       .grid_dim = simgpu::blocks_for(nnz, kThreads), .block_dim = kThreads};
@@ -300,7 +325,7 @@ void DimTreeEngine::fold(simgpu::Device& dev,
     for (index_t i = ctx.global_thread_id(); i < nnz;
          i += ctx.total_threads()) {
       real_t* p = chain + static_cast<std::size_t>(i * rank);
-      const real_t* h = rows.row(k, idx[static_cast<std::size_t>(i)]);
+      const real_t* h = rows.row(0, static_cast<std::size_t>(i));
       if (k == 0) {
         const real_t v = vals[static_cast<std::size_t>(i)];
         for (index_t r = 0; r < rank; ++r) {
@@ -356,51 +381,38 @@ ScatterStrategy DimTreeEngine::mttkrp(simgpu::Device& dev,
   Timer wall;
   if (use_chain) {
     const real_t* chain = chain_;
-    const RowMajorFactors suffix(factors, mode + 1, modes);
-    scatter_accumulate(
-        strategy, out, nnz_,
-        [&](index_t i, real_t* row) {
-          const real_t* p = chain + static_cast<std::size_t>(i * rank);
-          for (index_t r = 0; r < rank; ++r) {
-            row[static_cast<std::size_t>(r)] = p[static_cast<std::size_t>(r)];
-          }
-          for (int m = mode + 1; m < modes; ++m) {
-            const real_t* h = suffix.row(
-                m,
-                idx_[static_cast<std::size_t>(m)][static_cast<std::size_t>(i)]);
-            for (index_t r = 0; r < rank; ++r) {
-              row[static_cast<std::size_t>(r)] *= h[r];
-            }
-          }
-          return out_rows[static_cast<std::size_t>(i)];
-        },
-        plan);
+    const RowMajorFactors suffix(factors, idx_, mode + 1, modes);
+    with_gather_count(suffix.count(), [&](auto count) {
+      constexpr int G = decltype(count)::value;
+      scatter_accumulate(
+          strategy, out, nnz_,
+          [&](index_t i, const auto& acc) {
+            const auto at = static_cast<std::size_t>(i);
+            const real_t* p = chain + at * static_cast<std::size_t>(rank);
+            suffix.add<G>(acc(out_rows[at]), [p](index_t r) { return p[r]; },
+                          at);
+          },
+          plan);
+    });
     dev.record("dimtree_derive",
                derive_mode_stats(dims_, nnz_, rank_, mode, strategy),
                wall.seconds());
   } else {
     // Mode 0 (no prefix to reuse) or over-budget fallback: the flat from-raw
     // computation, in the reference's ascending product order.
-    const RowMajorFactors others(factors, 0, modes, mode);
-    scatter_accumulate(
-        strategy, out, nnz_,
-        [&](index_t i, real_t* row) {
-          const real_t v = values_[static_cast<std::size_t>(i)];
-          for (index_t r = 0; r < rank; ++r) {
-            row[static_cast<std::size_t>(r)] = v;
-          }
-          for (int m = 0; m < modes; ++m) {
-            if (m == mode) continue;
-            const real_t* h = others.row(
-                m,
-                idx_[static_cast<std::size_t>(m)][static_cast<std::size_t>(i)]);
-            for (index_t r = 0; r < rank; ++r) {
-              row[static_cast<std::size_t>(r)] *= h[r];
-            }
-          }
-          return out_rows[static_cast<std::size_t>(i)];
-        },
-        plan);
+    const RowMajorFactors others(factors, idx_, 0, modes, mode);
+    const real_t* values = values_.data();
+    with_gather_count(others.count(), [&](auto count) {
+      constexpr int G = decltype(count)::value;
+      scatter_accumulate(
+          strategy, out, nnz_,
+          [&](index_t i, const auto& acc) {
+            const auto at = static_cast<std::size_t>(i);
+            const real_t v = values[at];
+            others.add<G>(acc(out_rows[at]), [v](index_t) { return v; }, at);
+          },
+          plan);
+    });
     dev.record("dimtree_flat",
                flat_mode_stats(dims_, nnz_, rank_, flat_stream_bytes_, mode,
                                strategy),

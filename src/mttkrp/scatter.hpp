@@ -1,9 +1,11 @@
 // Scatter engine for sparse MTTKRP output accumulation.
 //
 // Every sparse MTTKRP kernel in this library ends the same way: a rank-length
-// Khatri-Rao row, computed per nonzero, is accumulated into one row of the
+// Khatri-Rao product, formed per nonzero, is added into one row of the
 // output matrix, and concurrently processed nonzeros may target the same row.
-// This header centralizes the two ways to resolve that conflict:
+// Each product is formed in registers and added in the same pass
+// (add_krp_product, below). This header centralizes the two ways to resolve
+// the conflict:
 //
 //  * kPrivatized  — each of T fixed nonzero ranges accumulates into its own
 //                   private output tile; tiles are then combined by a
@@ -31,6 +33,8 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -227,12 +231,83 @@ ScatterPlan build_scatter_plan(index_t nnz, const RowOf& row_of) {
   return detail::finish_scatter_plan(std::move(keys), std::move(order));
 }
 
-/// The engine: accumulates one rank-length contribution per nonzero into
-/// `out` (dims[mode] x R, column-major) using the given concrete strategy.
-/// `contribute(i, row)` must fill `row` (length out.cols()) with nonzero i's
-/// Khatri-Rao row and return its output row index; it must be safe to call
-/// concurrently for distinct i. `plan` is required for kSorted and ignored
-/// otherwise. Zeroes `out` itself.
+/// Calls `body(std::integral_constant<int, G>{})` with G == count, for
+/// count in [0, kMaxModes). Kernels dispatch once per call on the number of
+/// factor rows each nonzero gathers, so their per-nonzero loop
+/// (add_krp_product) is compiled with that number fixed: the row pointers
+/// stay in registers and the loop over them unrolls.
+template <typename Body>
+void with_gather_count(int count, const Body& body) {
+  CSTF_CHECK(count >= 0 && count < kMaxModes);
+  [&]<int... G>(std::integer_sequence<int, G...>) {
+    ((count == G ? body(std::integral_constant<int, G>{}) : void()), ...);
+  }(std::make_integer_sequence<int, kMaxModes>{});
+}
+
+/// Adds one nonzero's Khatri-Rao product into the R-vector `acc` in a single
+/// pass: for each r, x = seed(r), then x *= row[g][r * ld[g]] for g = 0 ..
+/// G-1, then acc[r] += x. The product lives in a register; acc[r] is the
+/// only memory written, once. Callers pass the rows in ascending mode order,
+/// so every multiply is mttkrp_ref's, in its order, and each nonzero's
+/// product is added once. `ld[g]` is the distance between row g's entries:
+/// the row count of a column-major factor read in place, 1 for a row-major
+/// copy.
+template <int G, typename Seed>
+inline void add_krp_product(real_t* __restrict acc, index_t rank,
+                            const Seed& seed,
+                            const real_t* const* row, const index_t* ld) {
+  for (index_t r = 0; r < rank; ++r) {
+    real_t x = seed(r);
+    // GCC -O2 keeps even a constant-count loop rolled; unrolled, the row
+    // pointers and strides stay in registers.
+#pragma GCC unroll kMaxModes
+    for (int g = 0; g < G; ++g) x *= row[g][r * ld[g]];
+    acc[r] += x;
+  }
+}
+
+/// The factors an MTTKRP for mode `skip` gathers from, read in place: every
+/// other mode, in ascending order. Gathered factor g is factors[mode[g]];
+/// its row c starts at data[g] + c, with entries ld[g] (its row count)
+/// apart.
+struct ColumnGather {
+  ColumnGather(const std::vector<Matrix>& factors, int skip) {
+    CSTF_CHECK(factors.size() <= static_cast<std::size_t>(kMaxModes));
+    for (int m = 0; m < static_cast<int>(factors.size()); ++m) {
+      if (m == skip) continue;
+      const Matrix& f = factors[static_cast<std::size_t>(m)];
+      mode[count] = m;
+      data[count] = f.data();
+      ld[count] = f.rows();
+      ++count;
+    }
+  }
+
+  /// add_krp_product over the gathered factors' rows coord(g), g = 0 ..
+  /// G-1 (G must equal count).
+  template <int G, typename Seed, typename Coord>
+  void add(real_t* acc, index_t rank, const Seed& seed,
+           const Coord& coord) const {
+    const real_t* row[kMaxModes];
+#pragma GCC unroll kMaxModes
+    for (int g = 0; g < G; ++g) row[g] = data[g] + coord(g);
+    add_krp_product<G>(acc, rank, seed, row, ld);
+  }
+
+  int count = 0;
+  int mode[kMaxModes] = {};
+  const real_t* data[kMaxModes] = {};
+  index_t ld[kMaxModes] = {};
+};
+
+/// The engine: accumulates one rank-length Khatri-Rao product per nonzero
+/// into `out` (dims[mode] x R, column-major) using the given concrete
+/// strategy. `contribute(i, acc)` must add nonzero i's product into the
+/// R-vector `acc(row)`, where `row` is nonzero i's output row — in one pass,
+/// with add_krp_product — and must be safe to call concurrently for
+/// distinct i. Privatized hands it the row's run in the nonzero's private
+/// tile; sorted hands it the segment's accumulator, whatever the row. `plan`
+/// is required for kSorted and ignored otherwise. Zeroes `out` itself.
 template <typename Contribute>
 void scatter_accumulate(ScatterStrategy strategy, Matrix& out, index_t nnz,
                         const Contribute& contribute,
@@ -267,19 +342,12 @@ void scatter_accumulate(ScatterStrategy strategy, Matrix& out, index_t nnz,
           [&](index_t t) {
             real_t* dst = tile[static_cast<std::size_t>(t)];
             std::fill_n(dst, len, real_t{0});
-            thread_local std::vector<real_t> row;
-            if (row.size() < static_cast<std::size_t>(rank)) {
-              row.resize(static_cast<std::size_t>(rank));
-            }
+            const auto tile_row = [dst, rank](index_t row) {
+              return dst + static_cast<std::size_t>(row * rank);
+            };
             const index_t lo = t * chunk;
             const index_t hi = std::min<index_t>(lo + chunk, nnz);
-            for (index_t i = lo; i < hi; ++i) {
-              const index_t out_row = contribute(i, row.data());
-              real_t* dst_row = dst + static_cast<std::size_t>(out_row * rank);
-              for (index_t r = 0; r < rank; ++r) {
-                dst_row[r] += row[static_cast<std::size_t>(r)];
-              }
-            }
+            for (index_t i = lo; i < hi; ++i) contribute(i, tile_row);
           },
           /*grain=*/1);
       deterministic_tree_reduce(tile.data(), static_cast<std::size_t>(tiles),
@@ -298,22 +366,17 @@ void scatter_accumulate(ScatterStrategy strategy, Matrix& out, index_t nnz,
       parallel_for(
           0, segments,
           [&](index_t s) {
-            thread_local std::vector<real_t> scratch;
-            if (scratch.size() < 2 * static_cast<std::size_t>(rank)) {
-              scratch.resize(2 * static_cast<std::size_t>(rank));
+            thread_local std::vector<real_t> segment_acc;
+            if (segment_acc.size() < static_cast<std::size_t>(rank)) {
+              segment_acc.resize(static_cast<std::size_t>(rank));
             }
-            real_t* row = scratch.data();
-            real_t* acc = scratch.data() + rank;
+            real_t* acc = segment_acc.data();
             std::fill_n(acc, static_cast<std::size_t>(rank), real_t{0});
+            const auto into_acc = [acc](index_t) { return acc; };
             const index_t lo = plan->seg_ptr[static_cast<std::size_t>(s)];
             const index_t hi = plan->seg_ptr[static_cast<std::size_t>(s) + 1];
             for (index_t k = lo; k < hi; ++k) {
-              const index_t i = plan->order[static_cast<std::size_t>(k)];
-              contribute(i, row);
-              for (index_t r = 0; r < rank; ++r) {
-                acc[static_cast<std::size_t>(r)] +=
-                    row[static_cast<std::size_t>(r)];
-              }
+              contribute(plan->order[static_cast<std::size_t>(k)], into_acc);
             }
             const index_t out_row = plan->seg_row[static_cast<std::size_t>(s)];
             for (index_t r = 0; r < rank; ++r) {

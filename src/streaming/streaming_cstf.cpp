@@ -223,24 +223,28 @@ void StreamingCstf::slice_mode_mttkrp(const SparseTensor& slice, int mode,
         return slice.indices(mode)[static_cast<std::size_t>(i)];
       });
     });
-    scatter_accumulate(
-        ScatterStrategy::kSorted, b, slice.nnz(),
-        [&](index_t i, real_t* row) {
-          const real_t v = slice.values()[static_cast<std::size_t>(i)];
-          for (index_t r = 0; r < rank; ++r) {
-            row[static_cast<std::size_t>(r)] = v * s_row(0, r);
-          }
-          for (int k = 0; k < modes; ++k) {
-            if (k == mode) continue;
-            const Matrix& f = factors_[static_cast<std::size_t>(k)];
-            const index_t idx = slice.indices(k)[static_cast<std::size_t>(i)];
-            for (index_t r = 0; r < rank; ++r) {
-              row[static_cast<std::size_t>(r)] *= f(idx, r);
-            }
-          }
-          return slice.indices(mode)[static_cast<std::size_t>(i)];
-        },
-        &plan);
+    // Each product starts as v * s_row(0, r), as in the reference loop.
+    const real_t* s = s_row.data();
+    const real_t* values = slice.values().data();
+    const index_t* out_rows = slice.indices(mode).data();
+    const ColumnGather gather(factors_, mode);
+    const index_t* coords[kMaxModes];
+    for (int g = 0; g < gather.count; ++g) {
+      coords[g] = slice.indices(gather.mode[g]).data();
+    }
+    with_gather_count(gather.count, [&](auto count) {
+      constexpr int G = decltype(count)::value;
+      scatter_accumulate(
+          ScatterStrategy::kSorted, b, slice.nnz(),
+          [&](index_t i, const auto& acc) {
+            const auto at = static_cast<std::size_t>(i);
+            const real_t v = values[at];
+            gather.add<G>(acc(out_rows[at]), rank,
+                          [v, s](index_t r) { return v * s[r]; },
+                          [&](int g) { return coords[g][at]; });
+          },
+          &plan);
+    });
   } else {
     slice_mttkrp(slice, factors_, s_row.data(), mode, b);
   }

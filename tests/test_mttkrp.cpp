@@ -471,10 +471,11 @@ TEST(Scatter, ApplyStatsMetersPrivatizedAndSortedTraffic) {
   EXPECT_DOUBLE_EQ(sorted.bytes_streamed, 5000.0 * sizeof(index_t));
 }
 
-// Regression (scatter-engine audit): the per-nonzero Khatri-Rao row lives in
-// reusable thread_local scratch; every contribution must fully re-seed it.
-// A nonzero whose factor rows are all zero would expose any stale values
-// left by the previous nonzero handled on the same thread.
+// Regression (scatter-engine audit): each nonzero's product must be formed
+// afresh, and the sorted path's segment accumulator, reused thread_local
+// scratch, must start each segment at zero. A nonzero whose factor rows are
+// all zero would expose any stale value left by the previous nonzero
+// handled on the same thread.
 TEST(Scatter, ZeroFactorRowDoesNotLeakStaleScratch) {
   SparseTensor t({1, 3});
   t.append({0, 0}, 5.0);  // contributes 5 * B(0,:)
@@ -531,7 +532,7 @@ TEST(Mttkrp, BlcoBlockSpanningTheWholeLcoRangeMatchesReference) {
 }
 
 // ---------------------------------------------------------------------------
-// Serial tile oracle: the privatized paths' exact bits
+// Serial oracles: the privatized and sorted paths' exact bits
 // ---------------------------------------------------------------------------
 //
 // The privatized kernels regroup each output row's sum by tile, so they are
@@ -540,7 +541,8 @@ TEST(Mttkrp, BlcoBlockSpanningTheWholeLcoRangeMatchesReference) {
 // range in order into a zeroed column-major buffer, each Khatri-Rao row
 // formed as v, then *= H_m(c_m) for ascending m != mode, and the tiles are
 // combined by the same pairwise tree — and the kernels must match it bit for
-// bit at any worker count.
+// bit at any worker count. The sorted BLCO kernel sums each row into its
+// own zeroed vector and adds that onto the output; its oracle does the same.
 
 struct OracleNonzero {
   index_t coords[kMaxModes] = {};
@@ -667,40 +669,77 @@ bool bitwise_equal(const Matrix& a, const Matrix& b) {
                     });
 }
 
-// A 3-way and a 4-way tensor with short modes (every mode's tiles fit the
-// default budget) and enough nonzeros for several tiles at any worker count.
+// The sorted BLCO kernel's grouping over blocks [block_lo, block_hi): each
+// output row sums its nonzeros serially, in ascending BLCO id, into a zeroed
+// R-vector, which is then added onto that row of `out`. Rows without a
+// nonzero in the range are left alone.
+void sorted_range_oracle(const BlcoTensor& blco,
+                         const std::vector<OracleNonzero>& nz,
+                         const std::vector<Matrix>& factors, int mode,
+                         index_t block_lo, index_t block_hi, Matrix& out) {
+  const index_t lo = blco.block(block_lo).value_offset;
+  const BlcoBlock& end = blco.block(block_hi - 1);
+  const index_t hi = end.value_offset + end.count;
+  std::vector<real_t> sums(static_cast<std::size_t>(out.size()), 0.0);
+  oracle_accumulate(nz, lo, hi, factors, mode, out.rows(), sums);
+  std::vector<bool> touched(static_cast<std::size_t>(out.rows()), false);
+  for (index_t i = lo; i < hi; ++i) {
+    touched[static_cast<std::size_t>(
+        nz[static_cast<std::size_t>(i)].coords[mode])] = true;
+  }
+  for (index_t row = 0; row < out.rows(); ++row) {
+    if (!touched[static_cast<std::size_t>(row)]) continue;
+    for (index_t r = 0; r < out.cols(); ++r) {
+      out(row, r) += sums[static_cast<std::size_t>(r * out.rows() + row)];
+    }
+  }
+}
+
+// A 2-, 3-, 4- and 5-way tensor (1 to 4 gathered factors per nonzero) with
+// short modes (every mode's tiles fit the default budget) and enough
+// nonzeros for several tiles at any worker count.
 std::vector<SparseTensor> oracle_tensors() {
   std::vector<SparseTensor> ts;
+  ts.push_back(random_tensor({311, 331}, 20000, 116));
   ts.push_back(random_tensor({37, 41, 53}, 20000, 111));
   ts.push_back(random_tensor({13, 17, 19, 23}, 20000, 112));
+  ts.push_back(random_tensor({7, 11, 13, 17, 19}, 20000, 117));
   return ts;
 }
+
+// A single column, an even rank and an odd one: a vectorized rank loop runs
+// in pairs, and an odd rank also runs its remainder iteration.
+constexpr index_t kOracleRanks[] = {1, 16, 17};
 
 TEST(Scatter, PrivatizedEngineMatchesSerialTileOracleBitwise) {
   const ScatterOptions opts = explicit_strategy(ScatterStrategy::kPrivatized);
   for (const SparseTensor& t : oracle_tensors()) {
-    const auto factors = random_factors(t, 16, 113);
     const auto coo_nz = coo_order(t);
     const auto lin_nz = linearized_order(t);
     const AltoTensor alto(t);
-    DimTreeEngine tree(t, 16);
-    simgpu::Device dev(simgpu::a100());
-    for (int mode = 0; mode < t.num_modes(); ++mode) {
-      const Matrix want_coo = engine_oracle(coo_nz, factors, mode, t.dim(mode));
-      const Matrix want_lin = engine_oracle(lin_nz, factors, mode, t.dim(mode));
-      Matrix coo(t.dim(mode), 16), alto_out(t.dim(mode), 16),
-          derived(t.dim(mode), 16);
-      mttkrp_coo(t, factors, mode, coo, opts);
-      mttkrp_alto(alto, factors, mode, alto_out, opts);
-      // Mode 0 runs the engine's flat path, the others derive from the
-      // chain; both form each row in the same product order.
-      tree.mttkrp(dev, factors, mode, derived, opts);
-      EXPECT_TRUE(bitwise_equal(coo, want_coo))
-          << t.num_modes() << "-way coo mode " << mode;
-      EXPECT_TRUE(bitwise_equal(alto_out, want_lin))
-          << t.num_modes() << "-way alto mode " << mode;
-      EXPECT_TRUE(bitwise_equal(derived, want_coo))
-          << t.num_modes() << "-way dimtree mode " << mode;
+    for (index_t rank : kOracleRanks) {
+      const auto factors = random_factors(t, rank, 113);
+      DimTreeEngine tree(t, rank);
+      simgpu::Device dev(simgpu::a100());
+      for (int mode = 0; mode < t.num_modes(); ++mode) {
+        const Matrix want_coo =
+            engine_oracle(coo_nz, factors, mode, t.dim(mode));
+        const Matrix want_lin =
+            engine_oracle(lin_nz, factors, mode, t.dim(mode));
+        Matrix coo(t.dim(mode), rank), alto_out(t.dim(mode), rank),
+            derived(t.dim(mode), rank);
+        mttkrp_coo(t, factors, mode, coo, opts);
+        mttkrp_alto(alto, factors, mode, alto_out, opts);
+        // Mode 0 runs the engine's flat path, the others derive from the
+        // chain; both form each row in the same product order.
+        tree.mttkrp(dev, factors, mode, derived, opts);
+        EXPECT_TRUE(bitwise_equal(coo, want_coo))
+            << t.num_modes() << "-way R=" << rank << " coo mode " << mode;
+        EXPECT_TRUE(bitwise_equal(alto_out, want_lin))
+            << t.num_modes() << "-way R=" << rank << " alto mode " << mode;
+        EXPECT_TRUE(bitwise_equal(derived, want_coo))
+            << t.num_modes() << "-way R=" << rank << " dimtree mode " << mode;
+      }
     }
   }
 }
@@ -708,19 +747,22 @@ TEST(Scatter, PrivatizedEngineMatchesSerialTileOracleBitwise) {
 TEST(Scatter, PrivatizedBlcoMatchesSerialTileOracleBitwise) {
   const ScatterOptions opts = explicit_strategy(ScatterStrategy::kPrivatized);
   for (const SparseTensor& t : oracle_tensors()) {
-    const auto factors = random_factors(t, 16, 114);
     const auto nz = linearized_order(t);
-    // 256: more blocks than tiles; 4096: fewer blocks than T at 4 workers.
-    for (index_t capacity : {index_t{256}, index_t{4096}}) {
-      const BlcoTensor blco(t, capacity);
-      simgpu::Device dev(simgpu::a100());
-      for (int mode = 0; mode < t.num_modes(); ++mode) {
-        Matrix want(t.dim(mode), 16), got(t.dim(mode), 16);
-        blco_range_oracle(blco, nz, factors, mode, 0, blco.num_blocks(), want);
-        mttkrp_blco(dev, blco, factors, mode, got, opts);
-        EXPECT_TRUE(bitwise_equal(got, want))
-            << t.num_modes() << "-way capacity " << capacity << " mode "
-            << mode;
+    for (index_t rank : kOracleRanks) {
+      const auto factors = random_factors(t, rank, 114);
+      // 256: more blocks than tiles; 4096: fewer blocks than T at 4 workers.
+      for (index_t capacity : {index_t{256}, index_t{4096}}) {
+        const BlcoTensor blco(t, capacity);
+        simgpu::Device dev(simgpu::a100());
+        for (int mode = 0; mode < t.num_modes(); ++mode) {
+          Matrix want(t.dim(mode), rank), got(t.dim(mode), rank);
+          blco_range_oracle(blco, nz, factors, mode, 0, blco.num_blocks(),
+                            want);
+          mttkrp_blco(dev, blco, factors, mode, got, opts);
+          EXPECT_TRUE(bitwise_equal(got, want))
+              << t.num_modes() << "-way R=" << rank << " capacity "
+              << capacity << " mode " << mode;
+        }
       }
     }
   }
@@ -728,33 +770,89 @@ TEST(Scatter, PrivatizedBlcoMatchesSerialTileOracleBitwise) {
 
 TEST(Scatter, StreamedPrivatizedMatchesSerialTileOracleBitwise) {
   for (const SparseTensor& t : oracle_tensors()) {
-    const auto factors = random_factors(t, 16, 115);
     const auto nz = linearized_order(t);
     const BlcoTensor blco(t, 256);
     const double budget = blco.storage_bytes() / 5.0;
-    for (int mode = 0; mode < t.num_modes(); ++mode) {
-      ASSERT_EQ(resolve_scatter_strategy(ScatterOptions{}, t.dim(mode), 16,
-                                         t.nnz()),
-                ScatterStrategy::kPrivatized);
-      // Batch by batch, as the streamed kernel cuts them; each batch's
-      // tile 0 starts from what the earlier batches left in the output.
-      Matrix want(t.dim(mode), 16);
-      const index_t batches = std::min(
-          static_cast<index_t>(std::ceil(blco.storage_bytes() / budget)),
-          blco.num_blocks());
-      const index_t per_batch = (blco.num_blocks() + batches - 1) / batches;
-      index_t used = 0;
-      for (index_t lo = 0; lo < blco.num_blocks(); lo += per_batch, ++used) {
-        blco_range_oracle(blco, nz, factors, mode, lo,
-                          std::min(lo + per_batch, blco.num_blocks()), want);
+    for (index_t rank : kOracleRanks) {
+      const auto factors = random_factors(t, rank, 115);
+      for (int mode = 0; mode < t.num_modes(); ++mode) {
+        ASSERT_EQ(resolve_scatter_strategy(ScatterOptions{}, t.dim(mode),
+                                           rank, t.nnz()),
+                  ScatterStrategy::kPrivatized);
+        // Batch by batch, as the streamed kernel cuts them; each batch's
+        // tile 0 starts from what the earlier batches left in the output.
+        Matrix want(t.dim(mode), rank);
+        const index_t batches = std::min(
+            static_cast<index_t>(std::ceil(blco.storage_bytes() / budget)),
+            blco.num_blocks());
+        const index_t per_batch = (blco.num_blocks() + batches - 1) / batches;
+        index_t used = 0;
+        for (index_t lo = 0; lo < blco.num_blocks(); lo += per_batch, ++used) {
+          blco_range_oracle(blco, nz, factors, mode, lo,
+                            std::min(lo + per_batch, blco.num_blocks()), want);
+        }
+        simgpu::Device dev(simgpu::a100());
+        Matrix got(t.dim(mode), rank);
+        EXPECT_EQ(mttkrp_blco_streamed(dev, blco, factors, mode, got, budget),
+                  used);
+        EXPECT_TRUE(bitwise_equal(got, want))
+            << t.num_modes() << "-way R=" << rank << " mode " << mode;
       }
-      simgpu::Device dev(simgpu::a100());
-      Matrix got(t.dim(mode), 16);
-      EXPECT_EQ(mttkrp_blco_streamed(dev, blco, factors, mode, got, budget),
-                used);
-      EXPECT_TRUE(bitwise_equal(got, want))
-          << t.num_modes() << "-way mode " << mode;
     }
+  }
+}
+
+TEST(Scatter, SortedBlcoMatchesSerialSegmentOracleBitwise) {
+  const ScatterOptions opts = explicit_strategy(ScatterStrategy::kSorted);
+  for (const SparseTensor& t : oracle_tensors()) {
+    const auto nz = linearized_order(t);
+    for (index_t rank : kOracleRanks) {
+      const auto factors = random_factors(t, rank, 118);
+      for (index_t capacity : {index_t{256}, index_t{4096}}) {
+        const BlcoTensor blco(t, capacity);
+        simgpu::Device dev(simgpu::a100());
+        for (int mode = 0; mode < t.num_modes(); ++mode) {
+          Matrix want(t.dim(mode), rank), got(t.dim(mode), rank);
+          sorted_range_oracle(blco, nz, factors, mode, 0, blco.num_blocks(),
+                              want);
+          EXPECT_EQ(mttkrp_blco(dev, blco, factors, mode, got, opts),
+                    ScatterStrategy::kSorted);
+          EXPECT_TRUE(bitwise_equal(got, want))
+              << t.num_modes() << "-way R=" << rank << " capacity "
+              << capacity << " mode " << mode;
+        }
+      }
+    }
+  }
+
+  // The streamed kernel runs sorted only where privatized tiles exceed the
+  // default budget: mode 0 of this tensor at R >= 16 (>= 4 tiles x 150000
+  // x R words). Each batch sums over its own nonzeros and adds onto what
+  // the earlier batches left in the output.
+  const SparseTensor t = random_tensor({150000, 70, 60}, 6000, 119);
+  const auto nz = linearized_order(t);
+  const BlcoTensor blco(t, 256);
+  const double budget = blco.storage_bytes() / 4.0;
+  for (index_t rank : {index_t{16}, index_t{17}}) {
+    const auto factors = random_factors(t, rank, 120);
+    ASSERT_EQ(resolve_scatter_strategy(ScatterOptions{}, t.dim(0), rank,
+                                       t.nnz()),
+              ScatterStrategy::kSorted);
+    Matrix want(t.dim(0), rank);
+    const index_t batches = std::min(
+        static_cast<index_t>(std::ceil(blco.storage_bytes() / budget)),
+        blco.num_blocks());
+    const index_t per_batch = (blco.num_blocks() + batches - 1) / batches;
+    index_t used = 0;
+    for (index_t lo = 0; lo < blco.num_blocks(); lo += per_batch, ++used) {
+      sorted_range_oracle(blco, nz, factors, 0, lo,
+                          std::min(lo + per_batch, blco.num_blocks()), want);
+    }
+    simgpu::Device dev(simgpu::a100());
+    Matrix got(t.dim(0), rank);
+    EXPECT_EQ(mttkrp_blco_streamed(dev, blco, factors, 0, got, budget), used);
+    EXPECT_GE(used, 4);
+    EXPECT_TRUE(bitwise_equal(got, want)) << "streamed R=" << rank;
   }
 }
 
