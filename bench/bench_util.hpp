@@ -86,12 +86,12 @@ ModeledIteration modeled_iteration(const DatasetAnalog& data,
                                    std::vector<ModeledIteration>* per_mode = nullptr);
 
 /// Modeled iteration time when each mode's Gram work is pipelined against
-/// its MTTKRP on a second stream (the AuntfOptions::pipeline_streams
-/// schedule): Gram_n and MTTKRP_n both depend only on Normalize_{n-1}, the
-/// update joins them. The schedule is compiled by
+/// its MTTKRP on a second stream: Gram_n and MTTKRP_n both depend only on
+/// Normalize_{n-1}, the update joins them. The trainer issues every kernel
+/// on the default stream; this schedule exists only here, compiled by
 /// exec::Planner::compile_fixed_pipeline from the already-scaled per-mode
-/// phase times and realized by exec::Executor as fixed spans; always within
-/// [max-per-mode-path, serial total].
+/// phase times and realized by exec::Executor as fixed spans (the Fig. 5/6
+/// "GPU ovl" column); always within [max-per-mode-path, serial total].
 double overlapped_total(const std::vector<ModeledIteration>& per_mode,
                         const simgpu::DeviceSpec& spec);
 

@@ -44,7 +44,8 @@ cd "$(dirname "$0")/.."
 
 echo "=== docs gate: tool flags documented, links resolve, section refs valid"
 # No build needed; fails fast on documentation drift. The self-test proves
-# the gate still detects an undocumented flag (negative mode).
+# the gate still detects an undocumented flag and a documented flag no tool
+# accepts (negative mode).
 bash scripts/check_docs.sh
 bash scripts/check_docs.sh --self-test
 

@@ -3,9 +3,11 @@
 # docs_check ctest.
 #
 # Three checks:
-#   1. Flag coverage: every quoted "--flag" literal in tools/*.cpp must be
-#      documented in docs/TOOLS.md (as `--flag` followed by a word
-#      boundary, so `--check` cannot hide behind `--checkpoint-every`).
+#   1. Flag coverage, both ways: every quoted "--flag" literal in tools/*.cpp
+#      must be documented in docs/TOOLS.md (as `--flag` followed by a word
+#      boundary, so `--check` cannot hide behind `--checkpoint-every`), and
+#      every backticked `--flag` in docs/TOOLS.md must appear as a quoted
+#      "--flag" literal in tools/*.cpp (no stale flag stays documented).
 #   2. Relative links: every markdown link target in README.md, DESIGN.md,
 #      and docs/*.md that is not a URL or a pure anchor must resolve to an
 #      existing file (relative to the file containing the link).
@@ -13,8 +15,9 @@
 #      DESIGN.md) must have a matching "## N." heading in DESIGN.md.
 #
 # --self-test runs the negative mode: check 1 must FAIL against a doctored
-# TOOLS.md with one flag's documentation removed, proving the gate can
-# actually catch an undocumented flag.
+# TOOLS.md with one flag's documentation removed, and against one that
+# documents a phantom flag no tool accepts, proving the gate catches drift
+# in both directions.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
@@ -36,12 +39,19 @@ check_flags() {
       fi
     done
   done
+  for flag in $(grep -o '`--[a-z0-9-]*' "$tools_md" | tr -d '`' | sort -u); do
+    if ! grep -q "\"${flag}\"" tools/*.cpp; then
+      echo "FAIL: $tools_md documents $flag, which no tool accepts"
+      missing=1
+    fi
+  done
   return "$missing"
 }
 
 if [ "${1:-}" = "--self-test" ]; then
-  # Negative mode: strip the --metrics-out rows from a copy of TOOLS.md and
-  # require the flag check to notice.
+  # Negative mode: strip the --metrics-out rows from a copy of TOOLS.md, then
+  # add a phantom flag to another copy, and require the flag check to notice
+  # each.
   doctored="$(mktemp)"
   trap 'rm -f "$doctored"' EXIT
   grep -v -- '--metrics-out' docs/TOOLS.md > "$doctored"
@@ -49,7 +59,12 @@ if [ "${1:-}" = "--self-test" ]; then
     echo "SELF-TEST FAIL: undocumented --metrics-out was not detected"
     exit 1
   fi
-  echo "self-test ok: undocumented flag is detected"
+  { cat docs/TOOLS.md; echo '| `--no-such-flag` | phantom |'; } > "$doctored"
+  if check_flags "$doctored" > /dev/null; then
+    echo "SELF-TEST FAIL: documented phantom --no-such-flag was not detected"
+    exit 1
+  fi
+  echo "self-test ok: undocumented and phantom flags are detected"
   exit 0
 fi
 

@@ -17,7 +17,7 @@ namespace {
 
 /// S = Hadamard over m != mode of grams[m]; an R^2 device kernel.
 void hadamard_of_grams(simgpu::Device& dev, const std::vector<Matrix>& grams,
-                       int mode, Matrix& s, simgpu::Stream stream = {}) {
+                       int mode, Matrix& s) {
   const index_t r = s.rows();
   s.set_all(1.0);
   simgpu::KernelStats stats;
@@ -25,7 +25,7 @@ void hadamard_of_grams(simgpu::Device& dev, const std::vector<Matrix>& grams,
   stats.bytes_streamed = static_cast<double>(r * r) * simgpu::kWord *
                          static_cast<double>(grams.size() + 1);
   stats.parallel_items = static_cast<double>(r * r);
-  dev.record("gram_hadamard", stats, 0.0, stream);
+  dev.record("gram_hadamard", stats);
   for (int m = 0; m < static_cast<int>(grams.size()); ++m) {
     if (m == mode) continue;
     la::hadamard_inplace(s, grams[static_cast<std::size_t>(m)]);
@@ -122,8 +122,7 @@ void Auntf::initialize() {
   phases_.clear();
   modeled_phase_.clear();
   dev_.reset();
-  // Fresh factors: any chain the reuse engine carried is stale, exactly
-  // like ScatterPlanCache invalidation on re-ingest.
+  // Fresh factors: any chain the reuse engine carried is stale.
   if (DimTreeEngine* tree = backend_.dimtree()) tree->invalidate();
   initialized_ = true;
 }
@@ -143,12 +142,10 @@ exec::PlanKey Auntf::plan_key() const {
   // fit_tolerance) deliberately excluded — they do not change the plan.
   DigestBuilder opts;
   const DimTreeEngine* tree = backend_.dimtree();
-  opts.boolean(options_.pipeline_streams)
-      .boolean(options_.compute_fit)
+  opts.boolean(options_.compute_fit)
       // Dimtree changes the op set (extend ops, chain buffer, suffix
       // reads); a budget change that flips chain_fits() must recompile.
-      .boolean(tree != nullptr && tree->chain_fits())
-      .u64(options_.plan_digest_extra);
+      .boolean(tree != nullptr && tree->chain_fits());
   return exec::PlanKey{tensor_id.value(),
                        static_cast<std::uint64_t>(options_.rank),
                        opts.value()};
@@ -158,7 +155,6 @@ exec::Plan Auntf::compile_plan() {
   exec::AoIterationSpec spec;
   spec.num_modes = backend_.num_modes();
   spec.rank = options_.rank;
-  spec.pipeline = options_.pipeline_streams;
   spec.compute_fit = options_.compute_fit;
   spec.tensor_bytes =
       options_.tensor_device_bytes > 0.0
@@ -178,15 +174,15 @@ exec::Plan Auntf::compile_plan() {
     if (tree->chain_fits()) {
       spec.use_dimtree = true;
       spec.dimtree_chain_bytes = tree->chain_bytes();
-      spec.dimtree_extend = [self](exec::ExecContext& ctx, int level) {
-        self->backend_.dimtree()->extend_to(ctx.device, self->factors_, level);
+      spec.dimtree_extend = [self](simgpu::Device& dev, int level) {
+        self->backend_.dimtree()->extend_to(dev, self->factors_, level);
       };
     }
   }
-  spec.hadamard = [self](exec::ExecContext& ctx, int n) {
-    hadamard_of_grams(ctx.device, self->grams_, n, self->ws_.s, ctx.stream);
+  spec.hadamard = [self](simgpu::Device& dev, int n) {
+    hadamard_of_grams(dev, self->grams_, n, self->ws_.s);
   };
-  spec.mttkrp = [self](exec::ExecContext& ctx, int n) {
+  spec.mttkrp = [self](simgpu::Device& dev, int n) {
     // m_out is one workspace shared by every mode. Size it to *this* mode
     // before each call (resize discards and re-zeroes) and validate after:
     // a shape left over from a larger mode would hand the update stale
@@ -197,14 +193,14 @@ exec::Plan Auntf::compile_plan() {
     if (self->ws_.m_out.rows() != rows || self->ws_.m_out.cols() != rank) {
       self->ws_.m_out.resize(rows, rank);
     }
-    self->backend_.mttkrp(ctx.device, self->factors_, n, self->ws_.m_out);
+    self->backend_.mttkrp(dev, self->factors_, n, self->ws_.m_out);
     CSTF_CHECK_MSG(
         self->ws_.m_out.rows() == rows && self->ws_.m_out.cols() == rank,
         "mttkrp workspace shape drifted for mode " << n);
   };
-  spec.update = [self](exec::ExecContext& ctx, int n) {
+  spec.update = [self](simgpu::Device& dev, int n) {
     self->updates_[static_cast<std::size_t>(n)]->update(
-        ctx.device, self->ws_.s, self->ws_.m_out,
+        dev, self->ws_.s, self->ws_.m_out,
         self->factors_[static_cast<std::size_t>(n)],
         self->states_[static_cast<std::size_t>(n)]);
     // If the chain folded this factor, the whole chain is stale (the
@@ -215,26 +211,23 @@ exec::Plan Auntf::compile_plan() {
       tree->note_factor_updated(n);
     }
   };
-  spec.normalize = [self](exec::ExecContext& ctx, int n) {
-    normalize_device(ctx.device, self->factors_[static_cast<std::size_t>(n)],
+  spec.normalize = [self](simgpu::Device& dev, int n) {
+    normalize_device(dev, self->factors_[static_cast<std::size_t>(n)],
                      self->lambda_);
   };
-  spec.gram_recompute = [self](exec::ExecContext& ctx, int n) {
-    simgpu::dsyrk_gram(ctx.device,
-                       self->factors_[static_cast<std::size_t>(n)],
-                       self->grams_[static_cast<std::size_t>(n)], ctx.stream);
+  spec.gram_recompute = [self](simgpu::Device& dev, int n) {
+    simgpu::dsyrk_gram(dev, self->factors_[static_cast<std::size_t>(n)],
+                       self->grams_[static_cast<std::size_t>(n)]);
   };
-  spec.fit_capture = [self](exec::ExecContext& ctx) {
+  spec.fit_capture = [self](simgpu::Device& dev) {
     // Fit needs the unnormalized Gram of the final mode and its MTTKRP
     // result; capture before normalization rescales H.
     const auto last =
         static_cast<std::size_t>(self->backend_.num_modes() - 1);
-    simgpu::dsyrk_gram(ctx.device, self->factors_[last],
-                       self->ws_.gram_unnorm);
+    simgpu::dsyrk_gram(dev, self->factors_[last], self->ws_.gram_unnorm);
     self->ws_.last_m = self->ws_.m_out;
   };
-  spec.fit = [self](exec::ExecContext& ctx) {
-    (void)ctx;
+  spec.fit = [self](simgpu::Device&) {
     self->ws_.fit = self->fit_from_workspace();
   };
   return exec::Planner::compile_ao_iteration(spec);

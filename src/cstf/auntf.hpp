@@ -49,13 +49,6 @@ struct AuntfOptions {
   /// a few R^2 kernels; benchmarking runs that only time phases disable it).
   bool compute_fit = true;
 
-  /// Issue the R^2 Gram work (Hadamard product and the post-update Gram
-  /// recompute) on its own stream so it is modeled concurrently with the
-  /// default-stream MTTKRP of the same mode, with events joining both before
-  /// the factor update (Gram_n and MTTKRP_n only depend on Normalize_{n-1}).
-  /// Functional results are unchanged — only the modeled timeline overlaps.
-  bool pipeline_streams = false;
-
   /// Invoked inside run() after each completed outer iteration with the
   /// driver and the total completed-iteration count. The checkpoint layer
   /// hooks here to snapshot training state at iteration boundaries.
@@ -65,11 +58,6 @@ struct AuntfOptions {
   /// plan's buffer table so its peak-memory estimate covers the tensor.
   /// 0 = a COO-equivalent estimate from the backend's nnz.
   double tensor_device_bytes = 0.0;
-
-  /// Extra configuration digest folded into the plan-cache key, for knobs
-  /// the driver cannot see itself (the framework folds its scatter options
-  /// in here so a scatter-strategy change recompiles the plan).
-  std::uint64_t plan_digest_extra = 0;
 };
 
 struct AuntfResult {

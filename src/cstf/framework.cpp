@@ -1,6 +1,5 @@
 #include "cstf/framework.hpp"
 
-#include "common/digest.hpp"
 #include "common/error.hpp"
 #include "cstf/checkpoint.hpp"
 
@@ -61,15 +60,7 @@ CstfFramework::CstfFramework(const SparseTensor& tensor,
   auntf.fit_tolerance = options_.fit_tolerance;
   auntf.compute_fit = options_.compute_fit;
   auntf.seed = options_.seed;
-  auntf.pipeline_streams = options_.pipeline_streams;
   auntf.tensor_device_bytes = backend_.tensor().storage_bytes();
-  // Scatter options change the MTTKRP op bodies' behavior without being
-  // visible to the driver; fold them into the plan-cache key so a
-  // scatter-strategy change recompiles the plan.
-  DigestBuilder scatter_digest;
-  scatter_digest.u64(static_cast<std::uint64_t>(options_.scatter.strategy))
-      .u64(static_cast<std::uint64_t>(resolved_mttkrp_));
-  auntf.plan_digest_extra = scatter_digest.value();
   if (options_.checkpoint_every > 0) {
     CSTF_CHECK_MSG(!options_.checkpoint_path.empty(),
                    "checkpoint_every > 0 requires checkpoint_path");

@@ -75,10 +75,6 @@ struct FrameworkOptions {
   /// to flat).
   double dimtree_budget_bytes = kDefaultDimtreeBudgetBytes;
 
-  /// Model per-mode Gram work concurrently with MTTKRP on a second stream
-  /// (see AuntfOptions::pipeline_streams). Off by default: serial modeling.
-  bool pipeline_streams = false;
-
   /// Write a crash-consistent training checkpoint (CSTFCKPT, see
   /// cstf/checkpoint.hpp) to `checkpoint_path` every N completed outer
   /// iterations. 0 disables checkpointing.

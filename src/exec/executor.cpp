@@ -60,8 +60,7 @@ void Executor::run(OpObserver* observer) {
       if (op.fixed_s >= 0.0) {
         dev_.record_fixed(op.name, op.fixed_s, stream);
       } else if (op.run) {
-        ExecContext ctx{dev_, stream, i};
-        op.run(ctx);
+        op.run(dev_);  // lane 0, the default stream (Plan's rule)
       }
       // A checkpoint barrier with no body is a pure structural marker.
       op_duration_histogram(op.kind)->observe(op_timer.seconds());

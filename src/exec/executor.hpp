@@ -35,18 +35,13 @@ class Executor {
   Executor(simgpu::Device& dev, std::shared_ptr<const Plan> plan);
 
   /// Runs every op in issue order: waits on cross-lane dependency events,
-  /// executes the body (or records the fixed-duration span) on the op's
-  /// lane, and records an event afterwards if a cross-lane dependent needs
-  /// it.
+  /// records the fixed-duration span on the op's lane (or executes the body,
+  /// which issues on the default stream), and records an event afterwards if
+  /// a cross-lane dependent needs it.
   void run(OpObserver* observer = nullptr);
 
   const Plan& plan() const { return *plan_; }
   simgpu::Device& device() { return dev_; }
-
-  /// The stream backing one lane (lane 0 = the default stream).
-  const simgpu::Stream& lane_stream(int lane) const {
-    return streams_[static_cast<std::size_t>(lane)];
-  }
 
  private:
   simgpu::Device& dev_;

@@ -60,6 +60,9 @@ Plan::Plan(OpGraph graph, std::vector<std::string> lanes)
                        op.lane < static_cast<int>(lanes_.size()),
                    "op " << op.name << ": lane " << op.lane
                          << " not in the plan's lane table");
+    CSTF_CHECK_MSG(op.run == nullptr || op.lane == 0,
+                   "op " << op.name << ": a body runs on the default stream, "
+                         << "but the op is on lane " << op.lane);
   }
 
   // Buffer lifetimes: first/last op index touching each buffer.

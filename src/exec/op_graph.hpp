@@ -6,7 +6,9 @@
 // assembly, factor update, fit, all-reduce, checkpoint barrier), each
 // assigned to a lane (a simgpu stream), with dependency
 // edges that the Executor turns into event waits and buffer declarations
-// whose first-use/last-use lifetimes feed a peak-memory estimate.
+// whose first-use/last-use lifetimes feed a peak-memory estimate. An op
+// with a body issues its kernels on the default stream, so only lane 0 may
+// hold one; other lanes carry fixed-duration spans.
 //
 // Ops are appended in issue order; an op may only depend on earlier ops, so
 // a well-formed graph is topologically sorted by construction and the
@@ -23,7 +25,6 @@
 
 namespace cstf::simgpu {
 class Device;
-class Stream;
 }  // namespace cstf::simgpu
 
 namespace cstf::exec {
@@ -59,31 +60,21 @@ struct BufferLifetime {
   int last_use = -1;
 };
 
-class Executor;
-
-/// Execution context handed to an op body: the device and the stream the
-/// planner assigned to the op's lane. Bodies must issue all metered work
-/// through `device` on `stream` so the modeled timeline matches the plan.
-struct ExecContext {
-  simgpu::Device& device;
-  const simgpu::Stream& stream;
-  int op_index;
-};
-
-/// One node of the graph. `run` issues the op's device work; ops with
-/// `fixed_s >= 0` are externally-modeled fixed-duration spans and need no
-/// body. `deps` holds indices of earlier ops; cross-lane deps become event
-/// edges, same-lane deps are satisfied by stream order.
+/// One node of the graph. `run` issues the op's device work through the
+/// device it is handed, on the default stream; ops with `fixed_s >= 0` are
+/// externally-modeled fixed-duration spans and need no body. `deps` holds
+/// indices of earlier ops; cross-lane deps become event edges, same-lane
+/// deps are satisfied by stream order.
 struct Op {
   OpKind kind = OpKind::kGeneric;
   std::string name;
   std::string phase;             ///< tracer/phase-timer label; may be empty
-  int lane = 0;                  ///< index into Plan::lanes (0 = default)
+  int lane = 0;                  ///< index into Plan::lanes; 0 if `run` set
   double fixed_s = -1.0;         ///< >= 0: record_fixed span, no body
   std::vector<int> deps;
   std::vector<int> reads;        ///< buffer ids
   std::vector<int> writes;       ///< buffer ids
-  std::function<void(ExecContext&)> run;
+  std::function<void(simgpu::Device&)> run;
 };
 
 /// Append-only op/buffer container. Validation happens at append time so a
@@ -114,6 +105,9 @@ class OpGraph {
 /// cached and shared between iterations (see PlanCache).
 class Plan {
  public:
+  /// Rejects a lane table that does not start with "default", an op whose
+  /// lane is not in it, and an op with a body off lane 0 (the body's kernels
+  /// would issue on the default stream while the plan models another).
   Plan(OpGraph graph, std::vector<std::string> lanes);
 
   const OpGraph& graph() const { return graph_; }

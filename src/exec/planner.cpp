@@ -52,9 +52,7 @@ Plan Planner::compile_ao_iteration(const AoIterationSpec& spec) {
         g.add_buffer("factor_" + std::to_string(n), rows * r * word()));
     gram_buf.push_back(
         g.add_buffer("gram_" + std::to_string(n), r * r * word()));
-    if (spec.with_dual) {
-      g.add_buffer("dual_" + std::to_string(n), rows * r * word());
-    }
+    g.add_buffer("dual_" + std::to_string(n), rows * r * word());
   }
   const int s_buf = g.add_buffer("s_hadamard", r * r * word());
   const int m_buf = g.add_buffer("mttkrp_out", rows_max * r * word());
@@ -77,12 +75,8 @@ Plan Planner::compile_ao_iteration(const AoIterationSpec& spec) {
     fit_g_buf = g.add_buffer("fit_gram_unnorm", r * r * word());
   }
 
-  // With the pipeline, all Gram-phase work (the Hadamard assembly and the
-  // post-normalize recompute) runs on its own lane; Hadamard_n and MTTKRP_n
-  // both need only Normalize_{n-1}, so they overlap, and the update joins
-  // them with an event edge. This is exactly the event wiring the AUNTF
-  // driver used to hand-roll.
-  const int gram_lane = spec.pipeline ? 1 : 0;
+  // Every op has a body, so every op is on lane 0 (Plan's rule): the
+  // iteration is one in-order chain on the default stream.
   int prev_normalize = -1;
   int prev_gram = -1;
   int prev_extend = -1;
@@ -91,13 +85,13 @@ Plan Planner::compile_ao_iteration(const AoIterationSpec& spec) {
     had.kind = OpKind::kHadamardGram;
     had.name = "hadamard_" + std::to_string(n);
     had.phase = phase::kGram;
-    had.lane = gram_lane;
-    if (prev_gram >= 0) had.deps.push_back(prev_gram);  // same-lane order
+    had.lane = 0;
+    if (prev_gram >= 0) had.deps.push_back(prev_gram);  // reads G_{n-1}
     for (int m = 0; m < spec.num_modes; ++m) {
       if (m != n) had.reads.push_back(gram_buf[static_cast<std::size_t>(m)]);
     }
     had.writes.push_back(s_buf);
-    had.run = [body = spec.hadamard, n](ExecContext& ctx) { body(ctx, n); };
+    had.run = [body = spec.hadamard, n](simgpu::Device& dev) { body(dev, n); };
     const int had_op = g.add_op(std::move(had));
 
     Op mk;
@@ -121,7 +115,7 @@ Plan Planner::compile_ao_iteration(const AoIterationSpec& spec) {
       }
     }
     mk.writes.push_back(m_buf);
-    mk.run = [body = spec.mttkrp, n](ExecContext& ctx) { body(ctx, n); };
+    mk.run = [body = spec.mttkrp, n](simgpu::Device& dev) { body(dev, n); };
     const int mk_op = g.add_op(std::move(mk));
 
     Op up;
@@ -129,10 +123,10 @@ Plan Planner::compile_ao_iteration(const AoIterationSpec& spec) {
     up.name = "update_" + std::to_string(n);
     up.phase = phase::kUpdate;
     up.lane = 0;
-    up.deps = {had_op, mk_op};  // the Hadamard dep is the pipeline's join
+    up.deps = {had_op, mk_op};
     up.reads = {s_buf, m_buf};
     up.writes = {factor_buf[static_cast<std::size_t>(n)], scratch_buf};
-    up.run = [body = spec.update, n](ExecContext& ctx) { body(ctx, n); };
+    up.run = [body = spec.update, n](simgpu::Device& dev) { body(dev, n); };
     int tail = g.add_op(std::move(up));
 
     if (n == last && spec.compute_fit) {
@@ -158,7 +152,9 @@ Plan Planner::compile_ao_iteration(const AoIterationSpec& spec) {
     nm.deps = {tail};
     nm.reads = {factor_buf[static_cast<std::size_t>(n)]};
     nm.writes = {factor_buf[static_cast<std::size_t>(n)], lambda_buf};
-    nm.run = [body = spec.normalize, n](ExecContext& ctx) { body(ctx, n); };
+    nm.run = [body = spec.normalize, n](simgpu::Device& dev) {
+      body(dev, n);
+    };
     prev_normalize = g.add_op(std::move(nm));
 
     if (spec.use_dimtree && n < last) {
@@ -175,8 +171,8 @@ Plan Planner::compile_ao_iteration(const AoIterationSpec& spec) {
       ex.reads.push_back(factor_buf[static_cast<std::size_t>(n)]);
       if (n > 0) ex.reads.push_back(chain_buf);  // in-place fold
       ex.writes.push_back(chain_buf);
-      ex.run = [body = spec.dimtree_extend, n](ExecContext& ctx) {
-        body(ctx, n + 1);
+      ex.run = [body = spec.dimtree_extend, n](simgpu::Device& dev) {
+        body(dev, n + 1);
       };
       prev_extend = g.add_op(std::move(ex));
     }
@@ -185,12 +181,13 @@ Plan Planner::compile_ao_iteration(const AoIterationSpec& spec) {
     gr.kind = OpKind::kGram;
     gr.name = "gram_recompute_" + std::to_string(n);
     gr.phase = phase::kGram;
-    gr.lane = gram_lane;
-    gr.deps = {prev_normalize};  // cross-lane when pipelined: event edge
+    gr.lane = 0;
+    gr.deps = {prev_normalize};
     gr.reads = {factor_buf[static_cast<std::size_t>(n)]};
     gr.writes = {gram_buf[static_cast<std::size_t>(n)]};
-    gr.run =
-        [body = spec.gram_recompute, n](ExecContext& ctx) { body(ctx, n); };
+    gr.run = [body = spec.gram_recompute, n](simgpu::Device& dev) {
+      body(dev, n);
+    };
     prev_gram = g.add_op(std::move(gr));
   }
 
@@ -200,7 +197,7 @@ Plan Planner::compile_ao_iteration(const AoIterationSpec& spec) {
     fit.name = "fit";
     fit.phase = "FIT";
     fit.lane = 0;
-    fit.deps = {prev_gram};  // reads Grams last written on the gram lane
+    fit.deps = {prev_gram};  // reads every Gram
     for (int m = 0; m < spec.num_modes; ++m) {
       fit.reads.push_back(gram_buf[static_cast<std::size_t>(m)]);
     }
@@ -212,18 +209,15 @@ Plan Planner::compile_ao_iteration(const AoIterationSpec& spec) {
     g.add_op(std::move(fit));
   }
 
-  // Snapshot-consistent point: everything the iteration wrote is final here.
-  // Deliberately dependency-free — a dep on the gram lane would add an event
-  // wait the legacy driver never issued and delay the next iteration.
+  // Snapshot-consistent point: everything the iteration wrote is final here
+  // (the chain is in order, so the barrier needs no deps).
   Op bar;
   bar.kind = OpKind::kCheckpointBarrier;
   bar.name = "iteration_barrier";
   bar.lane = 0;
   g.add_op(std::move(bar));
 
-  std::vector<std::string> lanes = {"default"};
-  if (spec.pipeline) lanes.push_back("gram");
-  return Plan(std::move(g), std::move(lanes));
+  return Plan(std::move(g), {"default"});
 }
 
 Plan Planner::compile_fixed_pipeline(

@@ -1,23 +1,22 @@
-// Planner — compiles the schedules that have (or can have) a second lane.
-//
-// This is the single home of the multi-lane scheduling rules that used to
-// be hand-rolled per call site:
-//  * the batch AO-ADMM iteration (auntf), with the optional gram-lane
-//    pipeline (Gram_n overlaps MTTKRP_n; both depend only on
-//    Normalize_{n-1}; the update joins them);
-//  * the fixed-span variant of the same schedule benches use to model
-//    overlap from already-scaled per-mode phase times;
+// Planner — compiles the trainer's AO iteration and the two schedules with
+// a second lane:
+//  * the batch AO-ADMM iteration (auntf): one in-order chain on the default
+//    stream, compiled for its buffer table, which is the device-footprint
+//    model (DESIGN.md §12);
+//  * the benches' fixed-span Gram-vs-MTTKRP pipeline, which models overlap
+//    from already-scaled per-mode phase times (Gram_n overlaps MTTKRP_n;
+//    both depend only on Normalize_{n-1}; the update joins them);
 //  * the multi-GPU chunked compute-vs-ring-all-reduce overlap (the
 //    all-reduce of chunk i starts once every shard finished chunk i).
-// A single-lane loop (a streaming slice, a serving fold-in) is one in-order
-// chain on the default stream and issues its steps directly instead.
+// Other single-lane loops (a streaming slice, a serving fold-in) issue their
+// steps directly instead.
 //
 // Callers supply the op *bodies* (closures issuing the actual metered
-// kernels); the planner supplies the *structure*: lanes, dependency edges,
-// typed ops, and buffer lifetimes. The Executor then realizes the structure
-// as stream/event wiring. Plans are cached via PlanCache, keyed by (tensor
-// identity, rank, options digest), and invalidated exactly like
-// ScatterPlanCache: a key change drops the slot and recompiles.
+// kernels on the default stream) or fixed durations; the planner supplies
+// the *structure*: lanes, dependency edges, typed ops, and buffer lifetimes.
+// The Executor then realizes the structure as stream/event wiring. Plans are
+// cached via PlanCache, keyed by (tensor identity, rank, options digest): a
+// key change drops the slot and recompiles.
 #pragma once
 
 #include <cstdint>
@@ -34,9 +33,7 @@ namespace cstf::exec {
 struct AoIterationSpec {
   int num_modes = 0;
   index_t rank = 0;
-  bool pipeline = false;        ///< gram work on its own lane
   bool compute_fit = false;
-  bool with_dual = true;        ///< update scheme keeps a per-mode dual
   double tensor_bytes = 0.0;    ///< device-resident tensor (peak-memory model)
   std::vector<index_t> mode_rows;
 
@@ -49,15 +46,15 @@ struct AoIterationSpec {
   double dimtree_chain_bytes = 0.0;
   /// Body of the extend op; receives the target chain level (n+1 after
   /// mode n). Required when use_dimtree is set.
-  std::function<void(ExecContext&, int)> dimtree_extend;
+  std::function<void(simgpu::Device&, int)> dimtree_extend;
 
-  std::function<void(ExecContext&, int)> hadamard;       // S^(n) assembly
-  std::function<void(ExecContext&, int)> mttkrp;         // M^(n)
-  std::function<void(ExecContext&, int)> update;         // H^(n)
-  std::function<void(ExecContext&, int)> normalize;
-  std::function<void(ExecContext&, int)> gram_recompute; // G_n from H^(n)
-  std::function<void(ExecContext&)> fit_capture;  // pre-normalize snapshot
-  std::function<void(ExecContext&)> fit;          // post-loop fit value
+  std::function<void(simgpu::Device&, int)> hadamard;       // S^(n) assembly
+  std::function<void(simgpu::Device&, int)> mttkrp;         // M^(n)
+  std::function<void(simgpu::Device&, int)> update;         // H^(n)
+  std::function<void(simgpu::Device&, int)> normalize;
+  std::function<void(simgpu::Device&, int)> gram_recompute; // G_n from H^(n)
+  std::function<void(simgpu::Device&)> fit_capture;  // pre-normalize snapshot
+  std::function<void(simgpu::Device&)> fit;          // post-loop fit value
 };
 
 /// Fixed-duration per-mode phase times for the bench variant of the AO

@@ -5,7 +5,7 @@
 
 #include "common/error.hpp"
 #include "common/random.hpp"
-#include "parallel/atomic.hpp"
+#include "mttkrp/coo_mttkrp.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/reduce.hpp"
 #include "simgpu/launch.hpp"
@@ -112,9 +112,14 @@ void PoissonNtf::sweep_mode(int mode) {
 
   evaluate_model(tensor_, factors_, model_at_nnz_);
 
-  // Phi = MTTKRP of the ratio tensor (x / x_hat): atomic scatter into the
-  // output rows.
-  Matrix phi(h.rows(), rank);
+  // Phi = MTTKRP of the ratio tensor (x / x_hat), through the scatter
+  // engine like CooBackend, so Phi is bit-reproducible run to run.
+  const ScatterStrategy strategy = resolve_scatter_strategy(
+      ScatterOptions{}, h.rows(), rank, tensor_.nnz());
+  const ScatterPlan* plan = nullptr;
+  if (strategy == ScatterStrategy::kSorted) {
+    plan = &plans_.get(mode, [&] { return coo_scatter_plan(tensor_, mode); });
+  }
   {
     simgpu::KernelStats stats;
     const auto nnz = static_cast<double>(tensor_.nnz());
@@ -124,30 +129,30 @@ void PoissonNtf::sweep_mode(int mode) {
     stats.bytes_streamed = nnz * (static_cast<double>(modes) * sizeof(index_t) +
                                   2.0 * sizeof(real_t));
     stats.parallel_items = nnz;
-    stats.atomic_ops = nnz * static_cast<double>(rank);
+    apply_scatter_stats(stats, strategy, h.rows(), rank, nnz);
     device_.record("poisson_ratio_mttkrp", stats);
   }
-  const auto& out_idx = tensor_.indices(mode);
-  parallel_for_blocked(0, tensor_.nnz(), [&](index_t lo, index_t hi) {
-    std::vector<real_t> row(static_cast<std::size_t>(rank));
-    for (index_t i = lo; i < hi; ++i) {
-      const real_t ratio =
-          tensor_.values()[static_cast<std::size_t>(i)] /
-          std::max(model_at_nnz_[static_cast<std::size_t>(i)], eps);
-      for (index_t r = 0; r < rank; ++r) row[static_cast<std::size_t>(r)] = ratio;
-      for (int m = 0; m < modes; ++m) {
-        if (m == mode) continue;
-        const Matrix& f = factors_[static_cast<std::size_t>(m)];
-        const index_t idx = tensor_.indices(m)[static_cast<std::size_t>(i)];
-        for (index_t r = 0; r < rank; ++r) {
-          row[static_cast<std::size_t>(r)] *= f(idx, r);
-        }
-      }
-      const index_t out_row = out_idx[static_cast<std::size_t>(i)];
-      for (index_t r = 0; r < rank; ++r) {
-        atomic_add(&phi(out_row, r), row[static_cast<std::size_t>(r)]);
-      }
-    }
+  Matrix phi(h.rows(), rank);
+  const real_t* values = tensor_.values().data();
+  const real_t* model = model_at_nnz_.data();
+  const index_t* out_rows = tensor_.indices(mode).data();
+  const ColumnGather gather(factors_, mode);
+  const index_t* coords[kMaxModes];
+  for (int g = 0; g < gather.count; ++g) {
+    coords[g] = tensor_.indices(gather.mode[g]).data();
+  }
+  with_gather_count(gather.count, [&](auto count) {
+    constexpr int G = decltype(count)::value;
+    scatter_accumulate(
+        strategy, phi, tensor_.nnz(),
+        [&](index_t i, const auto& acc) {
+          const auto at = static_cast<std::size_t>(i);
+          const real_t ratio = values[at] / std::max(model[at], eps);
+          gather.add<G>(acc(out_rows[at]), rank,
+                        [ratio](index_t) { return ratio; },
+                        [&](int g) { return coords[g][at]; });
+        },
+        plan);
   });
 
   // d(r) = prod_{k != mode} colsum_k(r).

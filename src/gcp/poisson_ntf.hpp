@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "cstf/ktensor.hpp"
+#include "mttkrp/scatter.hpp"
 #include "simgpu/device.hpp"
 #include "tensor/coo.hpp"
 
@@ -75,6 +76,7 @@ class PoissonNtf {
   simgpu::Device device_;
   std::vector<Matrix> factors_;
   std::vector<real_t> model_at_nnz_;  // x_hat cache, refreshed per sweep
+  ScatterPlanCache plans_;            // sorted ratio-MTTKRP plans, per mode
 };
 
 }  // namespace cstf

@@ -104,7 +104,7 @@ class ScatterPlanCache {
  public:
   /// `engine` tags this cache's series in the process-wide
   /// mttkrp.scatter_cache.* counters ("backend" for the MTTKRP backends and
-  /// the streaming path, "dimtree" for the dimension-tree engine's cache).
+  /// Poisson NTF, "dimtree" for the dimension-tree engine's cache).
   /// The per-cache hits()/misses() below are untouched by the tag.
   explicit ScatterPlanCache(const char* engine = "backend") : engine_(engine) {}
 
@@ -123,19 +123,10 @@ class ScatterPlanCache {
     return *slot;
   }
 
-  /// Plan reuse counters (cumulative across clear()): a miss builds a plan,
-  /// a hit reuses one. Surfaced by cstf_info so plan-build overhead is
-  /// observable.
+  /// Plan reuse counters: a miss builds a plan, a hit reuses one. Surfaced
+  /// by cstf_info so plan-build overhead is observable.
   std::int64_t hits() const { return hits_; }
   std::int64_t misses() const { return misses_; }
-
-  /// Drops every cached plan. Callers whose nonzero set changes between
-  /// solves (the streaming path: each time slice is a different tensor)
-  /// MUST clear before reusing the cache — a plan built for one slice
-  /// permutes the wrong nonzeros of the next.
-  void clear() {
-    for (auto& slot : slots_) slot.reset();
-  }
 
  private:
   /// Mirrors the hit/miss into mttkrp.scatter_cache.*{engine=...} (defined

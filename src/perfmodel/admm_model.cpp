@@ -23,20 +23,6 @@ double admm_iteration_time(double i_len, double rank,
   return std::max(t_mem, t_flops);
 }
 
-simgpu::KernelStats scale_stats(const simgpu::KernelStats& stats,
-                                double factor) {
-  simgpu::KernelStats scaled = stats;
-  scaled.flops *= factor;
-  scaled.bytes_streamed *= factor;
-  scaled.bytes_reused *= factor;
-  scaled.bytes_random *= factor;
-  scaled.host_link_bytes *= factor;
-  scaled.working_set_bytes *= factor;
-  scaled.atomic_ops *= factor;
-  scaled.parallel_items *= factor;
-  return scaled;
-}
-
 double modeled_sequence_scaled(const std::vector<simgpu::KernelStats>& seq,
                                double factor,
                                const simgpu::DeviceSpec& spec) {

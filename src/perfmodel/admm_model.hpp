@@ -26,13 +26,9 @@ AdmmIterationModel admm_iteration_model(double i_len, double rank);
 double admm_iteration_time(double i_len, double rank,
                            const simgpu::DeviceSpec& spec);
 
-/// Scales all extensive quantities of a metered record by `factor`:
-/// flops, every byte counter, the working set, and the available
-/// parallelism. Launch counts and serial depth are intensive (per-launch /
-/// per-chain) and are left unchanged. Used to map a scaled-analog run to the
-/// full-size dataset it stands in for (see DESIGN.md §2).
-simgpu::KernelStats scale_stats(const simgpu::KernelStats& stats,
-                                double factor);
+/// simgpu::scale_stats (simgpu/counters.hpp), under the name the benches'
+/// analog-to-full-size mappings use.
+using simgpu::scale_stats;
 
 /// Models a kernel sequence at `factor` times its metered size: per-kernel
 /// scale_stats, then per-kernel roofline, summed. The sequence counterpart

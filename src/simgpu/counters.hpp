@@ -38,9 +38,10 @@ struct KernelStats {
   /// Triangular solves make this O(R) per column; elementwise kernels O(1).
   double serial_depth = 0.0;
 
-  /// Atomic read-modify-write updates issued (e.g. the Poisson ratio-MTTKRP
-  /// scatter). A plain count for telemetry: their bandwidth is already part
-  /// of `bytes_random`, and the cost model adds no term for them.
+  /// Atomic read-modify-write updates issued. A plain count for telemetry:
+  /// their bandwidth would already be part of `bytes_random`, and the cost
+  /// model adds no term for them. No kernel in this library issues atomics,
+  /// so it stays 0; the benchmark reports it (`mttkrp.atomic_ops`).
   double atomic_ops = 0.0;
 
   /// Number of independent work items available (for the saturation model).
@@ -90,5 +91,24 @@ struct KernelStats {
     return bytes > 0.0 ? flops / bytes : 0.0;
   }
 };
+
+/// Scales all extensive quantities of a metered record by `factor`:
+/// flops, every byte counter, the working set, the atomic count and the
+/// available parallelism. Launch counts, serial depth and compute efficiency
+/// are intensive (per-launch / per-chain) and are left unchanged. Used to map
+/// a scaled-analog run to the full-size dataset it stands in for (see
+/// DESIGN.md §2).
+inline KernelStats scale_stats(const KernelStats& stats, double factor) {
+  KernelStats scaled = stats;
+  scaled.flops *= factor;
+  scaled.bytes_streamed *= factor;
+  scaled.bytes_reused *= factor;
+  scaled.bytes_random *= factor;
+  scaled.host_link_bytes *= factor;
+  scaled.working_set_bytes *= factor;
+  scaled.atomic_ops *= factor;
+  scaled.parallel_items *= factor;
+  return scaled;
+}
 
 }  // namespace cstf::simgpu

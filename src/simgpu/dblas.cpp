@@ -40,17 +40,15 @@ KernelStats dgemm_stats(index_t m, index_t n, index_t k, real_t beta) {
 }
 
 void dgemm(Device& dev, la::Op op_a, la::Op op_b, real_t alpha,
-           const Matrix& a, const Matrix& b, real_t beta,
-           Matrix& c, Stream stream) {
+           const Matrix& a, const Matrix& b, real_t beta, Matrix& c) {
   const KernelStats stats =
       dgemm_stats(c.rows(), c.cols(), la::op_cols(a, op_a), beta);
   Timer wall;
   la::gemm(op_a, op_b, alpha, a, b, beta, c);
-  dev.record("dgemm", stats, wall.seconds(), stream);
+  dev.record("dgemm", stats, wall.seconds());
 }
 
-void dsyrk_gram(Device& dev, const Matrix& a, Matrix& s,
-                Stream stream) {
+void dsyrk_gram(Device& dev, const Matrix& a, Matrix& s) {
   const double n = static_cast<double>(a.rows());
   const double r = static_cast<double>(a.cols());
   KernelStats stats;
@@ -60,11 +58,11 @@ void dsyrk_gram(Device& dev, const Matrix& a, Matrix& s,
   stats.launches = 1;
   Timer wall;
   la::gram(a, s);
-  dev.record("dsyrk", stats, wall.seconds(), stream);
+  dev.record("dsyrk", stats, wall.seconds());
 }
 
 void dgeam(Device& dev, real_t alpha, const Matrix& a, real_t beta,
-           const Matrix& b, Matrix& c, Stream stream) {
+           const Matrix& b, Matrix& c) {
   KernelStats stats;
   const double n = static_cast<double>(a.size());
   stats.flops = 3.0 * n;  // two scales + one add
@@ -73,10 +71,10 @@ void dgeam(Device& dev, real_t alpha, const Matrix& a, real_t beta,
   stats.launches = 1;
   Timer wall;
   la::geam(la::Op::kNone, la::Op::kNone, alpha, a, beta, b, c);
-  dev.record("dgeam", stats, wall.seconds(), stream);
+  dev.record("dgeam", stats, wall.seconds());
 }
 
-void dpotrf(Device& dev, const Matrix& s, Matrix& l, Stream stream) {
+void dpotrf(Device& dev, const Matrix& s, Matrix& l) {
   const double r = static_cast<double>(s.rows());
   KernelStats stats;
   stats.flops = r * r * r / 3.0;
@@ -88,10 +86,10 @@ void dpotrf(Device& dev, const Matrix& s, Matrix& l, Stream stream) {
   stats.launches = 1;
   Timer wall;
   la::cholesky_factor(s, l);
-  dev.record("dpotrf", stats, wall.seconds(), stream);
+  dev.record("dpotrf", stats, wall.seconds());
 }
 
-void dpotrs(Device& dev, const Matrix& l, Matrix& b, Stream stream) {
+void dpotrs(Device& dev, const Matrix& l, Matrix& b) {
   const double r = static_cast<double>(l.rows());
   const double cols = static_cast<double>(b.cols());
   KernelStats stats;
@@ -106,11 +104,10 @@ void dpotrs(Device& dev, const Matrix& l, Matrix& b, Stream stream) {
   stats.launches = 2;
   Timer wall;
   la::cholesky_solve(l, b);
-  dev.record("dpotrs", stats, wall.seconds(), stream);
+  dev.record("dpotrs", stats, wall.seconds());
 }
 
-void dpotrs_right(Device& dev, const Matrix& l, Matrix& b,
-                  Stream stream) {
+void dpotrs_right(Device& dev, const Matrix& l, Matrix& b) {
   const double r = static_cast<double>(l.rows());
   const double rows = static_cast<double>(b.rows());
   KernelStats stats;
@@ -127,11 +124,10 @@ void dpotrs_right(Device& dev, const Matrix& l, Matrix& b,
   stats.compute_efficiency = 0.15;
   Timer wall;
   la::cholesky_solve_right(l, b);
-  dev.record("dpotrs_right", stats, wall.seconds(), stream);
+  dev.record("dpotrs_right", stats, wall.seconds());
 }
 
-void dpotri(Device& dev, const Matrix& l, Matrix& inverse,
-            Stream stream) {
+void dpotri(Device& dev, const Matrix& l, Matrix& inverse) {
   const double r = static_cast<double>(l.rows());
   KernelStats stats;
   stats.flops = 2.0 * r * r * r;
@@ -141,10 +137,10 @@ void dpotri(Device& dev, const Matrix& l, Matrix& inverse,
   stats.launches = 1;
   Timer wall;
   la::cholesky_invert(l, inverse);
-  dev.record("dpotri", stats, wall.seconds(), stream);
+  dev.record("dpotri", stats, wall.seconds());
 }
 
-real_t dnrm2_sq(Device& dev, const Matrix& a, Stream stream) {
+real_t dnrm2_sq(Device& dev, const Matrix& a) {
   KernelStats stats;
   const double n = static_cast<double>(a.size());
   stats.flops = 2.0 * n;
@@ -153,7 +149,7 @@ real_t dnrm2_sq(Device& dev, const Matrix& a, Stream stream) {
   stats.launches = 1;
   Timer wall;
   const real_t result = la::frobenius_norm_sq(a);
-  dev.record("dnrm2", stats, wall.seconds(), stream);
+  dev.record("dnrm2", stats, wall.seconds());
   return result;
 }
 

@@ -18,6 +18,10 @@
 //    or block-reduce, so the restriction never binds.
 //  * `ctx.shared` is a per-block scratch buffer of `shmem_reals` real_t,
 //    zeroed at block start.
+//  * Every launch is recorded on the default stream, so there is no fourth
+//    <<<grid, block, shmem, stream>>> parameter: kernel bodies and device
+//    BLAS issue in program order, as the paper's AO iteration does. Second
+//    lanes carry only fixed spans and staging transfers (stream.hpp).
 #pragma once
 
 #include <algorithm>
@@ -32,14 +36,11 @@
 namespace cstf::simgpu {
 
 /// Launch geometry (1-D grid and block; the kernels in this library all
-/// linearize their index spaces), plus the stream the launch is issued to —
-/// the fourth launch-config parameter, as in CUDA's <<<grid, block, shmem,
-/// stream>>>. The stream affects only the modeled timeline, never execution.
+/// linearize their index spaces).
 struct LaunchConfig {
   index_t grid_dim = 1;
   index_t block_dim = 1;
   index_t shmem_reals = 0;
-  Stream stream{};
 };
 
 /// Per-thread execution context handed to the kernel body.
@@ -55,10 +56,11 @@ struct KernelCtx {
   index_t total_threads() const { return grid_dim * block_dim; }
 };
 
-/// Records one launch of `kernel_name` with geometry `cfg` on `device`:
-/// `stats` with launches/parallel_items auto-filled if left 0. launch()
-/// records through this; a caller that executes a kernel's work some other
-/// way (the row-tiled ADMM pass) meters it as the same launch with it.
+/// Records one launch of `kernel_name` with geometry `cfg` on `device`'s
+/// default stream: `stats` with launches/parallel_items auto-filled if left
+/// 0. launch() records through this; a caller that executes a kernel's work
+/// some other way (the row-tiled ADMM pass) meters it as the same launch
+/// with it.
 inline void record_launch(Device& device, const std::string& kernel_name,
                           const LaunchConfig& cfg, KernelStats stats,
                           double wall_s = 0.0) {
@@ -67,7 +69,7 @@ inline void record_launch(Device& device, const std::string& kernel_name,
   if (stats.parallel_items == 0.0) {
     stats.parallel_items = static_cast<double>(cfg.grid_dim * cfg.block_dim);
   }
-  device.record(kernel_name, stats, wall_s, cfg.stream);
+  device.record(kernel_name, stats, wall_s);
 }
 
 /// Executes `body` for every (block, thread) pair and records `stats` on

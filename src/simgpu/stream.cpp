@@ -65,20 +65,8 @@ double Timeline::makespan_s(const DeviceSpec& spec, double extensive_scale,
     if (sp.fixed_s >= 0.0) {
       duration = sp.fixed_s;
     } else {
-      KernelStats stats = sp.stats;
-      if (extensive_scale != 1.0) {
-        // Mirror perfmodel::scale_stats: extensive quantities scale with the
-        // dataset; serial depth, launch count, and efficiency do not.
-        stats.flops *= extensive_scale;
-        stats.bytes_streamed *= extensive_scale;
-        stats.bytes_reused *= extensive_scale;
-        stats.bytes_random *= extensive_scale;
-        stats.host_link_bytes *= extensive_scale;
-        stats.working_set_bytes *= extensive_scale;
-        stats.atomic_ops *= extensive_scale;
-        stats.parallel_items *= extensive_scale;
-      }
-      const TimeBreakdown t = model_time(stats, spec);
+      const TimeBreakdown t =
+          model_time(scale_stats(sp.stats, extensive_scale), spec);
       duration = t.total_s;
       memory_busy_s += t.memory_s;
       link_busy_s += t.link_s;

@@ -6,8 +6,14 @@
 // *time model*: every recorded span lands on one stream's ordered lane, and
 // Device::modeled_time_s() becomes the critical-path makespan of the
 // resulting DAG instead of a flat sum, so a caller can express
-// compute/communication overlap (multi-GPU all-reduce, OOM staging, per-mode
-// Gram-vs-MTTKRP pipelining) and have it modeled faithfully.
+// compute/communication overlap and have it modeled faithfully.
+//
+// Kernel bodies and device BLAS issue on the default stream only (launch.hpp,
+// dblas.hpp). A second lane carries fixed spans and staging transfers, and
+// three schedules use one: the benches' fixed Gram-vs-MTTKRP pipeline and the
+// multi-GPU all-reduce overlap (exec::Planner, fixed spans recorded by the
+// Executor), and the out-of-memory MTTKRP's copy-stream staging
+// (mttkrp_blco_streamed).
 //
 // Semantics, mirroring CUDA:
 //  * A Stream is an in-order lane: spans issued to the same stream are

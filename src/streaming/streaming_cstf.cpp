@@ -6,6 +6,7 @@
 #include "common/random.hpp"
 #include "la/blas.hpp"
 #include "la/elementwise.hpp"
+#include "mttkrp/coo_mttkrp.hpp"
 
 namespace cstf {
 
@@ -29,35 +30,6 @@ AdmmOptions temporal_options(const StreamingOptions& o) {
   return a;
 }
 
-// Weighted slice MTTKRP: out(i_m, :) += x * s .* prod_{k != m} H^k(i_k, :),
-// where s is the slice's temporal row — the streaming analogue of the batch
-// MTTKRP with the time factor contracted to a single row.
-void slice_mttkrp(const SparseTensor& slice, const std::vector<Matrix>& factors,
-                  const real_t* s_row, int mode, Matrix& out) {
-  const int modes = slice.num_modes();
-  const index_t rank = out.cols();
-  out.set_all(0.0);
-  std::vector<real_t> row(static_cast<std::size_t>(rank));
-  for (index_t i = 0; i < slice.nnz(); ++i) {
-    const real_t v = slice.values()[static_cast<std::size_t>(i)];
-    for (index_t r = 0; r < rank; ++r) {
-      row[static_cast<std::size_t>(r)] = v * s_row[r];
-    }
-    for (int m = 0; m < modes; ++m) {
-      if (m == mode) continue;
-      const Matrix& f = factors[static_cast<std::size_t>(m)];
-      const index_t idx = slice.indices(m)[static_cast<std::size_t>(i)];
-      for (index_t r = 0; r < rank; ++r) {
-        row[static_cast<std::size_t>(r)] *= f(idx, r);
-      }
-    }
-    const index_t out_row = slice.indices(mode)[static_cast<std::size_t>(i)];
-    for (index_t r = 0; r < rank; ++r) {
-      out(out_row, r) += row[static_cast<std::size_t>(r)];
-    }
-  }
-}
-
 double slice_link_bytes(const SparseTensor& slice) {
   return static_cast<double>(slice.nnz()) *
          (static_cast<double>(slice.num_modes()) * sizeof(index_t) +
@@ -65,6 +37,37 @@ double slice_link_bytes(const SparseTensor& slice) {
 }
 
 }  // namespace
+
+void slice_mttkrp(const SparseTensor& slice, const std::vector<Matrix>& factors,
+                  const real_t* s_row, int mode, Matrix& out) {
+  CSTF_CHECK(mode >= 0 && mode < slice.num_modes());
+  CSTF_CHECK(static_cast<int>(factors.size()) == slice.num_modes());
+  const index_t rank = out.cols();
+  CSTF_CHECK(out.rows() == slice.dim(mode) && rank == factors[0].cols());
+  // Each slice is a different nonzero set, so its sorted plan is built here
+  // and used once.
+  const ScatterPlan plan = coo_scatter_plan(slice, mode);
+  const real_t* values = slice.values().data();
+  const index_t* out_rows = slice.indices(mode).data();
+  const ColumnGather gather(factors, mode);
+  const index_t* coords[kMaxModes];
+  for (int g = 0; g < gather.count; ++g) {
+    coords[g] = slice.indices(gather.mode[g]).data();
+  }
+  with_gather_count(gather.count, [&](auto count) {
+    constexpr int G = decltype(count)::value;
+    scatter_accumulate(
+        ScatterStrategy::kSorted, out, slice.nnz(),
+        [&](index_t i, const auto& acc) {
+          const auto at = static_cast<std::size_t>(i);
+          const real_t v = values[at];
+          gather.add<G>(acc(out_rows[at]), rank,
+                        [v, s_row](index_t r) { return v * s_row[r]; },
+                        [&](int g) { return coords[g][at]; });
+        },
+        &plan);
+  });
+}
 
 StreamingCstf::StreamingCstf(std::vector<index_t> nontemporal_dims,
                              StreamingOptions options)
@@ -103,11 +106,6 @@ std::vector<real_t> StreamingCstf::ingest(const SparseTensor& slice) {
     CSTF_CHECK_MSG(slice.dim(m) == dims_[static_cast<std::size_t>(m)],
                    "slice mode " << m << " dimension mismatch");
   }
-
-  // Every slice is a different tensor: scatter plans cached for the previous
-  // slice are stale (wrong permutation, wrong length). Invalidate before any
-  // mode can consult the cache.
-  plans_.clear();
 
   try {
     return ingest_impl(slice);
@@ -180,7 +178,15 @@ std::vector<real_t> StreamingCstf::ingest_impl(const SparseTensor& slice) {
   for (int m = 0; m < modes; ++m) {
     const auto mi = static_cast<std::size_t>(m);
     Matrix b(dims_[mi], rank);
-    slice_mode_mttkrp(slice, m, s_row, b);
+    slice_mttkrp(slice, factors_, s_row.data(), m, b);
+    simgpu::KernelStats stats;
+    stats.flops = static_cast<double>(slice.nnz() * rank * (modes + 2));
+    stats.bytes_random =
+        static_cast<double>(slice.nnz() * rank * (modes + 1)) * simgpu::kWord;
+    stats.parallel_items = static_cast<double>(slice.nnz());
+    apply_scatter_stats(stats, ScatterStrategy::kSorted, b.rows(), rank,
+                        static_cast<double>(slice.nnz()));
+    device_.record("stream_slice_mttkrp", stats);
 
     // Fold the slice into the exponentially aged accumulators:
     //   P^m <- mu P^m + B,   Q^m <- mu Q^m + (s s^T) .* prod_{k != m} G_k.
@@ -208,56 +214,6 @@ std::vector<real_t> StreamingCstf::ingest_impl(const SparseTensor& slice) {
   }
   temporal_rows_.push_back(out);
   return out;
-}
-
-void StreamingCstf::slice_mode_mttkrp(const SparseTensor& slice, int mode,
-                                      const Matrix& s_row, Matrix& b) {
-  const int modes = static_cast<int>(dims_.size());
-  const index_t rank = options_.rank;
-  if (options_.use_scatter_engine) {
-    // Sorted only: its per-row order is the serial reference's, so slice
-    // results are bit-identical to it and to each other at any worker count
-    // (privatized would regroup the sums by worker-count tiles).
-    const ScatterPlan& plan = plans_.get(mode, [&] {
-      return build_scatter_plan(slice.nnz(), [&](index_t i) {
-        return slice.indices(mode)[static_cast<std::size_t>(i)];
-      });
-    });
-    // Each product starts as v * s_row(0, r), as in the reference loop.
-    const real_t* s = s_row.data();
-    const real_t* values = slice.values().data();
-    const index_t* out_rows = slice.indices(mode).data();
-    const ColumnGather gather(factors_, mode);
-    const index_t* coords[kMaxModes];
-    for (int g = 0; g < gather.count; ++g) {
-      coords[g] = slice.indices(gather.mode[g]).data();
-    }
-    with_gather_count(gather.count, [&](auto count) {
-      constexpr int G = decltype(count)::value;
-      scatter_accumulate(
-          ScatterStrategy::kSorted, b, slice.nnz(),
-          [&](index_t i, const auto& acc) {
-            const auto at = static_cast<std::size_t>(i);
-            const real_t v = values[at];
-            gather.add<G>(acc(out_rows[at]), rank,
-                          [v, s](index_t r) { return v * s[r]; },
-                          [&](int g) { return coords[g][at]; });
-          },
-          &plan);
-    });
-  } else {
-    slice_mttkrp(slice, factors_, s_row.data(), mode, b);
-  }
-  simgpu::KernelStats stats;
-  stats.flops = static_cast<double>(slice.nnz() * rank * (modes + 2));
-  stats.bytes_random =
-      static_cast<double>(slice.nnz() * rank * (modes + 1)) * simgpu::kWord;
-  stats.parallel_items = static_cast<double>(slice.nnz());
-  if (options_.use_scatter_engine) {
-    apply_scatter_stats(stats, ScatterStrategy::kSorted, b.rows(), rank,
-                        static_cast<double>(slice.nnz()));
-  }
-  device_.record("stream_slice_mttkrp", stats);
 }
 
 Matrix StreamingCstf::temporal() const {

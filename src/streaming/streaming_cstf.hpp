@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "cstf/ktensor.hpp"
-#include "mttkrp/scatter.hpp"
 #include "simgpu/device.hpp"
 #include "tensor/coo.hpp"
 #include "updates/admm.hpp"
@@ -39,14 +38,17 @@ struct StreamingOptions {
   Proximity prox = Proximity::non_negative();
   std::uint64_t seed = 42;
   simgpu::DeviceSpec device = simgpu::a100();
-
-  /// Route the per-slice weighted MTTKRP through the scatter engine
-  /// (mttkrp/scatter.hpp) instead of the serial reference loop. The engine
-  /// path always uses the sorted strategy, whose per-row order is ascending
-  /// nonzero id, so per-slice results are bit-identical to the serial
-  /// reference regardless of worker count.
-  bool use_scatter_engine = true;
 };
+
+/// Weighted slice MTTKRP: out(i_m, :) = sum of x * s .* prod_{k != m}
+/// H^k(i_k, :) over the slice's nonzeros in row i_m, where s is the slice's
+/// temporal row (length R) — the batch MTTKRP with the time factor contracted
+/// to one row. `out` must be dims[mode] x R and is overwritten. Accumulates
+/// through the scatter engine's sorted strategy (mttkrp/scatter.hpp), whose
+/// per-row order is ascending nonzero id, so the result is the serial loop's
+/// bit for bit at any worker count.
+void slice_mttkrp(const SparseTensor& slice, const std::vector<Matrix>& factors,
+                  const real_t* s_row, int mode, Matrix& out);
 
 class StreamingCstf {
  public:
@@ -81,10 +83,6 @@ class StreamingCstf {
 
  private:
   std::vector<real_t> ingest_impl(const SparseTensor& slice);
-  /// The slice's weighted MTTKRP for `mode` into `b` (dims[mode] x R),
-  /// recorded as one kernel.
-  void slice_mode_mttkrp(const SparseTensor& slice, int mode,
-                         const Matrix& s_row, Matrix& b);
 
   StreamingOptions options_;
   std::vector<index_t> dims_;
@@ -99,11 +97,6 @@ class StreamingCstf {
   std::vector<ModeState> states_;
   std::vector<std::vector<real_t>> temporal_rows_;
   real_t last_residual_ = 0.0;
-
-  // Sorted-scatter plans for the CURRENT slice only; ingest() clears the
-  // cache up front because each slice is a different nonzero set (a stale
-  // plan would permute the wrong nonzeros, or trip the engine's size check).
-  ScatterPlanCache plans_;
 
   // Set when an ingest() threw mid-update (e.g. an injected device fault):
   // the accumulators may hold a half-applied slice, so further ingests

@@ -54,10 +54,9 @@ void AdmmUpdate::update(simgpu::Device& dev, const Matrix& s, const Matrix& m,
   // iteration.
   Matrix s_loaded = s;
   la::add_diagonal(s_loaded, gram.rho);
-  simgpu::dpotrf(dev, s_loaded, gram.l, options_.stream);
+  simgpu::dpotrf(dev, s_loaded, gram.l);
   if (options_.preinversion) {
-    simgpu::dpotri(dev, gram.l, gram.inverse,
-                   options_.stream);  // Algorithm 3 line 4
+    simgpu::dpotri(dev, gram.l, gram.inverse);  // Algorithm 3 line 4
   }
   update_with_gram(dev, gram, m, h, state);
 }
@@ -92,7 +91,7 @@ void AdmmUpdate::update_with_gram(simgpu::Device& dev, const AdmmGram& gram,
                             options_.inner_iterations);
     }
     for (int iter = 0; iter < options_.inner_iterations; ++iter) {
-      record_cuadmm_iteration(dev, h.rows(), rank, options_.stream);
+      record_cuadmm_iteration(dev, h.rows(), rank);
     }
     last_.iterations = options_.inner_iterations;
     last_.primal_residual =
@@ -117,49 +116,48 @@ void AdmmUpdate::update_with_gram(simgpu::Device& dev, const AdmmGram& gram,
 
     if (options_.operation_fusion) {
       // --- Fused path (Algorithm 3 lines 6-9) ---
-      kernel_compute_auxiliary(dev, m, h, u, rho, t, options_.stream);
+      kernel_compute_auxiliary(dev, m, h, u, rho, t);
       if (options_.preinversion) {
         simgpu::dgemm(dev, la::Op::kNone, la::Op::kNone, 1.0, t, inverse, 0.0,
-                      htilde, options_.stream);  // line 7: one DGEMM
+                      htilde);  // line 7: one DGEMM
       } else {
-        simgpu::dpotrs_right(dev, l, t, options_.stream);  // two triangular solves
+        simgpu::dpotrs_right(dev, l, t);  // two triangular solves
         std::swap(htilde, t);
       }
       if (options_.prox.elementwise()) {
         kernel_apply_proximity(dev, options_.prox, rho, htilde, u, h,
-                               &delta_h_sq, options_.stream);
+                               &delta_h_sq);
       } else {
         // Column-wise constraint (L2 ball / simplex / smoothness): fuse only
         // the subtraction, then project in a separate column-parallel pass.
         kernel_apply_proximity(dev, Proximity::identity(), rho, htilde, u, h,
-                               &delta_h_sq, options_.stream);
+                               &delta_h_sq);
         simgpu::KernelStats proj;
         proj.bytes_streamed =
             2.0 * static_cast<double>(h.size()) * simgpu::kWord;
         proj.flops = 2.0 * static_cast<double>(h.size());
         proj.parallel_items = static_cast<double>(h.cols());
         proj.launches = 1;
-        dev.record("admm_columnwise_prox", proj, 0.0, options_.stream);
+        dev.record("admm_columnwise_prox", proj);
         options_.prox.apply(h, inv_rho);
       }
-      kernel_dual_update(dev, h, htilde, u, &primal_sq, &h_sq, &u_sq,
-                         options_.stream);
+      kernel_dual_update(dev, h, htilde, u, &primal_sq, &h_sq, &u_sq);
     } else {
       // --- Unfused baseline (Algorithm 2 with cuBLAS-style calls) ---
       // Traffic matches the paper's Eq. 4 accounting (~22 I*R words per
       // inner iteration); the dual residual reuses the primal difference
       // rather than keeping an explicit H0 copy, as the reference
       // implementations do.
-      simgpu::dgeam(dev, 1.0, h, 1.0, u, t, options_.stream);   // H + U
-      simgpu::dgeam(dev, 1.0, m, rho, t, t, options_.stream);   // M + rho*(H+U)
+      simgpu::dgeam(dev, 1.0, h, 1.0, u, t);   // H + U
+      simgpu::dgeam(dev, 1.0, m, rho, t, t);   // M + rho*(H+U)
       if (options_.preinversion) {
         simgpu::dgemm(dev, la::Op::kNone, la::Op::kNone, 1.0, t, inverse, 0.0,
-                      htilde, options_.stream);
+                      htilde);
       } else {
-        simgpu::dpotrs_right(dev, l, t, options_.stream);
+        simgpu::dpotrs_right(dev, l, t);
         std::swap(htilde, t);
       }
-      simgpu::dgeam(dev, 1.0, htilde, -1.0, u, h, options_.stream);  // H <- H~ - U
+      simgpu::dgeam(dev, 1.0, htilde, -1.0, u, h);  // H <- H~ - U
       {
         // Separate proximity kernel (1 read + 1 write).
         simgpu::KernelStats prox_stats;
@@ -167,22 +165,22 @@ void AdmmUpdate::update_with_gram(simgpu::Device& dev, const AdmmGram& gram,
             2.0 * static_cast<double>(h.size()) * simgpu::kWord;
         prox_stats.flops = static_cast<double>(h.size());
         prox_stats.parallel_items = static_cast<double>(h.size());
-        dev.record("admm_prox_unfused", prox_stats, 0.0, options_.stream);
+        dev.record("admm_prox_unfused", prox_stats);
         options_.prox.apply(h, inv_rho);
       }
-      simgpu::dgeam(dev, 1.0, h, -1.0, htilde, t, options_.stream);  // H - H~
-      primal_sq = simgpu::dnrm2_sq(dev, t, options_.stream);
-      simgpu::dgeam(dev, 1.0, u, 1.0, t, u, options_.stream);  // U += (H - H~)
+      simgpu::dgeam(dev, 1.0, h, -1.0, htilde, t);  // H - H~
+      primal_sq = simgpu::dnrm2_sq(dev, t);
+      simgpu::dgeam(dev, 1.0, u, 1.0, t, u);  // U += (H - H~)
       // Residual norms, each its own reduction kernel.
-      h_sq = simgpu::dnrm2_sq(dev, h, options_.stream);
-      u_sq = simgpu::dnrm2_sq(dev, u, options_.stream);
+      h_sq = simgpu::dnrm2_sq(dev, h);
+      u_sq = simgpu::dnrm2_sq(dev, u);
       delta_h_sq = primal_sq;  // primal diff doubles as the dual residual
     }
 
     // Both variants read the residuals back and synchronize the stream once
     // per inner iteration (the convergence check of line 9) — a fixed cost
     // fusion cannot remove.
-    record_residual_sync(dev, options_.stream);
+    record_residual_sync(dev);
 
     last_.iterations = iter + 1;
     last_.primal_residual = h_sq > 0.0 ? primal_sq / h_sq : primal_sq;

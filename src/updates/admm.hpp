@@ -29,12 +29,6 @@ struct AdmmOptions {
 
   bool operation_fusion = true;
   bool preinversion = true;
-
-  /// Stream every kernel of the update is issued to (cublasSetStream-style:
-  /// one handle-wide setting rather than a per-call parameter). Default
-  /// stream = today's serial modeling; callers pipelining factor updates
-  /// against other work point this at a created stream.
-  simgpu::Stream stream{};
 };
 
 /// Result of the last update() call (residuals of the final inner iteration).

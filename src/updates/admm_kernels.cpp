@@ -18,11 +18,10 @@ constexpr const char* kAuxiliaryKernel = "admm_compute_auxiliary";
 constexpr const char* kProximityKernel = "admm_apply_proximity";
 constexpr const char* kDualKernel = "admm_dual_update";
 
-simgpu::LaunchConfig config_for(index_t n, simgpu::Stream stream = {}) {
+simgpu::LaunchConfig config_for(index_t n) {
   return simgpu::LaunchConfig{.grid_dim = simgpu::blocks_for(n, kBlockDim, 2048),
                               .block_dim = kBlockDim,
-                              .shmem_reals = 4,
-                              .stream = stream};
+                              .shmem_reals = 4};
 }
 
 simgpu::KernelStats elementwise_stats(index_t n, double reads, double writes,
@@ -59,7 +58,7 @@ real_t sum_in_order(const std::vector<real_t>& partials, std::size_t offset,
 
 void kernel_compute_auxiliary(simgpu::Device& dev, const Matrix& m,
                               const Matrix& h, const Matrix& u, real_t rho,
-                              Matrix& t, simgpu::Stream stream) {
+                              Matrix& t) {
   CSTF_CHECK(m.same_shape(h) && m.same_shape(u) && m.same_shape(t));
   CSTF_CHECK_MSG(rho > 0.0, "kernel_compute_auxiliary requires rho > 0, got "
                                 << rho);
@@ -68,7 +67,7 @@ void kernel_compute_auxiliary(simgpu::Device& dev, const Matrix& m,
   const real_t* ph = h.data();
   const real_t* pu = u.data();
   real_t* pt = t.data();
-  simgpu::launch(dev, kAuxiliaryKernel, config_for(n, stream),
+  simgpu::launch(dev, kAuxiliaryKernel, config_for(n),
                  auxiliary_stats(n), [&](const simgpu::KernelCtx& ctx) {
     for (index_t i = ctx.global_thread_id(); i < n; i += ctx.total_threads()) {
       pt[i] = pm[i] + rho * (ph[i] + pu[i]);
@@ -78,8 +77,7 @@ void kernel_compute_auxiliary(simgpu::Device& dev, const Matrix& m,
 
 void kernel_apply_proximity(simgpu::Device& dev, const Proximity& prox,
                             real_t rho, const Matrix& t, const Matrix& u,
-                            Matrix& h, real_t* delta_h_sq,
-                            simgpu::Stream stream) {
+                            Matrix& h, real_t* delta_h_sq) {
   CSTF_CHECK(prox.elementwise());
   CSTF_CHECK(t.same_shape(u) && t.same_shape(h));
   // The degenerate-rho clamp lives in AdmmUpdate::update; a silent fallback
@@ -91,7 +89,7 @@ void kernel_apply_proximity(simgpu::Device& dev, const Proximity& prox,
   const real_t* pu = u.data();
   real_t* ph = h.data();
   const real_t inv_rho = 1.0 / rho;
-  const simgpu::LaunchConfig cfg = config_for(n, stream);
+  const simgpu::LaunchConfig cfg = config_for(n);
   std::vector<real_t> partials(static_cast<std::size_t>(cfg.grid_dim), 0.0);
   simgpu::launch(dev, kProximityKernel, cfg, proximity_stats(n),
                  [&](const simgpu::KernelCtx& ctx) {
@@ -114,13 +112,13 @@ void kernel_apply_proximity(simgpu::Device& dev, const Proximity& prox,
 
 void kernel_dual_update(simgpu::Device& dev, const Matrix& h, const Matrix& t,
                         Matrix& u, real_t* primal_sq, real_t* h_sq,
-                        real_t* u_sq, simgpu::Stream stream) {
+                        real_t* u_sq) {
   CSTF_CHECK(h.same_shape(t) && h.same_shape(u));
   const index_t n = h.size();
   const real_t* ph = h.data();
   const real_t* pt = t.data();
   real_t* pu = u.data();
-  const simgpu::LaunchConfig cfg = config_for(n, stream);
+  const simgpu::LaunchConfig cfg = config_for(n);
   std::vector<real_t> partials(3 * static_cast<std::size_t>(cfg.grid_dim),
                                0.0);
   simgpu::launch(dev, kDualKernel, cfg, dual_stats(n),
@@ -154,22 +152,20 @@ void kernel_dual_update(simgpu::Device& dev, const Matrix& h, const Matrix& t,
   *u_sq = sum_in_order(partials, 2, 3);
 }
 
-void record_residual_sync(simgpu::Device& dev, simgpu::Stream stream) {
+void record_residual_sync(simgpu::Device& dev) {
   simgpu::KernelStats sync;
   sync.launches = 10;  // three D2H norm reads + stream sync (D2H latency ~ several launch equivalents)
-  dev.record("admm_residual_sync", sync, 0.0, stream);
+  dev.record("admm_residual_sync", sync);
 }
 
-void record_cuadmm_iteration(simgpu::Device& dev, index_t rows, index_t rank,
-                             simgpu::Stream stream) {
+void record_cuadmm_iteration(simgpu::Device& dev, index_t rows, index_t rank) {
   const index_t n = rows * rank;
-  const simgpu::LaunchConfig cfg = config_for(n, stream);
+  const simgpu::LaunchConfig cfg = config_for(n);
   simgpu::record_launch(dev, kAuxiliaryKernel, cfg, auxiliary_stats(n));
-  dev.record("dgemm", simgpu::dgemm_stats(rows, rank, rank, 0.0), 0.0,
-             stream);
+  dev.record("dgemm", simgpu::dgemm_stats(rows, rank, rank, 0.0));
   simgpu::record_launch(dev, kProximityKernel, cfg, proximity_stats(n));
   simgpu::record_launch(dev, kDualKernel, cfg, dual_stats(n));
-  record_residual_sync(dev, stream);
+  record_residual_sync(dev);
 }
 
 namespace {

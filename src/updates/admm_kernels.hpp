@@ -21,7 +21,6 @@
 
 #include "la/matrix.hpp"
 #include "simgpu/device.hpp"
-#include "simgpu/stream.hpp"
 #include "updates/prox.hpp"
 
 namespace cstf {
@@ -29,33 +28,31 @@ namespace cstf {
 /// T = M + rho * (H + U), fused.
 void kernel_compute_auxiliary(simgpu::Device& dev, const Matrix& m,
                               const Matrix& h, const Matrix& u, real_t rho,
-                              Matrix& t, simgpu::Stream stream = {});
+                              Matrix& t);
 
 /// H = prox(T - U), fused with the dual-residual accumulation
 /// ||H_new - H_old||^2 (old H read in place before being overwritten).
 /// Requires an elementwise prox; the caller handles the L2-ball fallback.
 void kernel_apply_proximity(simgpu::Device& dev, const Proximity& prox,
                             real_t rho, const Matrix& t, const Matrix& u,
-                            Matrix& h, real_t* delta_h_sq,
-                            simgpu::Stream stream = {});
+                            Matrix& h, real_t* delta_h_sq);
 
 /// U += H - T, fused with the residual reductions: primal ||H - T||^2,
 /// ||H||^2, and ||U||^2 (post-update).
 void kernel_dual_update(simgpu::Device& dev, const Matrix& h, const Matrix& t,
                         Matrix& u, real_t* primal_sq, real_t* h_sq,
-                        real_t* u_sq, simgpu::Stream stream = {});
+                        real_t* u_sq);
 
 /// Records the residual read-back and stream sync that ends every inner
 /// iteration (the convergence check of Algorithm 2 line 9).
-void record_residual_sync(simgpu::Device& dev, simgpu::Stream stream = {});
+void record_residual_sync(simgpu::Device& dev);
 
 /// Records one cuADMM inner iteration on a `rows` x `rank` factor without
 /// executing it: the launches kernel_compute_auxiliary, the pre-inverted
 /// DGEMM, kernel_apply_proximity and kernel_dual_update record, then
 /// record_residual_sync — Algorithm 3 lines 6-9 with the per-kernel path's
-/// names, stats, stream and order, each with 0 host wall.
-void record_cuadmm_iteration(simgpu::Device& dev, index_t rows, index_t rank,
-                             simgpu::Stream stream = {});
+/// names, stats and order, each with 0 host wall.
+void record_cuadmm_iteration(simgpu::Device& dev, index_t rows, index_t rank);
 
 /// Residual sums of one inner iteration.
 struct AdmmResidualSums {

@@ -286,41 +286,6 @@ TEST(Auntf, UncomputedFitReturnsNaN) {
   EXPECT_TRUE(std::isnan(driver.iterate()));
 }
 
-TEST(Auntf, PipelineStreamsIsBitIdenticalAndNeverSlowerModeled) {
-  // Streams affect only the time model: with pipeline_streams on, every
-  // factor matches the serial run exactly, and the gram-lane makespan never
-  // exceeds the serial per-kernel sum.
-  const LowRankTensor lr = make_low_rank(12);
-  AdmmOptions admm_opt;
-  admm_opt.inner_iterations = 5;
-  AdmmUpdate update(admm_opt);
-
-  auto run_with = [&](bool pipeline, simgpu::Device& dev) {
-    AuntfOptions opt;
-    opt.rank = 4;
-    opt.seed = 31;
-    opt.pipeline_streams = pipeline;
-    BlcoBackend backend(lr.tensor);
-    Auntf driver(dev, backend, update, opt);
-    driver.initialize();
-    driver.iterate();
-    driver.iterate();
-    return driver.ktensor();
-  };
-
-  simgpu::Device serial_dev(simgpu::a100());
-  simgpu::Device piped_dev(simgpu::a100());
-  const KTensor serial = run_with(false, serial_dev);
-  const KTensor piped = run_with(true, piped_dev);
-  for (std::size_t m = 0; m < serial.factors.size(); ++m) {
-    EXPECT_DOUBLE_EQ(max_abs_diff(serial.factors[m], piped.factors[m]), 0.0);
-  }
-  EXPECT_FALSE(serial_dev.timeline().concurrent());
-  EXPECT_TRUE(piped_dev.timeline().concurrent());
-  EXPECT_LE(piped_dev.modeled_time_s(),
-            piped_dev.serial_modeled_time_s() * (1.0 + 1e-9));
-}
-
 TEST(Auntf, SameSeedSameResultAcrossBackends) {
   // The driver's math must not depend on the MTTKRP format: BLCO, CSF,
   // ALTO, and COO backends produce the same factorization.

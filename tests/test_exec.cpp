@@ -22,7 +22,6 @@
 namespace cstf {
 namespace {
 
-using exec::ExecContext;
 using exec::Op;
 using exec::OpGraph;
 using exec::OpKind;
@@ -30,7 +29,7 @@ using exec::Plan;
 using exec::PlanCache;
 using exec::PlanKey;
 
-void noop(ExecContext&) {}
+void noop(simgpu::Device&) {}
 
 Op make_op(const std::string& name, int lane, std::vector<int> deps) {
   Op op;
@@ -102,6 +101,8 @@ TEST(Plan, DerivesLifetimesPeakAndEventNeeds) {
   }
   {
     Op op = make_op("side_lane", 1, {0});  // cross-lane dependent of op 0
+    op.run = nullptr;
+    op.fixed_s = 0.5;
     op.reads = {a};
     op.writes = {b};
     g.add_op(std::move(op));
@@ -140,6 +141,22 @@ TEST(Plan, RequiresDefaultLaneFirst) {
   OpGraph g;
   g.add_op(make_op("only", 0, {}));
   EXPECT_THROW(Plan(std::move(g), {"gram"}), Error);
+}
+
+TEST(Plan, RejectsBodyOffDefaultLane) {
+  // A body issues its kernels on the default stream; on another lane the
+  // plan would model them somewhere they never ran.
+  OpGraph g;
+  g.add_op(make_op("body_on_side", 1, {}));
+  EXPECT_THROW(Plan(std::move(g), {"default", "side"}), Error);
+
+  // The same lane takes a fixed span.
+  OpGraph fixed;
+  Op op = make_op("fixed_on_side", 1, {});
+  op.run = nullptr;
+  op.fixed_s = 0.5;
+  fixed.add_op(std::move(op));
+  EXPECT_NO_THROW(Plan(std::move(fixed), {"default", "side"}));
 }
 
 // ---------------------------------------------------------------------------
@@ -303,24 +320,16 @@ TEST(PlanCacheTest, AuntfReusesPlanAcrossIterationsAndKeysOnOptions) {
   EXPECT_EQ(framework.driver().plan_cache().misses(), 1);
   EXPECT_GE(framework.driver().plan_cache().hits(), 2);
 
-  // A rank change and a scatter-strategy change each produce a different
-  // plan key — fed through a shared cache, each forces a recompile.
+  // A rank change produces a different plan key — fed through a shared
+  // cache, it forces a recompile.
   FrameworkOptions rank_opts = opts;
   rank_opts.rank = 8;
   CstfFramework rank_changed(t, rank_opts);
-  FrameworkOptions scatter_opts = opts;
-  scatter_opts.scatter.strategy = ScatterStrategy::kSorted;
-  CstfFramework scatter_changed(t, scatter_opts);
 
   const PlanKey base_key = framework.driver().plan_key();
   const PlanKey rank_key = rank_changed.driver().plan_key();
-  const PlanKey scatter_key = scatter_changed.driver().plan_key();
   EXPECT_FALSE(base_key == rank_key);
-  EXPECT_FALSE(base_key == scatter_key);
   EXPECT_NE(base_key.rank, rank_key.rank);
-  // Scatter options feed the options digest (they change op-body behavior
-  // without touching rank or tensor identity).
-  EXPECT_NE(base_key.options_digest, scatter_key.options_digest);
 }
 
 // ---------------------------------------------------------------------------
@@ -359,7 +368,6 @@ TEST(DigestStability, TrainingDigestIgnoresConvergenceAndCheckpointKnobs) {
   resumable.checkpoint_every = 2;
   resumable.checkpoint_path = "ckpt.cstf";
   resumable.resume_from = "old.cstf";
-  resumable.pipeline_streams = true;  // modeling knob: same math
   EXPECT_EQ(digest_training_options(resumable), digest_training_options(base));
 
   FrameworkOptions different_rank = base;

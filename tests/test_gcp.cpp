@@ -2,10 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "cstf/metrics.hpp"
 #include "cstf/sampled_fit.hpp"
 #include "gcp/poisson_ntf.hpp"
+#include "parallel/parallel_for.hpp"
 #include "tensor/generate.hpp"
 
 namespace cstf {
@@ -213,6 +215,46 @@ TEST(PoissonNtf, LossFloorGivesFiniteObjectiveOnZeroModelCell) {
   coarse_solver.set_factors(std::move(same));
   EXPECT_NEAR(coarse_solver.objective(),
               0.5 * 0.25 * 0.125 - 2.0 * std::log(real_t{1e-6}), 1e-9);
+}
+
+TEST(PoissonNtf, RunsAreBitIdentical) {
+  // The ratio MTTKRP accumulates through the scatter engine, not atomics, so
+  // two runs agree bit for bit. About 20k nonzeros put every short-mode row
+  // in many parallel ranges; the long mode resolves to the sorted strategy
+  // once there are 16 private tiles (4 or more workers).
+  SparseTensor counts({50, 40, 200000});
+  Rng rng(11);
+  index_t coords[3];
+  for (int k = 0; k < 20000; ++k) {
+    coords[0] = static_cast<index_t>(rng.uniform_index(50));
+    coords[1] = static_cast<index_t>(rng.uniform_index(40));
+    coords[2] = static_cast<index_t>(rng.uniform_index(200000));
+    counts.append(coords, static_cast<real_t>(1 + rng.uniform_index(5)));
+  }
+  counts.sort_by_mode(0);
+  counts.dedup_sum();
+  ASSERT_GT(counts.nnz(), 16 * kParallelGrainDefault);
+
+  PoissonNtfOptions opt;
+  opt.rank = 4;
+  opt.max_iterations = 3;
+  PoissonNtf first(counts, opt);
+  PoissonNtf second(counts, opt);
+  const PoissonNtfResult a = first.run();
+  const PoissonNtfResult b = second.run();
+  ASSERT_EQ(a.objective_history.size(), b.objective_history.size());
+  EXPECT_EQ(std::memcmp(a.objective_history.data(), b.objective_history.data(),
+                        a.objective_history.size() * sizeof(real_t)),
+            0);
+  for (std::size_t m = 0; m < first.factors().size(); ++m) {
+    const Matrix& fa = first.factors()[m];
+    const Matrix& fb = second.factors()[m];
+    ASSERT_TRUE(fa.same_shape(fb));
+    EXPECT_EQ(std::memcmp(fa.data(), fb.data(),
+                          static_cast<std::size_t>(fa.size()) * sizeof(real_t)),
+              0)
+        << "mode " << m << " factors differ bitwise";
+  }
 }
 
 TEST(PoissonNtf, ConvergesWithToleranceEarlyExit) {

@@ -1,5 +1,5 @@
 // Unit tests for src/parallel: thread pool, parallel loops, reductions,
-// atomic accumulation.
+// scratch pool.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,7 +11,6 @@
 
 #include "common/error.hpp"
 #include "common/random.hpp"
-#include "parallel/atomic.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/reduce.hpp"
 #include "parallel/scratch_pool.hpp"
@@ -172,19 +171,6 @@ TEST(ParallelReduce, EmptyRangeReturnsIdentity) {
       3, 3, 42.0, [](index_t) { return 1.0; },
       [](double a, double b) { return a + b; });
   EXPECT_DOUBLE_EQ(result, 42.0);
-}
-
-TEST(AtomicAdd, SingleThreadAccumulates) {
-  real_t x = 1.5;
-  atomic_add(&x, 2.5);
-  EXPECT_DOUBLE_EQ(x, 4.0);
-}
-
-TEST(AtomicAdd, NoLostUpdatesUnderContention) {
-  real_t target = 0.0;
-  constexpr index_t n = 200000;
-  parallel_for(0, n, [&](index_t) { atomic_add(&target, 1.0); }, /*grain=*/1);
-  EXPECT_DOUBLE_EQ(target, static_cast<real_t>(n));
 }
 
 TEST(GlobalPool, ExistsAndHasAtLeastOneThread) {

@@ -419,18 +419,6 @@ TEST(Stream, ComputeHidesBehindHostLinkTransfer) {
   EXPECT_LT(dev.modeled_time_s(), 0.99 * dev.serial_modeled_time_s());
 }
 
-TEST(Stream, LaunchConfigRoutesSpanToStream) {
-  // The stream is the fourth launch-config parameter, as in CUDA.
-  Device dev(simgpu::a100());
-  const simgpu::Stream io = dev.create_stream("io");
-  simgpu::launch(dev, "on_stream",
-                 LaunchConfig{.grid_dim = 1, .block_dim = 1, .stream = io},
-                 KernelStats{}, [](const KernelCtx&) {});
-  ASSERT_EQ(dev.timeline().span_count(), 1u);
-  EXPECT_EQ(dev.timeline().span(0).stream, io.id());
-  EXPECT_TRUE(dev.timeline().concurrent());
-}
-
 TEST(Stream, ResetKeepsStreamHandlesUsable) {
   Device dev(simgpu::a100());
   const simgpu::Stream s = dev.create_stream("kept");

@@ -190,55 +190,73 @@ std::vector<SparseTensor> random_slices(index_t dim0, index_t dim1,
   return slices;
 }
 
-TEST(Streaming, ScatterEngineIsBitIdenticalToReferenceAcrossChangingSlices) {
-  // Default options (scatter engine on) against the serial reference loop.
-  // Small slices with DIFFERENT nonzero counts and patterns: a plan cached
-  // from slice t would permute the wrong nonzeros of slice t+1 (or trip the
-  // engine's size check), so this also regression-tests the per-ingest
-  // plan-cache invalidation. Large slices sit above the parallel grain,
-  // where a tiled (privatized) accumulation would regroup the per-row sums
-  // by a worker-count-dependent tile count.
-  const auto expect_engine_matches_reference =
+// The serial weighted slice MTTKRP: each nonzero's product x * s .* prod
+// H^k(i_k, :), formed in mode order, added into its output row in nonzero
+// order.
+void slice_mttkrp_oracle(const SparseTensor& slice,
+                         const std::vector<Matrix>& factors,
+                         const real_t* s_row, int mode, Matrix& out) {
+  const index_t rank = out.cols();
+  out.set_all(0.0);
+  std::vector<real_t> row(static_cast<std::size_t>(rank));
+  for (index_t i = 0; i < slice.nnz(); ++i) {
+    const real_t v = slice.values()[static_cast<std::size_t>(i)];
+    for (index_t r = 0; r < rank; ++r) {
+      row[static_cast<std::size_t>(r)] = v * s_row[r];
+    }
+    for (int m = 0; m < slice.num_modes(); ++m) {
+      if (m == mode) continue;
+      const Matrix& f = factors[static_cast<std::size_t>(m)];
+      const index_t idx = slice.indices(m)[static_cast<std::size_t>(i)];
+      for (index_t r = 0; r < rank; ++r) {
+        row[static_cast<std::size_t>(r)] *= f(idx, r);
+      }
+    }
+    const index_t out_row = slice.indices(mode)[static_cast<std::size_t>(i)];
+    for (index_t r = 0; r < rank; ++r) {
+      out(out_row, r) += row[static_cast<std::size_t>(r)];
+    }
+  }
+}
+
+TEST(Streaming, SliceMttkrpMatchesSerialOracleBitwise) {
+  // Slices with different nonzero counts and patterns, each planned afresh.
+  // The large ones sit above the parallel grain, where a tiled (privatized)
+  // accumulation would regroup the per-row sums by a worker-count-dependent
+  // tile count.
+  const auto expect_matches_oracle =
       [](index_t dim0, index_t dim1, const std::vector<SparseTensor>& slices) {
-        StreamingOptions engine_opt;
-        engine_opt.rank = 3;
-        ASSERT_TRUE(engine_opt.use_scatter_engine);
-        StreamingCstf engine({dim0, dim1}, engine_opt);
-
-        StreamingOptions reference_opt = engine_opt;
-        reference_opt.use_scatter_engine = false;
-        StreamingCstf reference({dim0, dim1}, reference_opt);
-
-        for (const auto& slice : slices) {
-          const auto a = reference.ingest(slice);
-          const auto b = engine.ingest(slice);
-          ASSERT_EQ(a.size(), b.size());
-          for (std::size_t r = 0; r < a.size(); ++r) {
-            EXPECT_EQ(a[r], b[r]) << "temporal row component " << r;
+        constexpr index_t kRank = 3;
+        Rng rng(dim0 * 1000 + dim1);
+        std::vector<Matrix> factors;
+        for (index_t dim : {dim0, dim1}) {
+          Matrix f(dim, kRank);
+          f.fill_uniform(rng, 0.0, 1.0);
+          factors.push_back(std::move(f));
+        }
+        const real_t s_row[kRank] = {0.7, 0.2, 1.3};
+        for (std::size_t t = 0; t < slices.size(); ++t) {
+          for (int mode = 0; mode < 2; ++mode) {
+            const index_t rows = slices[t].dim(mode);
+            Matrix got(rows, kRank);
+            Matrix want(rows, kRank);
+            slice_mttkrp(slices[t], factors, s_row, mode, got);
+            slice_mttkrp_oracle(slices[t], factors, s_row, mode, want);
+            EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                  static_cast<std::size_t>(got.size()) *
+                                      sizeof(real_t)),
+                      0)
+                << "slice " << t << " mode " << mode;
           }
         }
-        for (std::size_t m = 0; m < reference.factors().size(); ++m) {
-          const Matrix& fa = reference.factors()[m];
-          const Matrix& fb = engine.factors()[m];
-          ASSERT_EQ(fa.rows(), fb.rows());
-          ASSERT_EQ(fa.cols(), fb.cols());
-          EXPECT_EQ(std::memcmp(fa.data(), fb.data(),
-                                static_cast<std::size_t>(fa.size()) *
-                                    sizeof(real_t)),
-                    0)
-              << "mode " << m << " factors differ bitwise";
-        }
-        EXPECT_GT(engine.device().per_kernel().count("stream_slice_mttkrp"),
-                  0u);
       };
-  expect_engine_matches_reference(8, 6,
-                                  random_slices(8, 6, {20, 17, 11, 26}, 17));
+  expect_matches_oracle(8, 6, random_slices(8, 6, {20, 17, 11, 26}, 17));
   const std::vector<SparseTensor> large =
       random_slices(300, 200, {5000, 7000, 6000}, 29);
   for (const SparseTensor& slice : large) {
     ASSERT_GT(slice.nnz(), kParallelGrainDefault);
   }
-  expect_engine_matches_reference(300, 200, large);
+  expect_matches_oracle(300, 200, large);
 }
 
 TEST(StreamingProgram, EachSliceProjectsSolvesTimeThenUpdatesEveryMode) {

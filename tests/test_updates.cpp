@@ -555,7 +555,6 @@ void expect_row_tiles_match_per_kernel(const Matrix& s, const Matrix& m,
     opt.inner_iterations = kIterations;
     opt.tolerance = tiled ? 0.0 : 1e-300;
     simgpu::Device dev(simgpu::a100());
-    opt.stream = dev.create_stream("update");
     AdmmUpdate admm(opt);
     Matrix h = h0;
     ModeState state;

@@ -45,11 +45,10 @@
 //   --metrics-out FILE  dump the process metrics registry (kernel totals,
 //                       cache hit/miss counters, op-duration histograms) in
 //                       Prometheus text format after the run
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 
 #include "cstf/framework.hpp"
@@ -59,6 +58,7 @@
 #include "simgpu/trace.hpp"
 #include "tensor/datasets.hpp"
 #include "tensor/io.hpp"
+#include "flag_parse.hpp"
 
 namespace {
 
@@ -88,21 +88,22 @@ Proximity parse_constraint(const std::string& spec) {
   if (spec == "nonneg") return Proximity::non_negative();
   if (spec == "none") return Proximity::identity();
   if (spec == "simplex") return Proximity::simplex();
-  if (spec.rfind("l1nn:", 0) == 0) {
-    return Proximity::l1_non_negative(std::atof(spec.c_str() + 5));
-  }
-  if (spec.rfind("l1:", 0) == 0) {
-    return Proximity::l1(std::atof(spec.c_str() + 3));
-  }
-  if (spec.rfind("smooth:", 0) == 0) {
-    return Proximity::smooth(std::atof(spec.c_str() + 7));
-  }
+  const auto weight = [&](std::size_t prefix) {
+    return tools::parse_real_flag(usage, "--constraint weight",
+                                  spec.substr(prefix), 0.0);
+  };
+  if (spec.rfind("l1nn:", 0) == 0) return Proximity::l1_non_negative(weight(5));
+  if (spec.rfind("l1:", 0) == 0) return Proximity::l1(weight(3));
+  if (spec.rfind("smooth:", 0) == 0) return Proximity::smooth(weight(7));
   if (spec.rfind("box:", 0) == 0) {
     const std::string rest = spec.substr(4);
     const auto comma = rest.find(',');
     if (comma == std::string::npos) usage("box constraint needs box:LO,HI");
-    return Proximity::box(std::atof(rest.substr(0, comma).c_str()),
-                          std::atof(rest.substr(comma + 1).c_str()));
+    const double lo = tools::parse_real_flag(usage, "--constraint box LO",
+                                             rest.substr(0, comma));
+    return Proximity::box(lo, tools::parse_real_flag(
+                                  usage, "--constraint box HI",
+                                  rest.substr(comma + 1), lo));
   }
   usage(("unknown constraint: " + spec).c_str());
 }
@@ -145,17 +146,28 @@ int main(int argc, char** argv) {
   options.max_iterations = 20;
   options.fit_tolerance = 1e-4;
 
+  constexpr int kIntMax = std::numeric_limits<int>::max();
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&]() -> std::string {
       if (i + 1 >= argc) usage(("missing value for " + arg).c_str());
       return argv[++i];
     };
+    auto count = [&](long long min_value, long long max_value) {
+      return tools::parse_count_flag(usage, arg, value(), min_value,
+                                     max_value);
+    };
     if (arg == "--input") input = value();
     else if (arg == "--dataset") dataset = value();
-    else if (arg == "--rank") options.rank = std::atoll(value().c_str());
-    else if (arg == "--iters") options.max_iterations = std::atoi(value().c_str());
-    else if (arg == "--tol") options.fit_tolerance = std::atof(value().c_str());
+    else if (arg == "--rank") {
+      options.rank = count(1, std::numeric_limits<index_t>::max());
+    }
+    else if (arg == "--iters") {
+      options.max_iterations = static_cast<int>(count(1, kIntMax));
+    }
+    else if (arg == "--tol") {
+      options.fit_tolerance = tools::parse_real_flag(usage, arg, value(), 0.0);
+    }
     else if (arg == "--scheme") options.scheme = parse_scheme(value());
     else if (arg == "--constraint") options.prox = parse_constraint(value());
     else if (arg == "--device") options.device = parse_device(value());
@@ -172,20 +184,17 @@ int main(int argc, char** argv) {
       }
     }
     else if (arg == "--dimtree-budget") {
-      const std::string spec = value();
-      char* end = nullptr;
-      const double bytes = std::strtod(spec.c_str(), &end);
-      if (end == spec.c_str() || *end != '\0' || !(bytes > 0.0) ||
-          !std::isfinite(bytes)) {
-        usage(("--dimtree-budget must be a positive byte count, got: " + spec)
-                  .c_str());
-      }
-      options.dimtree_budget_bytes = bytes;
+      options.dimtree_budget_bytes =
+          tools::parse_bytes_flag(usage, arg, value());
     }
-    else if (arg == "--seed") options.seed = std::strtoull(value().c_str(), nullptr, 10);
+    else if (arg == "--seed") {
+      options.seed = tools::parse_seed_flag(usage, arg, value());
+    }
     else if (arg == "--output") output = value();
     else if (arg == "--checkpoint") checkpoint = value();
-    else if (arg == "--checkpoint-every") options.checkpoint_every = std::atoi(value().c_str());
+    else if (arg == "--checkpoint-every") {
+      options.checkpoint_every = static_cast<int>(count(0, kIntMax));
+    }
     else if (arg == "--checkpoint-path") options.checkpoint_path = value();
     else if (arg == "--resume") options.resume_from = value();
     else if (arg == "--save") save_path = value();
@@ -199,9 +208,6 @@ int main(int argc, char** argv) {
   }
   if (input.empty() == dataset.empty()) {
     usage("exactly one of --input / --dataset is required");
-  }
-  if (options.checkpoint_every < 0) {
-    usage("--checkpoint-every must be >= 0 (0 disables checkpointing)");
   }
   if (options.checkpoint_every > 0 && options.checkpoint_path.empty()) {
     usage("--checkpoint-every requires --checkpoint-path");

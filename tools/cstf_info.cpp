@@ -10,9 +10,9 @@
 // format.
 //
 // With --plan, additionally compiles one AO iteration for the tensor (at
-// --rank, optionally --pipeline, optionally --mttkrp auto|flat|dimtree) and
-// dumps the execution graph: ops with lane assignment and event edges,
-// buffer lifetimes, and the peak device-memory estimate
+// --rank, optionally --mttkrp auto|flat|dimtree) and dumps the execution
+// graph: ops with lane assignment and dependencies, buffer lifetimes, and
+// the peak device-memory estimate
 // CstfFramework::device_footprint_bytes() reports. When the dimension-tree
 // engine is in effect the dump is followed by the chosen tree: node shapes,
 // reuse factor, and intermediate bytes against the budget (DESIGN.md §13).
@@ -23,6 +23,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -34,15 +35,17 @@
 #include "mttkrp/scatter.hpp"
 #include "tensor/datasets.hpp"
 #include "tensor/io.hpp"
+#include "flag_parse.hpp"
 
 namespace {
 
 using namespace cstf;
 
-[[noreturn]] void usage() {
+[[noreturn]] void usage(const char* message = nullptr) {
+  if (message != nullptr) std::fprintf(stderr, "error: %s\n\n", message);
   std::fprintf(stderr,
                "usage: cstf_info (--input FILE.tns | --dataset NAME) "
-               "[--rank N] [--plan] [--pipeline] "
+               "[--rank N] [--plan] "
                "[--mttkrp auto|flat|dimtree]\n"
                "       cstf_info --metrics\n");
   std::exit(2);
@@ -67,7 +70,6 @@ int main(int argc, char** argv) {
   std::string input, dataset;
   index_t rank = 32;
   bool show_plan = false;
-  bool pipeline = false;
   bool show_metrics = false;
   MttkrpMode mttkrp_mode = MttkrpMode::kAuto;
   for (int i = 1; i < argc; ++i) {
@@ -78,9 +80,11 @@ int main(int argc, char** argv) {
     };
     if (arg == "--input") input = value();
     else if (arg == "--dataset") dataset = value();
-    else if (arg == "--rank") rank = std::atoll(value().c_str());
+    else if (arg == "--rank") {
+      rank = tools::parse_count_flag(usage, arg, value(), 1,
+                                     std::numeric_limits<index_t>::max());
+    }
     else if (arg == "--plan") show_plan = true;
-    else if (arg == "--pipeline") pipeline = true;
     else if (arg == "--metrics") show_metrics = true;
     else if (arg == "--mttkrp") {
       if (!parse_mttkrp_mode(value(), &mttkrp_mode)) usage();
@@ -157,12 +161,10 @@ int main(int argc, char** argv) {
     if (show_plan) {
       FrameworkOptions opts;
       opts.rank = rank;
-      opts.pipeline_streams = pipeline;
       opts.mttkrp_mode = mttkrp_mode;
       CstfFramework framework(t, opts);
-      std::printf("\ncompiled AO iteration (rank %lld%s, mttkrp %s%s):\n%s",
+      std::printf("\ncompiled AO iteration (rank %lld, mttkrp %s%s):\n%s",
                   static_cast<long long>(rank),
-                  pipeline ? ", pipelined" : "",
                   mttkrp_mode_name(framework.resolved_mttkrp_mode()),
                   mttkrp_mode == MttkrpMode::kAuto ? ", auto-resolved" : "",
                   framework.driver().plan().describe().c_str());

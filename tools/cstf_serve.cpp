@@ -44,7 +44,6 @@
 // are load-management outcomes, not failures; the exit code is nonzero only
 // for unhandled errors.
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
@@ -67,6 +66,7 @@
 #include "simgpu/fault.hpp"
 #include "simgpu/trace.hpp"
 #include "tensor/datasets.hpp"
+#include "flag_parse.hpp"
 
 namespace {
 
@@ -95,39 +95,6 @@ simgpu::DeviceSpec parse_device(const std::string& spec) {
   if (spec == "h100") return simgpu::h100();
   if (spec == "xeon") return simgpu::xeon_8367hc();
   usage(("unknown device: " + spec).c_str());
-}
-
-// Strict numeric flag parsing (same discipline as cstf_cli
-// --dimtree-budget): the whole token must parse and land in range; trailing
-// garbage, overflow, and out-of-range values are rejected instead of
-// silently truncating to 0 the way atoi would.
-long long parse_count_flag(
-    const std::string& arg, const std::string& spec, long long min_value,
-    long long max_value = std::numeric_limits<long long>::max()) {
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(spec.c_str(), &end, 10);
-  if (end == spec.c_str() || *end != '\0' || errno == ERANGE ||
-      v < min_value || v > max_value) {
-    const std::string range =
-        max_value == std::numeric_limits<long long>::max()
-            ? ">= " + std::to_string(min_value)
-            : "in [" + std::to_string(min_value) + ", " +
-                  std::to_string(max_value) + "]";
-    usage((arg + " must be an integer " + range + ", got: " + spec).c_str());
-  }
-  return v;
-}
-
-double parse_seconds_flag(const std::string& arg, const std::string& spec) {
-  char* end = nullptr;
-  const double v = std::strtod(spec.c_str(), &end);
-  if (end == spec.c_str() || *end != '\0' || !std::isfinite(v) || v < 0.0) {
-    usage((arg + " must be a finite non-negative number of seconds, got: " +
-           spec)
-              .c_str());
-  }
-  return v;
 }
 
 void print_summary(const char* label, const serve::LatencySummary& s) {
@@ -210,38 +177,52 @@ int main(int argc, char** argv) {
   double deadline_s = 0.0;
   std::size_t max_queue = 1024;
 
+  constexpr int kIntMax = std::numeric_limits<int>::max();
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&]() -> std::string {
       if (i + 1 >= argc) usage(("missing value for " + arg).c_str());
       return argv[++i];
     };
+    auto count = [&](long long min_value, long long max_value) {
+      return tools::parse_count_flag(usage, arg, value(), min_value,
+                                     max_value);
+    };
     if (arg == "--model") model_path = value();
     else if (arg == "--dataset") dataset = value();
-    else if (arg == "--rank") rank = std::atoll(value().c_str());
-    else if (arg == "--iters") iters = std::atoi(value().c_str());
-    else if (arg == "--save") save_path = value();
-    else if (arg == "--requests") requests = std::atoi(value().c_str());
-    else if (arg == "--clients") clients = std::atoi(value().c_str());
-    else if (arg == "--query-frac") query_frac = std::atof(value().c_str());
-    else if (arg == "--topk") topk = std::atoi(value().c_str());
-    else if (arg == "--batch") {
-      batch = static_cast<std::size_t>(parse_count_flag(arg, value(), 1));
+    else if (arg == "--rank") {
+      rank = count(1, std::numeric_limits<index_t>::max());
     }
-    else if (arg == "--linger") linger_s = parse_seconds_flag(arg, value());
+    else if (arg == "--iters") iters = static_cast<int>(count(1, kIntMax));
+    else if (arg == "--save") save_path = value();
+    else if (arg == "--requests") requests = static_cast<int>(count(1, kIntMax));
+    else if (arg == "--clients") clients = static_cast<int>(count(1, kIntMax));
+    else if (arg == "--query-frac") {
+      query_frac = tools::parse_real_flag(usage, arg, value(), 0.0, 1.0);
+    }
+    else if (arg == "--topk") topk = static_cast<int>(count(1, kIntMax));
+    else if (arg == "--batch") {
+      batch = static_cast<std::size_t>(
+          count(1, std::numeric_limits<long long>::max()));
+    }
+    else if (arg == "--linger") {
+      linger_s = tools::parse_seconds_flag(usage, arg, value());
+    }
     else if (arg == "--per-request") per_request = true;
     else if (arg == "--device") device_spec = parse_device(value());
     else if (arg == "--fault-plan") { fault_spec = value(); fault_spec_given = true; }
-    else if (arg == "--retries") {
-      retries = static_cast<int>(parse_count_flag(
-          arg, value(), 0, std::numeric_limits<int>::max()));
+    else if (arg == "--retries") retries = static_cast<int>(count(0, kIntMax));
+    else if (arg == "--backoff") {
+      backoff_s = tools::parse_seconds_flag(usage, arg, value());
     }
-    else if (arg == "--backoff") backoff_s = parse_seconds_flag(arg, value());
-    else if (arg == "--deadline") deadline_s = parse_seconds_flag(arg, value());
+    else if (arg == "--deadline") {
+      deadline_s = tools::parse_seconds_flag(usage, arg, value());
+    }
     else if (arg == "--max-queue") {
-      max_queue = static_cast<std::size_t>(parse_count_flag(arg, value(), 0));
+      max_queue = static_cast<std::size_t>(
+          count(0, std::numeric_limits<long long>::max()));
     }
-    else if (arg == "--seed") seed = std::strtoull(value().c_str(), nullptr, 10);
+    else if (arg == "--seed") seed = tools::parse_seed_flag(usage, arg, value());
     else if (arg == "--trace") trace_path = value();
     else if (arg == "--json") json_path = value();
     else if (arg == "--metrics-out") metrics_path = value();
@@ -251,7 +232,6 @@ int main(int argc, char** argv) {
   if (model_path.empty() == dataset.empty()) {
     usage("exactly one of --model / --dataset is required");
   }
-  if (requests < 1 || clients < 1) usage("--requests/--clients must be >= 1");
 
   try {
     // --dataset: factorize, persist, and serve from the loaded copy.
