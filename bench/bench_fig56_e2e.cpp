@@ -54,7 +54,7 @@ int main() {
     std::vector<bench::ModeledIteration> per_mode;
     const auto gpu = bench::gpu_iteration(data, spec, UpdateScheme::kCuAdmm,
                                           rank, &per_mode);
-    const double ovl = bench::overlapped_total(per_mode, spec);
+    const double ovl = bench::overlapped_total(per_mode);
     const double speedup = cpu.total() / gpu.total();
     speedups.push_back(speedup);
     ovl_speedups.push_back(cpu.total() / ovl);

@@ -29,9 +29,9 @@
 // the tables print); "kernels" rows are the tracer's raw per-kernel
 // aggregates at run scale — modeled_s is roofline time, wall_s is measured
 // host time. A record may carry an optional "extra" object of bench-specific
-// scalars (e.g. the planner-vs-legacy overlap makespans); validators ignore
-// it. scripts/run_benches.sh regenerates every BENCH_*.json and validates
-// them with tools/cstf_json_check.
+// scalars (e.g. the multi-GPU serial and overlapped makespans); validators
+// ignore it. scripts/run_benches.sh regenerates every BENCH_*.json and
+// validates them with tools/cstf_json_check.
 #pragma once
 
 #include <cstdint>
@@ -88,12 +88,11 @@ ModeledIteration modeled_iteration(const DatasetAnalog& data,
 /// Modeled iteration time when each mode's Gram work is pipelined against
 /// its MTTKRP on a second stream: Gram_n and MTTKRP_n both depend only on
 /// Normalize_{n-1}, the update joins them. The trainer issues every kernel
-/// on the default stream; this schedule exists only here, compiled by
-/// exec::Planner::compile_fixed_pipeline from the already-scaled per-mode
-/// phase times and realized by exec::Executor as fixed spans (the Fig. 5/6
-/// "GPU ovl" column); always within [max-per-mode-path, serial total].
-double overlapped_total(const std::vector<ModeledIteration>& per_mode,
-                        const simgpu::DeviceSpec& spec);
+/// on the default stream; this schedule exists only here, as the recurrence
+/// t = max(t + gram, t + mttkrp) + update + normalize over the
+/// already-scaled per-mode phase times (the Fig. 5/6 "GPU ovl" column);
+/// always within [max-per-mode-path, serial total].
+double overlapped_total(const std::vector<ModeledIteration>& per_mode);
 
 /// Convenience bundles for the three systems the figures compare.
 ModeledIteration gpu_iteration(const DatasetAnalog& data,
@@ -143,8 +142,8 @@ struct BenchRecord {
   ModeledIteration wall;    ///< measured host seconds per phase
   std::vector<BenchKernelRow> kernels;
   /// Optional bench-specific scalars, serialized as an "extra" object on the
-  /// record (e.g. the planner-vs-legacy overlap makespans). Validators ignore
-  /// unknown fields, so this is schema-compatible.
+  /// record (e.g. the multi-GPU serial and overlapped makespans). Validators
+  /// ignore unknown fields, so this is schema-compatible.
   std::vector<std::pair<std::string, double>> extras;
 };
 

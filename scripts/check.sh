@@ -33,8 +33,8 @@
 # on toolchains without sanitizer runtimes), CSTF_CHECK_SKIP_PERF=1,
 # CSTF_CHECK_TSAN=1 adds a ThreadSanitizer pass (-DCSTF_TSAN=ON) over the
 # exec-, mttkrp-, dimtree-, metrics-, updates- and serve-labeled ctest
-# groups (the executor/plan-cache layer the trainer and multi-GPU
-# schedules submit through, the MTTKRP kernels' pooled private tiles and
+# groups (the executor/plan-cache layer the trainer's AO iteration
+# submits through, the MTTKRP kernels' pooled private tiles and
 # parallel transposes, the dimension-tree engine's parallel chain derives,
 # the metrics registry's lock-free counter hot path, the row-tiled ADMM
 # pass's per-worker buffers and per-tile partials, and the fold-in
@@ -99,8 +99,8 @@ if [ "${CSTF_CHECK_TSAN:-0}" = "1" ]; then
   echo "=== TSan pass: exec-, mttkrp-, dimtree-, metrics-, updates- and serve-labeled suites under ThreadSanitizer"
   # TSan and ASan cannot share a binary (the configure step enforces the
   # exclusivity), so this is its own build tree. The exec group covers the
-  # executor, plan caches, and the trainer and multi-GPU schedules that
-  # submit through them — the layer where stream/event races would live.
+  # executor, the plan cache and the trainer's AO iteration that submits
+  # through them.
   # The mttkrp group rides along: the privatized and streamed kernels lease
   # pooled private tiles, fill them from concurrent launch blocks and
   # transpose the reduced tile into the output in parallel.

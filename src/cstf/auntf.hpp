@@ -144,9 +144,9 @@ class Auntf {
   simgpu::Device& device() { return dev_; }
 
   /// The compiled execution plan for one AO iteration, compiling (and
-  /// caching) it on first use. The plan carries the op DAG, lane/event
-  /// structure, buffer lifetimes, and the peak-memory estimate that
-  /// `cstf_info --plan` dumps.
+  /// caching) it on first use. The plan carries the ops in issue order,
+  /// buffer lifetimes, and the peak-memory estimate that `cstf_info --plan`
+  /// dumps.
   const exec::Plan& plan();
 
   /// The plan-cache key for this driver's configuration: tensor identity,

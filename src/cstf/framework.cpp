@@ -113,10 +113,11 @@ AuntfResult CstfFramework::run() {
 }
 
 double CstfFramework::device_footprint_bytes() {
-  // The compiled plan's buffer table covers exactly the resident set a full
-  // run needs: the BLCO tensor, factor + dual per mode, the MTTKRP output
-  // and update scratch (sized by the longest mode), and the R x R Gram
-  // family. Peak is its maximum over op-lifetime-overlapping buffers.
+  // The compiled plan's buffer table covers exactly the set a full run
+  // needs: the resident BLCO tensor, factor, dual and Gram per mode and
+  // lambda (live at every op), plus the MTTKRP output and update scratch
+  // (sized by the longest mode) and the Hadamard Gram. Peak is its maximum
+  // over op-lifetime-overlapping buffers.
   return driver_->plan().peak_bytes();
 }
 

@@ -1,22 +1,16 @@
-// Planner — compiles the trainer's AO iteration and the two schedules with
-// a second lane:
-//  * the batch AO-ADMM iteration (auntf): one in-order chain on the default
-//    stream, compiled for its buffer table, which is the device-footprint
-//    model (DESIGN.md §12);
-//  * the benches' fixed-span Gram-vs-MTTKRP pipeline, which models overlap
-//    from already-scaled per-mode phase times (Gram_n overlaps MTTKRP_n;
-//    both depend only on Normalize_{n-1}; the update joins them);
-//  * the multi-GPU chunked compute-vs-ring-all-reduce overlap (the
-//    all-reduce of chunk i starts once every shard finished chunk i).
-// Other single-lane loops (a streaming slice, a serving fold-in) issue their
-// steps directly instead.
+// Planner — compiles the trainer's batch AO-ADMM iteration (auntf): one
+// in-order chain on the default stream, compiled for its buffer table, which
+// is the device-footprint model (DESIGN.md §12). Other loops (a streaming
+// slice, a serving fold-in) issue their steps directly, and the two
+// fixed-duration overlaps the benches and the multi-GPU model report are
+// closed-form recurrences (bench::overlapped_total,
+// chunked_allreduce_makespan).
 //
-// Callers supply the op *bodies* (closures issuing the actual metered
-// kernels on the default stream) or fixed durations; the planner supplies
-// the *structure*: lanes, dependency edges, typed ops, and buffer lifetimes.
-// The Executor then realizes the structure as stream/event wiring. Plans are
-// cached via PlanCache, keyed by (tensor identity, rank, options digest): a
-// key change drops the slot and recompiles.
+// The caller supplies the op *bodies* (closures issuing the actual metered
+// kernels on the default stream); the planner supplies the *structure*:
+// typed ops in issue order and buffer lifetimes. Plans are cached via
+// PlanCache, keyed by (tensor identity, rank, options digest): a key change
+// drops the slot and recompiles.
 #pragma once
 
 #include <cstdint>
@@ -57,30 +51,9 @@ struct AoIterationSpec {
   std::function<void(simgpu::Device&)> fit;          // post-loop fit value
 };
 
-/// Fixed-duration per-mode phase times for the bench variant of the AO
-/// pipeline (already scaled to the full dataset).
-struct FixedModePhases {
-  double gram_s = 0.0;
-  double mttkrp_s = 0.0;
-  double update_s = 0.0;
-  double normalize_s = 0.0;
-};
-
-/// Spec for the multi-GPU chunked compute/all-reduce overlap: shard d's
-/// compute is split into `chunks` equal fixed spans on lane d, and chunk i's
-/// all-reduce (duration `chunk_comm_s`) runs on a communication lane once
-/// every shard finished its chunk i.
-struct ChunkedAllReduceSpec {
-  std::vector<double> shard_compute_s;  ///< full per-shard compute times
-  int chunks = 1;
-  double chunk_comm_s = 0.0;
-};
-
 class Planner {
  public:
   static Plan compile_ao_iteration(const AoIterationSpec& spec);
-  static Plan compile_fixed_pipeline(const std::vector<FixedModePhases>& modes);
-  static Plan compile_chunked_allreduce(const ChunkedAllReduceSpec& spec);
 };
 
 /// Cache key: tensor identity (address/nnz-derived token), factorization

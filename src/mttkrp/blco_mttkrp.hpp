@@ -64,7 +64,7 @@ simgpu::KernelStats blco_mttkrp_stats(const BlcoTensor& blco,
 ///  * an explicit `copy_stream` — staging becomes its own spans on that
 ///    stream, with events expressing the two-buffer pipeline (compute of
 ///    batch i waits its staging; staging of batch i reuses the buffer of
-///    batch i-2, so it waits that compute), and Device::modeled_time_s()
+///    batch i-2, so it waits that compute), and Device::modeled_makespan_s()
 ///    reports the pipeline's critical path.
 ///
 /// Returns the number of batches used (1 == fully resident, no staging).

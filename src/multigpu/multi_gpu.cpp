@@ -4,8 +4,6 @@
 #include <string>
 
 #include "common/error.hpp"
-#include "exec/executor.hpp"
-#include "exec/planner.hpp"
 #include "parallel/parallel_for.hpp"
 #include "perfmodel/admm_model.hpp"
 
@@ -17,6 +15,23 @@ double allreduce_time(const MultiGpuOptions& options, double bytes) {
   const double payload = 2.0 * (ranks - 1.0) / ranks * bytes;
   return payload / options.interconnect_bandwidth +
          2.0 * (ranks - 1.0) * options.interconnect_latency;
+}
+
+double chunked_allreduce_makespan(const std::vector<double>& shard_s,
+                                  int chunks, double chunk_comm_s) {
+  CSTF_CHECK_MSG(!shard_s.empty(), "chunked all-reduce needs shards");
+  CSTF_CHECK_MSG(chunks >= 1, "chunked all-reduce: chunks < 1");
+  std::vector<double> shard_clock(shard_s.size(), 0.0);
+  double comm_clock = 0.0;
+  for (int i = 0; i < chunks; ++i) {
+    double start = comm_clock;
+    for (std::size_t d = 0; d < shard_s.size(); ++d) {
+      shard_clock[d] += shard_s[d] / static_cast<double>(chunks);
+      start = std::max(start, shard_clock[d]);
+    }
+    comm_clock = start + chunk_comm_s;
+  }
+  return comm_clock;
 }
 
 MultiGpuCstf::MultiGpuCstf(const SparseTensor& tensor, MultiGpuOptions options)
@@ -106,22 +121,10 @@ double MultiGpuCstf::modeled_mttkrp_time_overlapped(int mode, index_t rank,
                               static_cast<double>(rank) * simgpu::kWord *
                               dim_scale;
 
-  // Compiles one candidate chunking into an execution plan (device lanes
-  // carry fixed compute spans — externally modeled, so they don't contend
-  // for the scratch device's bandwidth — and the all-reduce of chunk i
-  // depends on every lane's chunk i) and replays it on a scratch timeline.
   const auto makespan_for = [&](int c) {
-    exec::ChunkedAllReduceSpec spec;
-    spec.shard_compute_s = shard_s;
-    spec.chunks = c;
-    spec.chunk_comm_s =
-        allreduce_time(options_, reduce_bytes / static_cast<double>(c));
-    simgpu::Device timeline(options_.device);
-    exec::Executor executor(
-        timeline, std::make_shared<const exec::Plan>(
-                      exec::Planner::compile_chunked_allreduce(spec)));
-    executor.run();
-    return timeline.modeled_makespan_s();
+    return chunked_allreduce_makespan(
+        shard_s, c,
+        allreduce_time(options_, reduce_bytes / static_cast<double>(c)));
   };
 
   if (chunks > 0) {

@@ -39,6 +39,15 @@ struct MultiGpuOptions {
 /// 2*(ranks-1)/ranks of the payload crosses each link, in 2*(ranks-1) steps.
 double allreduce_time(const MultiGpuOptions& options, double bytes);
 
+/// Makespan of the chunked compute/all-reduce overlap: shard d's compute
+/// `shard_s[d]` runs as `chunks` equal pieces back to back, and the ring
+/// all-reduce of chunk i (`chunk_comm_s`) starts once the previous chunk's
+/// all-reduce is done and every shard finished its chunk i. One clock per
+/// shard plus one for the all-reduce; with one chunk it is the slowest
+/// shard plus `chunk_comm_s`.
+double chunked_allreduce_makespan(const std::vector<double>& shard_s,
+                                  int chunks, double chunk_comm_s);
+
 class MultiGpuCstf {
  public:
   MultiGpuCstf(const SparseTensor& tensor, MultiGpuOptions options);
@@ -66,14 +75,14 @@ class MultiGpuCstf {
                              double dim_scale) const;
 
   /// Overlapped variant (the AMPED-style schedule): each shard's MTTKRP is
-  /// split into `chunks` pieces on its own stream, and the all-reduce of
-  /// chunk i runs on a communication stream as soon as every device has
-  /// finished its chunk i — so communication hides behind the remaining
-  /// compute. Modeled on a stream timeline with event edges; `chunks == 0`
-  /// picks the chunk count with the smallest makespan (chunking shrinks the
-  /// exposed all-reduce tail but multiplies its latency steps, so more is
-  /// not always better). Chunk count 1 degenerates to the serial
-  /// modeled_mttkrp_time exactly, hence the result never exceeds it.
+  /// split into `chunks` pieces, and the all-reduce of chunk i runs as soon
+  /// as every device has finished its chunk i — so communication hides
+  /// behind the remaining compute (chunked_allreduce_makespan);
+  /// `chunks == 0` picks the chunk count with the smallest makespan
+  /// (chunking shrinks the exposed all-reduce tail but multiplies its
+  /// latency steps, so more is not always better). Chunk count 1
+  /// degenerates to the serial modeled_mttkrp_time exactly, hence the
+  /// result never exceeds it.
   double modeled_mttkrp_time_overlapped(int mode, index_t rank,
                                         double nnz_scale, double dim_scale,
                                         int chunks = 0,

@@ -23,11 +23,9 @@ namespace cstf::simgpu {
 /// and report the modeled-time ratios (plus host wall time, which is real).
 ///
 /// Work is issued to streams (see stream.hpp): every record lands on the
-/// default stream unless the caller passes an explicit one, and once any
-/// span has been issued off the default stream, modeled_time_s() switches
-/// from the legacy serial per-kernel sum to the timeline's critical-path
-/// makespan. A device that only ever sees default-stream work models
-/// identically to the pre-stream implementation.
+/// default stream unless the caller passes an explicit one. modeled_time_s()
+/// is always the serial per-kernel sum; modeled_makespan_s() is the
+/// timeline's critical-path makespan, for a caller that overlaps streams.
 class Device {
  public:
   explicit Device(DeviceSpec spec) : spec_(std::move(spec)) {
@@ -39,7 +37,6 @@ class Device {
     m_launches_ = reg.counter("simgpu.kernel.launches", labels);
     m_flops_ = reg.counter("simgpu.kernel.flops", labels);
     m_bytes_ = reg.counter("simgpu.kernel.bytes", labels);
-    m_atomics_ = reg.counter("simgpu.kernel.atomic_ops", labels);
   }
 
   const DeviceSpec& spec() const { return spec_; }
@@ -65,24 +62,10 @@ class Device {
     m_launches_->inc(static_cast<double>(stats.launches));
     m_flops_->inc(stats.flops);
     m_bytes_->inc(stats.total_bytes());
-    m_atomics_->inc(stats.atomic_ops);
     const std::int64_t idx = timeline_.add_span(stream, kernel_name, stats);
     if (tracer_ != nullptr) {
       tracer_->add_span(kernel_name, stats, wall_s,
                         model_time(stats, spec_).total_s, stream.id(), idx,
-                        timeline_.span(idx).deps);
-    }
-  }
-
-  /// Records a span whose modeled duration comes from an external model
-  /// (e.g. multi-GPU interconnect time, which is not a device kernel). The
-  /// span participates in timeline scheduling but not in the per-kernel
-  /// counters; it is never rescaled.
-  void record_fixed(const std::string& name, double modeled_s,
-                    Stream stream = {}) {
-    const std::int64_t idx = timeline_.add_fixed_span(stream, name, modeled_s);
-    if (tracer_ != nullptr) {
-      tracer_->add_span(name, KernelStats{}, 0.0, modeled_s, stream.id(), idx,
                         timeline_.span(idx).deps);
     }
   }
@@ -128,20 +111,11 @@ class Device {
     return per_kernel_;
   }
 
-  /// Modeled execution time of everything recorded since the last reset.
-  /// Serial (default-stream-only) history: per-kernel modeling (not one
-  /// aggregate) so each kernel's own working set and parallelism shape its
-  /// time — identical to the pre-stream implementation. Once any span has
-  /// been issued to a non-default stream, the timeline's critical-path
-  /// makespan (with shared-bandwidth capping) is reported instead.
+  /// Modeled execution time of everything recorded since the last reset:
+  /// the serial sum over kernels, each modeled on its own accumulated record
+  /// (not one aggregate) so its own working set and parallelism shape its
+  /// time. Streams do not change it; the makespan is modeled_makespan_s().
   double modeled_time_s() const {
-    if (timeline_.concurrent()) return timeline_.makespan_s(spec_);
-    return serial_modeled_time_s();
-  }
-
-  /// The legacy serial sum, regardless of stream usage — the "no overlap"
-  /// baseline benches compare the makespan against.
-  double serial_modeled_time_s() const {
     double t = 0.0;
     for (const auto& [name, stats] : per_kernel_) {
       t += model_time(stats, spec_).total_s;
@@ -149,9 +123,9 @@ class Device {
     return t;
   }
 
-  /// The timeline makespan with every metered span's extensive quantities
-  /// scaled by `extensive_scale` (the stream/overlap analog of
-  /// perfmodel::modeled_time_scaled). Fixed-duration spans are not rescaled.
+  /// The timeline's critical-path makespan (with shared-bandwidth capping),
+  /// every span's extensive quantities scaled by `extensive_scale` (the
+  /// stream/overlap analog of perfmodel::modeled_time_scaled).
   double modeled_makespan_s(double extensive_scale = 1.0) const {
     return timeline_.makespan_s(spec_, extensive_scale);
   }
@@ -182,7 +156,6 @@ class Device {
   metrics::Counter* m_launches_ = nullptr;
   metrics::Counter* m_flops_ = nullptr;
   metrics::Counter* m_bytes_ = nullptr;
-  metrics::Counter* m_atomics_ = nullptr;
 };
 
 }  // namespace cstf::simgpu

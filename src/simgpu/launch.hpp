@@ -20,8 +20,8 @@
 //    zeroed at block start.
 //  * Every launch is recorded on the default stream, so there is no fourth
 //    <<<grid, block, shmem, stream>>> parameter: kernel bodies and device
-//    BLAS issue in program order, as the paper's AO iteration does. Second
-//    lanes carry only fixed spans and staging transfers (stream.hpp).
+//    BLAS issue in program order, as the paper's AO iteration does. The one
+//    second lane carries staging transfers (stream.hpp).
 #pragma once
 
 #include <algorithm>

@@ -25,14 +25,6 @@ std::int64_t Timeline::add_span(Stream stream, std::string kernel,
   spans_.push_back(std::move(span));
   const auto idx = static_cast<std::int64_t>(spans_.size()) - 1;
   last_on_stream_[s] = idx;
-  if (!stream.is_default()) concurrent_ = true;
-  return idx;
-}
-
-std::int64_t Timeline::add_fixed_span(Stream stream, std::string kernel,
-                                      double duration_s) {
-  const std::int64_t idx = add_span(stream, std::move(kernel), KernelStats{});
-  spans_.back().fixed_s = duration_s < 0.0 ? 0.0 : duration_s;
   return idx;
 }
 
@@ -61,16 +53,11 @@ double Timeline::makespan_s(const DeviceSpec& spec, double extensive_scale,
   double link_busy_s = 0.0;    // summed host-link occupancy of all spans
   for (std::size_t i = 0; i < spans_.size(); ++i) {
     const Span& sp = spans_[i];
-    double duration;
-    if (sp.fixed_s >= 0.0) {
-      duration = sp.fixed_s;
-    } else {
-      const TimeBreakdown t =
-          model_time(scale_stats(sp.stats, extensive_scale), spec);
-      duration = t.total_s;
-      memory_busy_s += t.memory_s;
-      link_busy_s += t.link_s;
-    }
+    const TimeBreakdown t =
+        model_time(scale_stats(sp.stats, extensive_scale), spec);
+    const double duration = t.total_s;
+    memory_busy_s += t.memory_s;
+    link_busy_s += t.link_s;
 
     double start = stream_clock[static_cast<std::size_t>(sp.stream)];
     for (const std::int64_t dep : sp.deps) {
@@ -94,7 +81,6 @@ double Timeline::makespan_s(const DeviceSpec& spec, double extensive_scale,
 
 void Timeline::reset() {
   spans_.clear();
-  concurrent_ = false;
   std::fill(last_on_stream_.begin(), last_on_stream_.end(), -1);
   for (auto& p : pending_) p.clear();
 }

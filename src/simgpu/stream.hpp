@@ -4,16 +4,15 @@
 // Kernels still execute eagerly (and serially, per launch) on the host —
 // streams change nothing about functional results. What they change is the
 // *time model*: every recorded span lands on one stream's ordered lane, and
-// Device::modeled_time_s() becomes the critical-path makespan of the
-// resulting DAG instead of a flat sum, so a caller can express
-// compute/communication overlap and have it modeled faithfully.
+// Device::modeled_makespan_s() is the critical-path makespan of the
+// resulting DAG, so a caller can express transfer/compute overlap and have
+// it modeled faithfully. Device::modeled_time_s() stays the serial
+// per-kernel sum whatever the streams.
 //
 // Kernel bodies and device BLAS issue on the default stream only (launch.hpp,
-// dblas.hpp). A second lane carries fixed spans and staging transfers, and
-// three schedules use one: the benches' fixed Gram-vs-MTTKRP pipeline and the
-// multi-GPU all-reduce overlap (exec::Planner, fixed spans recorded by the
-// Executor), and the out-of-memory MTTKRP's copy-stream staging
-// (mttkrp_blco_streamed).
+// dblas.hpp). One schedule has a second lane: the out-of-memory MTTKRP's
+// copy-stream staging (mttkrp_blco_streamed), whose transfers are metered
+// spans on the copy stream.
 //
 // Semantics, mirroring CUDA:
 //  * A Stream is an in-order lane: spans issued to the same stream are
@@ -22,10 +21,7 @@
 //    an Event: record_event() marks "everything issued to stream S so far",
 //    wait_event(T, e) makes the next span issued to T start no earlier than
 //    that mark completes.
-//  * The default stream (id 0, a default-constructed handle) preserves the
-//    pre-stream serial semantics exactly: a Device that only ever saw
-//    default-stream work models time as the legacy per-kernel-aggregate sum,
-//    bit for bit.
+//  * The default stream is id 0, a default-constructed handle.
 //
 // Overlap cannot beat the hardware: the makespan is clamped from below by
 // the shared-resource roofline — the summed memory-system busy time of every
@@ -79,15 +75,13 @@ class Event {
 /// Per-device modeled-work scheduler: an append-only log of spans (one per
 /// recorded launch) on named streams, with event edges, and a list scheduler
 /// that computes the DAG critical-path makespan under the shared-bandwidth
-/// cap. Owned by Device; usable standalone (via a scratch Device) as a
-/// pipeline model for externally-timed spans.
+/// cap. Owned by Device.
 class Timeline {
  public:
   struct Span {
     std::string kernel;
     int stream = 0;
     KernelStats stats;     ///< metered work; remodeled under scaling
-    double fixed_s = -1.0; ///< >= 0: externally modeled duration (not rescaled)
     std::vector<std::int64_t> deps;  ///< event edges (span indices waited on)
   };
 
@@ -111,18 +105,8 @@ class Timeline {
   std::int64_t add_span(Stream stream, std::string kernel,
                         const KernelStats& stats);
 
-  /// Appends a span whose modeled duration is supplied directly (e.g. an
-  /// interconnect transfer timed by an external model). Fixed spans are not
-  /// rescaled by makespan_s and do not contend for device bandwidth.
-  std::int64_t add_fixed_span(Stream stream, std::string kernel,
-                              double duration_s);
-
   Event record_event(Stream stream) const;
   void wait_event(Stream stream, const Event& event);
-
-  /// True once any span was issued off the default stream — the trigger for
-  /// makespan (rather than legacy-sum) time modeling.
-  bool concurrent() const { return concurrent_; }
 
   std::size_t span_count() const { return spans_.size(); }
   const Span& span(std::int64_t i) const {
@@ -131,11 +115,10 @@ class Timeline {
 
   /// List-schedules the span DAG on `spec` and returns the makespan. Each
   /// span starts at the later of its stream's clock and its dependencies'
-  /// completion; metered spans' durations are remodeled after scaling their
+  /// completion; spans' durations are remodeled after scaling their
   /// extensive quantities by `extensive_scale` (dataset-analog upscaling).
   /// The result is clamped from below by the shared-resource roofline: the
-  /// summed memory busy time and summed host-link busy time of all metered
-  /// spans. `schedule`, when non-null, receives per-span start/end times
+  /// summed memory busy time and summed host-link busy time of all spans. `schedule`, when non-null, receives per-span start/end times
   /// (before clamping).
   double makespan_s(const DeviceSpec& spec, double extensive_scale = 1.0,
                     std::vector<Scheduled>* schedule = nullptr) const;
@@ -148,7 +131,6 @@ class Timeline {
   std::vector<std::int64_t> last_on_stream_{-1};       // per stream
   std::vector<std::vector<std::int64_t>> pending_{{}}; // per stream, waits
   std::vector<Span> spans_;
-  bool concurrent_ = false;
 };
 
 }  // namespace cstf::simgpu

@@ -1,7 +1,7 @@
-// Execution-graph layer tests: OpGraph/Plan validation and analysis, the
-// Executor's stream/event realization against hand-rolled choreography,
-// plan-cache invalidation on the trainer path, and the stability of the
-// persisted options digests.
+// Execution-graph layer tests: OpGraph/Plan validation and analysis (buffer
+// lifetimes, resident buffers and the hand-computed AO footprint), the
+// Executor's issue order and observer hooks, plan-cache invalidation on the
+// trainer path, and the stability of the persisted options digests.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -31,11 +31,9 @@ using exec::PlanKey;
 
 void noop(simgpu::Device&) {}
 
-Op make_op(const std::string& name, int lane, std::vector<int> deps) {
+Op make_op(const std::string& name) {
   Op op;
   op.name = name;
-  op.lane = lane;
-  op.deps = std::move(deps);
   op.run = noop;
   return op;
 }
@@ -57,34 +55,28 @@ SparseTensor small_tensor(std::uint64_t seed = 7, index_t nnz = 60) {
 // OpGraph / Plan structural analysis.
 
 TEST(OpGraph, RejectsForwardDepsBadBuffersAndBodylessOps) {
+  // Ops carry no dependency list (issue order is the order), so what is left
+  // to reject is a buffer id that was never declared and an op with no body.
   OpGraph g;
   const int buf = g.add_buffer("b", 64.0);
 
-  EXPECT_THROW(g.add_op(make_op("forward_dep", 0, {0})), Error);
   {
-    Op op = make_op("bad_buffer", 0, {});
+    Op op = make_op("bad_read");
     op.reads = {buf + 1};
     EXPECT_THROW(g.add_op(std::move(op)), Error);
   }
   {
-    Op op = make_op("no_body", 0, {});
+    Op op = make_op("bad_write");
+    op.writes = {-1};
+    EXPECT_THROW(g.add_op(std::move(op)), Error);
+  }
+  {
+    Op op = make_op("no_body");
     op.run = nullptr;
     EXPECT_THROW(g.add_op(std::move(op)), Error);
   }
-  // A checkpoint barrier is a structural marker: no body required.
-  {
-    Op op = make_op("barrier", 0, {});
-    op.kind = OpKind::kCheckpointBarrier;
-    op.run = nullptr;
-    EXPECT_EQ(g.add_op(std::move(op)), 0);
-  }
-  // Fixed-duration spans need no body either.
-  {
-    Op op = make_op("fixed", 0, {});
-    op.run = nullptr;
-    op.fixed_s = 0.5;
-    EXPECT_EQ(g.add_op(std::move(op)), 1);
-  }
+  EXPECT_THROW(g.add_buffer("negative", -1.0), Error);
+  EXPECT_EQ(g.add_op(make_op("ok")), 0);
 }
 
 TEST(Plan, DerivesLifetimesPeakAndEventNeeds) {
@@ -95,25 +87,23 @@ TEST(Plan, DerivesLifetimesPeakAndEventNeeds) {
   (void)unused;
 
   {
-    Op op = make_op("produce_a", 0, {});
+    Op op = make_op("produce_a");
     op.writes = {a};
     g.add_op(std::move(op));
   }
   {
-    Op op = make_op("side_lane", 1, {0});  // cross-lane dependent of op 0
-    op.run = nullptr;
-    op.fixed_s = 0.5;
+    Op op = make_op("transform");
     op.reads = {a};
     op.writes = {b};
     g.add_op(std::move(op));
   }
   {
-    Op op = make_op("consume", 0, {1});
+    Op op = make_op("consume");
     op.reads = {b};
     g.add_op(std::move(op));
   }
 
-  const Plan plan(std::move(g), {"default", "side"});
+  const Plan plan(std::move(g));
   ASSERT_EQ(plan.lifetimes().size(), 3u);
   EXPECT_EQ(plan.lifetimes()[0].first_use, 0);
   EXPECT_EQ(plan.lifetimes()[0].last_use, 1);
@@ -125,118 +115,78 @@ TEST(Plan, DerivesLifetimesPeakAndEventNeeds) {
   // not contribute).
   EXPECT_DOUBLE_EQ(plan.peak_bytes(), 160.0);
 
-  // Op 0 has a dependent on lane 1 -> event; op 1's dependent is cross-lane
-  // too (lane 1 -> lane 0); op 2 has no dependents.
-  EXPECT_TRUE(plan.needs_event(0));
-  EXPECT_TRUE(plan.needs_event(1));
-  EXPECT_FALSE(plan.needs_event(2));
-
   const std::string dump = plan.describe();
   EXPECT_NE(dump.find("produce_a"), std::string::npos);
-  EXPECT_NE(dump.find("(event)"), std::string::npos);
   EXPECT_NE(dump.find("peak modeled device bytes"), std::string::npos);
 }
 
-TEST(Plan, RequiresDefaultLaneFirst) {
+TEST(Plan, ResidentBufferIsLiveAtEveryOp) {
+  // A resident buffer carries state across iterations: it counts at every
+  // op, whether or not an op touches it.
   OpGraph g;
-  g.add_op(make_op("only", 0, {}));
-  EXPECT_THROW(Plan(std::move(g), {"gram"}), Error);
+  const int scratch = g.add_buffer("scratch", 50.0);
+  g.add_buffer("state", 30.0, /*resident=*/true);
+  {
+    Op op = make_op("first");
+    op.writes = {scratch};
+    g.add_op(std::move(op));
+  }
+  g.add_op(make_op("second"));
+
+  const Plan plan(std::move(g));
+  EXPECT_EQ(plan.lifetimes()[1].first_use, 0);
+  EXPECT_EQ(plan.lifetimes()[1].last_use, 1);
+  EXPECT_DOUBLE_EQ(plan.peak_bytes(), 80.0);
+  const std::string dump = plan.describe();
+  EXPECT_NE(dump.find("30 B * 0..1"), std::string::npos) << dump;
+  EXPECT_NE(dump.find("50 B   0..0"), std::string::npos) << dump;
 }
 
-TEST(Plan, RejectsBodyOffDefaultLane) {
-  // A body issues its kernels on the default stream; on another lane the
-  // plan would model them somewhere they never ran.
-  OpGraph g;
-  g.add_op(make_op("body_on_side", 1, {}));
-  EXPECT_THROW(Plan(std::move(g), {"default", "side"}), Error);
-
-  // The same lane takes a fixed span.
-  OpGraph fixed;
-  Op op = make_op("fixed_on_side", 1, {});
-  op.run = nullptr;
-  op.fixed_s = 0.5;
-  fixed.add_op(std::move(op));
-  EXPECT_NO_THROW(Plan(std::move(fixed), {"default", "side"}));
+TEST(Planner, AoFootprintCountsResidentStateHandComputed) {
+  // Three modes with rows {5, 3, 2}, R = 2, a 100 B tensor and no fit.
+  // Resident: tensor 100 + factors 8*2*(5+3+2) = 160 + duals 160 + Grams
+  // 3*8*2*2 = 96 + lambda 8*2 = 16, i.e. 532 B. The longest-mode MTTKRP
+  // output (80 B), the update scratch (160 B) and the Hadamard Gram (32 B)
+  // are all live at update_0, so the peak is 532 + 272 = 804 B.
+  exec::AoIterationSpec spec;
+  spec.num_modes = 3;
+  spec.rank = 2;
+  spec.tensor_bytes = 100.0;
+  spec.mode_rows = {5, 3, 2};
+  const auto body = [](simgpu::Device&, int) {};
+  spec.hadamard = body;
+  spec.mttkrp = body;
+  spec.update = body;
+  spec.normalize = body;
+  spec.gram_recompute = body;
+  const Plan plan = exec::Planner::compile_ao_iteration(spec);
+  EXPECT_DOUBLE_EQ(plan.peak_bytes(), 804.0);
+  for (int b = 0; b < plan.graph().num_buffers(); ++b) {
+    const std::string& name = plan.graph().buffer(b).name;
+    const bool state = name == "tensor" || name == "lambda" ||
+                       name.rfind("factor_", 0) == 0 ||
+                       name.rfind("dual_", 0) == 0 ||
+                       name.rfind("gram_", 0) == 0;
+    EXPECT_EQ(plan.graph().buffer(b).resident, state) << name;
+  }
 }
 
 // ---------------------------------------------------------------------------
-// Executor vs hand-rolled stream choreography.
-
-TEST(Executor, FixedPipelineMatchesHandRolledMakespan) {
-  std::vector<exec::FixedModePhases> modes(3);
-  for (std::size_t m = 0; m < modes.size(); ++m) {
-    modes[m].gram_s = 0.004 + 0.001 * static_cast<double>(m);
-    modes[m].mttkrp_s = 0.010;
-    modes[m].update_s = 0.006;
-    modes[m].normalize_s = 0.001;
-  }
-
-  // Hand-rolled: the overlap choreography the benches used to carry inline.
-  simgpu::Device legacy(simgpu::a100());
-  {
-    const simgpu::Stream gram_stream = legacy.create_stream("gram");
-    simgpu::Event prev_normalize;
-    for (const exec::FixedModePhases& m : modes) {
-      legacy.wait_event(gram_stream, prev_normalize);
-      legacy.record_fixed("gram", m.gram_s, gram_stream);
-      const simgpu::Event gram_done = legacy.record_event(gram_stream);
-      legacy.record_fixed("mttkrp", m.mttkrp_s);
-      legacy.wait_event(simgpu::Stream{}, gram_done);
-      legacy.record_fixed("update", m.update_s);
-      legacy.record_fixed("normalize", m.normalize_s);
-      prev_normalize = legacy.record_event(simgpu::Stream{});
-    }
-  }
-
-  simgpu::Device planned(simgpu::a100());
-  exec::Executor executor(
-      planned, std::make_shared<const Plan>(
-                   exec::Planner::compile_fixed_pipeline(modes)));
-  executor.run();
-
-  EXPECT_TRUE(planned.timeline().concurrent());
-  EXPECT_DOUBLE_EQ(planned.modeled_makespan_s(), legacy.modeled_makespan_s());
-}
-
-TEST(Executor, ChunkedAllReduceOverlapsCommunication) {
-  exec::ChunkedAllReduceSpec spec;
-  spec.shard_compute_s = {0.010, 0.012};
-  spec.chunk_comm_s = 0.004;
-  spec.chunks = 1;
-
-  const auto makespan = [](const exec::ChunkedAllReduceSpec& s) {
-    simgpu::Device dev(simgpu::a100());
-    exec::Executor ex(dev, std::make_shared<const Plan>(
-                               exec::Planner::compile_chunked_allreduce(s)));
-    ex.run();
-    return dev.modeled_makespan_s();
-  };
-
-  const double serial = makespan(spec);
-  // One chunk: compute then communicate, no overlap.
-  EXPECT_NEAR(serial, 0.012 + 0.004, 1e-12);
-
-  spec.chunks = 4;
-  spec.chunk_comm_s = 0.001;  // same total communication, 4 chunks
-  const double overlapped = makespan(spec);
-  EXPECT_LT(overlapped, serial);
-  // Lower bound: the slowest shard's compute plus one trailing chunk comm.
-  EXPECT_GE(overlapped, 0.012 + 0.001 - 1e-12);
-}
+// Executor.
 
 TEST(Executor, RunsObserverHooksInIssueOrder) {
+  std::vector<std::string> names;
   OpGraph g;
-  Op op1 = make_op("first", 0, {});
-  op1.fixed_s = 0.001;
-  op1.run = nullptr;
+  Op op1 = make_op("first");
+  op1.run = [&](simgpu::Device&) { names.push_back("run:first"); };
   g.add_op(std::move(op1));
-  Op op2 = make_op("second", 0, {0});
-  op2.fixed_s = 0.001;
-  op2.run = nullptr;
+  Op op2 = make_op("second");
+  op2.run = [&](simgpu::Device&) { names.push_back("run:second"); };
   g.add_op(std::move(op2));
 
   class Recorder final : public exec::OpObserver {
    public:
+    explicit Recorder(std::vector<std::string>& log) : names(log) {}
     void on_op_begin(const Op& op, int index) override {
       names.push_back("begin:" + op.name);
       indices.push_back(index);
@@ -244,20 +194,18 @@ TEST(Executor, RunsObserverHooksInIssueOrder) {
     void on_op_end(const Op& op, int) override {
       names.push_back("end:" + op.name);
     }
-    std::vector<std::string> names;
+    std::vector<std::string>& names;
     std::vector<int> indices;
   };
 
   simgpu::Device dev(simgpu::a100());
-  exec::Executor executor(
-      dev, std::make_shared<const Plan>(Plan(std::move(g), {"default"})));
-  Recorder recorder;
+  exec::Executor executor(dev,
+                          std::make_shared<const Plan>(Plan(std::move(g))));
+  Recorder recorder(names);
   executor.run(&recorder);
-  ASSERT_EQ(recorder.names.size(), 4u);
-  EXPECT_EQ(recorder.names[0], "begin:first");
-  EXPECT_EQ(recorder.names[1], "end:first");
-  EXPECT_EQ(recorder.names[2], "begin:second");
-  EXPECT_EQ(recorder.names[3], "end:second");
+  EXPECT_EQ(names, (std::vector<std::string>{"begin:first", "run:first",
+                                              "end:first", "begin:second",
+                                              "run:second", "end:second"}));
   EXPECT_EQ(recorder.indices, (std::vector<int>{0, 1}));
 }
 
@@ -270,8 +218,8 @@ TEST(PlanCacheTest, HitsOnSameKeyRecompilesOnAnyFieldChange) {
   const auto build = [&] {
     ++builds;
     OpGraph g;
-    g.add_op(make_op("op", 0, {}));
-    return Plan(std::move(g), {"default"});
+    g.add_op(make_op("op"));
+    return Plan(std::move(g));
   };
 
   PlanKey key{1, 8, 42};

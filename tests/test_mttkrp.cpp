@@ -264,7 +264,7 @@ TEST(Mttkrp, StreamedCopyStreamPipelineMatchesAndOverlaps) {
   EXPECT_DOUBLE_EQ(
       piped.per_kernel().at("mttkrp_blco_streamed").host_link_bytes, 0.0);
 
-  const double serial = piped.serial_modeled_time_s();
+  const double serial = piped.modeled_time_s();
   const double overlap = piped.modeled_makespan_s();
   const double compute_only =
       piped.modeled_kernel_time_s("mttkrp_blco_streamed");

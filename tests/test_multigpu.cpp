@@ -143,6 +143,22 @@ TEST(MultiGpu, AllReduceLimitsScalingOnSmallWork) {
   EXPECT_GT(with_slow_link, 0.9 * reduce_only);
 }
 
+TEST(MultiGpu, ChunkedAllReduceOverlapsCommunication) {
+  // Two shards of 10 and 12 ms. One chunk: the slower shard's compute, then
+  // the whole 4 ms all-reduce.
+  const std::vector<double> shards = {0.010, 0.012};
+  EXPECT_DOUBLE_EQ(chunked_allreduce_makespan(shards, 1, 0.004), 0.016);
+  // Four chunks with the same total communication: chunk i's 1 ms
+  // all-reduce starts when the slower shard finishes its chunk at 3i ms and
+  // ends before the next one can start, so only the last is exposed.
+  EXPECT_DOUBLE_EQ(chunked_allreduce_makespan(shards, 4, 0.001), 0.013);
+  // Communication that outlasts a compute chunk queues up behind itself:
+  // 5 ms pieces start at 3, 8, 13 and 18 ms.
+  EXPECT_DOUBLE_EQ(chunked_allreduce_makespan(shards, 4, 0.005), 0.023);
+  EXPECT_THROW(chunked_allreduce_makespan(shards, 0, 0.001), Error);
+  EXPECT_THROW(chunked_allreduce_makespan({}, 1, 0.001), Error);
+}
+
 TEST(MultiGpu, OverlappedWithOneChunkEqualsSerialModel) {
   const SparseTensor t = random_tensor(10, 8000);
   const auto factors = random_factors(t, 16, 11);

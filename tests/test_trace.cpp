@@ -294,6 +294,25 @@ bench::ModeledIteration tiny_modeled_iteration(bench::ModeledIteration* wall) {
                                   /*rank=*/6, wall);
 }
 
+TEST(BenchUtil, OverlappedTotalPipelinesGramBehindMttkrp) {
+  // Per mode, Gram and MTTKRP both start when the previous normalize ends
+  // and the update waits for both:
+  //   mode 0: max(0.25, 0.5) + 0.125 + 0.0625           = 0.6875
+  //   mode 1: 0.6875 + max(0.75, 0.5) + 0.125 + 0.0625  = 1.625
+  //   mode 2: 1.625 + max(0.5, 0.5) + 0.25 + 0.125      = 2.5
+  // against a serial 3.75 s. Every time is a dyadic fraction, so both sums
+  // are exact.
+  const std::vector<bench::ModeledIteration> modes = {
+      {0.25, 0.5, 0.125, 0.0625},
+      {0.75, 0.5, 0.125, 0.0625},
+      {0.5, 0.5, 0.25, 0.125}};
+  double serial = 0.0;
+  for (const bench::ModeledIteration& m : modes) serial += m.total();
+  EXPECT_EQ(serial, 3.75);
+  EXPECT_EQ(bench::overlapped_total(modes), 2.5);
+  EXPECT_EQ(bench::overlapped_total({}), 0.0);
+}
+
 TEST(BenchJson, SessionWritesSchemaValidFileWhenEnabled) {
   EnvGuard enable("CSTF_BENCH_JSON", "1");
   EnvGuard dir("CSTF_BENCH_JSON_DIR", ::testing::TempDir().c_str());

@@ -11,8 +11,8 @@
 //
 // With --plan, additionally compiles one AO iteration for the tensor (at
 // --rank, optionally --mttkrp auto|flat|dimtree) and dumps the execution
-// graph: ops with lane assignment and dependencies, buffer lifetimes, and
-// the peak device-memory estimate
+// graph: ops in issue order, buffer lifetimes (resident buffers marked
+// `*`), and the peak device-memory estimate
 // CstfFramework::device_footprint_bytes() reports. When the dimension-tree
 // engine is in effect the dump is followed by the chosen tree: node shapes,
 // reuse factor, and intermediate bytes against the budget (DESIGN.md §13).
