@@ -72,9 +72,9 @@ int main() {
             rec.phases.mttkrp = t;  // serial 8-GPU reference
             rec.extras = {{"mode", static_cast<double>(mode)},
                           {"devices", 8.0},
-                          {"legacy_serial_s", t},
-                          {"planner_serial_s", one_chunk},
-                          {"planner_overlap_s", ovl},
+                          {"serial_s", t},
+                          {"one_chunk_s", one_chunk},
+                          {"overlap_s", ovl},
                           {"chunks", static_cast<double>(chunks)}};
             session.add_record(std::move(rec));
           }
@@ -87,8 +87,8 @@ int main() {
       "\nColumns 2-4 are speedups over 1 GPU (serial: slowest shard +\n"
       "all-reduce). \"8 ovl\" overlaps chunked all-reduce with compute on 8\n"
       "GPUs — at least the serial 8-GPU speedup, and strictly better where\n"
-      "the all-reduce tail was exposed (long output modes). \"parity\" runs\n"
-      "the exec::Planner-compiled schedule at 1 chunk, which must reproduce\n"
-      "the legacy serial model exactly (1.0000; the bench aborts otherwise).\n");
+      "the all-reduce tail was exposed (long output modes). \"parity\" checks\n"
+      "the all-reduce recurrence at 1 chunk against the serial model, which\n"
+      "it must reproduce exactly (1.0000; the bench aborts otherwise).\n");
   return 0;
 }

@@ -19,8 +19,8 @@ int main() {
   const auto spec = simgpu::a100();
   std::printf("=== Out-of-memory streamed MTTKRP (A100 + PCIe staging, R=%lld) ===\n\n",
               static_cast<long long>(rank));
-  std::printf("%-12s %-16s %10s %14s %14s %14s\n", "Tensor", "Budget",
-              "batches", "mttkrp [ms]", "serial [ms]", "overlap [ms]");
+  std::printf("%-12s %-16s %10s %14s %14s\n", "Tensor", "Budget", "batches",
+              "serial [ms]", "overlap [ms]");
 
   for (const char* name : {"Delicious", "Amazon"}) {
     const DatasetAnalog data = bench::load_dataset(name);
@@ -36,28 +36,23 @@ int main() {
     const char* labels[4] = {"resident", "1/2 tensor", "1/4 tensor",
                              "1/8 tensor"};
     const double budgets[4] = {2.0 * full, full / 2.0, full / 4.0, full / 8.0};
-    // Per budget: the legacy within-span overlap model, the fully serial
-    // copy-then-compute sum, and the explicit copy-stream pipeline makespan.
+    // Per budget: the fully serial copy-then-compute sum and the
+    // double-buffered staging makespan (the same when resident).
     const auto run_budget = [&](const simgpu::DeviceSpec& s, double budget,
                                 const char* label) {
       simgpu::Device dev(s);
       Matrix out(data.tensor.dim(0), rank);
+      StagedRecords staged;
       const index_t batches =
-          mttkrp_blco_streamed(dev, blco, factors, 0, out, budget);
-      const double legacy =
-          perfmodel::modeled_time_scaled(dev, data.nnz_scale()) * 1e3;
-
-      simgpu::Device piped(s);
-      const simgpu::Stream copy = piped.create_stream("h2d_copy");
-      Matrix out2(data.tensor.dim(0), rank);
-      mttkrp_blco_streamed(piped, blco, factors, 0, out2, budget, copy);
+          mttkrp_blco_streamed(dev, blco, factors, 0, out, budget, &staged);
       const double serial =
-          perfmodel::modeled_time_scaled(piped, data.nnz_scale()) * 1e3;
-      const double overlap = piped.modeled_makespan_s(data.nnz_scale()) * 1e3;
-      std::printf("%-12s %-16s %10lld %14.3f %14.3f %14.3f\n", name, label,
-                  static_cast<long long>(batches), legacy,
-                  batches > 1 ? serial : legacy,
-                  batches > 1 ? overlap : legacy);
+          perfmodel::modeled_time_scaled(dev, data.nnz_scale()) * 1e3;
+      const double overlap =
+          batches > 1
+              ? staged_makespan_s(staged, s, data.nnz_scale()) * 1e3
+              : serial;
+      std::printf("%-12s %-16s %10lld %14.3f %14.3f\n", name, label,
+                  static_cast<long long>(batches), serial, overlap);
     };
     for (int i = 0; i < 4; ++i) run_budget(spec, budgets[i], labels[i]);
     // Degraded link (contended PCIe at 2 GB/s): where staging finally binds.
@@ -69,12 +64,14 @@ int main() {
   }
   std::printf(
       "\nShape to verify (the BLCO substrate paper's headline): staging is\n"
-      "hidden behind the gather-bound kernel at PCIe speeds — the streamed\n"
-      "rows stay within a few percent of the resident row (each batch pays\n"
-      "its own scatter-tile reduce). Only a badly degraded link (last row)\n"
-      "makes the host transfer the roof.\n"
+      "hidden behind the gather-bound kernel at PCIe speeds — the overlap\n"
+      "column stays within 8%% of the resident row, less with smaller\n"
+      "batches (the first transfer is exposed, and each batch pays its own\n"
+      "scatter-tile reduce). Only a badly degraded link (last row) makes\n"
+      "the host transfer the roof.\n"
       "\"serial [ms]\" stages every batch before its compute with no overlap;\n"
-      "\"overlap [ms]\" is the double-buffered copy-stream pipeline makespan —\n"
-      "between the other two, converging to mttkrp [ms] when compute binds.\n");
+      "\"overlap [ms]\" is the double-buffered staging makespan (a batch's\n"
+      "transfer waits for the compute of the batch two back, whose buffer it\n"
+      "reuses): the longer of the two lanes plus pipeline fill.\n");
   return 0;
 }

@@ -86,9 +86,9 @@ ModeledIteration modeled_iteration(const DatasetAnalog& data,
                                    std::vector<ModeledIteration>* per_mode = nullptr);
 
 /// Modeled iteration time when each mode's Gram work is pipelined against
-/// its MTTKRP on a second stream: Gram_n and MTTKRP_n both depend only on
+/// its MTTKRP on a second lane: Gram_n and MTTKRP_n both depend only on
 /// Normalize_{n-1}, the update joins them. The trainer issues every kernel
-/// on the default stream; this schedule exists only here, as the recurrence
+/// in one in-order chain; this schedule exists only here, as the recurrence
 /// t = max(t + gram, t + mttkrp) + update + normalize over the
 /// already-scaled per-mode phase times (the Fig. 5/6 "GPU ovl" column);
 /// always within [max-per-mode-path, serial total].

@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # Tier-1 gate: a documentation drift check (scripts/check_docs.sh + its
 # negative self-test), then the full test suite twice — a plain
-# RelWithDebInfo build, then an ASan+UBSan build (-DCSTF_SANITIZE=ON, which
-# also makes UBSan findings fatal with -fno-sanitize-recover=undefined and
-# turns on libstdc++'s container bounds checks with -D_GLIBCXX_ASSERTIONS).
-# Any doc drift, compile error, test failure, sanitizer report or
-# out-of-range container index fails the script.
+# RelWithDebInfo build with warnings as errors (-DCSTF_WERROR=ON, so a new
+# compiler warning anywhere in the tree fails the gate), then an ASan+UBSan
+# build (-DCSTF_SANITIZE=ON, which also makes UBSan findings fatal with
+# -fno-sanitize-recover=undefined and turns on libstdc++'s container bounds
+# checks with -D_GLIBCXX_ASSERTIONS). Any doc drift, compiler warning,
+# compile error, test failure, sanitizer report or out-of-range container
+# index fails the script.
 #
 # After the plain pass, a determinism gate repeats the mttkrp-, dimtree-,
 # exec-, updates- and determinism-labeled groups five times each at
@@ -49,8 +51,8 @@ echo "=== docs gate: tool flags documented, links resolve, section refs valid"
 bash scripts/check_docs.sh
 bash scripts/check_docs.sh --self-test
 
-echo "=== pass 1/2: plain build + ctest"
-cmake -B build -S .
+echo "=== pass 1/2: plain build (warnings as errors) + ctest"
+cmake -B build -S . -DCSTF_WERROR=ON
 cmake --build build -j
 ctest --test-dir build --output-on-failure -j
 

@@ -1,6 +1,6 @@
 // Executor — runs a compiled Plan on a simgpu::Device.
 //
-// Runs every op's body in issue order on the default stream, scopes each
+// Runs every op's body in issue order, scopes each
 // op's tracer phase, and invokes per-op observer hooks. Tracing, fault
 // injection (checked inside Device::record), and phase accounting therefore
 // apply to every op by construction — no per-call-site plumbing.

@@ -2,7 +2,7 @@
 //
 // The iteration is one in-order chain of typed ops (MTTKRP, Gram,
 // Hadamard-gram assembly, factor update, fit), each with a body that issues
-// its kernels on the default stream, plus buffer declarations whose
+// its kernels in program order, plus buffer declarations whose
 // first-use/last-use lifetimes feed a peak-memory estimate: the plan's
 // buffer table is the device-footprint model (DESIGN.md §12).
 //
@@ -55,7 +55,7 @@ struct BufferLifetime {
 };
 
 /// One node of the graph. `run` issues the op's device work through the
-/// device it is handed, on the default stream.
+/// device it is handed.
 struct Op {
   OpKind kind = OpKind::kMttkrp;
   std::string name;

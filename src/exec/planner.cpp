@@ -81,8 +81,8 @@ Plan Planner::compile_ao_iteration(const AoIterationSpec& spec) {
     fit_g_buf = g.add_buffer("fit_gram_unnorm", r * r * word());
   }
 
-  // The iteration is one in-order chain on the default stream: issue order
-  // is the dependency order.
+  // The iteration is one in-order chain: issue order is the dependency
+  // order.
   for (int n = 0; n < spec.num_modes; ++n) {
     Op had;
     had.kind = OpKind::kHadamardGram;

@@ -1,13 +1,12 @@
 // Planner — compiles the trainer's batch AO-ADMM iteration (auntf): one
-// in-order chain on the default stream, compiled for its buffer table, which
-// is the device-footprint model (DESIGN.md §12). Other loops (a streaming
-// slice, a serving fold-in) issue their steps directly, and the two
-// fixed-duration overlaps the benches and the multi-GPU model report are
-// closed-form recurrences (bench::overlapped_total,
-// chunked_allreduce_makespan).
+// in-order chain, compiled for its buffer table, which is the
+// device-footprint model (DESIGN.md §12). Other loops (a streaming slice, a
+// serving fold-in) issue their steps directly, and the three overlaps the
+// benches and the multi-GPU model report are closed-form recurrences
+// (bench::overlapped_total, chunked_allreduce_makespan, staged_makespan_s).
 //
 // The caller supplies the op *bodies* (closures issuing the actual metered
-// kernels on the default stream); the planner supplies the *structure*:
+// kernels in order); the planner supplies the *structure*:
 // typed ops in issue order and buffer lifetimes. Plans are cached via
 // PlanCache, keyed by (tensor identity, rank, options digest): a key change
 // drops the slot and recompiles.

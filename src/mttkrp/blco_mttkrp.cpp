@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/error.hpp"
 #include "simgpu/launch.hpp"
@@ -84,11 +85,11 @@ index_t range_nnz(const BlcoTensor& blco, index_t block_lo, index_t block_hi) {
 // adds the tiles with the fixed pairwise tree and transposes the sum into
 // `out`. Tile 0 starts as a copy of `out`, so consecutive ranges
 // accumulate. Bit-deterministic regardless of which worker runs which tile.
-void launch_blco_priv(simgpu::Device& dev, const char* name,
-                      const BlcoTensor& blco,
-                      const std::vector<Matrix>& factors, int mode,
-                      Matrix& out, index_t block_lo, index_t block_hi,
-                      simgpu::KernelStats stats) {
+// Returns the two records it made.
+std::vector<simgpu::KernelStats> launch_blco_priv(
+    simgpu::Device& dev, const char* name, const BlcoTensor& blco,
+    const std::vector<Matrix>& factors, int mode, Matrix& out,
+    index_t block_lo, index_t block_hi, simgpu::KernelStats stats) {
   const index_t rank = factors[0].cols();
   const index_t num_blocks = block_hi - block_lo;
   const index_t tiles = std::min(
@@ -109,9 +110,10 @@ void launch_blco_priv(simgpu::Device& dev, const char* name,
   stats.bytes_streamed += static_cast<double>(tiles) * tile_bytes;
   simgpu::LaunchConfig cfg{.grid_dim = tiles, .block_dim = 1};
   const ColumnGather gather(factors, mode);
+  std::vector<simgpu::KernelStats> recorded;
   with_gather_count(gather.count, [&](auto count) {
     constexpr int G = decltype(count)::value;
-    simgpu::launch(dev, name, cfg, stats, [&](const simgpu::KernelCtx& ctx) {
+    const auto accumulate = [&](const simgpu::KernelCtx& ctx) {
       const index_t t = ctx.block_idx;
       real_t* dst = tile[static_cast<std::size_t>(t)];
       if (t == 0) {
@@ -132,7 +134,8 @@ void launch_blco_priv(simgpu::Device& dev, const char* name,
                               tile_row);
         }
       }
-    });
+    };
+    recorded.push_back(simgpu::launch(dev, name, cfg, stats, accumulate));
   });
 
   // Reduce launch: single-block (the element-level parallelism happens
@@ -142,25 +145,28 @@ void launch_blco_priv(simgpu::Device& dev, const char* name,
   red.bytes_streamed = 3.0 * static_cast<double>(tiles - 1) * tile_bytes;
   red.flops = static_cast<double>(tiles - 1) * static_cast<double>(len);
   red.parallel_items = static_cast<double>(len);
-  simgpu::launch(dev, "mttkrp_blco_reduce",
-                 simgpu::LaunchConfig{.grid_dim = 1, .block_dim = 1}, red,
-                 [&](const simgpu::KernelCtx&) {
-                   deterministic_tree_reduce(tile.data(),
-                                             static_cast<std::size_t>(tiles),
-                                             static_cast<index_t>(len));
-                   copy_from_row_major(tile[0], out);
-                 });
+  recorded.push_back(simgpu::launch(
+      dev, "mttkrp_blco_reduce",
+      simgpu::LaunchConfig{.grid_dim = 1, .block_dim = 1}, red,
+      [&](const simgpu::KernelCtx&) {
+        deterministic_tree_reduce(tile.data(), static_cast<std::size_t>(tiles),
+                                  static_cast<index_t>(len));
+        copy_from_row_major(tile[0], out);
+      }));
+  return recorded;
 }
 
 // Sorted kernel: threads stride over the plan's segments; each segment owns
 // one output row and adds its sum onto it, so the writes need no atomics
 // and the per-row accumulation order is the plan's (fixed) order. Adding
 // onto `out` lets a streamed batch accumulate on top of earlier batches.
-void launch_blco_sorted(simgpu::Device& dev, const char* name,
-                        const BlcoTensor& blco,
-                        const std::vector<Matrix>& factors, int mode,
-                        Matrix& out, const ScatterPlan& plan,
-                        simgpu::KernelStats stats) {
+// Returns the record it made.
+simgpu::KernelStats launch_blco_sorted(simgpu::Device& dev, const char* name,
+                                       const BlcoTensor& blco,
+                                       const std::vector<Matrix>& factors,
+                                       int mode, Matrix& out,
+                                       const ScatterPlan& plan,
+                                       simgpu::KernelStats stats) {
   const index_t rank = factors[0].cols();
   const index_t segments = plan.num_segments();
 
@@ -169,9 +175,10 @@ void launch_blco_sorted(simgpu::Device& dev, const char* name,
       .grid_dim = simgpu::blocks_for(segments, kThreads),
       .block_dim = kThreads};
   const ColumnGather gather(factors, mode);
+  simgpu::KernelStats recorded;
   with_gather_count(gather.count, [&](auto count) {
     constexpr int G = decltype(count)::value;
-    simgpu::launch(dev, name, cfg, stats, [&](const simgpu::KernelCtx& ctx) {
+    const auto sweep = [&](const simgpu::KernelCtx& ctx) {
       thread_local std::vector<real_t> segment_acc;
       if (segment_acc.size() < static_cast<std::size_t>(rank)) {
         segment_acc.resize(static_cast<std::size_t>(rank));
@@ -193,8 +200,10 @@ void launch_blco_sorted(simgpu::Device& dev, const char* name,
         const index_t out_row = plan.seg_row[static_cast<std::size_t>(s)];
         for (index_t r = 0; r < rank; ++r) out(out_row, r) += acc[r];
       }
-    });
+    };
+    recorded = simgpu::launch(dev, name, cfg, stats, sweep);
   });
+  return recorded;
 }
 
 // Sorted-scatter plan over the nonzeros of blocks [block_lo, block_hi),
@@ -222,15 +231,15 @@ ScatterPlan range_scatter_plan(const BlcoTensor& blco, int mode,
   return detail::finish_scatter_plan(std::move(keys), std::move(order));
 }
 
-// cudaMemset-equivalent launch clearing the output.
-void zero_output(simgpu::Device& dev, Matrix& out) {
+// cudaMemset-equivalent launch clearing the output; returns its record.
+simgpu::KernelStats zero_output(simgpu::Device& dev, Matrix& out) {
   simgpu::KernelStats zero_stats;
   zero_stats.bytes_streamed = static_cast<double>(out.size()) * simgpu::kWord;
   zero_stats.parallel_items = static_cast<double>(out.size());
-  simgpu::launch(dev, "mttkrp_zero_out",
-                 simgpu::LaunchConfig{.grid_dim = 1, .block_dim = 1},
-                 zero_stats,
-                 [&](const simgpu::KernelCtx&) { out.set_all(0.0); });
+  return simgpu::launch(dev, "mttkrp_zero_out",
+                        simgpu::LaunchConfig{.grid_dim = 1, .block_dim = 1},
+                        zero_stats,
+                        [&](const simgpu::KernelCtx&) { out.set_all(0.0); });
 }
 
 void check_mttkrp_args(const BlcoTensor& blco,
@@ -283,76 +292,90 @@ ScatterPlan blco_scatter_plan(const BlcoTensor& blco, int mode) {
 index_t mttkrp_blco_streamed(simgpu::Device& dev, const BlcoTensor& blco,
                              const std::vector<Matrix>& factors, int mode,
                              Matrix& out, double device_budget_bytes,
-                             simgpu::Stream copy_stream) {
+                             StagedRecords* records) {
   CSTF_CHECK(device_budget_bytes > 0.0);
   check_mttkrp_args(blco, factors, mode, out);
   const double tensor_bytes = blco.storage_bytes();
   if (tensor_bytes <= device_budget_bytes) {
     mttkrp_blco(dev, blco, factors, mode, out);
+    if (records != nullptr) *records = StagedRecords{};
     return 1;
   }
 
   const ScatterStrategy strategy = resolve_scatter_strategy(
       ScatterOptions{}, out.rows(), out.cols(), blco.nnz());
-  zero_output(dev, out);
+  StagedRecords recorded;
+  recorded.zero_fill = zero_output(dev, out);
   auto batches =
       static_cast<index_t>(std::ceil(tensor_bytes / device_budget_bytes));
   batches = std::min(batches, blco.num_blocks());
   const index_t per_batch = (blco.num_blocks() + batches - 1) / batches;
 
-  const bool staged_async = !copy_stream.is_default();
   simgpu::KernelStats full_stats = blco_mttkrp_stats(blco, factors, mode);
   if (strategy == ScatterStrategy::kSorted) {
     apply_scatter_stats(full_stats, strategy, out.rows(), out.cols(),
                         static_cast<double>(blco.nnz()));
   }
-  std::vector<simgpu::Event> compute_done;  // per batch, for buffer reuse
-  index_t used = 0;
   for (index_t lo = 0; lo < blco.num_blocks(); lo += per_batch) {
     const index_t hi = std::min<index_t>(lo + per_batch, blco.num_blocks());
-    // Pro-rate the full-tensor traffic over this batch's nonzero share; the
-    // batch's compressed bytes are what crosses the host link.
-    double batch_bytes = 0.0;
+    // The batch's compressed bytes cross the host link as their own span.
+    StagedRecords::Batch& batch = recorded.batches.emplace_back();
     for (index_t b = lo; b < hi; ++b) {
       const BlcoBlock& blk = blco.block(b);
-      batch_bytes += static_cast<double>(blk.packed_deltas.size()) *
-                         sizeof(std::uint64_t) +
-                     static_cast<double>(blk.count) * sizeof(real_t);
+      batch.transfer.host_link_bytes +=
+          static_cast<double>(blk.packed_deltas.size()) *
+              sizeof(std::uint64_t) +
+          static_cast<double>(blk.count) * sizeof(real_t);
     }
-    simgpu::KernelStats stats =
+    batch.transfer.launches = 1;
+    dev.record("mttkrp_stage_batch", batch.transfer);
+    // Pro-rate the full-tensor traffic over this batch's nonzero share.
+    const simgpu::KernelStats stats =
         prorate(full_stats, static_cast<double>(range_nnz(blco, lo, hi)) /
                                 static_cast<double>(blco.nnz()));
-    if (staged_async) {
-      // Explicit pipeline: the staging transfer is its own span on the copy
-      // stream. Two staging buffers — batch i's transfer reuses the buffer
-      // compute of batch i-2 read from, so it waits on that compute.
-      if (used >= 2) {
-        dev.wait_event(copy_stream,
-                       compute_done[static_cast<std::size_t>(used - 2)]);
-      }
-      simgpu::KernelStats stage;
-      stage.host_link_bytes = batch_bytes;
-      stage.launches = 1;
-      dev.record("mttkrp_stage_batch", stage, 0.0, copy_stream);
-      dev.wait_event(simgpu::Stream{}, dev.record_event(copy_stream));
-    } else {
-      // Legacy single-span modeling: staging rides on the compute record and
-      // the cost model overlaps the two inside the span (double buffering).
-      stats.host_link_bytes = batch_bytes;
-    }
     if (strategy == ScatterStrategy::kSorted) {
       // A plan over this batch's nonzeros only: it dies with the batch.
       const ScatterPlan plan = range_scatter_plan(blco, mode, lo, hi);
-      launch_blco_sorted(dev, "mttkrp_blco_streamed", blco, factors, mode,
-                         out, plan, stats);
+      batch.compute.push_back(launch_blco_sorted(dev, "mttkrp_blco_streamed",
+                                                 blco, factors, mode, out,
+                                                 plan, stats));
     } else {
-      launch_blco_priv(dev, "mttkrp_blco_streamed", blco, factors, mode, out,
-                       lo, hi, stats);
+      batch.compute = launch_blco_priv(dev, "mttkrp_blco_streamed", blco,
+                                       factors, mode, out, lo, hi, stats);
     }
-    if (staged_async) compute_done.push_back(dev.record_event());
-    ++used;
   }
+  const auto used = static_cast<index_t>(recorded.batches.size());
+  if (records != nullptr) *records = std::move(recorded);
   return used;
+}
+
+double staged_makespan_s(const StagedRecords& records,
+                         const simgpu::DeviceSpec& spec,
+                         double extensive_scale) {
+  const auto time = [&](const simgpu::KernelStats& stats) {
+    return simgpu::model_time(simgpu::scale_stats(stats, extensive_scale), spec)
+        .total_s;
+  };
+  // Both clocks add in the order the records were made, so the result
+  // is the same double an event-driven schedule of those spans gives. No
+  // shared-bandwidth floor is needed: each clock runs its records back to
+  // back, and a record's time is at least its memory and its link time
+  // (DESIGN.md §7).
+  double compute = time(records.zero_fill);
+  double copy = 0.0;
+  std::vector<double> batch_done;  // compute clock after each batch
+  batch_done.reserve(records.batches.size());
+  for (const StagedRecords::Batch& batch : records.batches) {
+    const std::size_t i = batch_done.size();
+    if (i >= 2) copy = std::max(copy, batch_done[i - 2]);
+    copy += time(batch.transfer);
+    compute = std::max(compute, copy);
+    for (const simgpu::KernelStats& stats : batch.compute) {
+      compute += time(stats);
+    }
+    batch_done.push_back(compute);
+  }
+  return std::max(compute, copy);
 }
 
 }  // namespace cstf

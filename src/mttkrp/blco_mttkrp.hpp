@@ -46,31 +46,49 @@ simgpu::KernelStats blco_mttkrp_stats(const BlcoTensor& blco,
                                       const std::vector<Matrix>& factors,
                                       int mode);
 
+/// The device records of one out-of-memory streamed MTTKRP, in the order made:
+/// the output zero-fill, then per batch the host-link transfer of its blocks
+/// ("mttkrp_stage_batch", link bytes alone) and the launches that consume
+/// it (the accumulate, then the privatized reduce when the batch has one).
+struct StagedRecords {
+  struct Batch {
+    simgpu::KernelStats transfer;
+    std::vector<simgpu::KernelStats> compute;
+  };
+  simgpu::KernelStats zero_fill;
+  std::vector<Batch> batches;
+};
+
 /// Out-of-memory streamed MTTKRP (the BLCO substrate paper's headline mode):
 /// when the tensor exceeds `device_budget_bytes` of device memory (after the
 /// resident factors), its blocks are processed in batches staged over the
-/// host link, double-buffered so staging overlaps compute. The strategy is
-/// resolved once by the kAuto rule over the whole tensor; each batch then
-/// runs that kernel (as "mttkrp_blco_streamed") over its own block range,
-/// accumulating into `out`. A sorted batch builds a plan over its own
+/// host link. The strategy is resolved once by the kAuto rule over the whole
+/// tensor; each batch records its transfer as a "mttkrp_stage_batch" span,
+/// then runs that kernel (as "mttkrp_blco_streamed") over its own block
+/// range, accumulating into `out`. A sorted batch builds a plan over its own
 /// nonzeros only, so nothing tensor-sized outlives a batch. Results agree
 /// with `mttkrp_blco` to fp tolerance (batching regroups the per-row sums)
 /// and are bit-reproducible run to run.
 ///
-/// Two ways to model the staging:
-///  * default `copy_stream` — each batch's compute span carries its own
-///    host_link_bytes, and the cost model overlaps the two within the span
-///    (the pre-stream behavior, unchanged);
-///  * an explicit `copy_stream` — staging becomes its own spans on that
-///    stream, with events expressing the two-buffer pipeline (compute of
-///    batch i waits its staging; staging of batch i reuses the buffer of
-///    batch i-2, so it waits that compute), and Device::modeled_makespan_s()
-///    reports the pipeline's critical path.
-///
-/// Returns the number of batches used (1 == fully resident, no staging).
+/// The device's modeled_time_s() is the serial copy-then-compute sum; the
+/// double-buffered time is staged_makespan_s over `records`, which (when
+/// non-null) receives every record the call made. Returns the number of
+/// batches used. A tensor that fits runs resident (`mttkrp_blco`): the call
+/// returns 1 and leaves `records` with no batches.
 index_t mttkrp_blco_streamed(simgpu::Device& dev, const BlcoTensor& blco,
                              const std::vector<Matrix>& factors, int mode,
                              Matrix& out, double device_budget_bytes,
-                             simgpu::Stream copy_stream = {});
+                             StagedRecords* records = nullptr);
+
+/// Makespan of the double-buffered staging of `records` on `spec`, each
+/// record's extensive quantities scaled by `extensive_scale` first (the
+/// dataset-analog upscaling of perfmodel::modeled_time_scaled). Two clocks:
+/// the copy lane runs the transfers back to back and the compute lane every
+/// other record. Batch i's compute waits for transfer i; with two staging
+/// buffers, transfer i overwrites the one batch i-2 read, so it waits for
+/// that batch's last launch.
+double staged_makespan_s(const StagedRecords& records,
+                         const simgpu::DeviceSpec& spec,
+                         double extensive_scale = 1.0);
 
 }  // namespace cstf

@@ -59,8 +59,9 @@ TimeBreakdown model_time(const KernelStats& stats, const DeviceSpec& spec) {
 
   t.launch_s = static_cast<double>(stats.launches) * spec.launch_overhead;
 
-  // Compute, memory, serial chains, and double-buffered staging overlap
-  // (roofline max); launch overhead does not.
+  // Compute, memory, serial chains and host-link staging overlap (roofline
+  // max); launch overhead does not. Staging spans carry link bytes alone, so
+  // nothing double-buffers inside a span (staged_makespan_s overlaps them).
   t.total_s =
       t.launch_s + std::max({t.compute_s, t.memory_s, t.serial_s, t.link_s});
   return t;

@@ -13,7 +13,7 @@ struct TimeBreakdown {
   double compute_s = 0.0;   // flops at achievable throughput
   double memory_s = 0.0;    // effective bytes at achievable bandwidth
   double serial_s = 0.0;    // critical-path chain at the serial op rate
-  double link_s = 0.0;      // host-link staging (overlapped double-buffered)
+  double link_s = 0.0;      // host-link staging (transfer spans carry it alone)
   double launch_s = 0.0;    // per-launch fixed overhead
   double total_s = 0.0;     // launch + max(compute, memory, serial, link)
 };

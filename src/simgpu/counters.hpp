@@ -29,9 +29,10 @@ struct KernelStats {
   /// device's random-access bandwidth.
   double bytes_random = 0.0;
 
-  /// Bytes staged over the host link (PCIe/NVLink) concurrently with the
-  /// kernel — the out-of-memory streaming mode. The cost model overlaps this
-  /// with compute/memory (double buffering): the slower of the two binds.
+  /// Bytes staged over the host link (PCIe/NVLink): the out-of-memory
+  /// streamed MTTKRP's transfer spans, which carry them alone. The double
+  /// buffering of transfers against compute is modeled across spans
+  /// (staged_makespan_s), not inside one.
   double host_link_bytes = 0.0;
 
   /// Length of the longest dependent-operation chain (critical path).

@@ -6,8 +6,8 @@
 // every operand read once, every output written once, no inter-call reuse.
 // That "no reuse between kernels" property is precisely the inefficiency the
 // paper's operation fusion removes (Section 4.3.1), so metering it faithfully
-// is what makes the Figure 4 ablation reproducible. Every call is recorded on
-// the default stream.
+// is what makes the Figure 4 ablation reproducible. Every call records its
+// launches in program order, like every other kernel.
 #pragma once
 
 #include "la/blas.hpp"

@@ -9,23 +9,22 @@
 #include "simgpu/counters.hpp"
 #include "simgpu/device_spec.hpp"
 #include "simgpu/fault.hpp"
-#include "simgpu/stream.hpp"
 #include "simgpu/trace.hpp"
 
 namespace cstf::simgpu {
 
 /// One simulated execution target. Kernels run functionally on the host;
-/// every launch records its KernelStats here, and modeled_time() converts the
-/// accumulated record into execution time on this device's spec.
+/// every launch records its KernelStats here, and modeled_time_s() converts
+/// the accumulated record into execution time on this device's spec.
 ///
 /// A Device is also the unit of comparison: benches run the same algorithm
 /// once, recording into an A100 Device, an H100 Device, and a Xeon Device,
 /// and report the modeled-time ratios (plus host wall time, which is real).
 ///
-/// Work is issued to streams (see stream.hpp): every record lands on the
-/// default stream unless the caller passes an explicit one. modeled_time_s()
-/// is always the serial per-kernel sum; modeled_makespan_s() is the
-/// timeline's critical-path makespan, for a caller that overlaps streams.
+/// A Device keeps per-kernel totals only: modeled_time_s(), the serial sum
+/// over kernels, is its one modeled clock. An attached Tracer is the
+/// per-launch log; a schedule that overlaps work computes its makespan from
+/// its own records (DESIGN.md §7).
 class Device {
  public:
   explicit Device(DeviceSpec spec) : spec_(std::move(spec)) {
@@ -41,17 +40,16 @@ class Device {
 
   const DeviceSpec& spec() const { return spec_; }
 
-  /// Records one launch (or a batch) under `kernel_name` on `stream` (the
-  /// default stream unless given). `wall_s` is the measured host execution
-  /// time of the launch when the caller timed it (simgpu::launch and the
-  /// dblas wrappers do); it feeds the attached tracer's spans and does not
-  /// affect the counter totals.
+  /// Records one launch (or a batch) under `kernel_name`. `wall_s` is the
+  /// measured host execution time of the launch when the caller timed it
+  /// (simgpu::launch and the dblas wrappers do); it feeds the attached
+  /// tracer's spans and does not affect the counter totals.
   void record(const std::string& kernel_name, const KernelStats& stats,
-              double wall_s = 0.0, Stream stream = {}) {
+              double wall_s = 0.0) {
     if (fault_plan_ != nullptr) {
       // Fault check BEFORE accounting: an injected launch (or host-copy)
       // failure throws FaultError and the launch never lands in the
-      // counters/timeline — the caller's retry re-issues it cleanly.
+      // counters or the trace — the caller's retry re-issues it cleanly.
       fault_plan_->on_launch(kernel_name);
       if (stats.host_link_bytes > 0.0) {
         fault_plan_->on_host_copy(kernel_name, stats.host_link_bytes);
@@ -62,35 +60,11 @@ class Device {
     m_launches_->inc(static_cast<double>(stats.launches));
     m_flops_->inc(stats.flops);
     m_bytes_->inc(stats.total_bytes());
-    const std::int64_t idx = timeline_.add_span(stream, kernel_name, stats);
     if (tracer_ != nullptr) {
       tracer_->add_span(kernel_name, stats, wall_s,
-                        model_time(stats, spec_).total_s, stream.id(), idx,
-                        timeline_.span(idx).deps);
+                        model_time(stats, spec_).total_s);
     }
   }
-
-  /// Creates a named stream on this device's timeline. Handles stay valid
-  /// across reset() (like CUDA streams surviving between iterations). The
-  /// name is forwarded to the attached tracer so the chrome export labels
-  /// the stream's lane.
-  Stream create_stream(const std::string& name) {
-    Stream s = timeline_.create_stream(name);
-    if (tracer_ != nullptr) tracer_->name_stream(s.id(), name);
-    return s;
-  }
-
-  /// Captures "everything issued to `stream` so far" as an event.
-  Event record_event(Stream stream = {}) const {
-    return timeline_.record_event(stream);
-  }
-
-  /// Makes the next span issued to `stream` start no earlier than `event`.
-  void wait_event(Stream stream, const Event& event) {
-    timeline_.wait_event(stream, event);
-  }
-
-  const Timeline& timeline() const { return timeline_; }
 
   /// Attaches (or detaches, with nullptr) a span tracer. The tracer must
   /// outlive the device or be detached first; it is not owned and survives
@@ -114,20 +88,13 @@ class Device {
   /// Modeled execution time of everything recorded since the last reset:
   /// the serial sum over kernels, each modeled on its own accumulated record
   /// (not one aggregate) so its own working set and parallelism shape its
-  /// time. Streams do not change it; the makespan is modeled_makespan_s().
+  /// time.
   double modeled_time_s() const {
     double t = 0.0;
     for (const auto& [name, stats] : per_kernel_) {
       t += model_time(stats, spec_).total_s;
     }
     return t;
-  }
-
-  /// The timeline's critical-path makespan (with shared-bandwidth capping),
-  /// every span's extensive quantities scaled by `extensive_scale` (the
-  /// stream/overlap analog of perfmodel::modeled_time_scaled).
-  double modeled_makespan_s(double extensive_scale = 1.0) const {
-    return timeline_.makespan_s(spec_, extensive_scale);
   }
 
   /// Modeled time of a single named kernel's accumulated record.
@@ -137,19 +104,16 @@ class Device {
     return model_time(it->second, spec_).total_s;
   }
 
-  /// Clears counters and timeline spans; created streams and the attached
-  /// tracer survive, so handles stay usable across metering windows.
+  /// Clears the counters; the attached tracer and fault plan survive.
   void reset() {
     per_kernel_.clear();
     total_ = KernelStats{};
-    timeline_.reset();
   }
 
  private:
   DeviceSpec spec_;
   KernelStats total_;
   std::map<std::string, KernelStats> per_kernel_;
-  Timeline timeline_;
   Tracer* tracer_ = nullptr;          // not owned; optional
   FaultPlan* fault_plan_ = nullptr;   // not owned; optional
   // Registry-owned, valid for the process lifetime (see ctor).

@@ -18,10 +18,9 @@
 //    or block-reduce, so the restriction never binds.
 //  * `ctx.shared` is a per-block scratch buffer of `shmem_reals` real_t,
 //    zeroed at block start.
-//  * Every launch is recorded on the default stream, so there is no fourth
-//    <<<grid, block, shmem, stream>>> parameter: kernel bodies and device
-//    BLAS issue in program order, as the paper's AO iteration does. The one
-//    second lane carries staging transfers (stream.hpp).
+//  * There is no fourth <<<grid, block, shmem, stream>>> parameter: kernel
+//    bodies and device BLAS issue in program order, as the paper's AO
+//    iteration does.
 #pragma once
 
 #include <algorithm>
@@ -56,27 +55,29 @@ struct KernelCtx {
   index_t total_threads() const { return grid_dim * block_dim; }
 };
 
-/// Records one launch of `kernel_name` with geometry `cfg` on `device`'s
-/// default stream: `stats` with launches/parallel_items auto-filled if left
-/// 0. launch() records through this; a caller that executes a kernel's work
-/// some other way (the row-tiled ADMM pass) meters it as the same launch
-/// with it.
-inline void record_launch(Device& device, const std::string& kernel_name,
-                          const LaunchConfig& cfg, KernelStats stats,
-                          double wall_s = 0.0) {
+/// Records one launch of `kernel_name` with geometry `cfg` on `device`:
+/// `stats` with launches/parallel_items auto-filled if left 0. Returns the
+/// record as the device received it. launch() records through this; a
+/// caller that executes a kernel's work some other way (the row-tiled ADMM
+/// pass) meters it as the same launch with it.
+inline KernelStats record_launch(Device& device, const std::string& kernel_name,
+                                 const LaunchConfig& cfg, KernelStats stats,
+                                 double wall_s = 0.0) {
   CSTF_CHECK(cfg.grid_dim >= 1 && cfg.block_dim >= 1);
   if (stats.launches == 0) stats.launches = 1;
   if (stats.parallel_items == 0.0) {
     stats.parallel_items = static_cast<double>(cfg.grid_dim * cfg.block_dim);
   }
   device.record(kernel_name, stats, wall_s);
+  return stats;
 }
 
 /// Executes `body` for every (block, thread) pair and records `stats` on
-/// `device` (record_launch).
+/// `device` (record_launch); returns the recorded stats.
 template <typename Body>
-void launch(Device& device, const std::string& kernel_name, LaunchConfig cfg,
-            const KernelStats& stats, const Body& body) {
+KernelStats launch(Device& device, const std::string& kernel_name,
+                   LaunchConfig cfg, const KernelStats& stats,
+                   const Body& body) {
   CSTF_CHECK(cfg.grid_dim >= 1 && cfg.block_dim >= 1);
   Timer wall;
   const auto shmem = static_cast<std::size_t>(cfg.shmem_reals);
@@ -97,7 +98,7 @@ void launch(Device& device, const std::string& kernel_name, LaunchConfig cfg,
       body(ctx);
     }
   }, /*grain=*/1);
-  record_launch(device, kernel_name, cfg, stats, wall.seconds());
+  return record_launch(device, kernel_name, cfg, stats, wall.seconds());
 }
 
 /// Grid-stride helper: number of blocks covering `n` items with `block_dim`

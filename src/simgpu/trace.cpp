@@ -49,8 +49,7 @@ void Tracer::end_phase() {
 }
 
 void Tracer::add_span(const std::string& kernel, const KernelStats& stats,
-                      double wall_s, double modeled_s, int stream,
-                      std::int64_t seq, const std::vector<std::int64_t>& deps) {
+                      double wall_s, double modeled_s) {
   std::lock_guard<std::mutex> lock(mu_);
   TraceSpan span;
   span.kernel = kernel;
@@ -60,20 +59,7 @@ void Tracer::add_span(const std::string& kernel, const KernelStats& stats,
   span.wall_s = wall_s;
   span.modeled_s = modeled_s;
   span.stats = stats;
-  span.stream = stream;
-  span.seq = seq;
-  span.deps = deps;
   spans_.push_back(std::move(span));
-}
-
-void Tracer::name_stream(int stream, const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  stream_names_[stream] = name;
-}
-
-std::map<int, std::string> Tracer::stream_names() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stream_names_;
 }
 
 std::vector<TraceSpan> Tracer::spans() const {
@@ -171,82 +157,36 @@ std::string Tracer::chrome_trace_json() const {
   // Copy under the lock, format outside it.
   std::vector<TraceSpan> spans;
   std::vector<PhaseSpan> phases;
-  std::map<int, std::string> lane_names;
   {
     std::lock_guard<std::mutex> lock(mu_);
     spans = spans_;
     phases = phase_spans_;
-    lane_names = stream_names_;
   }
   std::ostringstream os;
-  os << "{\"traceEvents\":[";
-  bool first = true;
-  // Lane names as chrome metadata events: tid 0 is the phase lane, tid 1 the
-  // default stream, tid 1 + k each created stream (named via name_stream —
-  // Device::create_stream forwards its stream names; the serve engines use
-  // this for their per-engine lanes).
-  lane_names.emplace(0, "default stream");
-  for (const TraceSpan& s : spans) lane_names.emplace(s.stream, "");
-  const auto metadata = [&](int tid, const std::string& name) {
-    if (!first) os << ',';
-    first = false;
-    os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" << tid
-       << ",\"args\":{\"name\":\"" << json::escape(name) << "\"}}";
-  };
-  metadata(0, "phases");
-  for (const auto& [stream, name] : lane_names) {
-    metadata(1 + stream,
-             name.empty() ? "stream " + std::to_string(stream) : name);
-  }
+  // Lane names as chrome metadata events: phases on tid 0, kernels on tid 1.
+  os << "{\"traceEvents\":["
+     << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0"
+     << ",\"args\":{\"name\":\"phases\"}}"
+     << ",{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":1"
+     << ",\"args\":{\"name\":\"kernels\"}}";
   for (const PhaseSpan& p : phases) {
-    if (!first) os << ',';
-    first = false;
-    os << "{\"name\":\"" << json::escape(p.phase)
+    os << ",{\"name\":\"" << json::escape(p.phase)
        << "\",\"cat\":\"phase\",\"ph\":\"X\",\"pid\":1,\"tid\":0"
        << ",\"ts\":" << json::number(p.start_s * 1e6)
        << ",\"dur\":" << json::number(p.wall_s * 1e6) << '}';
   }
-  // Spans by device-timeline index, for resolving dependency edges to their
-  // source span's lane and end time.
-  std::map<std::int64_t, const TraceSpan*> by_seq;
   for (const TraceSpan& s : spans) {
-    if (s.seq >= 0) by_seq[s.seq] = &s;
-  }
-  const auto dur_of = [](const TraceSpan& s) {
-    return s.wall_s > 0.0 ? s.wall_s : s.modeled_s;
-  };
-  std::int64_t flow_id = 0;
-  for (const TraceSpan& s : spans) {
-    if (!first) os << ',';
-    first = false;
-    // Stream lanes: default stream on tid 1 (unchanged from before streams
-    // existed), stream k on tid 1 + k; phases keep tid 0.
-    const double dur_s = dur_of(s);
-    os << "{\"name\":\"" << json::escape(s.kernel)
-       << "\",\"cat\":\"kernel\",\"ph\":\"X\",\"pid\":1,\"tid\":" << 1 + s.stream
+    const double dur_s = s.wall_s > 0.0 ? s.wall_s : s.modeled_s;
+    os << ",{\"name\":\"" << json::escape(s.kernel)
+       << "\",\"cat\":\"kernel\",\"ph\":\"X\",\"pid\":1,\"tid\":1"
        << ",\"ts\":" << json::number(s.start_s * 1e6)
        << ",\"dur\":" << json::number(dur_s * 1e6) << ",\"args\":{"
        << "\"phase\":\"" << json::escape(s.phase) << '"'
-       << ",\"stream\":" << s.stream
        << ",\"flops\":" << json::number(s.stats.flops)
        << ",\"bytes\":" << json::number(s.stats.total_bytes())
        << ",\"launches\":" << s.stats.launches
        << ",\"modeled_s\":" << json::number(s.modeled_s)
        << ",\"wall_s\":" << json::number(s.wall_s) << "}}";
-    // One flow arrow per event-dependency edge: "s" at the end of the source
-    // span, "f" (binding to the enclosing slice) at the start of this span.
-    for (const std::int64_t dep : s.deps) {
-      const auto it = by_seq.find(dep);
-      if (it == by_seq.end()) continue;
-      const TraceSpan& src = *it->second;
-      os << ",{\"name\":\"event\",\"cat\":\"dep\",\"ph\":\"s\",\"pid\":1"
-         << ",\"tid\":" << 1 + src.stream << ",\"id\":" << flow_id
-         << ",\"ts\":" << json::number((src.start_s + dur_of(src)) * 1e6) << '}'
-         << ",{\"name\":\"event\",\"cat\":\"dep\",\"ph\":\"f\",\"bp\":\"e\""
-         << ",\"pid\":1,\"tid\":" << 1 + s.stream << ",\"id\":" << flow_id
-         << ",\"ts\":" << json::number(s.start_s * 1e6) << '}';
-      ++flow_id;
-    }
   }
   os << "]}";
   return os.str();

@@ -43,9 +43,6 @@ struct TraceSpan {
   double wall_s = 0.0;  ///< measured host execution time (0 when untimed)
   double modeled_s = 0.0; ///< roofline time of this span on the device spec
   KernelStats stats;
-  int stream = 0;         ///< issuing stream id (0 = default stream)
-  std::int64_t seq = -1;  ///< device-timeline span index (-1: not timeline-tracked)
-  std::vector<std::int64_t> deps;  ///< timeline indices of event dependencies
 };
 
 /// One completed phase interval (for the timeline exporter).
@@ -78,21 +75,9 @@ class Tracer {
   void end_phase();
 
   /// Records one span. Called by Device::record; `modeled_s` is the roofline
-  /// time of `stats` alone on the recording device's spec. `stream`/`seq`/
-  /// `deps` carry the device-timeline placement (stream lane, span index,
-  /// event-dependency edges) for the chrome exporter's lanes and flow arrows.
+  /// time of `stats` alone on the recording device's spec.
   void add_span(const std::string& kernel, const KernelStats& stats,
-                double wall_s, double modeled_s, int stream = 0,
-                std::int64_t seq = -1,
-                const std::vector<std::int64_t>& deps = {});
-
-  /// Names a stream lane for the chrome exporter (Device::create_stream
-  /// forwards the name of every stream it creates while a tracer is
-  /// attached). Unnamed lanes fall back to "stream <id>".
-  void name_stream(int stream, const std::string& name);
-
-  /// The recorded lane names, keyed by stream id (exposed for tests).
-  std::map<int, std::string> stream_names() const;
+                double wall_s, double modeled_s);
 
   /// Copy of every span recorded so far (cheap for test-sized traces).
   std::vector<TraceSpan> spans() const;
@@ -120,11 +105,8 @@ class Tracer {
   std::string summary_table() const;
 
   /// chrome://tracing JSON ({"traceEvents":[...]}): one complete ("X") event
-  /// per span on tid 1 + stream id — the default stream stays on tid 1, each
-  /// created stream gets its own lane — (duration = wall time, falling back
-  /// to modeled time for untimed spans), one per closed phase on tid 0, and
-  /// one "s"/"f" flow-event pair per event-dependency edge so stream
-  /// synchronization shows up as arrows between lanes.
+  /// per closed phase on tid 0 and one per span on tid 1 (duration = wall
+  /// time, falling back to modeled time for untimed spans).
   std::string chrome_trace_json() const;
   void write_chrome_trace(const std::string& path) const;
 
@@ -139,7 +121,6 @@ class Tracer {
   std::vector<double> phase_start_;
   std::vector<TraceSpan> spans_;
   std::vector<PhaseSpan> phase_spans_;
-  std::map<int, std::string> stream_names_;
 };
 
 /// RAII phase guard; a null tracer makes it a no-op, so callers can scope

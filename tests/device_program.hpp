@@ -1,7 +1,7 @@
 // Pins a device program span by span: the tests that use it assert the exact
-// sequence of timeline spans a solve issues (kernel name, stream and every
-// KernelStats field, compared exactly), so a refactor of how work is issued
-// cannot silently change what is issued.
+// sequence of spans a solve issues, as an attached Tracer logs them (kernel
+// name and every KernelStats field, compared exactly), so a refactor of how
+// work is issued cannot silently change what is issued.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -9,7 +9,7 @@
 #include <string>
 #include <vector>
 
-#include "simgpu/device.hpp"
+#include "simgpu/trace.hpp"
 
 namespace cstf::golden {
 
@@ -38,18 +38,16 @@ inline void append_admm_rounds(std::vector<ExpectedSpan>& program,
   }
 }
 
-/// Every span of `device`'s timeline, in issue order, on the default stream.
-inline void expect_device_program(const simgpu::Device& device,
+/// Every span `tracer` logged, in issue order.
+inline void expect_device_program(const simgpu::Tracer& tracer,
                                   const std::vector<ExpectedSpan>& expected) {
-  const simgpu::Timeline& timeline = device.timeline();
-  ASSERT_EQ(timeline.span_count(), expected.size());
+  const std::vector<simgpu::TraceSpan> spans = tracer.spans();
+  ASSERT_EQ(spans.size(), expected.size());
   for (std::size_t i = 0; i < expected.size(); ++i) {
-    const simgpu::Timeline::Span& span =
-        timeline.span(static_cast<std::int64_t>(i));
+    const simgpu::TraceSpan& span = spans[i];
     const simgpu::KernelStats& want = expected[i].stats;
     SCOPED_TRACE("span " + std::to_string(i) + " " + expected[i].kernel);
     EXPECT_EQ(span.kernel, expected[i].kernel);
-    EXPECT_EQ(span.stream, 0);
     EXPECT_EQ(span.stats.flops, want.flops);
     EXPECT_EQ(span.stats.bytes_streamed, want.bytes_streamed);
     EXPECT_EQ(span.stats.bytes_reused, want.bytes_reused);

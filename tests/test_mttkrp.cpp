@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <initializer_list>
 #include <tuple>
+#include <utility>
 
 #include "formats/alto.hpp"
 #include "formats/blco.hpp"
@@ -236,38 +238,43 @@ TEST(Mttkrp, StreamedDegeneratesToResidentWhenItFits) {
 }
 
 TEST(Mttkrp, StreamedCopyStreamPipelineMatchesAndOverlaps) {
-  // Passing an explicit copy stream changes only the time model: results are
-  // bit-identical, staging traffic moves onto dedicated stage spans, and the
-  // double-buffered makespan lands in [compute-only, copy-then-compute sum].
+  // Each batch stages its blocks as its own mttkrp_stage_batch span, which
+  // carries every host-link byte; the kernels carry none. Asking for the
+  // records changes no result bit, and the double-buffered makespan of
+  // those records lands in [compute-only, copy-then-compute sum].
   SparseTensor t = random_tensor({80, 70, 60}, 6000, 61);
   const auto factors = random_factors(t, 16, 62);
   const BlcoTensor blco(t, 256);
+  const double budget = blco.storage_bytes() / 4.0;
 
-  simgpu::Device legacy(simgpu::a100());
+  simgpu::Device plain(simgpu::a100());
   Matrix want(t.dim(0), 16);
-  const index_t batches = mttkrp_blco_streamed(legacy, blco, factors, 0, want,
-                                               blco.storage_bytes() / 4.0);
+  const index_t batches =
+      mttkrp_blco_streamed(plain, blco, factors, 0, want, budget);
   ASSERT_GE(batches, 4);
 
-  simgpu::Device piped(simgpu::a100());
-  const simgpu::Stream copy = piped.create_stream("h2d_copy");
+  simgpu::Device dev(simgpu::a100());
   Matrix got(t.dim(0), 16);
-  const index_t batches2 = mttkrp_blco_streamed(
-      piped, blco, factors, 0, got, blco.storage_bytes() / 4.0, copy);
-  EXPECT_EQ(batches2, batches);
+  StagedRecords staged;
+  EXPECT_EQ(mttkrp_blco_streamed(dev, blco, factors, 0, got, budget, &staged),
+            batches);
   EXPECT_EQ(max_abs_diff(got, want), 0.0);
+  ASSERT_EQ(static_cast<index_t>(staged.batches.size()), batches);
 
-  // All staged bytes land on the stage spans, none on the compute kernel.
-  const auto& stage = piped.per_kernel().at("mttkrp_stage_batch");
-  const auto& legacy_stats = legacy.per_kernel().at("mttkrp_blco_streamed");
-  EXPECT_NEAR(stage.host_link_bytes, legacy_stats.host_link_bytes, 1.0);
+  double staged_bytes = 0.0;
+  for (const StagedRecords::Batch& batch : staged.batches) {
+    staged_bytes += batch.transfer.host_link_bytes;
+  }
+  const auto& stage = dev.per_kernel().at("mttkrp_stage_batch");
+  EXPECT_EQ(stage.launches, batches);
+  EXPECT_DOUBLE_EQ(stage.host_link_bytes, staged_bytes);
+  EXPECT_DOUBLE_EQ(dev.total().host_link_bytes, stage.host_link_bytes);
   EXPECT_DOUBLE_EQ(
-      piped.per_kernel().at("mttkrp_blco_streamed").host_link_bytes, 0.0);
+      dev.per_kernel().at("mttkrp_blco_streamed").host_link_bytes, 0.0);
 
-  const double serial = piped.modeled_time_s();
-  const double overlap = piped.modeled_makespan_s();
-  const double compute_only =
-      piped.modeled_kernel_time_s("mttkrp_blco_streamed");
+  const double serial = dev.modeled_time_s();
+  const double overlap = staged_makespan_s(staged, dev.spec());
+  const double compute_only = dev.modeled_kernel_time_s("mttkrp_blco_streamed");
   EXPECT_LE(overlap, serial * (1.0 + 1e-12));
   EXPECT_GE(overlap, compute_only * (1.0 - 1e-12));
 }
@@ -279,8 +286,9 @@ TEST(Mttkrp, StreamedChargesHostLinkTraffic) {
   simgpu::Device dev(simgpu::a100());
   Matrix out(t.dim(0), 16);
   mttkrp_blco_streamed(dev, blco, factors, 0, out, blco.storage_bytes() / 8.0);
-  const auto& stats = dev.per_kernel().at("mttkrp_blco_streamed");
-  // Every compressed byte must have been staged exactly once.
+  const auto& stats = dev.per_kernel().at("mttkrp_stage_batch");
+  // Every compressed byte must have been staged exactly once, and only by
+  // the transfer spans.
   double expected = 0.0;
   for (index_t b = 0; b < blco.num_blocks(); ++b) {
     expected += static_cast<double>(blco.block(b).packed_deltas.size()) *
@@ -288,8 +296,114 @@ TEST(Mttkrp, StreamedChargesHostLinkTraffic) {
                 static_cast<double>(blco.block(b).count) * sizeof(real_t);
   }
   EXPECT_NEAR(stats.host_link_bytes, expected, 1.0);
+  EXPECT_DOUBLE_EQ(dev.total().host_link_bytes, stats.host_link_bytes);
   const auto t_model = simgpu::model_time(stats, dev.spec());
   EXPECT_GT(t_model.link_s, 0.0);
+}
+
+// --- the double-buffered staging recurrence ----------------------------------
+
+// A record whose modeled time is exactly `seconds`: a chain of seconds x
+// serial_op_rate dependent ops with no traffic and no launch, so it is not
+// rescaled (serial depth is intensive).
+simgpu::KernelStats serial_span(const simgpu::DeviceSpec& spec,
+                                double seconds) {
+  simgpu::KernelStats s;
+  s.serial_depth = seconds * spec.serial_op_rate;
+  return s;
+}
+
+// Records with an empty zero-fill and one launch per batch, each batch given
+// as {transfer, compute} seconds.
+StagedRecords serial_batches(
+    const simgpu::DeviceSpec& spec,
+    std::initializer_list<std::pair<double, double>> batches) {
+  StagedRecords records;
+  for (const auto& [transfer_s, compute_s] : batches) {
+    records.batches.push_back(
+        {serial_span(spec, transfer_s), {serial_span(spec, compute_s)}});
+  }
+  return records;
+}
+
+// The copy-then-compute sum: every record modeled on its own, added up.
+double serial_sum_s(const StagedRecords& records,
+                    const simgpu::DeviceSpec& spec) {
+  double t = simgpu::model_time(records.zero_fill, spec).total_s;
+  for (const StagedRecords::Batch& batch : records.batches) {
+    t += simgpu::model_time(batch.transfer, spec).total_s;
+    for (const simgpu::KernelStats& stats : batch.compute) {
+      t += simgpu::model_time(stats, spec).total_s;
+    }
+  }
+  return t;
+}
+
+TEST(StagedMakespan, TwoBatchPipelineIsHandComputed) {
+  // Classic double-buffered copy/compute pipeline with known durations:
+  //   copy:    t0 [0,2]  t1 [2,4]
+  //   compute: c0 waits t0 -> [2,5]; c1 waits t1 -> [5,8]
+  // The serial sum is 10 s; the pipelined makespan must be exactly 8 s.
+  const simgpu::DeviceSpec spec = simgpu::a100();
+  StagedRecords records = serial_batches(spec, {{2.0, 3.0}, {2.0, 3.0}});
+  EXPECT_DOUBLE_EQ(staged_makespan_s(records, spec), 8.0);
+  EXPECT_DOUBLE_EQ(serial_sum_s(records, spec), 10.0);
+  // The zero-fill heads the compute lane: c0 -> [2.5,5.5], c1 -> [5.5,8.5].
+  records.zero_fill = serial_span(spec, 2.5);
+  EXPECT_DOUBLE_EQ(staged_makespan_s(records, spec), 8.5);
+}
+
+TEST(StagedMakespan, TransferWaitsForTheComputeTwoBatchesBack) {
+  // Two staging buffers: transfer 2 overwrites the buffer compute 0 reads,
+  // so it waits for compute 0 although the copy lane is idle from t = 2:
+  //   copy:    t0 [0,1]  t1 [1,2]    t2 waits c0 -> [4,9]
+  //   compute: c0 [1,4]  c1 [4,4.5]  c2 waits t2 -> [9,10]
+  // Without that wait t2 would run [2,7] and c2 [7,8], a makespan of 8 s.
+  // The serial sum is 11.5 s.
+  const simgpu::DeviceSpec spec = simgpu::a100();
+  const StagedRecords records =
+      serial_batches(spec, {{1.0, 3.0}, {1.0, 0.5}, {5.0, 1.0}});
+  EXPECT_DOUBLE_EQ(staged_makespan_s(records, spec), 10.0);
+  EXPECT_DOUBLE_EQ(serial_sum_s(records, spec), 11.5);
+}
+
+TEST(StagedMakespan, ComputeHidesBehindHostLinkTransfer) {
+  // A flop-bound kernel and a host-link transfer use different resources,
+  // so the pipeline overlaps them: the makespan is at least the busier
+  // lane, and well below the serial sum.
+  const simgpu::DeviceSpec spec = simgpu::a100();
+  simgpu::KernelStats compute;
+  compute.flops = 1e12;
+  compute.parallel_items = 1e9;
+  simgpu::KernelStats copy;
+  copy.host_link_bytes = 1e9;
+  copy.parallel_items = 1.0;
+  StagedRecords records;
+  for (int i = 0; i < 4; ++i) records.batches.push_back({copy, {compute}});
+  const double t_compute = simgpu::model_time(compute, spec).total_s;
+  const double t_copy = simgpu::model_time(copy, spec).total_s;
+  const double makespan = staged_makespan_s(records, spec);
+  EXPECT_GE(makespan, 4.0 * std::max(t_compute, t_copy) * (1 - 1e-12));
+  EXPECT_LT(makespan, 0.99 * serial_sum_s(records, spec));
+}
+
+TEST(StagedMakespan, ScalesExtensiveQuantities) {
+  // staged_makespan_s(records, spec, k) upscales each record like
+  // perfmodel::modeled_time_scaled: a bandwidth-bound schedule's time grows
+  // by k; a serial chain's does not.
+  const simgpu::DeviceSpec spec = simgpu::a100();
+  simgpu::KernelStats memory;
+  memory.bytes_streamed = 1e9;
+  memory.parallel_items = 1e9;
+  simgpu::KernelStats link;
+  link.host_link_bytes = 1e9;
+  StagedRecords records;
+  records.batches.push_back({link, {memory}});
+  const double base = staged_makespan_s(records, spec);
+  EXPECT_NEAR(staged_makespan_s(records, spec, 10.0), 10.0 * base,
+              1e-9 * base);
+  EXPECT_DOUBLE_EQ(
+      staged_makespan_s(serial_batches(spec, {{1.0, 2.0}}), spec, 10.0), 3.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -332,8 +446,8 @@ TEST_P(ScatterStrategySweep, AllEnginesMatchReferenceOnEveryMode) {
 INSTANTIATE_TEST_SUITE_P(Strategies, ScatterStrategySweep,
                          ::testing::Values(ScatterStrategy::kPrivatized,
                                            ScatterStrategy::kSorted),
-                         [](const auto& info) {
-                           return scatter_strategy_name(info.param);
+                         [](const auto& name_info) {
+                           return scatter_strategy_name(name_info.param);
                          });
 
 TEST(Scatter, CachedPlanMatchesOneShotBuild) {
@@ -360,7 +474,9 @@ TEST(Scatter, PlanSegmentsPartitionNonzerosByRow) {
   for (index_t s = 0; s < plan.num_segments(); ++s) {
     const auto su = static_cast<std::size_t>(s);
     ASSERT_LT(plan.seg_ptr[su], plan.seg_ptr[su + 1]);  // no empty segments
-    if (s > 0) ASSERT_LT(plan.seg_row[su - 1], plan.seg_row[su]);
+    if (s > 0) {
+      ASSERT_LT(plan.seg_row[su - 1], plan.seg_row[su]);
+    }
     for (index_t k = plan.seg_ptr[su]; k < plan.seg_ptr[su + 1]; ++k) {
       const index_t i = plan.order[static_cast<std::size_t>(k)];
       ASSERT_EQ(rows[static_cast<std::size_t>(i)], plan.seg_row[su]);

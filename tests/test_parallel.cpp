@@ -223,7 +223,7 @@ TEST(ParallelFor, SkewedWorkloadStillCoversRangeExactlyOnce) {
       [&](index_t i) {
         if (i < n / 16) {
           volatile double sink = 0.0;
-          for (int k = 0; k < 200; ++k) sink += static_cast<double>(k);
+          for (int k = 0; k < 200; ++k) sink = sink + static_cast<double>(k);
         }
         hits[i].fetch_add(1);
       },

@@ -492,19 +492,23 @@ const golden::AdmmRoundStats kFoldInRound = {
 
 TEST(FoldInProgram, CachedGramPathIssuesRhsThenTenAdmmRounds) {
   const ServableModel snapshot(make_saved_model(), 1);
+  simgpu::Tracer tracer;
   simgpu::Device device(simgpu::a100());
+  device.set_tracer(&tracer);
   ServeRuntime runtime(device, global_pool());
   FoldInEngine engine(runtime);
   engine.fold_in_batch(snapshot, program_requests(snapshot));
 
   std::vector<golden::ExpectedSpan> program = {kFoldInRhs};
   golden::append_admm_rounds(program, kFoldInRound, 10);
-  golden::expect_device_program(device, program);
+  golden::expect_device_program(tracer, program);
 }
 
 TEST(FoldInProgram, PerRequestPathFactorsTheGramBeforeTheAdmmRounds) {
   const ServableModel snapshot(make_saved_model(), 1);
+  simgpu::Tracer tracer;
   simgpu::Device device(simgpu::a100());
+  device.set_tracer(&tracer);
   ServeRuntime runtime(device, global_pool());
   FoldInOptions options;
   options.use_cached_gram = false;
@@ -518,7 +522,7 @@ TEST(FoldInProgram, PerRequestPathFactorsTheGramBeforeTheAdmmRounds) {
       {"dpotri", {.flops = 54, .bytes_streamed = 144, .serial_depth = 18,
                   .parallel_items = 3, .launches = 1}}};
   golden::append_admm_rounds(program, kFoldInRound, 10);
-  golden::expect_device_program(device, program);
+  golden::expect_device_program(tracer, program);
 }
 
 TEST(FoldInBatcher, ManualFlushIsDeterministic) {

@@ -2,7 +2,6 @@
 // device BLAS.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <vector>
 
@@ -323,21 +322,8 @@ TEST(DeviceBlas, Dnrm2MatchesHostNorm) {
   EXPECT_EQ(dev.per_kernel().count("dnrm2"), 1u);
 }
 
-// --- streams and the modeled timeline ---------------------------------------
-
-// A metered span whose modeled time is exactly `seconds`: a chain of
-// seconds x serial_op_rate dependent ops with no traffic and no launch, so it
-// occupies neither the memory system nor the host link and is not rescaled
-// (serial depth is intensive).
-KernelStats serial_span(const Device& dev, double seconds) {
-  KernelStats s;
-  s.serial_depth = seconds * dev.spec().serial_op_rate;
-  return s;
-}
-
-TEST(Stream, DefaultStreamOnlyModelsAsLegacySerialSum) {
-  // modeled_time_s() is the serial per-kernel-aggregate sum; on a chain of
-  // distinct default-stream kernels the makespan equals it.
+TEST(Device, ModeledTimeIsSerialPerKernelSum) {
+  // modeled_time_s() is the serial sum of the per-kernel-aggregate times.
   Device dev(simgpu::a100());
   KernelStats a;
   a.bytes_streamed = 1e8;
@@ -354,115 +340,6 @@ TEST(Stream, DefaultStreamOnlyModelsAsLegacySerialSum) {
     sum += dev.modeled_kernel_time_s(name);
   }
   EXPECT_DOUBLE_EQ(dev.modeled_time_s(), sum);
-  EXPECT_DOUBLE_EQ(dev.modeled_makespan_s(), dev.modeled_time_s());
-}
-
-TEST(Stream, TwoStreamPipelineMakespanIsHandComputed) {
-  // Classic double-buffered copy/compute pipeline with known durations:
-  //   copy:    copy0 [0,2]  copy1 [2,4]
-  //   default: compute0 waits copy0 -> [2,5]; compute1 waits copy1 -> [5,8]
-  // Serial sum is 10 s; the pipelined makespan must be exactly 8 s, and
-  // modeled_time_s() stays the serial sum whatever the streams.
-  Device dev(simgpu::a100());
-  const simgpu::Stream copy = dev.create_stream("copy");
-  dev.record("copy0", serial_span(dev, 2.0), 0.0, copy);
-  const simgpu::Event e0 = dev.record_event(copy);
-  dev.record("copy1", serial_span(dev, 2.0), 0.0, copy);
-  const simgpu::Event e1 = dev.record_event(copy);
-  dev.wait_event(simgpu::Stream{}, e0);
-  dev.record("compute0", serial_span(dev, 3.0));
-  dev.wait_event(simgpu::Stream{}, e1);
-  dev.record("compute1", serial_span(dev, 3.0));
-  EXPECT_DOUBLE_EQ(dev.modeled_makespan_s(), 8.0);
-  EXPECT_DOUBLE_EQ(dev.modeled_time_s(), 10.0);
-}
-
-TEST(Stream, EventOrdersConsumerAfterProducer) {
-  Device dev(simgpu::a100());
-  dev.record("produce", serial_span(dev, 1.0));
-  const simgpu::Event done = dev.record_event();
-  const simgpu::Stream s = dev.create_stream("consumer");
-  dev.wait_event(s, done);
-  dev.record("consume", serial_span(dev, 1.0), 0.0, s);
-  EXPECT_DOUBLE_EQ(dev.modeled_makespan_s(), 2.0);  // serialized by the event
-}
-
-TEST(Stream, UnrecordedEventWaitIsNoOp) {
-  Device dev(simgpu::a100());
-  const simgpu::Stream s = dev.create_stream("other");
-  simgpu::Event never;
-  EXPECT_FALSE(never.recorded());
-  dev.wait_event(s, never);
-  dev.record("a", serial_span(dev, 1.0));
-  dev.record("b", serial_span(dev, 1.0), 0.0, s);
-  EXPECT_DOUBLE_EQ(dev.modeled_makespan_s(), 1.0);  // fully overlapped
-}
-
-TEST(Stream, BandwidthBoundSpansCannotOverlapBeyondRoofline) {
-  // Two memory-bound kernels on two streams share one memory system: the
-  // makespan is clamped to their summed memory busy time — identical to
-  // running them back to back.
-  Device dev(simgpu::a100());
-  KernelStats stats;
-  stats.bytes_streamed = 1e9;
-  stats.parallel_items = 1e9;
-  const simgpu::Stream s = dev.create_stream("second");
-  dev.record("mem_a", stats);
-  dev.record("mem_b", stats, 0.0, s);
-  const double one = simgpu::model_time(stats, dev.spec()).memory_s;
-  EXPECT_NEAR(dev.modeled_makespan_s(), 2.0 * one, 1e-12);
-  EXPECT_NEAR(dev.modeled_makespan_s(), dev.modeled_time_s(),
-              1e-9 * dev.modeled_time_s());
-}
-
-TEST(Stream, ComputeHidesBehindHostLinkTransfer) {
-  // A flop-bound kernel and a host-link transfer use different resources, so
-  // they genuinely overlap: makespan ~ max, strictly below the serial sum.
-  Device dev(simgpu::a100());
-  KernelStats compute;
-  compute.flops = 1e12;
-  compute.parallel_items = 1e9;
-  KernelStats copy;
-  copy.host_link_bytes = 1e9;
-  copy.parallel_items = 1.0;
-  const simgpu::Stream h2d = dev.create_stream("h2d");
-  dev.record("compute", compute);
-  dev.record("copy", copy, 0.0, h2d);
-  const double t_compute = simgpu::model_time(compute, dev.spec()).total_s;
-  const double t_copy = simgpu::model_time(copy, dev.spec()).total_s;
-  EXPECT_GE(dev.modeled_makespan_s(),
-            std::max(t_compute, t_copy) * (1 - 1e-12));
-  EXPECT_LT(dev.modeled_makespan_s(), 0.99 * dev.modeled_time_s());
-}
-
-TEST(Stream, ResetKeepsStreamHandlesUsable) {
-  Device dev(simgpu::a100());
-  const simgpu::Stream s = dev.create_stream("kept");
-  dev.record("x", serial_span(dev, 1.0), 0.0, s);
-  EXPECT_EQ(dev.timeline().span_count(), 1u);
-  dev.reset();
-  EXPECT_EQ(dev.timeline().span_count(), 0u);
-  EXPECT_EQ(dev.timeline().num_streams(), 2);
-  EXPECT_EQ(dev.timeline().stream_name(s.id()), "kept");
-  dev.record("y", serial_span(dev, 1.0), 0.0, s);  // still targets its lane
-  EXPECT_EQ(dev.timeline().span(0).stream, s.id());
-  EXPECT_DOUBLE_EQ(dev.modeled_makespan_s(), 1.0);
-}
-
-TEST(Stream, MakespanScalesExtensiveQuantities) {
-  // modeled_makespan_s(k) is the stream analog of modeled_time_scaled: a
-  // bandwidth-bound span's time grows by k; a serial chain's does not.
-  Device dev(simgpu::a100());
-  KernelStats stats;
-  stats.bytes_streamed = 1e9;
-  stats.parallel_items = 1e9;
-  dev.record("mem", stats, 0.0, dev.create_stream("lane"));
-  const double base = dev.modeled_makespan_s();
-  EXPECT_NEAR(dev.modeled_makespan_s(10.0), 10.0 * base, 1e-9 * base);
-  Device chain(simgpu::a100());
-  chain.record("chain", serial_span(chain, 2.0), 0.0,
-               chain.create_stream("lane"));
-  EXPECT_DOUBLE_EQ(chain.modeled_makespan_s(10.0), 2.0);
 }
 
 }  // namespace

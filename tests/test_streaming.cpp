@@ -263,10 +263,12 @@ TEST(StreamingProgram, EachSliceProjectsSolvesTimeThenUpdatesEveryMode) {
   // Two rank-2 slices of a 4 x 3 stream. Per slice: the temporal projection,
   // the temporal row's converged ADMM solve (tolerance-driven, so its round
   // count is part of the program), then per mode the weighted slice MTTKRP
-  // and a ten-round factor update — all on the default stream.
+  // and a ten-round factor update, in that order.
   StreamingOptions opt;
   opt.rank = 2;
+  simgpu::Tracer tracer;
   StreamingCstf stream({4, 3}, opt);
+  stream.device().set_tracer(&tracer);
   const std::vector<SparseTensor> slices = random_slices(4, 3, {5, 8}, 31);
   ASSERT_EQ(slices[0].nnz(), 4);
   ASSERT_EQ(slices[1].nnz(), 5);
@@ -325,7 +327,7 @@ TEST(StreamingProgram, EachSliceProjectsSolvesTimeThenUpdatesEveryMode) {
   };
   append_slice(4, 22);
   append_slice(5, 64);
-  golden::expect_device_program(stream.device(), program);
+  golden::expect_device_program(tracer, program);
 }
 
 TEST(Streaming, IngestFaultPoisonsTheStream) {

@@ -543,18 +543,20 @@ TEST(Admm, DiagnosticsBitReproducibleAcrossRepeatedRuns) {
 // small to ever exit, so every inner iteration runs) and through the
 // row-tiled pass (tolerance 0) from the same start, and requires identical
 // H and U bits and an identical device record: the same spans, in the same
-// order, on the same stream, with the same stats.
+// order, with the same stats, as an attached Tracer logs them.
 void expect_row_tiles_match_per_kernel(const Matrix& s, const Matrix& m,
                                        const Matrix& h0, const Proximity& prox) {
   constexpr int kIterations = 10;
   Matrix h_out[2], u_out[2];
-  std::vector<simgpu::Timeline::Span> spans[2];
+  std::vector<simgpu::TraceSpan> spans[2];
   for (int tiled = 0; tiled < 2; ++tiled) {
     AdmmOptions opt;
     opt.prox = prox;
     opt.inner_iterations = kIterations;
     opt.tolerance = tiled ? 0.0 : 1e-300;
+    simgpu::Tracer tracer;
     simgpu::Device dev(simgpu::a100());
+    dev.set_tracer(&tracer);
     AdmmUpdate admm(opt);
     Matrix h = h0;
     ModeState state;
@@ -564,19 +566,16 @@ void expect_row_tiles_match_per_kernel(const Matrix& s, const Matrix& m,
     EXPECT_EQ(state.aux.empty(), tiled == 1);
     h_out[tiled] = std::move(h);
     u_out[tiled] = std::move(state.dual);
-    for (std::size_t i = 0; i < dev.timeline().span_count(); ++i) {
-      spans[tiled].push_back(dev.timeline().span(static_cast<std::int64_t>(i)));
-    }
+    spans[tiled] = tracer.spans();
   }
   EXPECT_TRUE(bitwise_equal(h_out[0], h_out[1]));
   EXPECT_TRUE(bitwise_equal(u_out[0], u_out[1]));
   ASSERT_EQ(spans[0].size(), spans[1].size());
   for (std::size_t i = 0; i < spans[0].size(); ++i) {
-    const simgpu::Timeline::Span& a = spans[0][i];
-    const simgpu::Timeline::Span& b = spans[1][i];
+    const simgpu::TraceSpan& a = spans[0][i];
+    const simgpu::TraceSpan& b = spans[1][i];
     SCOPED_TRACE("span " + std::to_string(i) + " " + a.kernel);
     EXPECT_EQ(a.kernel, b.kernel);
-    EXPECT_EQ(a.stream, b.stream);
     EXPECT_EQ(a.stats.flops, b.stats.flops);
     EXPECT_EQ(a.stats.bytes_streamed, b.stats.bytes_streamed);
     EXPECT_EQ(a.stats.bytes_reused, b.stats.bytes_reused);
