@@ -10,7 +10,7 @@
 # index fails the script.
 #
 # After the plain pass, a determinism gate repeats the mttkrp-, dimtree-,
-# exec-, updates- and determinism-labeled groups five times each at
+# cstf-, updates- and determinism-labeled groups five times each at
 # CSTF_THREADS=1 and 4 (ctest --repeat until-fail:5); the determinism label
 # holds the bit-identity tests registered a second time at one worker.
 #
@@ -34,9 +34,9 @@
 # Knobs (env vars): CSTF_CHECK_SKIP_SANITIZE=1 skips the second pass (useful
 # on toolchains without sanitizer runtimes), CSTF_CHECK_SKIP_PERF=1,
 # CSTF_CHECK_TSAN=1 adds a ThreadSanitizer pass (-DCSTF_TSAN=ON) over the
-# exec-, mttkrp-, dimtree-, metrics-, updates- and serve-labeled ctest
-# groups (the executor/plan-cache layer the trainer's AO iteration
-# submits through, the MTTKRP kernels' pooled private tiles and
+# cstf-, mttkrp-, dimtree-, metrics-, updates- and serve-labeled ctest
+# groups (the trainer's AO loop and the framework around it, the MTTKRP
+# kernels' pooled private tiles and
 # parallel transposes, the dimension-tree engine's parallel chain derives,
 # the metrics registry's lock-free counter hot path, the row-tiled ADMM
 # pass's per-worker buffers and per-tile partials, and the fold-in
@@ -59,7 +59,7 @@ ctest --test-dir build --output-on-failure -j
 echo "=== determinism gate: repeated label groups at 1 and 4 workers"
 for threads in 1 4; do
   CSTF_THREADS=$threads ctest --test-dir build \
-    -L 'mttkrp|dimtree|exec|updates|determinism' --repeat until-fail:5 \
+    -L 'mttkrp|dimtree|cstf|updates|determinism' --repeat until-fail:5 \
     --output-on-failure -j
 done
 
@@ -98,17 +98,17 @@ else
 fi
 
 if [ "${CSTF_CHECK_TSAN:-0}" = "1" ]; then
-  echo "=== TSan pass: exec-, mttkrp-, dimtree-, metrics-, updates- and serve-labeled suites under ThreadSanitizer"
+  echo "=== TSan pass: cstf-, mttkrp-, dimtree-, metrics-, updates- and serve-labeled suites under ThreadSanitizer"
   # TSan and ASan cannot share a binary (the configure step enforces the
-  # exclusivity), so this is its own build tree. The exec group covers the
-  # executor, the plan cache and the trainer's AO iteration that submits
-  # through them.
+  # exclusivity), so this is its own build tree. The cstf group covers the
+  # trainer's AO loop, whose kernels run parallel regions, end to end
+  # through the framework.
   # The mttkrp group rides along: the privatized and streamed kernels lease
   # pooled private tiles, fill them from concurrent launch blocks and
   # transpose the reduced tile into the output in parallel.
   # The dimtree group rides along: the chain derives scatter through the
   # same parallel accumulation engine, and its lazy extends must be race-
-  # free against the plan's explicit extend ops.
+  # free against the trainer's explicit extend steps.
   # The metrics group rides along: the registry's lock-free counter hot path
   # (relaxed fetch_add from every kernel launch and serve request) is
   # exactly the kind of code TSan exists to vet.
@@ -122,7 +122,7 @@ if [ "${CSTF_CHECK_TSAN:-0}" = "1" ]; then
   cmake --build build-tsan -j
   TSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir build-tsan \
-    -L 'exec|mttkrp|dimtree|metrics|updates|serve' --output-on-failure
+    -L 'cstf|mttkrp|dimtree|metrics|updates|serve' --output-on-failure
 fi
 
 if [ "${CSTF_CHECK_SKIP_SANITIZE:-0}" = "1" ]; then

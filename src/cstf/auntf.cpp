@@ -1,13 +1,15 @@
 #include "cstf/auntf.hpp"
 
+#include <array>
 #include <cmath>
 #include <limits>
+#include <optional>
 
-#include "common/digest.hpp"
 #include "common/error.hpp"
 #include "common/random.hpp"
 #include "la/blas.hpp"
 #include "la/elementwise.hpp"
+#include "metrics/registry.hpp"
 #include "simgpu/dblas.hpp"
 #include "simgpu/launch.hpp"
 
@@ -46,38 +48,34 @@ void normalize_device(simgpu::Device& dev, Matrix& h,
   la::scale_columns_inv(h, lambda.data());
 }
 
-}  // namespace
-
-/// Per-op accounting hook: reproduces the legacy driver's wall-clock and
-/// modeled-time phase attribution. Modeled time is marked at phase-op
-/// boundaries, so an unphased op's share (the fit capture) rolls into the
-/// next closed phase, exactly as before; fit ops stay outside the four-phase
-/// breakdown entirely.
-class Auntf::PhaseObserver final : public exec::OpObserver {
- public:
-  explicit PhaseObserver(Auntf& self)
-      : self_(self), modeled_mark_(self.dev_.modeled_time_s()) {}
-
-  void on_op_begin(const exec::Op& op, int index) override {
-    (void)op;
-    (void)index;
-    timer_.reset();
-  }
-
-  void on_op_end(const exec::Op& op, int index) override {
-    (void)index;
-    if (op.phase.empty() || op.kind == exec::OpKind::kFit) return;
-    self_.phases_.add(op.phase, timer_.seconds());
-    const double now = self_.dev_.modeled_time_s();
-    self_.modeled_phase_[op.phase] += now - modeled_mark_;
-    modeled_mark_ = now;
-  }
-
- private:
-  Auntf& self_;
-  double modeled_mark_;
-  Timer timer_;
+/// The steps of one AO iteration; each is one `kind` of the
+/// exec.op.duration histogram.
+enum class Step {
+  kMttkrp,
+  kDimTreeExtend,
+  kGram,
+  kHadamard,
+  kUpdate,
+  kNormalize,
+  kFit,
 };
+
+metrics::Histogram* step_duration(Step step) {
+  static const auto histograms = [] {
+    constexpr const char* kKinds[] = {"mttkrp",    "dimtree-extend", "gram",
+                                      "hadamard",  "update",
+                                      "normalize", "fit"};
+    std::array<metrics::Histogram*, std::size(kKinds)> h{};
+    for (std::size_t k = 0; k < h.size(); ++k) {
+      h[k] = metrics::MetricsRegistry::global().histogram(
+          "exec.op.duration", {{"kind", kKinds[k]}});
+    }
+    return h;
+  }();
+  return histograms[static_cast<std::size_t>(step)];
+}
+
+}  // namespace
 
 Auntf::Auntf(simgpu::Device& dev, const MttkrpBackend& backend,
              const UpdateMethod& update, AuntfOptions options)
@@ -127,140 +125,110 @@ void Auntf::initialize() {
   initialized_ = true;
 }
 
-exec::PlanKey Auntf::plan_key() const {
-  // Tensor identity: the backend instance plus its shape/nnz signature (a
-  // re-ingested tensor at the same address with different contents still
-  // re-keys through nnz/dims).
-  DigestBuilder tensor_id;
-  tensor_id.u64(static_cast<std::uint64_t>(
-      reinterpret_cast<std::uintptr_t>(&backend_)));
-  tensor_id.u64(static_cast<std::uint64_t>(backend_.nnz()));
+DeviceFootprint Auntf::footprint() const {
+  std::vector<index_t> mode_rows;
   for (int m = 0; m < backend_.num_modes(); ++m) {
-    tensor_id.u64(static_cast<std::uint64_t>(backend_.dim(m)));
+    mode_rows.push_back(backend_.dim(m));
   }
-  // Structure-affecting options; convergence knobs (max_iterations,
-  // fit_tolerance) deliberately excluded — they do not change the plan.
-  DigestBuilder opts;
-  const DimTreeEngine* tree = backend_.dimtree();
-  opts.boolean(options_.compute_fit)
-      // Dimtree changes the op set (extend ops, chain buffer, suffix
-      // reads); a budget change that flips chain_fits() must recompile.
-      .boolean(tree != nullptr && tree->chain_fits());
-  return exec::PlanKey{tensor_id.value(),
-                       static_cast<std::uint64_t>(options_.rank),
-                       opts.value()};
-}
-
-exec::Plan Auntf::compile_plan() {
-  exec::AoIterationSpec spec;
-  spec.num_modes = backend_.num_modes();
-  spec.rank = options_.rank;
-  spec.compute_fit = options_.compute_fit;
-  spec.tensor_bytes =
+  const double tensor_bytes =
       options_.tensor_device_bytes > 0.0
           ? options_.tensor_device_bytes
           : static_cast<double>(backend_.nnz()) *
                 (static_cast<double>(backend_.num_modes()) * sizeof(index_t) +
                  sizeof(real_t));
-  for (int m = 0; m < spec.num_modes; ++m) {
-    spec.mode_rows.push_back(backend_.dim(m));
-  }
-
-  Auntf* self = this;
-  if (DimTreeEngine* tree = backend_.dimtree()) {
-    // The chain only enters the plan when it fits the budget — in the flat
-    // fallback there is no intermediate to account for and the mttkrp ops
-    // keep their flat read sets.
-    if (tree->chain_fits()) {
-      spec.use_dimtree = true;
-      spec.dimtree_chain_bytes = tree->chain_bytes();
-      spec.dimtree_extend = [self](simgpu::Device& dev, int level) {
-        self->backend_.dimtree()->extend_to(dev, self->factors_, level);
-      };
-    }
-  }
-  spec.hadamard = [self](simgpu::Device& dev, int n) {
-    hadamard_of_grams(dev, self->grams_, n, self->ws_.s);
-  };
-  spec.mttkrp = [self](simgpu::Device& dev, int n) {
-    // m_out is one workspace shared by every mode. Size it to *this* mode
-    // before each call (resize discards and re-zeroes) and validate after:
-    // a shape left over from a larger mode would hand the update stale
-    // trailing rows, a hazard that stays latent while modes happen to run
-    // in a monotone size order.
-    const index_t rows = self->backend_.dim(n);
-    const index_t rank = self->options_.rank;
-    if (self->ws_.m_out.rows() != rows || self->ws_.m_out.cols() != rank) {
-      self->ws_.m_out.resize(rows, rank);
-    }
-    self->backend_.mttkrp(dev, self->factors_, n, self->ws_.m_out);
-    CSTF_CHECK_MSG(
-        self->ws_.m_out.rows() == rows && self->ws_.m_out.cols() == rank,
-        "mttkrp workspace shape drifted for mode " << n);
-  };
-  spec.update = [self](simgpu::Device& dev, int n) {
-    self->updates_[static_cast<std::size_t>(n)]->update(
-        dev, self->ws_.s, self->ws_.m_out,
-        self->factors_[static_cast<std::size_t>(n)],
-        self->states_[static_cast<std::size_t>(n)]);
-    // If the chain folded this factor, the whole chain is stale (the
-    // in-place buffer cannot shed one level). In the in-order sweep this
-    // is a no-op — level == n here, and the explicit extend op folds the
-    // fresh contents right after normalization.
-    if (DimTreeEngine* tree = self->backend_.dimtree()) {
-      tree->note_factor_updated(n);
-    }
-  };
-  spec.normalize = [self](simgpu::Device& dev, int n) {
-    normalize_device(dev, self->factors_[static_cast<std::size_t>(n)],
-                     self->lambda_);
-  };
-  spec.gram_recompute = [self](simgpu::Device& dev, int n) {
-    simgpu::dsyrk_gram(dev, self->factors_[static_cast<std::size_t>(n)],
-                       self->grams_[static_cast<std::size_t>(n)]);
-  };
-  spec.fit_capture = [self](simgpu::Device& dev) {
-    // Fit needs the unnormalized Gram of the final mode and its MTTKRP
-    // result; capture before normalization rescales H.
-    const auto last =
-        static_cast<std::size_t>(self->backend_.num_modes() - 1);
-    simgpu::dsyrk_gram(dev, self->factors_[last], self->ws_.gram_unnorm);
-    self->ws_.last_m = self->ws_.m_out;
-  };
-  spec.fit = [self](simgpu::Device&) {
-    self->ws_.fit = self->fit_from_workspace();
-  };
-  return exec::Planner::compile_ao_iteration(spec);
-}
-
-void Auntf::ensure_executor() {
-  std::shared_ptr<const exec::Plan> plan =
-      plan_cache_.get(plan_key(), [&] { return compile_plan(); });
-  if (executor_ == nullptr || &executor_->plan() != plan.get()) {
-    executor_ = std::make_unique<exec::Executor>(dev_, std::move(plan));
-  }
-}
-
-const exec::Plan& Auntf::plan() {
-  ensure_executor();
-  return executor_->plan();
+  std::optional<double> chain_bytes;
+  const DimTreeEngine* tree = backend_.dimtree();
+  if (tree != nullptr && tree->chain_fits()) chain_bytes = tree->chain_bytes();
+  return DeviceFootprint(tensor_bytes, mode_rows, options_.rank, chain_bytes);
 }
 
 real_t Auntf::iterate() {
   CSTF_CHECK_MSG(initialized_, "call initialize() before iterate()");
-  ensure_executor();
   const index_t rank = options_.rank;
   if (ws_.s.rows() != rank || ws_.s.cols() != rank) ws_.s.resize(rank, rank);
   if (ws_.gram_unnorm.rows() != rank || ws_.gram_unnorm.cols() != rank) {
     ws_.gram_unnorm.resize(rank, rank);
   }
-  ws_.fit = std::numeric_limits<real_t>::quiet_NaN();
 
-  PhaseObserver observer(*this);
-  executor_->run(&observer);
+  // Each step runs inside its tracer phase (none for nullptr). A phased
+  // step adds its wall time, and the modeled time since the previous phased
+  // step, to its phase: the unphased fit capture rolls into NORMALIZE, and
+  // the fit steps stay out of the four-phase split.
+  double modeled_mark = dev_.modeled_time_s();
+  const auto step = [&](Step kind, const char* phase, const auto& body) {
+    Timer timer;
+    {
+      simgpu::ScopedPhase scope(phase != nullptr ? dev_.tracer() : nullptr,
+                                phase != nullptr ? phase : "");
+      body();
+    }
+    const double wall_s = timer.seconds();
+    step_duration(kind)->observe(wall_s);
+    if (phase == nullptr || kind == Step::kFit) return;
+    phases_.add(phase, wall_s);
+    const double now = dev_.modeled_time_s();
+    modeled_phase_[phase] += now - modeled_mark;
+    modeled_mark = now;
+  };
 
-  if (!options_.compute_fit) return std::numeric_limits<real_t>::quiet_NaN();
-  return ws_.fit;
+  // Read once per iteration, so a budget change takes effect at the next.
+  DimTreeEngine* tree = backend_.dimtree();
+  const bool extend_chain = tree != nullptr && tree->chain_fits();
+  const int last = backend_.num_modes() - 1;
+  for (int n = 0; n <= last; ++n) {
+    const auto mode = static_cast<std::size_t>(n);
+    step(Step::kHadamard, phase::kGram,
+         [&] { hadamard_of_grams(dev_, grams_, n, ws_.s); });
+    step(Step::kMttkrp, phase::kMttkrp, [&] {
+      // m_out is one workspace shared by every mode. Size it to *this* mode
+      // before each call (resize discards and re-zeroes) and validate after:
+      // a shape left over from a larger mode would hand the update stale
+      // trailing rows, a hazard that stays latent while modes happen to run
+      // in a monotone size order.
+      const index_t rows = backend_.dim(n);
+      if (ws_.m_out.rows() != rows || ws_.m_out.cols() != rank) {
+        ws_.m_out.resize(rows, rank);
+      }
+      backend_.mttkrp(dev_, factors_, n, ws_.m_out);
+      CSTF_CHECK_MSG(ws_.m_out.rows() == rows && ws_.m_out.cols() == rank,
+                     "mttkrp workspace shape drifted for mode " << n);
+    });
+    step(Step::kUpdate, phase::kUpdate, [&] {
+      updates_[mode]->update(dev_, ws_.s, ws_.m_out, factors_[mode],
+                             states_[mode]);
+      // If the chain folded this factor, the whole chain is stale (the
+      // in-place buffer cannot shed one level). In the in-order sweep this
+      // is a no-op — level == n here, and the extend step folds the fresh
+      // contents right after normalization.
+      if (tree != nullptr) tree->note_factor_updated(n);
+    });
+    if (n == last && options_.compute_fit) {
+      // Fit needs the unnormalized Gram of the final mode and its MTTKRP
+      // result; capture both before normalization rescales H.
+      step(Step::kFit, nullptr, [&] {
+        simgpu::dsyrk_gram(dev_, factors_[mode], ws_.gram_unnorm);
+        ws_.last_m = ws_.m_out;
+      });
+    }
+    step(Step::kNormalize, phase::kNormalize,
+         [&] { normalize_device(dev_, factors_[mode], lambda_); });
+    if (extend_chain && n < last) {
+      // Fold the freshly-normalized factor into the chain so derive(n+1)
+      // reuses it. MTTKRP phase: the fold is part of the reuse engine's
+      // MTTKRP cost, and metering it there keeps the flat-vs-tree phase
+      // comparison honest.
+      step(Step::kDimTreeExtend, phase::kMttkrp,
+           [&] { tree->extend_to(dev_, factors_, n + 1); });
+    }
+    step(Step::kGram, phase::kGram,
+         [&] { simgpu::dsyrk_gram(dev_, factors_[mode], grams_[mode]); });
+  }
+
+  real_t fit = std::numeric_limits<real_t>::quiet_NaN();
+  if (options_.compute_fit) {
+    step(Step::kFit, "FIT", [&] { fit = fit_from_workspace(); });
+  }
+  return fit;
 }
 
 real_t Auntf::fit_from_workspace() {

@@ -19,16 +19,14 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/random.hpp"
 #include "common/timer.hpp"
 #include "cstf/backend.hpp"
+#include "cstf/footprint.hpp"
 #include "cstf/ktensor.hpp"
-#include "exec/executor.hpp"
-#include "exec/planner.hpp"
 #include "updates/update_method.hpp"
 
 namespace cstf {
@@ -54,9 +52,9 @@ struct AuntfOptions {
   /// hooks here to snapshot training state at iteration boundaries.
   std::function<void(const Auntf&, int completed)> on_iteration;
 
-  /// Modeled device bytes of the resident tensor, fed into the compiled
-  /// plan's buffer table so its peak-memory estimate covers the tensor.
-  /// 0 = a COO-equivalent estimate from the backend's nnz.
+  /// Modeled device bytes of the resident tensor: the `tensor` row of the
+  /// footprint (see Auntf::footprint()). 0 = a COO-equivalent estimate
+  /// from the backend's nnz.
   double tensor_device_bytes = 0.0;
 };
 
@@ -143,24 +141,23 @@ class Auntf {
   const AuntfOptions& options() const { return options_; }
   simgpu::Device& device() { return dev_; }
 
-  /// The compiled execution plan for one AO iteration, compiling (and
-  /// caching) it on first use. The plan carries the ops in issue order,
-  /// buffer lifetimes, and the peak-memory estimate that `cstf_info --plan`
-  /// dumps.
-  const exec::Plan& plan();
+  /// The modeled device footprint of a training run: the buffer table that
+  /// `cstf_info --plan` prints and whose peak
+  /// CstfFramework::device_footprint_bytes() reports. The dimension tree's
+  /// chain counts when it fits its budget at the call.
+  DeviceFootprint footprint() const;
 
-  /// The plan-cache key for this driver's configuration: tensor identity,
-  /// rank, and a digest of the structure-affecting options.
-  exec::PlanKey plan_key() const;
-
-  /// Compiled-plan cache; hit/miss counters back the invalidation tests.
-  const exec::PlanCache& plan_cache() const { return plan_cache_; }
+  /// The footprint under its former name, and a read-out of the former plan
+  /// cache that reports the one build every driver had: both kept for
+  /// perfbench/driver.cpp (`plan()`, `plan().peak_bytes()`,
+  /// `plan_cache().misses()`) until the next benchmark change.
+  DeviceFootprint plan() const { return footprint(); }
+  struct FootprintBuilds {
+    std::int64_t misses() const { return 1; }
+  };
+  FootprintBuilds plan_cache() const { return {}; }
 
  private:
-  class PhaseObserver;
-
-  void ensure_executor();
-  exec::Plan compile_plan();
   real_t fit_from_workspace();
 
   simgpu::Device& dev_;
@@ -184,21 +181,16 @@ class Auntf {
   PhaseTimer phases_;
   std::map<std::string, double> modeled_phase_;
 
-  // Plan closures reach factors/grams/state through `this` plus this
-  // workspace (factors_ reallocates on initialize(), so closures never
-  // capture Matrix pointers). The workspace persists across iterations;
-  // every field is fully overwritten before it is read.
+  // The iteration's workspace persists across iterations; every field is
+  // fully overwritten before it is read.
   struct IterationWorkspace {
     Matrix s;            // Hadamard-of-Grams S^(n)
     Matrix m_out;        // MTTKRP output
     Matrix last_m;       // final mode's MTTKRP result (fit)
     Matrix gram_unnorm;  // unnormalized Gram of the final mode (fit)
-    real_t fit = 0.0;
   };
   IterationWorkspace ws_;
 
-  exec::PlanCache plan_cache_;
-  std::unique_ptr<exec::Executor> executor_;
   bool initialized_ = false;
 };
 

@@ -112,13 +112,8 @@ AuntfResult CstfFramework::run() {
   return result;
 }
 
-double CstfFramework::device_footprint_bytes() {
-  // The compiled plan's buffer table covers exactly the set a full run
-  // needs: the resident BLCO tensor, factor, dual and Gram per mode and
-  // lambda (live at every op), plus the MTTKRP output and update scratch
-  // (sized by the longest mode) and the Hadamard Gram. Peak is its maximum
-  // over op-lifetime-overlapping buffers.
-  return driver_->plan().peak_bytes();
+double CstfFramework::device_footprint_bytes() const {
+  return driver_->footprint().peak_bytes();
 }
 
 }  // namespace cstf

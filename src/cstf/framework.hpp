@@ -133,9 +133,9 @@ class CstfFramework {
   /// number against the 80 GB HBM of Table 1 shows which full-size datasets
   /// need the out-of-memory streaming mode of the underlying BLCO work
   /// (Nguyen et al.) — Amazon at 1.7 B nonzeros does. The number is the
-  /// compiled iteration plan's peak over its buffer-lifetime table (see
-  /// exec::Plan::peak_bytes), so `cstf_info --plan` and this always agree.
-  double device_footprint_bytes();
+  /// peak of the driver's closed-form buffer table (Auntf::footprint()), so
+  /// `cstf_info --plan` and this always agree.
+  double device_footprint_bytes() const;
 
  private:
   void resume_from_checkpoint(const std::string& path);

@@ -32,9 +32,8 @@ struct KTensor {
   void validate() const;
 
   /// <X, X_hat> over the nonzeros of `x` (X is zero elsewhere), parallel-
-  /// reduced deterministically for a fixed thread count. Shared by fit_to()
-  /// and sampled_fit() so the estimator's sample_size >= nnz branch is
-  /// bit-identical to the exact fit.
+  /// reduced deterministically for a fixed thread count; fit_to() builds on
+  /// it.
   real_t inner_product_with(const SparseTensor& x) const;
 
   /// ||X_hat||_F^2 computed in O(N R^2 + sum I_m R) via the Gram identity:

@@ -14,11 +14,7 @@ constexpr CatalogEntry kCatalog[] = {
     {"checkpoint.saves", InstrumentType::kCounter, "result",
      "1", "Checkpoint save attempts by result (ok|error)."},
     {"exec.op.duration", InstrumentType::kHistogram, "kind",
-     "seconds", "Executor per-op wall time by op kind."},
-    {"exec.plan_cache.hits", InstrumentType::kCounter, "",
-     "1", "Execution-plan cache lookups answered from the cache."},
-    {"exec.plan_cache.misses", InstrumentType::kCounter, "",
-     "1", "Execution-plan cache lookups that rebuilt the plan."},
+     "seconds", "Trainer per-step wall time by step kind."},
     {"mttkrp.scatter_cache.hits", InstrumentType::kCounter, "engine",
      "1", "Scatter-plan cache hits by engine (backend|dimtree)."},
     {"mttkrp.scatter_cache.misses", InstrumentType::kCounter, "engine",

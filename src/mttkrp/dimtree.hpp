@@ -93,7 +93,8 @@ class DimTreeEngine {
   index_t rank() const { return rank_; }
 
   /// Bytes of the nnz x R chain intermediate (the only tree node that is
-  /// ever materialized). This is what `Plan::peak_bytes` accounts for.
+  /// ever materialized): the `dimtree_chain` row of the trainer's device
+  /// footprint (cstf/footprint.hpp).
   double chain_bytes() const {
     return static_cast<double>(nnz_) * static_cast<double>(rank_) *
            simgpu::kWord;

@@ -1,6 +1,7 @@
 // Checkpoint/resume tests: CSTFCKPT round trip, bit-identical resume
-// (including the ADMM dual state), corruption handling, and recovery from an
-// injected mid-training fault.
+// (including the ADMM dual state), corruption handling, recovery from an
+// injected mid-training fault, and the stability of the options digests the
+// checkpoint and model files persist.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -11,8 +12,10 @@
 #include <limits>
 #include <vector>
 
+#include "common/digest.hpp"
 #include "cstf/checkpoint.hpp"
 #include "cstf/framework.hpp"
+#include "serve/model_io.hpp"
 #include "simgpu/fault.hpp"
 #include "tensor/generate.hpp"
 
@@ -329,6 +332,79 @@ TEST(Checkpoint, ResumeRefusesMismatchedOptions) {
   more.resume_from = path;
   CstfFramework extended(tensor, more);
   EXPECT_EQ(extended.run().iterations, 4);
+}
+
+
+// ---------------------------------------------------------------------------
+// Digest stability: these values are persisted inside CSTFCKPT checkpoints
+// and CSTF model files — changing them orphans existing artifacts. The
+// golden constants pin the DigestBuilder encoding and the digest field
+// lists; a deliberate format change must bump the file format versions.
+
+TEST(DigestStability, BuilderEncodingIsPinned) {
+  DigestBuilder d;
+  d.u64(1).f64(2.0).boolean(true).str("x");
+  EXPECT_EQ(d.value(), 0x7bb000e2d9cc7e34ULL);
+
+  // Field order is part of the definition.
+  DigestBuilder swapped;
+  swapped.f64(2.0).u64(1).boolean(true).str("x");
+  EXPECT_NE(swapped.value(), 0x7bb000e2d9cc7e34ULL);
+
+  // An empty builder starts at the FNV-1a offset basis.
+  EXPECT_EQ(DigestBuilder().value(), 0xcbf29ce484222325ULL);
+}
+
+TEST(DigestStability, TrainingDigestIgnoresConvergenceAndCheckpointKnobs) {
+  FrameworkOptions base;
+  // Pinned for checkpoint format v6 (v2 added mttkrp_mode, v3 added
+  // dimtree_budget_bytes — under auto the budget decides which engine the
+  // resolver picks, and flat vs dimtree differ in accumulation order —
+  // v4 added the autotuning policy, per-mode scatter picks, and the
+  // parallel chunk knob, v5 dropped the determinism flag, and v6 dropped
+  // the v4 fields again).
+  EXPECT_EQ(digest_training_options(base), 0x252fc0a0501283f6ULL);
+
+  FrameworkOptions resumable = base;
+  resumable.max_iterations = 500;
+  resumable.fit_tolerance = 1e-6;
+  resumable.checkpoint_every = 2;
+  resumable.checkpoint_path = "ckpt.cstf";
+  resumable.resume_from = "old.cstf";
+  EXPECT_EQ(digest_training_options(resumable), digest_training_options(base));
+
+  FrameworkOptions different_rank = base;
+  different_rank.rank = 16;
+  EXPECT_NE(digest_training_options(different_rank),
+            digest_training_options(base));
+  FrameworkOptions different_seed = base;
+  different_seed.seed = 43;
+  EXPECT_NE(digest_training_options(different_seed),
+            digest_training_options(base));
+  FrameworkOptions different_scatter = base;
+  different_scatter.scatter.strategy = ScatterStrategy::kSorted;
+  EXPECT_NE(digest_training_options(different_scatter),
+            digest_training_options(base));
+  FrameworkOptions different_mttkrp = base;
+  different_mttkrp.mttkrp_mode = MttkrpMode::kDimtree;
+  EXPECT_NE(digest_training_options(different_mttkrp),
+            digest_training_options(base));
+  FrameworkOptions different_budget = base;
+  different_budget.dimtree_budget_bytes = 1.0;
+  EXPECT_NE(digest_training_options(different_budget),
+            digest_training_options(base));
+}
+
+TEST(DigestStability, ServingDigestTracksEverythingThatChangesTheModel) {
+  FrameworkOptions base;
+  // Pinned for model format v2 (the determinism flag dropped).
+  EXPECT_EQ(serve::digest_options(base), 0x960722465bce40feULL);
+
+  // Unlike the checkpoint digest, the serving digest pins max_iterations —
+  // two models trained for different iteration counts are different models.
+  FrameworkOptions longer = base;
+  longer.max_iterations = 50;
+  EXPECT_NE(serve::digest_options(longer), serve::digest_options(base));
 }
 
 }  // namespace

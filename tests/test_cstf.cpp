@@ -1,17 +1,20 @@
-// Integration tests: KTensor, the AUNTF driver, the CstfFramework facade,
-// and the SPLATT/PLANC baselines.
+// Integration tests: KTensor, the AUNTF driver (its device program and
+// footprint), the CstfFramework facade, and the SPLATT/PLANC baselines.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <fstream>
 #include <limits>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "baselines/planc.hpp"
 #include "baselines/splatt.hpp"
 #include "cstf/auntf.hpp"
+#include "cstf/footprint.hpp"
 #include "cstf/framework.hpp"
 #include "cstf/ktensor.hpp"
-#include "cstf/sampled_fit.hpp"
 #include "la/blas.hpp"
 #include "mttkrp/coo_mttkrp.hpp"
 #include "perfmodel/admm_model.hpp"
@@ -152,47 +155,6 @@ TEST(KTensor, ValidateRejectsStructuralAndNumericalDefects) {
   KTensor inf_lambda = well_formed();
   inf_lambda.lambda[0] = std::numeric_limits<real_t>::infinity();
   EXPECT_THROW(inf_lambda.validate(), Error);
-}
-
-TEST(SampledFit, FullSampleIsBitIdenticalToExactFit) {
-  const LowRankTensor data = make_low_rank(21);
-  Rng rng(22);
-  KTensor model;
-  for (index_t dim : data.tensor.dims()) {
-    model.factors.emplace_back(dim, 4);
-    model.factors.back().fill_uniform(rng, 0.0, 1.0);
-  }
-  model.lambda = {1.0, 0.75, 0.5, 0.25};
-
-  SampledFitOptions options;
-  options.sample_size = data.tensor.nnz();  // covers every nonzero
-  const real_t exact = model.fit_to(data.tensor);
-  EXPECT_EQ(sampled_fit(model, data.tensor, options), exact);
-  options.sample_size = data.tensor.nnz() * 3;  // oversampling changes nothing
-  EXPECT_EQ(sampled_fit(model, data.tensor, options), exact);
-}
-
-TEST(SampledFit, FixedSeedIsDeterministic) {
-  const LowRankTensor data = make_low_rank(31);
-  Rng rng(32);
-  KTensor model;
-  for (index_t dim : data.tensor.dims()) {
-    model.factors.emplace_back(dim, 4);
-    model.factors.back().fill_uniform(rng, 0.0, 1.0);
-  }
-  model.lambda = {1.0, 1.0, 1.0, 1.0};
-
-  SampledFitOptions options;
-  options.sample_size = data.tensor.nnz() / 8;
-  options.seed = 77;
-  const real_t first = sampled_fit(model, data.tensor, options);
-  const real_t second = sampled_fit(model, data.tensor, options);
-  EXPECT_EQ(first, second);  // same seed, same sample, same estimate
-
-  options.seed = 78;
-  const real_t other_seed = sampled_fit(model, data.tensor, options);
-  // A different sample gives a (generally) different but nearby estimate.
-  EXPECT_NEAR(other_seed, first, 0.2);
 }
 
 TEST(Auntf, FitIncreasesAndFactorsStayFeasible) {
@@ -475,9 +437,9 @@ TEST(Framework, DimtreeBackendIsBitIdenticalToCooReference) {
 }
 
 TEST(Framework, DimtreePlanAccountsForChainInPeakBytes) {
-  // The chain intermediate must be a first-class plan buffer: visible in
-  // the DAG dump, alive across the iteration, and included in peak_bytes —
-  // that is what keeps the budget/OOM reasoning honest.
+  // The chain intermediate must be a footprint row under the tree and none
+  // under the flat engine, and the peak must include it: that is what keeps
+  // the budget/OOM reasoning honest.
   const LowRankTensor lr = make_low_rank(17);
   FrameworkOptions flat_opts;
   flat_opts.rank = 6;
@@ -491,14 +453,209 @@ TEST(Framework, DimtreePlanAccountsForChainInPeakBytes) {
   const DimTreeEngine* engine = tree.backend().dimtree();
   ASSERT_NE(engine, nullptr);
   EXPECT_TRUE(engine->chain_fits());
-  EXPECT_GE(tree.device_footprint_bytes(),
+  EXPECT_EQ(tree.device_footprint_bytes(),
             flat.device_footprint_bytes() + engine->chain_bytes());
 
-  const std::string dump = tree.driver().plan().describe();
-  EXPECT_NE(dump.find("dimtree_chain"), std::string::npos);
-  EXPECT_NE(dump.find("dimtree_extend_0"), std::string::npos);
-  EXPECT_EQ(flat.driver().plan().describe().find("dimtree_chain"),
+  const auto has_chain_row = [](const DeviceFootprint& footprint) {
+    for (const FootprintRow& row : footprint.rows()) {
+      if (row.name == "dimtree_chain") return true;
+    }
+    return false;
+  };
+  EXPECT_TRUE(has_chain_row(tree.driver().footprint()));
+  EXPECT_FALSE(has_chain_row(flat.driver().footprint()));
+  EXPECT_NE(tree.driver().footprint().describe().find("dimtree_chain"),
             std::string::npos);
+}
+
+TEST(DeviceFootprint, CountsResidentStateHandComputed) {
+  // Three modes with rows {5, 3, 2}, R = 2 and a 100 B tensor. Resident:
+  // tensor 100 + factors 8*2*(5+3+2) = 160 + duals 160 + Grams 3*8*2*2 = 96
+  // + lambda 8*2 = 16, i.e. 532 B. The longest-mode MTTKRP output (80 B),
+  // the update scratch (160 B) and the Hadamard Gram (32 B) are live
+  // together, so the peak is 532 + 272 = 804 B.
+  const DeviceFootprint footprint(100.0, {5, 3, 2}, 2, std::nullopt);
+  EXPECT_EQ(footprint.peak_bytes(), 804.0);
+  std::vector<std::string> names;
+  for (const FootprintRow& row : footprint.rows()) {
+    names.push_back(row.name);
+    const bool state = row.name == "tensor" || row.name == "lambda" ||
+                       row.name.rfind("factor_", 0) == 0 ||
+                       row.name.rfind("dual_", 0) == 0 ||
+                       row.name.rfind("gram_", 0) == 0;
+    EXPECT_EQ(row.resident, state) << row.name;
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{
+                       "tensor", "factor_0", "gram_0", "dual_0", "factor_1",
+                       "gram_1", "dual_1", "factor_2", "gram_2", "dual_2",
+                       "s_hadamard", "mttkrp_out", "update_scratch",
+                       "lambda"}));
+  const std::string table = footprint.describe();
+  EXPECT_NE(table.find("dual_0                               80 B *"),
+            std::string::npos)
+      << table;
+  EXPECT_NE(table.find("peak modeled device bytes: 804\n"), std::string::npos)
+      << table;
+}
+
+TEST(DeviceFootprint, DimtreeChainJoinsTheWorkingSetHandComputed) {
+  // The same shape with a 240 B chain (15 nonzeros x R = 2 x 8 B): the
+  // chain is live from the first extend to the last derive, alongside the
+  // Hadamard Gram, the MTTKRP output and the update scratch, so the peak is
+  // 804 + 240 = 1044 B. Its row sits after the MTTKRP output.
+  const DeviceFootprint footprint(100.0, {5, 3, 2}, 2, 240.0);
+  EXPECT_EQ(footprint.peak_bytes(), 1044.0);
+  const std::vector<FootprintRow>& rows = footprint.rows();
+  ASSERT_EQ(rows.size(), 15u);
+  EXPECT_EQ(rows[11].name, "mttkrp_out");
+  EXPECT_EQ(rows[12].name, "dimtree_chain");
+  EXPECT_EQ(rows[12].bytes, 240.0);
+  EXPECT_FALSE(rows[12].resident);
+  EXPECT_EQ(rows[13].name, "update_scratch");
+}
+
+// ---------------------------------------------------------------------------
+// The trainer's device program (Algorithm 1): which phase each step of one
+// AO iteration runs under, what the steps outside MTTKRP and UPDATE issue,
+// and the modeled time each phase is charged. A 4-way tensor under the
+// sorted scatter strategy, so no record depends on the worker count.
+
+struct ProgramCase {
+  const char* name;
+  MttkrpMode engine;
+  bool fit;
+  std::map<std::string, double> modeled_phase_s;  // %.17g goldens
+};
+
+const std::vector<ProgramCase>& program_cases() {
+  // GRAM and UPDATE do not depend on the engine or the fit; the fit
+  // capture's dsyrk rolls into NORMALIZE, the dimension tree's extends
+  // into MTTKRP.
+  static const std::vector<ProgramCase> cases = {
+      {"flat, fit", MttkrpMode::kFlat, true,
+       {{"GRAM", 1.6049645390070977e-05},
+        {"MTTKRP", 3.204807893142541e-05},
+        {"NORMALIZE", 3.6064539007091929e-05},
+        {"UPDATE", 0.0022725234042553187}}},
+      {"flat, no fit", MttkrpMode::kFlat, false,
+       {{"GRAM", 1.6049645390070977e-05},
+        {"MTTKRP", 3.204807893142541e-05},
+        {"NORMALIZE", 3.2057446808510378e-05},
+        {"UPDATE", 0.0022725234042553187}}},
+      {"dimtree, fit", MttkrpMode::kDimtree, true,
+       {{"GRAM", 1.6049645390070977e-05},
+        {"MTTKRP", 1.2180683726163477e-05},
+        {"NORMALIZE", 3.6064539007091929e-05},
+        {"UPDATE", 0.0022725234042553187}}},
+      {"dimtree, no fit", MttkrpMode::kDimtree, false,
+       {{"GRAM", 1.6049645390070977e-05},
+        {"MTTKRP", 1.2180683726163477e-05},
+        {"NORMALIZE", 3.2057446808510378e-05},
+        {"UPDATE", 0.0022725234042553187}}},
+  };
+  return cases;
+}
+
+/// Consecutive spans of one phase, with the kernels they issued.
+struct PhaseRun {
+  std::string phase;
+  std::vector<std::string> kernels;
+};
+
+std::vector<PhaseRun> phase_runs(const simgpu::Tracer& tracer) {
+  std::vector<PhaseRun> runs;
+  for (const simgpu::TraceSpan& span : tracer.spans()) {
+    if (runs.empty() || runs.back().phase != span.phase) {
+      runs.push_back({span.phase, {}});
+    }
+    runs.back().kernels.push_back(span.kernel);
+  }
+  return runs;
+}
+
+/// One iteration over `modes` modes: per mode GRAM, MTTKRP, UPDATE, the
+/// unphased fit capture on the last mode, NORMALIZE, the dimension tree's
+/// extend, and the Gram recompute, which runs on into the next mode's
+/// Hadamard of Grams; FIT last. The MTTKRP derives and the updates are
+/// pinned by phase only (empty kernel list).
+std::vector<PhaseRun> expected_runs(const ProgramCase& c, int modes) {
+  const bool tree = c.engine == MttkrpMode::kDimtree;
+  std::vector<PhaseRun> runs = {{"GRAM", {"gram_hadamard"}}};
+  for (int n = 0; n < modes; ++n) {
+    const bool last = n == modes - 1;
+    runs.push_back({"MTTKRP", {}});
+    runs.push_back({"UPDATE", {}});
+    if (last && c.fit) runs.push_back({"", {"dsyrk"}});
+    runs.push_back({"NORMALIZE", {"normalize"}});
+    if (tree && !last) runs.push_back({"MTTKRP", {"dimtree_extend"}});
+    if (last) {
+      runs.push_back({"GRAM", {"dsyrk"}});
+    } else {
+      runs.push_back({"GRAM", {"dsyrk", "gram_hadamard"}});
+    }
+  }
+  if (c.fit) runs.push_back({"FIT", {"gram_hadamard", "fit_inner_product"}});
+  return runs;
+}
+
+/// Calls `check(driver, runs)` after one traced AO iteration on a 4-way
+/// tensor.
+template <typename Check>
+void after_one_traced_iteration(const ProgramCase& c, const Check& check) {
+  LowRankTensorParams params;
+  params.dims = {9, 7, 6, 5};
+  params.rank = 3;
+  params.target_nnz = 240;
+  params.seed = 41;
+  const LowRankTensor lr = generate_low_rank(params);
+  FrameworkOptions options;
+  options.rank = 3;
+  options.compute_fit = c.fit;
+  options.mttkrp_mode = c.engine;
+  options.scatter.strategy = ScatterStrategy::kSorted;
+  CstfFramework framework(lr.tensor, options);
+  ASSERT_EQ(framework.resolved_mttkrp_mode(), c.engine);
+  simgpu::Tracer tracer;
+  framework.device().set_tracer(&tracer);
+  framework.driver().initialize();
+  framework.driver().iterate();
+  framework.device().set_tracer(nullptr);
+  check(framework.driver(), phase_runs(tracer));
+}
+
+TEST(AuntfProgram, EachModeRunsGramMttkrpUpdateNormalizeThenFit) {
+  for (const ProgramCase& c : program_cases()) {
+    SCOPED_TRACE(c.name);
+    after_one_traced_iteration(c, [&](Auntf&,
+                                      const std::vector<PhaseRun>& runs) {
+      const std::vector<PhaseRun> want = expected_runs(c, 4);
+      std::vector<std::string> got_phases, want_phases;
+      for (const PhaseRun& r : runs) got_phases.push_back(r.phase);
+      for (const PhaseRun& r : want) want_phases.push_back(r.phase);
+      ASSERT_EQ(got_phases, want_phases);
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        if (want[i].kernels.empty()) continue;
+        EXPECT_EQ(runs[i].kernels, want[i].kernels)
+            << "run " << i << " [" << want[i].phase << "]";
+      }
+    });
+  }
+}
+
+TEST(AuntfProgram, PhaseSplitKeepsFitOutAndPinsModeledSeconds) {
+  for (const ProgramCase& c : program_cases()) {
+    SCOPED_TRACE(c.name);
+    after_one_traced_iteration(c, [&](Auntf& driver,
+                                      const std::vector<PhaseRun>&) {
+      std::vector<std::string> wall_phases;
+      for (const auto& [phase, s] : driver.phases().totals()) {
+        wall_phases.push_back(phase);
+      }
+      EXPECT_EQ(wall_phases, (std::vector<std::string>{
+                                 "GRAM", "MTTKRP", "NORMALIZE", "UPDATE"}));
+      EXPECT_EQ(driver.modeled_phase_seconds(), c.modeled_phase_s);
+    });
+  }
 }
 
 TEST(Framework, UnequalModeSizesKeepMttkrpWorkspaceExact) {

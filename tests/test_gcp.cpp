@@ -1,11 +1,10 @@
-// Tests for the Poisson (KL) NTF solver and the sampled fit estimator.
+// Tests for the Poisson (KL) NTF solver.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
 
 #include "cstf/metrics.hpp"
-#include "cstf/sampled_fit.hpp"
 #include "gcp/poisson_ntf.hpp"
 #include "parallel/parallel_for.hpp"
 #include "tensor/generate.hpp"
@@ -268,58 +267,6 @@ TEST(PoissonNtf, ConvergesWithToleranceEarlyExit) {
   const PoissonNtfResult result = solver.run();
   EXPECT_TRUE(result.converged);
   EXPECT_LT(result.iterations, 200);
-}
-
-TEST(SampledFit, ExactWhenSampleCoversAllNonzeros) {
-  LowRankTensorParams gen;
-  gen.dims = {15, 12, 9};
-  gen.rank = 3;
-  gen.target_nnz = 15 * 12 * 9;
-  gen.noise = 0.02;
-  gen.seed = 7;
-  const LowRankTensor lr = generate_low_rank(gen);
-  KTensor model;
-  model.factors = lr.factors;
-  model.lambda.assign(3, 1.0);
-  SampledFitOptions opt;
-  opt.sample_size = lr.tensor.nnz();
-  EXPECT_NEAR(sampled_fit(model, lr.tensor, opt), model.fit_to(lr.tensor),
-              1e-12);
-}
-
-TEST(SampledFit, EstimateCloseToExactWithModestSample) {
-  LowRankTensorParams gen;
-  gen.dims = {30, 25, 20};
-  gen.rank = 4;
-  gen.target_nnz = 30 * 25 * 20;
-  gen.noise = 0.05;
-  gen.seed = 8;
-  const LowRankTensor lr = generate_low_rank(gen);
-  KTensor model;
-  model.factors = lr.factors;
-  model.lambda.assign(4, 1.0);
-  const real_t exact = model.fit_to(lr.tensor);
-  SampledFitOptions opt;
-  opt.sample_size = 5000;  // a third of the nonzeros
-  opt.seed = 12;
-  EXPECT_NEAR(sampled_fit(model, lr.tensor, opt), exact, 0.06);
-}
-
-TEST(SampledFit, DeterministicForFixedSeed) {
-  LowRankTensorParams gen;
-  gen.dims = {20, 15, 10};
-  gen.rank = 2;
-  gen.target_nnz = 20 * 15 * 10;
-  gen.seed = 10;
-  const LowRankTensor lr = generate_low_rank(gen);
-  KTensor model;
-  model.factors = lr.factors;
-  model.lambda.assign(2, 1.0);
-  SampledFitOptions opt;
-  opt.sample_size = 500;
-  opt.seed = 11;
-  EXPECT_DOUBLE_EQ(sampled_fit(model, lr.tensor, opt),
-                   sampled_fit(model, lr.tensor, opt));
 }
 
 }  // namespace

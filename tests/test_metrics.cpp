@@ -257,7 +257,7 @@ TEST(MetricsRegistry, PrometheusExpositionGolden) {
   // Snapshot order is (name, labels): exec.op.duration, then
   // serve.batcher.queue_depth, then serve.requests.
   const std::string expected =
-      "# HELP cstf_exec_op_duration Executor per-op wall time by op kind.\n"
+      "# HELP cstf_exec_op_duration Trainer per-step wall time by step kind.\n"
       "# TYPE cstf_exec_op_duration histogram\n"
       "cstf_exec_op_duration_bucket{kind=\"mttkrp\",le=\"0.5\"} 1\n"
       "cstf_exec_op_duration_bucket{kind=\"mttkrp\",le=\"1\"} 2\n"

@@ -9,13 +9,13 @@
 // update/MTTKRP work ratio of Eq. 3, and the storage cost of each supported
 // format.
 //
-// With --plan, additionally compiles one AO iteration for the tensor (at
-// --rank, optionally --mttkrp auto|flat|dimtree) and dumps the execution
-// graph: ops in issue order, buffer lifetimes (resident buffers marked
-// `*`), and the peak device-memory estimate
-// CstfFramework::device_footprint_bytes() reports. When the dimension-tree
-// engine is in effect the dump is followed by the chosen tree: node shapes,
-// reuse factor, and intermediate bytes against the budget (DESIGN.md §13).
+// With --plan, additionally builds the trainer for the tensor (at --rank,
+// optionally --mttkrp auto|flat|dimtree) and prints its device footprint:
+// one row per buffer (resident buffers marked `*`) and the peak
+// CstfFramework::device_footprint_bytes() reports (DESIGN.md §12). When the
+// dimension-tree engine is in effect the table is followed by the chosen
+// tree: node shapes, reuse factor, and intermediate bytes against the
+// budget (DESIGN.md §13).
 //
 // With --metrics (standalone, no tensor needed), prints the process metrics
 // catalog: every instrument the codebase registers, with type, labels,
@@ -163,13 +163,11 @@ int main(int argc, char** argv) {
       opts.rank = rank;
       opts.mttkrp_mode = mttkrp_mode;
       CstfFramework framework(t, opts);
-      std::printf("\ncompiled AO iteration (rank %lld, mttkrp %s%s):\n%s",
+      std::printf("\ndevice footprint (rank %lld, mttkrp %s%s):\n%s",
                   static_cast<long long>(rank),
                   mttkrp_mode_name(framework.resolved_mttkrp_mode()),
                   mttkrp_mode == MttkrpMode::kAuto ? ", auto-resolved" : "",
-                  framework.driver().plan().describe().c_str());
-      std::printf("device footprint (plan peak): %.3e bytes\n",
-                  framework.device_footprint_bytes());
+                  framework.driver().footprint().describe().c_str());
       if (const DimTreeEngine* tree = framework.backend().dimtree()) {
         std::printf("\n%s", describe_dimtree(*tree).c_str());
       } else {
@@ -177,15 +175,11 @@ int main(int argc, char** argv) {
                     "(no dimension tree; rerun with --mttkrp dimtree to "
                     "force one)\n");
       }
-      // Cache telemetry: the AO plan cache (one compile per option set) and
-      // the scatter plan cache (one resolve per (mode, shape)). The dimtree
-      // engine keeps its own scatter-plan cache for the chain kernels.
-      const exec::PlanCache& plans = framework.driver().plan_cache();
-      std::printf("\nplan cache: %lld hits, %lld misses\n",
-                  static_cast<long long>(plans.hits()),
-                  static_cast<long long>(plans.misses()));
+      // Cache telemetry: the scatter plan cache (one resolve per (mode,
+      // shape)). The dimtree engine keeps its own scatter-plan cache for the
+      // chain kernels.
       const ScatterPlanCache& scatter_plans = framework.backend().scatter_plans();
-      std::printf("scatter plan cache: %lld hits, %lld misses\n",
+      std::printf("\nscatter plan cache: %lld hits, %lld misses\n",
                   static_cast<long long>(scatter_plans.hits()),
                   static_cast<long long>(scatter_plans.misses()));
       if (const DimTreeEngine* tree = framework.backend().dimtree()) {

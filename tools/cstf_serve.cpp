@@ -43,6 +43,7 @@
 // modeled device time of the whole workload. Shed and timed-out requests
 // are load-management outcomes, not failures; the exit code is nonzero only
 // for unhandled errors.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -50,6 +51,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <future>
 #include <limits>
 #include <mutex>
 #include <optional>
@@ -305,8 +307,9 @@ int main(int argc, char** argv) {
     std::optional<PeriodicMetricsDumper> metrics_dumper;
     if (!metrics_path.empty()) metrics_dumper.emplace(metrics_path);
 
-    // Open-loop workload: each client issues its share of requests, holding
-    // fold-in futures until the end so concurrent arrivals can coalesce.
+    // Open-loop workload: each client issues its share of requests without
+    // waiting on its fold-ins, so concurrent arrivals can coalesce; every 64
+    // submissions it collects the ones already answered.
     std::atomic<long> failures{0};
     std::atomic<long> query_retries{0};
     std::atomic<long> sheds{0};
@@ -334,7 +337,24 @@ int main(int argc, char** argv) {
             }
           }
         };
+        double worst = 0.0;
+        const auto collect = [&](std::future<serve::FoldInResult>& f) {
+          try {
+            const serve::FoldInResult result = f.get();
+            if (result.diagnostics.primal_residual > worst) {
+              worst = result.diagnostics.primal_residual;
+            }
+          } catch (const serve::ShedError&) {
+            // Load management, not an error: the client's cue to back off.
+            sheds.fetch_add(1, std::memory_order_relaxed);
+          } catch (const serve::DeadlineError&) {
+            timeouts.fetch_add(1, std::memory_order_relaxed);
+          } catch (const std::exception&) {
+            failures.fetch_add(1, std::memory_order_relaxed);
+          }
+        };
         std::vector<std::future<serve::FoldInResult>> futures;
+        long submitted = 0;
         const int share = requests / clients + (t < requests % clients ? 1 : 0);
         for (int q = 0; q < share; ++q) {
           try {
@@ -376,27 +396,21 @@ int main(int argc, char** argv) {
                 req.values.push_back(rng.uniform(0.0, 2.0));
               }
               futures.push_back(batcher.submit(std::move(req)));
+              if (++submitted % 64 == 0) {
+                const auto answered = std::partition(
+                    futures.begin(), futures.end(), [](const auto& f) {
+                      return f.wait_for(std::chrono::seconds(0)) !=
+                             std::future_status::ready;
+                    });
+                for (auto it = answered; it != futures.end(); ++it) collect(*it);
+                futures.erase(answered, futures.end());
+              }
             }
           } catch (const Error&) {
             failures.fetch_add(1, std::memory_order_relaxed);
           }
         }
-        double worst = 0.0;
-        for (auto& f : futures) {
-          try {
-            const serve::FoldInResult result = f.get();
-            if (result.diagnostics.primal_residual > worst) {
-              worst = result.diagnostics.primal_residual;
-            }
-          } catch (const serve::ShedError&) {
-            // Load management, not an error: the client's cue to back off.
-            sheds.fetch_add(1, std::memory_order_relaxed);
-          } catch (const serve::DeadlineError&) {
-            timeouts.fetch_add(1, std::memory_order_relaxed);
-          } catch (const std::exception&) {
-            failures.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
+        for (auto& f : futures) collect(f);
         worst_primal[static_cast<std::size_t>(t)] = worst;
       });
     }
