@@ -72,8 +72,7 @@ int main() {
       row.name = name;
       row.flat_s = gpu.mttkrp;
       row.tree_s = tree.mttkrp;
-      row.chain_bytes = static_cast<double>(data.tensor.nnz()) *
-                        static_cast<double>(rank) * sizeof(real_t);
+      row.chain_bytes = dimtree_chain_bytes(data.tensor.nnz(), rank);
       row.pick = bench::full_scale_mttkrp_mode(data, spec, rank);
       tree_rows.push_back(std::move(row));
     }

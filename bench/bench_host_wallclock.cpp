@@ -257,7 +257,8 @@ bool run_dimtree_section(int repeats) {
 
   BlcoBackend flat(x);
   BlcoBackend tree(x);
-  tree.enable_dimtree(x, rank);
+  CSTF_CHECK_MSG(tree.enable_dimtree(x, rank),
+                 "the fixture's chain must fit the default dimtree budget");
   simgpu::Device flat_dev(simgpu::a100());
   simgpu::Device tree_dev(simgpu::a100());
   double flat_s = 1e30;

@@ -102,9 +102,11 @@ ModeledIteration gpu_iteration(const DatasetAnalog& data,
 ModeledIteration splatt_iteration(const DatasetAnalog& data, index_t rank);
 
 /// gpu_iteration() with the MTTKRP engine forced: kDimtree routes every
-/// mode through the dimension-tree reuse engine (DESIGN.md §13), kFlat
-/// matches gpu_iteration(). kAuto is rejected — resolve it explicitly with
-/// full_scale_mttkrp_mode() so benches report which engine actually ran.
+/// mode through the dimension-tree reuse engine (DESIGN.md §13) when its
+/// chain fits the default budget and runs flat otherwise, as the framework
+/// does; kFlat matches gpu_iteration(). kAuto is rejected — resolve it
+/// explicitly with full_scale_mttkrp_mode() so benches report which engine
+/// actually ran.
 ModeledIteration gpu_iteration_mttkrp(
     const DatasetAnalog& data, const simgpu::DeviceSpec& gpu_spec,
     UpdateScheme scheme, index_t rank, MttkrpMode engine,

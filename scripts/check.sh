@@ -107,8 +107,8 @@ if [ "${CSTF_CHECK_TSAN:-0}" = "1" ]; then
   # pooled private tiles, fill them from concurrent launch blocks and
   # transpose the reduced tile into the output in parallel.
   # The dimtree group rides along: the chain derives scatter through the
-  # same parallel accumulation engine, and its lazy extends must be race-
-  # free against the trainer's explicit extend steps.
+  # same parallel accumulation engine, and the folds each MTTKRP issues
+  # before its derive write the chain from concurrent launch blocks.
   # The metrics group rides along: the registry's lock-free counter hot path
   # (relaxed fetch_add from every kernel launch and serve request) is
   # exactly the kind of code TSan exists to vet.

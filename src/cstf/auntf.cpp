@@ -52,7 +52,6 @@ void normalize_device(simgpu::Device& dev, Matrix& h,
 /// exec.op.duration histogram.
 enum class Step {
   kMttkrp,
-  kDimTreeExtend,
   kGram,
   kHadamard,
   kUpdate,
@@ -62,9 +61,8 @@ enum class Step {
 
 metrics::Histogram* step_duration(Step step) {
   static const auto histograms = [] {
-    constexpr const char* kKinds[] = {"mttkrp",    "dimtree-extend", "gram",
-                                      "hadamard",  "update",
-                                      "normalize", "fit"};
+    constexpr const char* kKinds[] = {"mttkrp", "gram",      "hadamard",
+                                      "update", "normalize", "fit"};
     std::array<metrics::Histogram*, std::size(kKinds)> h{};
     for (std::size_t k = 0; k < h.size(); ++k) {
       h[k] = metrics::MetricsRegistry::global().histogram(
@@ -137,8 +135,9 @@ DeviceFootprint Auntf::footprint() const {
                 (static_cast<double>(backend_.num_modes()) * sizeof(index_t) +
                  sizeof(real_t));
   std::optional<double> chain_bytes;
-  const DimTreeEngine* tree = backend_.dimtree();
-  if (tree != nullptr && tree->chain_fits()) chain_bytes = tree->chain_bytes();
+  if (const DimTreeEngine* tree = backend_.dimtree()) {
+    chain_bytes = tree->chain_bytes();
+  }
   return DeviceFootprint(tensor_bytes, mode_rows, options_.rank, chain_bytes);
 }
 
@@ -171,15 +170,16 @@ real_t Auntf::iterate() {
     modeled_mark = now;
   };
 
-  // Read once per iteration, so a budget change takes effect at the next.
-  DimTreeEngine* tree = backend_.dimtree();
-  const bool extend_chain = tree != nullptr && tree->chain_fits();
   const int last = backend_.num_modes() - 1;
   for (int n = 0; n <= last; ++n) {
     const auto mode = static_cast<std::size_t>(n);
     step(Step::kHadamard, phase::kGram,
          [&] { hadamard_of_grams(dev_, grams_, n, ws_.s); });
     step(Step::kMttkrp, phase::kMttkrp, [&] {
+      // With the dimension tree, the call first folds the previous mode's
+      // updated, normalized factor into the chain (dimtree_extend), so the
+      // fold is metered in this step's MTTKRP phase.
+      //
       // m_out is one workspace shared by every mode. Size it to *this* mode
       // before each call (resize discards and re-zeroes) and validate after:
       // a shape left over from a larger mode would hand the update stale
@@ -196,11 +196,6 @@ real_t Auntf::iterate() {
     step(Step::kUpdate, phase::kUpdate, [&] {
       updates_[mode]->update(dev_, ws_.s, ws_.m_out, factors_[mode],
                              states_[mode]);
-      // If the chain folded this factor, the whole chain is stale (the
-      // in-place buffer cannot shed one level). In the in-order sweep this
-      // is a no-op — level == n here, and the extend step folds the fresh
-      // contents right after normalization.
-      if (tree != nullptr) tree->note_factor_updated(n);
     });
     if (n == last && options_.compute_fit) {
       // Fit needs the unnormalized Gram of the final mode and its MTTKRP
@@ -212,14 +207,6 @@ real_t Auntf::iterate() {
     }
     step(Step::kNormalize, phase::kNormalize,
          [&] { normalize_device(dev_, factors_[mode], lambda_); });
-    if (extend_chain && n < last) {
-      // Fold the freshly-normalized factor into the chain so derive(n+1)
-      // reuses it. MTTKRP phase: the fold is part of the reuse engine's
-      // MTTKRP cost, and metering it there keeps the flat-vs-tree phase
-      // comparison honest.
-      step(Step::kDimTreeExtend, phase::kMttkrp,
-           [&] { tree->extend_to(dev_, factors_, n + 1); });
-    }
     step(Step::kGram, phase::kGram,
          [&] { simgpu::dsyrk_gram(dev_, factors_[mode], grams_[mode]); });
   }

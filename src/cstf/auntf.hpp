@@ -144,7 +144,7 @@ class Auntf {
   /// The modeled device footprint of a training run: the buffer table that
   /// `cstf_info --plan` prints and whose peak
   /// CstfFramework::device_footprint_bytes() reports. The dimension tree's
-  /// chain counts when it fits its budget at the call.
+  /// chain counts whenever the backend has an engine.
   DeviceFootprint footprint() const;
 
   /// The footprint under its former name, and a read-out of the former plan

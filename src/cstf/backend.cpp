@@ -15,23 +15,25 @@ BlcoBackend::BlcoBackend(const SparseTensor& coo, index_t block_capacity,
       norm_sq_(coo.frobenius_norm_sq()),
       scatter_(scatter) {}
 
-void BlcoBackend::enable_dimtree(const SparseTensor& coo, index_t rank,
+bool BlcoBackend::enable_dimtree(const SparseTensor& coo, index_t rank,
                                  double budget_bytes) {
   CSTF_CHECK_MSG(coo.nnz() == blco_.nnz() &&
                      coo.num_modes() == blco_.num_modes(),
                  "enable_dimtree: tensor does not match the ingested BLCO");
-  dimtree_ = std::make_unique<DimTreeEngine>(coo, rank, budget_bytes);
-  // Mode-0 / over-budget derives stream the resident tensor once; charge
-  // them the BLCO storage footprint so the tree's flat term models the
-  // kernel it replaces.
+  if (!dimtree_fits_budget(coo.nnz(), rank, budget_bytes)) return false;
+  dimtree_ = std::make_unique<DimTreeEngine>(coo, rank);
+  // Mode-0 derives stream the resident tensor once; charge them the BLCO
+  // storage footprint so the tree's flat term models the kernel it
+  // replaces.
   dimtree_->set_flat_stream_bytes(blco_.storage_bytes());
+  return true;
 }
 
 void BlcoBackend::mttkrp(simgpu::Device& dev,
                          const std::vector<Matrix>& factors, int mode,
                          Matrix& out) const {
   if (dimtree_ != nullptr) {
-    last_strategy_ = dimtree_->mttkrp(dev, factors, mode, out, scatter_);
+    dimtree_->mttkrp(dev, factors, mode, out, scatter_);
     return;
   }
   ScatterOptions opts = scatter_;
@@ -40,7 +42,7 @@ void BlcoBackend::mttkrp(simgpu::Device& dev,
   if (opts.strategy == ScatterStrategy::kSorted) {
     plan = &plans_.get(mode, [&] { return blco_scatter_plan(blco_, mode); });
   }
-  last_strategy_ = mttkrp_blco(dev, blco_, factors, mode, out, opts, plan);
+  mttkrp_blco(dev, blco_, factors, mode, out, opts, plan);
 }
 
 CsfBackend::CsfBackend(const SparseTensor& coo)

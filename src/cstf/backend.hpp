@@ -44,8 +44,9 @@ class MttkrpBackend {
                       int mode, Matrix& out) const = 0;
 
   /// The dimension-tree reuse engine, when one is enabled on this backend
-  /// (see BlcoBackend::enable_dimtree); null otherwise. Non-owning; callers
-  /// use it to schedule chain extends and to invalidate on factor resets.
+  /// (see BlcoBackend::enable_dimtree); null otherwise. Non-owning; the
+  /// engine extends its own chain inside mttkrp(), and callers use it to
+  /// invalidate on factor resets and to size the footprint's chain row.
   virtual DimTreeEngine* dimtree() const { return nullptr; }
 };
 
@@ -69,32 +70,24 @@ class BlcoBackend final : public MttkrpBackend {
 
   const BlcoTensor& tensor() const { return blco_; }
 
-  /// The concrete strategy the engine used on the most recent mttkrp call
-  /// (after kAuto resolution); kAuto until the first call.
-  ScatterStrategy last_scatter_strategy() const { return last_strategy_; }
-
-  /// Enables dimension-tree MTTKRP reuse (DESIGN.md §13): every mttkrp()
-  /// call routes through the engine from now on. All modes go through it —
-  /// BLCO blocking reorders nonzeros, so mixing the flat BLCO kernel with
-  /// chain-derived modes would break the engine's bit-identity-to-
-  /// `mttkrp_ref` guarantee under sorted scatter. Needs the original
-  /// COO tensor (BLCO does not keep it); `rank` fixes the chain width and
-  /// `budget_bytes` caps the chain intermediate.
-  void enable_dimtree(const SparseTensor& coo, index_t rank,
+  /// Enables dimension-tree MTTKRP reuse (DESIGN.md §13) when the nnz x
+  /// `rank` chain fits `budget_bytes` (dimtree_fits_budget) and returns
+  /// true; otherwise leaves the backend flat and returns false. Once
+  /// enabled, every mttkrp() call routes through the engine. All modes go
+  /// through it — BLCO blocking reorders nonzeros, so mixing the flat BLCO
+  /// kernel with chain-derived modes would break the engine's
+  /// bit-identity-to-`mttkrp_ref` guarantee under sorted scatter. Needs the
+  /// original COO tensor (BLCO does not keep it).
+  bool enable_dimtree(const SparseTensor& coo, index_t rank,
                       double budget_bytes = kDefaultDimtreeBudgetBytes);
 
   DimTreeEngine* dimtree() const override { return dimtree_.get(); }
-
-  /// The backend's own sorted-scatter plan cache (the flat path; the
-  /// dimtree engine keeps a separate one) — exposed for counter surfacing.
-  const ScatterPlanCache& scatter_plans() const { return plans_; }
 
  private:
   BlcoTensor blco_;
   real_t norm_sq_;
   ScatterOptions scatter_;
   mutable ScatterPlanCache plans_;
-  mutable ScatterStrategy last_strategy_ = ScatterStrategy::kAuto;
   std::unique_ptr<DimTreeEngine> dimtree_;
 };
 

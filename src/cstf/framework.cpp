@@ -49,9 +49,12 @@ CstfFramework::CstfFramework(const SparseTensor& tensor,
         tensor, options_.rank, options_.scatter, options_.device,
         options_.dimtree_budget_bytes, backend_.tensor().storage_bytes());
   }
-  if (resolved_mttkrp_ == MttkrpMode::kDimtree) {
-    backend_.enable_dimtree(tensor, options_.rank,
-                            options_.dimtree_budget_bytes);
+  // The one budget check: an explicit kDimtree whose chain does not fit
+  // runs flat, as kAuto resolves it.
+  if (resolved_mttkrp_ == MttkrpMode::kDimtree &&
+      !backend_.enable_dimtree(tensor, options_.rank,
+                               options_.dimtree_budget_bytes)) {
+    resolved_mttkrp_ = MttkrpMode::kFlat;
   }
 
   AuntfOptions auntf;

@@ -70,9 +70,9 @@ struct FrameworkOptions {
   /// engines agree to fp tolerance, not bitwise).
   MttkrpMode mttkrp_mode = MttkrpMode::kAuto;
 
-  /// Byte cap on the dimension tree's nnz x R chain intermediate; over
-  /// budget the engine falls back to the flat kernels (and kAuto resolves
-  /// to flat).
+  /// Byte cap on the dimension tree's nnz x R chain intermediate, checked
+  /// once when the framework is built: over budget, kDimtree and kAuto both
+  /// resolve to the flat kernels.
   double dimtree_budget_bytes = kDefaultDimtreeBudgetBytes;
 
   /// Write a crash-consistent training checkpoint (CSTFCKPT, see
@@ -118,8 +118,10 @@ class CstfFramework {
   const UpdateMethod& update_method() const { return *update_; }
   const BlcoBackend& backend() const { return backend_; }
 
-  /// The MTTKRP mode actually in effect after kAuto resolution (never
-  /// kAuto). `cstf_info --plan` and the benches report this.
+  /// The MTTKRP mode actually in effect after kAuto resolution and the
+  /// budget check (never kAuto; kFlat for a kDimtree whose chain does not
+  /// fit `dimtree_budget_bytes`). `cstf_info --plan`, `cstf_cli` and the
+  /// benches report this.
   MttkrpMode resolved_mttkrp_mode() const { return resolved_mttkrp_; }
 
   /// Builds an update method for a scheme outside the framework (used by

@@ -1,8 +1,6 @@
 #include "cstf/ktensor.hpp"
 
 #include <cmath>
-#include <cstring>
-#include <fstream>
 
 #include "common/error.hpp"
 #include "la/blas.hpp"
@@ -88,74 +86,6 @@ real_t KTensor::fit_to(const SparseTensor& x) const {
       std::max<real_t>(0.0, x_norm_sq - 2.0 * inner + model_sq);
   if (x_norm_sq <= 0.0) return 1.0;
   return 1.0 - std::sqrt(residual_sq) / std::sqrt(x_norm_sq);
-}
-
-namespace {
-constexpr char kKtMagic[8] = {'C', 'S', 'T', 'F', 'K', 'T', '1', '\n'};
-
-template <typename T>
-void write_raw(std::ostream& out, const T* data, std::size_t count) {
-  out.write(reinterpret_cast<const char*>(data),
-            static_cast<std::streamsize>(count * sizeof(T)));
-}
-
-template <typename T>
-void read_raw(std::istream& in, T* data, std::size_t count, const char* what) {
-  in.read(reinterpret_cast<char*>(data),
-          static_cast<std::streamsize>(count * sizeof(T)));
-  CSTF_CHECK_MSG(in.good(), "ktensor checkpoint truncated reading " << what);
-}
-}  // namespace
-
-void save_ktensor(const KTensor& model, const std::string& path) {
-  CSTF_CHECK(!model.factors.empty());
-  CSTF_CHECK(model.lambda.size() == static_cast<std::size_t>(model.rank()));
-  std::ofstream out(path, std::ios::binary);
-  CSTF_CHECK_MSG(out.good(), "cannot open ktensor checkpoint: " << path);
-  out.write(kKtMagic, sizeof(kKtMagic));
-  const auto modes = static_cast<std::uint64_t>(model.num_modes());
-  const auto rank = static_cast<std::uint64_t>(model.rank());
-  write_raw(out, &modes, 1);
-  write_raw(out, &rank, 1);
-  for (const Matrix& f : model.factors) {
-    const auto rows = static_cast<std::uint64_t>(f.rows());
-    write_raw(out, &rows, 1);
-  }
-  write_raw(out, model.lambda.data(), model.lambda.size());
-  for (const Matrix& f : model.factors) {
-    write_raw(out, f.data(), static_cast<std::size_t>(f.size()));
-  }
-  CSTF_CHECK_MSG(out.good(), "ktensor checkpoint write failed: " << path);
-}
-
-KTensor load_ktensor(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  CSTF_CHECK_MSG(in.good(), "cannot open ktensor checkpoint: " << path);
-  char magic[sizeof(kKtMagic)];
-  read_raw(in, magic, sizeof(kKtMagic), "magic");
-  CSTF_CHECK_MSG(std::memcmp(magic, kKtMagic, sizeof(kKtMagic)) == 0,
-                 "not a CSTFKT1 checkpoint: " << path);
-  std::uint64_t modes = 0, rank = 0;
-  read_raw(in, &modes, 1, "mode count");
-  read_raw(in, &rank, 1, "rank");
-  CSTF_CHECK_MSG(modes >= 1 && modes <= static_cast<std::uint64_t>(kMaxModes),
-                 "corrupt ktensor mode count " << modes);
-  CSTF_CHECK_MSG(rank >= 1 && rank <= (1u << 20), "corrupt rank " << rank);
-
-  std::vector<std::uint64_t> rows(static_cast<std::size_t>(modes));
-  read_raw(in, rows.data(), rows.size(), "factor heights");
-
-  KTensor model;
-  model.lambda.resize(static_cast<std::size_t>(rank));
-  read_raw(in, model.lambda.data(), model.lambda.size(), "lambda");
-  for (std::uint64_t m = 0; m < modes; ++m) {
-    Matrix f(static_cast<index_t>(rows[static_cast<std::size_t>(m)]),
-             static_cast<index_t>(rank));
-    read_raw(in, f.data(), static_cast<std::size_t>(f.size()), "factor");
-    model.factors.push_back(std::move(f));
-  }
-  model.validate();  // a structurally valid file can still carry NaNs
-  return model;
 }
 
 }  // namespace cstf

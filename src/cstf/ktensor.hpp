@@ -1,7 +1,6 @@
 // Kruskal tensor: the factored CPD model [lambda; H^(1), ..., H^(N)].
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "la/matrix.hpp"
@@ -45,10 +44,5 @@ struct KTensor {
   /// the dense part); intended for validation, not the inner loop.
   real_t fit_to(const SparseTensor& x) const;
 };
-
-/// Binary checkpoint of a Kruskal tensor (magic "CSTFKT1", shapes, lambda,
-/// raw factor data). Round-trips exactly; throws on bad magic/truncation.
-void save_ktensor(const KTensor& model, const std::string& path);
-KTensor load_ktensor(const std::string& path);
 
 }  // namespace cstf

@@ -30,7 +30,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <type_traits>
@@ -104,39 +103,26 @@ class ScatterPlanCache {
  public:
   /// `engine` tags this cache's series in the process-wide
   /// mttkrp.scatter_cache.* counters ("backend" for the MTTKRP backends and
-  /// Poisson NTF, "dimtree" for the dimension-tree engine's cache).
-  /// The per-cache hits()/misses() below are untouched by the tag.
+  /// Poisson NTF, "dimtree" for the dimension-tree engine's cache), the one
+  /// count of plan builds and reuses.
   explicit ScatterPlanCache(const char* engine = "backend") : engine_(engine) {}
 
   template <typename BuildFn>
   const ScatterPlan& get(int mode, const BuildFn& build) {
     CSTF_CHECK(mode >= 0 && mode < kMaxModes);
     auto& slot = slots_[static_cast<std::size_t>(mode)];
-    if (!slot) {
-      ++misses_;
-      bump_metrics(false);
-      slot = std::make_unique<ScatterPlan>(build());
-    } else {
-      ++hits_;
-      bump_metrics(true);
-    }
+    bump_metrics(slot != nullptr);
+    if (!slot) slot = std::make_unique<ScatterPlan>(build());
     return *slot;
   }
 
-  /// Plan reuse counters: a miss builds a plan, a hit reuses one. Surfaced
-  /// by cstf_info so plan-build overhead is observable.
-  std::int64_t hits() const { return hits_; }
-  std::int64_t misses() const { return misses_; }
-
  private:
-  /// Mirrors the hit/miss into mttkrp.scatter_cache.*{engine=...} (defined
-  /// in scatter.cpp).
+  /// Counts a hit (a reused plan) or a miss (a built one) in
+  /// mttkrp.scatter_cache.*{engine=...} (defined in scatter.cpp).
   void bump_metrics(bool hit) const;
 
   const char* engine_;
   std::unique_ptr<ScatterPlan> slots_[kMaxModes];
-  std::int64_t hits_ = 0;
-  std::int64_t misses_ = 0;
 };
 
 /// Number of private tiles the privatized strategy uses for `nnz` nonzeros:

@@ -1,16 +1,15 @@
 // Integration tests: KTensor, the AUNTF driver (its device program and
-// footprint), the CstfFramework facade, and the SPLATT/PLANC baselines.
+// footprint), the CstfFramework facade, and the driver over the CPU
+// baselines' backends (SPLATT's CSF, PLANC's ALTO and dense).
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <fstream>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <string>
 #include <vector>
 
-#include "baselines/planc.hpp"
-#include "baselines/splatt.hpp"
 #include "cstf/auntf.hpp"
 #include "cstf/footprint.hpp"
 #include "cstf/framework.hpp"
@@ -20,6 +19,7 @@
 #include "perfmodel/admm_model.hpp"
 #include "tensor/datasets.hpp"
 #include "tensor/generate.hpp"
+#include "updates/block_admm.hpp"
 
 namespace cstf {
 namespace {
@@ -86,35 +86,6 @@ TEST(KTensor, PerfectFitOnSelfGeneratedTensor) {
     }
   }
   EXPECT_NEAR(kt.fit_to(dense_as_sparse), 1.0, 1e-9);
-}
-
-TEST(KTensor, CheckpointRoundTripsExactly) {
-  Rng rng(71);
-  KTensor model;
-  model.factors.emplace_back(13, 3);
-  model.factors.emplace_back(9, 3);
-  model.factors.emplace_back(7, 3);
-  for (auto& f : model.factors) f.fill_normal(rng);
-  model.lambda = {1.5, 0.25, 3.75};
-  const std::string path = ::testing::TempDir() + "/model.ckpt";
-  save_ktensor(model, path);
-  const KTensor back = load_ktensor(path);
-  ASSERT_EQ(back.num_modes(), 3);
-  ASSERT_EQ(back.rank(), 3);
-  EXPECT_EQ(back.lambda, model.lambda);
-  for (int m = 0; m < 3; ++m) {
-    EXPECT_DOUBLE_EQ(max_abs_diff(back.factors[m], model.factors[m]), 0.0);
-  }
-}
-
-TEST(KTensor, CheckpointRejectsGarbage) {
-  const std::string path = ::testing::TempDir() + "/garbage.ckpt";
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "NOT-A-CHECKPOINT-FILE-AT-ALL";
-  }
-  EXPECT_THROW(load_ktensor(path), Error);
-  EXPECT_THROW(load_ktensor("/nonexistent/model.ckpt"), Error);
 }
 
 TEST(KTensor, ValidateAcceptsWellFormedModel) {
@@ -304,7 +275,10 @@ TEST(Auntf, ScatterStrategiesAgreeAcrossEngines) {
     driver.initialize();
     driver.iterate();
     driver.iterate();
-    EXPECT_EQ(backend.last_scatter_strategy(), strategy);
+    const auto& kernels = dev.per_kernel();
+    const bool sorted = strategy == ScatterStrategy::kSorted;
+    EXPECT_EQ(kernels.count("mttkrp_blco_sorted"), sorted ? 1u : 0u);
+    EXPECT_EQ(kernels.count("mttkrp_blco_priv"), sorted ? 0u : 1u);
     return driver.ktensor();
   };
 
@@ -357,8 +331,10 @@ TEST(Framework, BackendResolvesAutoAndCachesSortedPlans) {
   }
   for (int mode = 0; mode < backend.num_modes(); ++mode) {
     Matrix got(backend.dim(mode), 4), want(backend.dim(mode), 4);
+    dev.reset();
     backend.mttkrp(dev, factors, mode, got);
-    EXPECT_EQ(backend.last_scatter_strategy(), ScatterStrategy::kSorted);
+    EXPECT_EQ(dev.per_kernel().count("mttkrp_blco_sorted"), 1u);
+    EXPECT_EQ(dev.per_kernel().count("mttkrp_blco_priv"), 0u);
     reference.mttkrp(ref_dev, factors, mode, want);
     EXPECT_LT(max_abs_diff(got, want), 1e-10) << "mode " << mode;
     // Second call reuses the cached plan and must agree exactly.
@@ -452,7 +428,6 @@ TEST(Framework, DimtreePlanAccountsForChainInPeakBytes) {
 
   const DimTreeEngine* engine = tree.backend().dimtree();
   ASSERT_NE(engine, nullptr);
-  EXPECT_TRUE(engine->chain_fits());
   EXPECT_EQ(tree.device_footprint_bytes(),
             flat.device_footprint_bytes() + engine->chain_bytes());
 
@@ -466,6 +441,61 @@ TEST(Framework, DimtreePlanAccountsForChainInPeakBytes) {
   EXPECT_FALSE(has_chain_row(flat.driver().footprint()));
   EXPECT_NE(tree.driver().footprint().describe().find("dimtree_chain"),
             std::string::npos);
+}
+
+TEST(Framework, DimtreeOverBudgetResolvesFlat) {
+  // The budget is checked once, when the engine is enabled: an explicit
+  // kDimtree whose chain does not fit runs the flat kernels, reports flat,
+  // has no engine and no chain row, and trains the flat run's factors.
+  LowRankTensorParams params;
+  params.dims = {9, 7, 6, 5};
+  params.rank = 3;
+  params.target_nnz = 240;
+  params.seed = 41;
+  const LowRankTensor lr = generate_low_rank(params);
+  FrameworkOptions flat_opts;
+  flat_opts.rank = 3;
+  flat_opts.max_iterations = 1;
+  flat_opts.mttkrp_mode = MttkrpMode::kFlat;
+  FrameworkOptions tree_opts = flat_opts;
+  tree_opts.mttkrp_mode = MttkrpMode::kDimtree;
+  tree_opts.dimtree_budget_bytes =
+      dimtree_chain_bytes(lr.tensor.nnz(), tree_opts.rank) - 1.0;
+
+  CstfFramework tree(lr.tensor, tree_opts);
+  EXPECT_EQ(tree.resolved_mttkrp_mode(), MttkrpMode::kFlat);
+  EXPECT_EQ(tree.backend().dimtree(), nullptr);
+  const DeviceFootprint footprint = tree.driver().footprint();
+  for (const FootprintRow& row : footprint.rows()) {
+    EXPECT_NE(row.name, "dimtree_chain");
+  }
+
+  simgpu::Tracer tracer;
+  tree.device().set_tracer(&tracer);
+  tree.run();
+  tree.device().set_tracer(nullptr);
+  int blco_spans = 0;
+  for (const simgpu::TraceSpan& span : tracer.spans()) {
+    EXPECT_NE(span.kernel.rfind("dimtree_", 0), 0u) << span.kernel;
+    if (span.kernel.rfind("mttkrp_blco_", 0) == 0) ++blco_spans;
+  }
+  EXPECT_GE(blco_spans, lr.tensor.num_modes());
+
+  CstfFramework flat(lr.tensor, flat_opts);
+  flat.run();
+  const KTensor a = tree.ktensor();
+  const KTensor b = flat.ktensor();
+  ASSERT_EQ(a.num_modes(), b.num_modes());
+  for (int m = 0; m < a.num_modes(); ++m) {
+    const Matrix& fa = a.factors[static_cast<std::size_t>(m)];
+    const Matrix& fb = b.factors[static_cast<std::size_t>(m)];
+    ASSERT_TRUE(fa.same_shape(fb)) << "mode " << m;
+    EXPECT_EQ(std::memcmp(fa.data(), fb.data(),
+                          static_cast<std::size_t>(fa.size()) * sizeof(real_t)),
+              0)
+        << "mode " << m;
+  }
+  EXPECT_EQ(a.lambda, b.lambda);
 }
 
 TEST(DeviceFootprint, CountsResidentStateHandComputed) {
@@ -529,8 +559,8 @@ struct ProgramCase {
 
 const std::vector<ProgramCase>& program_cases() {
   // GRAM and UPDATE do not depend on the engine or the fit; the fit
-  // capture's dsyrk rolls into NORMALIZE, the dimension tree's extends
-  // into MTTKRP.
+  // capture's dsyrk rolls into NORMALIZE, and the dimension tree's extends
+  // run inside MTTKRP.
   static const std::vector<ProgramCase> cases = {
       {"flat, fit", MttkrpMode::kFlat, true,
        {{"GRAM", 1.6049645390070977e-05},
@@ -574,20 +604,27 @@ std::vector<PhaseRun> phase_runs(const simgpu::Tracer& tracer) {
 }
 
 /// One iteration over `modes` modes: per mode GRAM, MTTKRP, UPDATE, the
-/// unphased fit capture on the last mode, NORMALIZE, the dimension tree's
-/// extend, and the Gram recompute, which runs on into the next mode's
-/// Hadamard of Grams; FIT last. The MTTKRP derives and the updates are
-/// pinned by phase only (empty kernel list).
+/// unphased fit capture on the last mode, NORMALIZE and the Gram recompute,
+/// which runs on into the next mode's Hadamard of Grams; FIT last. Under
+/// the dimension tree each MTTKRP run is pinned: the mode-0 flat path, then
+/// per later mode the fold of the previous mode's factor and the derive.
+/// The flat engine's MTTKRP runs and the updates are pinned by phase only
+/// (empty kernel list).
 std::vector<PhaseRun> expected_runs(const ProgramCase& c, int modes) {
   const bool tree = c.engine == MttkrpMode::kDimtree;
   std::vector<PhaseRun> runs = {{"GRAM", {"gram_hadamard"}}};
   for (int n = 0; n < modes; ++n) {
     const bool last = n == modes - 1;
-    runs.push_back({"MTTKRP", {}});
+    if (!tree) {
+      runs.push_back({"MTTKRP", {}});
+    } else if (n == 0) {
+      runs.push_back({"MTTKRP", {"dimtree_flat"}});
+    } else {
+      runs.push_back({"MTTKRP", {"dimtree_extend", "dimtree_derive"}});
+    }
     runs.push_back({"UPDATE", {}});
     if (last && c.fit) runs.push_back({"", {"dsyrk"}});
     runs.push_back({"NORMALIZE", {"normalize"}});
-    if (tree && !last) runs.push_back({"MTTKRP", {"dimtree_extend"}});
     if (last) {
       runs.push_back({"GRAM", {"dsyrk"}});
     } else {
@@ -813,12 +850,26 @@ TEST(Framework, L1ConstraintYieldsSparserFactors) {
   EXPECT_GT(zero_fraction(f_sparse.ktensor()), zero_fraction(f_plain.ktensor()));
 }
 
+// The CPU baselines of the figures are the driver on the Xeon model over
+// the baselines' backends (bench/bench_util.cpp builds the same systems):
+// SPLATT is CSF MTTKRP with blocked AO-ADMM, modified PLANC the ALTO sparse
+// MTTKRP (or the dense one for DenseTF) with a framework update scheme.
+
+AuntfOptions baseline_options(index_t rank, int iterations,
+                              bool compute_fit = true) {
+  AuntfOptions opt;
+  opt.rank = rank;
+  opt.max_iterations = iterations;
+  opt.compute_fit = compute_fit;
+  return opt;
+}
+
 TEST(Baselines, SplattMatchesGpuFrameworkFit) {
   const LowRankTensor lr = make_low_rank(10);
-  SplattOptions sopt;
-  sopt.rank = 5;
-  sopt.max_iterations = 6;
-  SplattCpu splatt(lr.tensor, sopt);
+  simgpu::Device xeon(simgpu::xeon_8367hc());
+  CsfBackend csf(lr.tensor);
+  BlockAdmmUpdate blocked(BlockAdmmOptions{});
+  Auntf splatt(xeon, csf, blocked, baseline_options(5, 6));
   const AuntfResult splatt_result = splatt.run();
 
   FrameworkOptions gopt;
@@ -836,13 +887,12 @@ TEST(Baselines, SplattModeledOnXeonIsSlowerThanGpuModel) {
   // The core claim of Figures 5-6, at test scale: for the same per-iteration
   // work, modeled Xeon time exceeds modeled A100 time.
   DatasetAnalog analog = make_analog(dataset_by_name("NELL2"), 20000);
-  SplattOptions sopt;
-  sopt.rank = 32;
-  sopt.max_iterations = 1;
-  sopt.compute_fit = false;
-  SplattCpu splatt(analog.tensor, sopt);
-  splatt.driver().initialize();
-  splatt.driver().iterate();
+  simgpu::Device xeon(simgpu::xeon_8367hc());
+  CsfBackend csf(analog.tensor);
+  BlockAdmmUpdate blocked(BlockAdmmOptions{});
+  Auntf splatt(xeon, csf, blocked, baseline_options(32, 1, false));
+  splatt.initialize();
+  splatt.iterate();
 
   FrameworkOptions gopt;
   gopt.rank = 32;
@@ -856,20 +906,20 @@ TEST(Baselines, SplattModeledOnXeonIsSlowerThanGpuModel) {
   // small-tensor effect, cf. NIPS in Figure 5); scale the metered record to
   // full NELL2 size before modeling, as the benches do.
   const double scale = analog.nnz_scale();
-  EXPECT_GT(perfmodel::modeled_time_scaled(splatt.device(), scale),
+  EXPECT_GT(perfmodel::modeled_time_scaled(xeon, scale),
             perfmodel::modeled_time_scaled(gpu.device(), scale));
 }
 
 TEST(Baselines, PlancSparseSupportsMuAndHals) {
   const LowRankTensor lr = make_low_rank(11);
+  AltoBackend alto(lr.tensor);
   for (UpdateScheme scheme : {UpdateScheme::kMu, UpdateScheme::kHals}) {
-    PlancOptions opt;
+    simgpu::Device xeon(simgpu::xeon_8367hc());
+    const auto update =
+        CstfFramework::make_update(scheme, Proximity::non_negative(), 10);
     // Slightly over-parameterized rank: exact-rank NTF is prone to local
     // minima; the planted model is rank 4.
-    opt.rank = 6;
-    opt.max_iterations = 20;
-    opt.scheme = scheme;
-    PlancSparseCpu planc(lr.tensor, opt);
+    Auntf planc(xeon, alto, *update, baseline_options(6, 20));
     const AuntfResult result = planc.run();
     EXPECT_GT(result.final_fit, scheme == UpdateScheme::kMu ? 0.3 : 0.8);
   }
@@ -880,25 +930,25 @@ TEST(Baselines, PlancDenseUpdateDominatedBySparseNotDense) {
   // tensor of comparable factor size the UPDATE phase dominates. The dense
   // side uses MU: at this toy scale ADMM's fixed per-inner-iteration sync
   // cost would mask the size-driven effect the test probes (the scaled Fig-1
-  // bench shows the ADMM version).
-  PlancOptions opt;
-  opt.rank = 8;
-  opt.max_iterations = 1;
-  opt.compute_fit = false;
+  // bench shows the ADMM version). The sparse side runs PLANC's unfused
+  // ADMM.
+  const AuntfOptions opt = baseline_options(8, 1, false);
 
   // Dense 40x30x20x15 tensor.
-  PlancOptions dense_opt = opt;
-  dense_opt.scheme = UpdateScheme::kMu;
   std::vector<index_t> dims{40, 30, 20, 15};
   Rng rng(12);
   DenseTensor dense(dims);
   for (index_t i = 0; i < dense.num_elements(); ++i) {
     dense.data()[i] = rng.uniform();
   }
-  PlancDenseCpu planc_dense(std::move(dense), dense_opt);
-  planc_dense.driver().initialize();
-  planc_dense.driver().iterate();
-  const auto& dense_phases = planc_dense.driver().modeled_phase_seconds();
+  simgpu::Device dense_xeon(simgpu::xeon_8367hc());
+  DenseBackend dense_backend(std::move(dense));
+  const auto mu = CstfFramework::make_update(UpdateScheme::kMu,
+                                             Proximity::non_negative(), 10);
+  Auntf planc_dense(dense_xeon, dense_backend, *mu, opt);
+  planc_dense.initialize();
+  planc_dense.iterate();
+  const auto& dense_phases = planc_dense.modeled_phase_seconds();
 
   // Sparse tensor with long modes and few nonzeros.
   RandomTensorParams sparse_params;
@@ -906,10 +956,14 @@ TEST(Baselines, PlancDenseUpdateDominatedBySparseNotDense) {
   sparse_params.target_nnz = 5000;
   sparse_params.seed = 13;
   const SparseTensor sparse = generate_random(sparse_params);
-  PlancSparseCpu planc_sparse(sparse, opt);
-  planc_sparse.driver().initialize();
-  planc_sparse.driver().iterate();
-  const auto& sparse_phases = planc_sparse.driver().modeled_phase_seconds();
+  simgpu::Device sparse_xeon(simgpu::xeon_8367hc());
+  AltoBackend alto(sparse);
+  const auto admm = CstfFramework::make_update(
+      UpdateScheme::kAdmm, Proximity::non_negative(), 10);
+  Auntf planc_sparse(sparse_xeon, alto, *admm, opt);
+  planc_sparse.initialize();
+  planc_sparse.iterate();
+  const auto& sparse_phases = planc_sparse.modeled_phase_seconds();
 
   EXPECT_GT(dense_phases.at(phase::kMttkrp), dense_phases.at(phase::kUpdate));
   EXPECT_GT(sparse_phases.at(phase::kUpdate), sparse_phases.at(phase::kMttkrp));

@@ -19,12 +19,10 @@
 //                       kernels or the dimension-tree reuse engine; auto
 //                       models both and picks per tensor (DESIGN.md §13)
 //   --dimtree-budget B  byte cap on the dimension tree's chain intermediate
-//                       (default 256 MiB; over budget falls back to flat)
+//                       (default 256 MiB; over budget the run is flat)
 //   --seed N            RNG seed for the factor initialization (default 42)
 //   --output PREFIX     write factors to PREFIX.mode<k>.txt and lambda to
 //                       PREFIX.lambda.txt
-//   --checkpoint PATH   save the model as a binary checkpoint (loadable via
-//                       cstf::load_ktensor)
 //   --checkpoint-every N  write a crash-consistent CSTFCKPT training
 //                       checkpoint every N outer iterations (requires
 //                       --checkpoint-path)
@@ -69,7 +67,8 @@ using namespace cstf;
   std::fprintf(stderr,
                "usage: cstf_cli (--input FILE.tns | --dataset NAME) [--rank N]"
                " [--iters N]\n"
-               "                [--tol X] [--scheme cuadmm|admm|mu|hals|als]\n"
+               "                [--tol X]"
+               " [--scheme cuadmm|admm|mu|hals|als|bpp]\n"
                "                [--constraint nonneg|none|l1:W|l1nn:W|"
                "box:LO,HI|simplex|smooth:W]\n"
                "                [--device a100|h100|xeon]"
@@ -79,6 +78,7 @@ using namespace cstf;
                "                [--seed N] [--output PREFIX]\n"
                "                [--checkpoint-every N --checkpoint-path P]"
                " [--resume P]\n"
+               "                [--save PATH] [--model-name NAME]\n"
                "                [--profile] [--trace FILE]"
                " [--metrics-out FILE]\n");
   std::exit(2);
@@ -138,7 +138,7 @@ void write_matrix(const Matrix& m, const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string input, dataset, output, checkpoint, trace_path;
+  std::string input, dataset, output, trace_path;
   std::string save_path, model_name, metrics_path;
   bool profile = false;
   FrameworkOptions options;
@@ -191,7 +191,6 @@ int main(int argc, char** argv) {
       options.seed = tools::parse_seed_flag(usage, arg, value());
     }
     else if (arg == "--output") output = value();
-    else if (arg == "--checkpoint") checkpoint = value();
     else if (arg == "--checkpoint-every") {
       options.checkpoint_every = static_cast<int>(count(0, kIntMax));
     }
@@ -269,10 +268,6 @@ int main(int argc, char** argv) {
       std::ofstream lam(output + ".lambda.txt");
       for (real_t l : model.lambda) lam << l << '\n';
       std::printf("factors written to %s.mode*.txt\n", output.c_str());
-    }
-    if (!checkpoint.empty()) {
-      save_ktensor(framework.ktensor(), checkpoint);
-      std::printf("checkpoint written to %s\n", checkpoint.c_str());
     }
     if (!save_path.empty()) {
       serve::SavedModel saved;
