@@ -126,7 +126,8 @@ int main() {
   std::printf(
       "\nPaper reference: geomean 5.10x (max 41.59x) on A100; 7.01x\n"
       "(max 58.05x) on H100. Shape to verify: long-mode tensors gain most;\n"
-      "small tensors least. \"GPU ovl\" pipelines each mode's Gram work\n"
-      "against its MTTKRP on a second stream — a small, free win on top.\n");
+      "small tensors least. \"GPU ovl\" overlaps each mode's Gram work\n"
+      "with its MTTKRP (per mode, t = max(t + gram, t + mttkrp) + update +\n"
+      "normalize) — a small, free win on top.\n");
   return 0;
 }

@@ -24,7 +24,7 @@
 // Both engines form each nonzero's product in registers and add it in one
 // pass (DESIGN.md §8), so the gate weighs that reuse against the chain's
 // memory traffic, not one inner loop against a slower one. Over ten runs on
-// a shared 4-core host the flat/tree ratio read 1.00-1.34 (median 1.24).
+// a shared 4-core host the flat/tree ratio read 1.10-1.23 (median 1.14).
 //
 // The fourth section times one ADMM factor update (10 inner iterations,
 // non-negative, 2^17 x 32): cuADMM — operation fusion and pre-inversion,
@@ -35,10 +35,10 @@
 //
 // `--smoke` runs only the gated sections and exits nonzero when any gate
 // fails: the kAuto pick must stay within 25% of sorted on the short-mode
-// scatter fixture (the two tie there; best-of-7 ratios spread 0.88-1.11 on
-// a shared 4-core host), dimtree must not lose to flat on the 4-way
+// scatter fixture (best-of-7 pick/sorted ratios spread 0.64-0.85 on a
+// shared 4-core host), dimtree must not lose to flat on the 4-way
 // fixture, and cuADMM must be at least 2x faster than the chain
-// (0.15-0.19 s vs 0.65-0.72 s on a shared 4-core host) — the perf
+// (0.11-0.15 s vs 0.39-0.50 s on a shared 4-core host) — the perf
 // regression gates scripts/check.sh runs (CSTF_CHECK_SKIP_PERF=1 skips them
 // there).
 #include <algorithm>

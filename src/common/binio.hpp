@@ -13,10 +13,13 @@
 
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <type_traits>
+#include <vector>
 
 #include "common/error.hpp"
+#include "common/types.hpp"
 
 namespace cstf {
 
@@ -85,7 +88,29 @@ class HashingWriter {
 class HashingReader {
  public:
   HashingReader(std::ifstream& in, const std::string& path)
-      : in_(in), path_(path) {}
+      : in_(in), path_(path) {
+    const std::streampos start = in_.tellg();
+    in_.seekg(0, std::ios::end);
+    const std::streamoff end = in_.tellg();
+    in_.seekg(start);
+    if (start >= 0 && end >= 0) size_ = static_cast<std::uint64_t>(end);
+  }
+
+  /// Throws kTruncated unless `count` reals remain before the end of the
+  /// file. Loaders call it with a header's declared payload before they
+  /// allocate for it, so a header claiming more than the file holds fails
+  /// as truncated instead of allocating (or failing to allocate) first.
+  void require_reals(std::uint64_t count, const char* what) {
+    const std::streamoff here = in_.tellg();
+    if (here < 0 || size_ == kUnknownSize) return;
+    const std::uint64_t left = size_ - static_cast<std::uint64_t>(here);
+    if (count > left / sizeof(real_t)) {
+      throw_model_io(ModelIoStatus::kTruncated,
+                     path_ + ": truncated: " + what + " declares " +
+                         std::to_string(count) + " reals, " +
+                         std::to_string(left) + " bytes left");
+    }
+  }
 
   void read(void* data, std::size_t len, const char* what) {
     in_.read(static_cast<char*>(data), static_cast<std::streamsize>(len));
@@ -107,10 +132,36 @@ class HashingReader {
   std::uint64_t digest() const { return hash_; }
 
  private:
+  static constexpr std::uint64_t kUnknownSize =
+      std::numeric_limits<std::uint64_t>::max();
+
   std::ifstream& in_;
   const std::string& path_;
+  std::uint64_t size_ = kUnknownSize;
   std::uint64_t hash_ = 0xcbf29ce484222325ULL;
 };
+
+/// Writes a rows() x cols() matrix (anything with rows(), cols() and
+/// operator()(i, j)) as the formats store it: column by column, column j's
+/// entries (0,j) .. (rows-1,j) contiguous.
+template <typename Mat>
+void write_column_major(HashingWriter& w, const Mat& m) {
+  std::vector<real_t> col(static_cast<std::size_t>(m.rows()));
+  for (index_t j = 0; j < m.cols(); ++j) {
+    for (index_t i = 0; i < m.rows(); ++i) col[static_cast<std::size_t>(i)] = m(i, j);
+    w.write(col.data(), col.size() * sizeof(real_t));
+  }
+}
+
+/// Fills an already-shaped matrix from write_column_major's payload.
+template <typename Mat>
+void read_column_major(HashingReader& r, Mat& m, const char* what) {
+  std::vector<real_t> col(static_cast<std::size_t>(m.rows()));
+  for (index_t j = 0; j < m.cols(); ++j) {
+    r.read(col.data(), col.size() * sizeof(real_t), what);
+    for (index_t i = 0; i < m.rows(); ++i) m(i, j) = col[static_cast<std::size_t>(i)];
+  }
+}
 
 /// Renames "<tmp>" into "<path>" (the commit step of a crash-consistent
 /// save); removes the tmp file and throws kWriteFailed on failure.

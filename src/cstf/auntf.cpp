@@ -241,10 +241,19 @@ real_t Auntf::fit_from_workspace() {
       2.0 * static_cast<double>(ws_.last_m.size()) * simgpu::kWord;
   stats.parallel_items = static_cast<double>(ws_.last_m.size());
   dev_.record("fit_inner_product", stats);
+  // Column r's dot product sums over the rows in ascending order.
+  std::vector<real_t> dots(static_cast<std::size_t>(rank), 0.0);
+  for (index_t i = 0; i < h_last.rows(); ++i) {
+    const real_t* h_row = h_last.row(i);
+    const real_t* m_row = ws_.last_m.row(i);
+    for (index_t r = 0; r < rank; ++r) {
+      dots[static_cast<std::size_t>(r)] += h_row[r] * m_row[r];
+    }
+  }
   real_t inner = 0.0;
   for (index_t r = 0; r < rank; ++r) {
     inner += lambda_[static_cast<std::size_t>(r)] *
-             la::dot(h_last.rows(), h_last.col(r), ws_.last_m.col(r));
+             dots[static_cast<std::size_t>(r)];
   }
 
   const real_t x_sq = backend_.norm_sq();

@@ -1,5 +1,6 @@
 #include "cstf/checkpoint.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -17,14 +18,6 @@ constexpr char kMagic[8] = {'C', 'S', 'T', 'F', 'C', 'K', 'P', 'T'};
 constexpr std::uint64_t kMaxRank = 1u << 20;
 constexpr std::uint64_t kMaxRows = 1ull << 40;
 constexpr std::uint64_t kMaxHistory = 1u << 24;
-
-void write_matrix(HashingWriter& w, const Matrix& m) {
-  w.write(m.data(), static_cast<std::size_t>(m.size()) * sizeof(real_t));
-}
-
-void read_matrix(HashingReader& r, Matrix& m, const char* what) {
-  r.read(m.data(), static_cast<std::size_t>(m.size()) * sizeof(real_t), what);
-}
 
 }  // namespace
 
@@ -94,11 +87,11 @@ void save_checkpoint_impl(const TrainingCheckpoint& checkpoint,
       w.write_pod(static_cast<std::uint64_t>(f.rows()));
     }
     w.write(state.lambda.data(), state.lambda.size() * sizeof(real_t));
-    for (const Matrix& f : state.factors) write_matrix(w, f);
+    for (const Matrix& f : state.factors) write_column_major(w, f);
     for (std::size_t m = 0; m < state.factors.size(); ++m) {
       const bool has_dual = m < state.duals.size() && !state.duals[m].empty();
       w.write_pod(static_cast<std::uint8_t>(has_dual ? 1 : 0));
-      if (has_dual) write_matrix(w, state.duals[m]);
+      if (has_dual) write_column_major(w, state.duals[m]);
     }
     for (std::size_t m = 0; m < state.factors.size(); ++m) {
       const double rho = m < state.rho.size() ? state.rho[m] : 0.0;
@@ -154,6 +147,7 @@ TrainingCheckpoint load_checkpoint_impl(const std::string& path) {
                    path + ": implausible fit history length " +
                        std::to_string(history));
   }
+  r.require_reals(history, "fit history");
   state.fit_history.resize(static_cast<std::size_t>(history));
   for (real_t& fit : state.fit_history) {
     fit = static_cast<real_t>(r.read_pod<double>("fit history"));
@@ -179,21 +173,28 @@ TrainingCheckpoint load_checkpoint_impl(const std::string& path) {
     }
   }
 
+  // The declared lambda and factors must fit in the file before any is
+  // allocated (each height * rank <= 2^60, so the sum of <= 8 fits); each
+  // dual is checked the same way once its flag says it is present.
+  std::uint64_t payload = rank;
+  for (std::uint64_t height : rows) payload += height * rank;
+  r.require_reals(payload, "lambda and factor data");
   state.lambda.resize(static_cast<std::size_t>(rank));
   r.read(state.lambda.data(), state.lambda.size() * sizeof(real_t), "lambda");
   for (std::uint64_t m = 0; m < modes; ++m) {
     Matrix f(static_cast<index_t>(rows[static_cast<std::size_t>(m)]),
              static_cast<index_t>(rank));
-    read_matrix(r, f, "factor data");
+    read_column_major(r, f, "factor data");
     state.factors.push_back(std::move(f));
   }
   for (std::uint64_t m = 0; m < modes; ++m) {
     const bool has_dual = r.read_pod<std::uint8_t>("dual flag") != 0;
     Matrix dual;
     if (has_dual) {
-      dual.resize(static_cast<index_t>(rows[static_cast<std::size_t>(m)]),
-                  static_cast<index_t>(rank));
-      read_matrix(r, dual, "dual data");
+      const std::uint64_t height = rows[static_cast<std::size_t>(m)];
+      r.require_reals(height * rank, "dual data");
+      dual.resize(static_cast<index_t>(height), static_cast<index_t>(rank));
+      read_column_major(r, dual, "dual data");
     }
     state.duals.push_back(std::move(dual));
   }
@@ -216,14 +217,10 @@ TrainingCheckpoint load_checkpoint_impl(const std::string& path) {
   // Finite-value validation: a checkpoint that deserialized cleanly but
   // carries NaN/Inf factors would poison the resumed run.
   for (const Matrix& f : state.factors) {
-    for (index_t j = 0; j < f.cols(); ++j) {
-      const real_t* col = f.col(j);
-      for (index_t i = 0; i < f.rows(); ++i) {
-        if (!std::isfinite(col[i])) {
-          throw_model_io(ModelIoStatus::kInvalidModel,
-                         path + ": non-finite factor entry");
-        }
-      }
+    if (!std::all_of(f.data(), f.data() + f.size(),
+                     [](real_t v) { return std::isfinite(v); })) {
+      throw_model_io(ModelIoStatus::kInvalidModel,
+                     path + ": non-finite factor entry");
     }
   }
   for (real_t l : state.lambda) {

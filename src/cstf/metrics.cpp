@@ -5,9 +5,23 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "la/blas.hpp"
 
 namespace cstf {
+
+namespace {
+
+// sum_i a(i, r) * b(i, s), i ascending.
+double column_dot(const Matrix& a, index_t r, const Matrix& b, index_t s) {
+  double acc = 0.0;
+  for (index_t i = 0; i < a.rows(); ++i) acc += a(i, r) * b(i, s);
+  return acc;
+}
+
+double column_norm(const Matrix& a, index_t r) {
+  return std::sqrt(column_dot(a, r, a, r));
+}
+
+}  // namespace
 
 double component_congruence(const KTensor& a, index_t r, const KTensor& b,
                             index_t s) {
@@ -17,10 +31,10 @@ double component_congruence(const KTensor& a, index_t r, const KTensor& b,
     const Matrix& fa = a.factors[static_cast<std::size_t>(m)];
     const Matrix& fb = b.factors[static_cast<std::size_t>(m)];
     CSTF_CHECK(fa.rows() == fb.rows());
-    const double na = la::nrm2(fa.rows(), fa.col(r));
-    const double nb = la::nrm2(fb.rows(), fb.col(s));
+    const double na = column_norm(fa, r);
+    const double nb = column_norm(fb, s);
     if (na <= 0.0 || nb <= 0.0) return 0.0;
-    const double cos_rs = la::dot(fa.rows(), fa.col(r), fb.col(s)) / (na * nb);
+    const double cos_rs = column_dot(fa, r, fb, s) / (na * nb);
     congruence *= std::abs(cos_rs);
   }
   return congruence;
@@ -36,7 +50,7 @@ double factor_match_score(const KTensor& a, const KTensor& b) {
     double w = r < static_cast<index_t>(kt.lambda.size())
                    ? kt.lambda[static_cast<std::size_t>(r)]
                    : 1.0;
-    for (const Matrix& f : kt.factors) w *= la::nrm2(f.rows(), f.col(r));
+    for (const Matrix& f : kt.factors) w *= column_norm(f, r);
     return std::abs(w);
   };
 

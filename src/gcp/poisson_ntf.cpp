@@ -36,6 +36,16 @@ void evaluate_model(const SparseTensor& x, const std::vector<Matrix>& factors,
   });
 }
 
+// Per-column sums of `f`, each over the rows in ascending order.
+std::vector<real_t> column_sums(const Matrix& f) {
+  std::vector<real_t> sums(static_cast<std::size_t>(f.cols()), 0.0);
+  for (index_t i = 0; i < f.rows(); ++i) {
+    const real_t* row = f.row(i);
+    for (index_t r = 0; r < f.cols(); ++r) sums[static_cast<std::size_t>(r)] += row[r];
+  }
+  return sums;
+}
+
 }  // namespace
 
 PoissonNtf::PoissonNtf(const SparseTensor& tensor, PoissonNtfOptions options)
@@ -67,13 +77,11 @@ void PoissonNtf::set_factors(std::vector<Matrix> factors) {
                                         << "x" << f.cols() << ", expected "
                                         << tensor_.dim(m) << "x"
                                         << options_.rank);
-    for (index_t r = 0; r < f.cols(); ++r) {
-      const real_t* col = f.col(r);
-      for (index_t i = 0; i < f.rows(); ++i) {
-        CSTF_CHECK_MSG(col[i] >= 0.0 && std::isfinite(col[i]),
-                       "set_factors: negative or non-finite entry in mode "
-                           << m);
-      }
+    for (index_t e = 0; e < f.size(); ++e) {
+      const real_t v = f.data()[e];
+      CSTF_CHECK_MSG(v >= 0.0 && std::isfinite(v),
+                     "set_factors: negative or non-finite entry in mode "
+                         << m);
     }
   }
   factors_ = std::move(factors);
@@ -82,14 +90,13 @@ void PoissonNtf::set_factors(std::vector<Matrix> factors) {
 real_t PoissonNtf::objective() const {
   const index_t rank = options_.rank;
   // Model mass over all cells: sum_r prod_m colsum_m(r).
+  std::vector<std::vector<real_t>> colsums;
+  for (const Matrix& f : factors_) colsums.push_back(column_sums(f));
   real_t mass = 0.0;
   for (index_t r = 0; r < rank; ++r) {
     real_t prod = 1.0;
-    for (const Matrix& f : factors_) {
-      real_t colsum = 0.0;
-      const real_t* col = f.col(r);
-      for (index_t i = 0; i < f.rows(); ++i) colsum += col[i];
-      prod *= colsum;
+    for (const std::vector<real_t>& sums : colsums) {
+      prod *= sums[static_cast<std::size_t>(r)];
     }
     mass += prod;
   }
@@ -136,7 +143,7 @@ void PoissonNtf::sweep_mode(int mode) {
   const real_t* values = tensor_.values().data();
   const real_t* model = model_at_nnz_.data();
   const index_t* out_rows = tensor_.indices(mode).data();
-  const ColumnGather gather(factors_, mode);
+  const RowGather gather(factors_, mode);
   const index_t* coords[kMaxModes];
   for (int g = 0; g < gather.count; ++g) {
     coords[g] = tensor_.indices(gather.mode[g]).data();
@@ -159,12 +166,10 @@ void PoissonNtf::sweep_mode(int mode) {
   std::vector<real_t> denom(static_cast<std::size_t>(rank), 1.0);
   for (int m = 0; m < modes; ++m) {
     if (m == mode) continue;
-    const Matrix& f = factors_[static_cast<std::size_t>(m)];
+    const std::vector<real_t> sums =
+        column_sums(factors_[static_cast<std::size_t>(m)]);
     for (index_t r = 0; r < rank; ++r) {
-      real_t colsum = 0.0;
-      const real_t* col = f.col(r);
-      for (index_t i = 0; i < f.rows(); ++i) colsum += col[i];
-      denom[static_cast<std::size_t>(r)] *= colsum;
+      denom[static_cast<std::size_t>(r)] *= sums[static_cast<std::size_t>(r)];
     }
   }
 
@@ -176,14 +181,18 @@ void PoissonNtf::sweep_mode(int mode) {
     stats.parallel_items = static_cast<double>(h.size());
     device_.record("poisson_mu_update", stats);
   }
-  parallel_for(0, rank, [&](index_t r) {
-    const real_t d = std::max(denom[static_cast<std::size_t>(r)], eps);
-    real_t* hr = h.col(r);
-    const real_t* pr = phi.col(r);
-    for (index_t i = 0; i < h.rows(); ++i) {
-      hr[i] = std::max(hr[i] * pr[i] / d, real_t{0});
+  for (real_t& d : denom) d = std::max(d, eps);
+  parallel_for_blocked(0, h.rows(), [&](index_t lo, index_t hi) {
+    for (index_t i = lo; i < hi; ++i) {
+      real_t* hi_row = h.row(i);
+      const real_t* phi_row = phi.row(i);
+      for (index_t r = 0; r < rank; ++r) {
+        hi_row[r] = std::max(
+            hi_row[r] * phi_row[r] / denom[static_cast<std::size_t>(r)],
+            real_t{0});
+      }
     }
-  }, /*grain=*/1);
+  });
 }
 
 PoissonNtfResult PoissonNtf::run() {

@@ -34,28 +34,40 @@ void trsm_lower(const Matrix& l, Matrix& b) {
   CSTF_CHECK(l.cols() == n && b.rows() == n);
   // Each right-hand-side column is independent; the substitution within a
   // column is inherently sequential — exactly the serialization the paper
-  // calls out as hostile to GPUs (Section 4.3.2).
-  parallel_for(0, b.cols(), [&](index_t j) {
-    real_t* x = b.col(j);
+  // calls out as hostile to GPUs (Section 4.3.2). A block of columns is
+  // solved one row at a time: X(i,j) = (B(i,j) - sum_{k<i} L(i,k) X(k,j))
+  // / L(i,i), k ascending.
+  parallel_for_blocked(0, b.cols(), [&](index_t lo, index_t hi) {
     for (index_t i = 0; i < n; ++i) {
-      real_t acc = x[i];
-      for (index_t k = 0; k < i; ++k) acc -= l(i, k) * x[k];
-      x[i] = acc / l(i, i);
+      real_t* xi = b.row(i);
+      for (index_t k = 0; k < i; ++k) {
+        const real_t lik = l(i, k);
+        const real_t* xk = b.row(k);
+        for (index_t j = lo; j < hi; ++j) xi[j] -= lik * xk[j];
+      }
+      const real_t lii = l(i, i);
+      for (index_t j = lo; j < hi; ++j) xi[j] /= lii;
     }
-  }, /*grain=*/1);
+  });
 }
 
 void trsm_lower_transpose(const Matrix& l, Matrix& b) {
   const index_t n = l.rows();
   CSTF_CHECK(l.cols() == n && b.rows() == n);
-  parallel_for(0, b.cols(), [&](index_t j) {
-    real_t* x = b.col(j);
+  // X(i,j) = (B(i,j) - sum_{k>i} L(k,i) X(k,j)) / L(i,i), i descending and
+  // k ascending.
+  parallel_for_blocked(0, b.cols(), [&](index_t lo, index_t hi) {
     for (index_t i = n - 1; i >= 0; --i) {
-      real_t acc = x[i];
-      for (index_t k = i + 1; k < n; ++k) acc -= l(k, i) * x[k];
-      x[i] = acc / l(i, i);
+      real_t* xi = b.row(i);
+      for (index_t k = i + 1; k < n; ++k) {
+        const real_t lki = l(k, i);
+        const real_t* xk = b.row(k);
+        for (index_t j = lo; j < hi; ++j) xi[j] -= lki * xk[j];
+      }
+      const real_t lii = l(i, i);
+      for (index_t j = lo; j < hi; ++j) xi[j] /= lii;
     }
-  }, /*grain=*/1);
+  });
 }
 
 void cholesky_solve(const Matrix& l, Matrix& b) {

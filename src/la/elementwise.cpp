@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "parallel/parallel_for.hpp"
+#include "parallel/thread_pool.hpp"
 
 namespace cstf::la {
 
@@ -43,34 +45,63 @@ void clamp_min(Matrix& a, real_t floor) {
   });
 }
 
+namespace {
+
+// Runs body(lo, hi) over contiguous ranges of a's columns, one range per
+// worker: each range streams every row of `a` once and keeps its columns'
+// accumulators, so every column is reduced over the rows in ascending order.
+template <typename Body>
+void for_column_ranges(const Matrix& a, const Body& body) {
+  const auto workers = static_cast<index_t>(global_thread_count());
+  const index_t grain = std::max<index_t>(1, (a.cols() + workers - 1) / workers);
+  parallel_for_blocked(0, a.cols(), body, grain);
+}
+
+}  // namespace
+
 void column_norms(const Matrix& a, real_t* norms) {
-  parallel_for(0, a.cols(), [&](index_t j) {
-    const real_t* col = a.col(j);
-    real_t acc = 0.0;
-    for (index_t i = 0; i < a.rows(); ++i) acc += col[i] * col[i];
-    norms[j] = std::sqrt(acc);
-  }, /*grain=*/1);
+  for_column_ranges(a, [&](index_t lo, index_t hi) {
+    std::vector<real_t> acc(static_cast<std::size_t>(hi - lo), 0.0);
+    for (index_t i = 0; i < a.rows(); ++i) {
+      const real_t* ai = a.row(i) + lo;
+      for (index_t j = 0; j < hi - lo; ++j) {
+        acc[static_cast<std::size_t>(j)] += ai[j] * ai[j];
+      }
+    }
+    for (index_t j = lo; j < hi; ++j) {
+      norms[j] = std::sqrt(acc[static_cast<std::size_t>(j - lo)]);
+    }
+  });
 }
 
 void column_max_norms(const Matrix& a, real_t* norms) {
-  parallel_for(0, a.cols(), [&](index_t j) {
-    const real_t* col = a.col(j);
-    real_t m = 0.0;
-    for (index_t i = 0; i < a.rows(); ++i) m = std::max(m, std::abs(col[i]));
-    norms[j] = m;
-  }, /*grain=*/1);
+  for_column_ranges(a, [&](index_t lo, index_t hi) {
+    std::vector<real_t> m(static_cast<std::size_t>(hi - lo), 0.0);
+    for (index_t i = 0; i < a.rows(); ++i) {
+      const real_t* ai = a.row(i) + lo;
+      for (index_t j = 0; j < hi - lo; ++j) {
+        m[static_cast<std::size_t>(j)] =
+            std::max(m[static_cast<std::size_t>(j)], std::abs(ai[j]));
+      }
+    }
+    std::copy(m.begin(), m.end(), norms + lo);
+  });
 }
 
 void scale_columns_inv(Matrix& a, real_t* norms, real_t eps) {
-  parallel_for(0, a.cols(), [&](index_t j) {
-    if (norms[j] <= eps) {
-      norms[j] = 1.0;
-      return;
+  // A degenerate column's scale is 1: x * 1.0 == x, bit for bit.
+  std::vector<real_t> inv(static_cast<std::size_t>(a.cols()));
+  for (index_t j = 0; j < a.cols(); ++j) {
+    if (norms[j] <= eps) norms[j] = 1.0;
+    inv[static_cast<std::size_t>(j)] = 1.0 / norms[j];
+  }
+  const index_t cols = a.cols();
+  parallel_for_blocked(0, a.rows(), [&](index_t lo, index_t hi) {
+    for (index_t i = lo; i < hi; ++i) {
+      real_t* ai = a.row(i);
+      for (index_t j = 0; j < cols; ++j) ai[j] *= inv[static_cast<std::size_t>(j)];
     }
-    const real_t inv = 1.0 / norms[j];
-    real_t* col = a.col(j);
-    for (index_t i = 0; i < a.rows(); ++i) col[i] *= inv;
-  }, /*grain=*/1);
+  });
 }
 
 }  // namespace cstf::la

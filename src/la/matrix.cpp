@@ -2,8 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace cstf {
+
+std::size_t Matrix::checked_size(index_t rows, index_t cols) {
+  CSTF_CHECK_MSG(rows >= 0 && cols >= 0,
+                 "matrix shape " << rows << "x" << cols << " is negative");
+  CSTF_CHECK_MSG(cols == 0 || rows <= std::numeric_limits<index_t>::max() / cols,
+                 "matrix shape " << rows << "x" << cols << " overflows");
+  return static_cast<std::size_t>(rows * cols);
+}
 
 Matrix Matrix::from_rows(
     std::initializer_list<std::initializer_list<real_t>> rows) {
@@ -32,18 +41,21 @@ void Matrix::set_all(real_t value) {
 }
 
 void Matrix::fill_uniform(Rng& rng, real_t lo, real_t hi) {
-  for (auto& v : data_) v = rng.uniform(lo, hi);
+  for (index_t j = 0; j < cols_; ++j) {
+    for (index_t i = 0; i < rows_; ++i) (*this)(i, j) = rng.uniform(lo, hi);
+  }
 }
 
 void Matrix::fill_normal(Rng& rng, real_t mean, real_t stddev) {
-  for (auto& v : data_) v = rng.normal(mean, stddev);
+  for (index_t j = 0; j < cols_; ++j) {
+    for (index_t i = 0; i < rows_; ++i) (*this)(i, j) = rng.normal(mean, stddev);
+  }
 }
 
 void Matrix::resize(index_t new_rows, index_t new_cols) {
-  CSTF_CHECK(new_rows >= 0 && new_cols >= 0);
+  data_.assign(checked_size(new_rows, new_cols), real_t{0});
   rows_ = new_rows;
   cols_ = new_cols;
-  data_.assign(static_cast<std::size_t>(new_rows * new_cols), real_t{0});
 }
 
 real_t max_abs_diff(const Matrix& a, const Matrix& b) {

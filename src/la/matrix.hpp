@@ -1,9 +1,15 @@
-// Dense column-major matrix — the storage type for factor matrices.
+// Dense row-major matrix — the storage type for factor matrices.
 //
-// Column-major is chosen to match BLAS/cuBLAS convention: the paper's update
-// kernels are expressed in terms of DGEMM/DGEAM on column-major operands, and
-// keeping the same layout makes the traffic accounting in simgpu line up with
-// the paper's counts.
+// Row-major because the hot loop of every sparse MTTKRP gathers one R-wide
+// factor row per nonzero per mode (DESIGN.md §8): stored row-major, that
+// row is R contiguous reals — one or two cache lines — where a column-major
+// factor would scatter it over R lines I_m apart. Every matrix uses this one
+// layout: the I x R factors and MTTKRP outputs, ADMM's M/H/U and duals, and
+// the R x R Grams, Cholesky factors and inverses. The kernels that walk a
+// matrix (la/blas, la/cholesky, la/elementwise) follow storage order while
+// keeping each element's summation order, so results do not depend on the
+// layout. Files keep their column-major payloads: the .cstf and CSTFCKPT
+// writers and readers convert at the boundary.
 #pragma once
 
 #include <initializer_list>
@@ -15,16 +21,13 @@
 
 namespace cstf {
 
-/// Owning dense matrix of `real_t`, column-major, zero-initialized.
+/// Owning dense matrix of `real_t`, row-major, zero-initialized.
 class Matrix {
  public:
   Matrix() = default;
 
   Matrix(index_t rows, index_t cols)
-      : rows_(rows), cols_(cols),
-        data_(static_cast<std::size_t>(rows * cols), real_t{0}) {
-    CSTF_CHECK(rows >= 0 && cols >= 0);
-  }
+      : rows_(rows), cols_(cols), data_(checked_size(rows, cols), real_t{0}) {}
 
   /// Builds from a row-major initializer list (convenient in tests):
   /// Matrix::from_rows({{1,2},{3,4}}).
@@ -41,30 +44,32 @@ class Matrix {
   real_t* data() { return data_.data(); }
   const real_t* data() const { return data_.data(); }
 
-  /// Pointer to the start of column j.
-  real_t* col(index_t j) {
-    CSTF_CHECK(j >= 0 && j < cols_);
-    return data_.data() + static_cast<std::size_t>(j * rows_);
+  /// Pointer to the start of row i: its cols() entries are contiguous.
+  real_t* row(index_t i) {
+    CSTF_CHECK(i >= 0 && i < rows_);
+    return data_.data() + static_cast<std::size_t>(i * cols_);
   }
-  const real_t* col(index_t j) const {
-    CSTF_CHECK(j >= 0 && j < cols_);
-    return data_.data() + static_cast<std::size_t>(j * rows_);
+  const real_t* row(index_t i) const {
+    CSTF_CHECK(i >= 0 && i < rows_);
+    return data_.data() + static_cast<std::size_t>(i * cols_);
   }
 
   real_t& operator()(index_t i, index_t j) {
-    return data_[static_cast<std::size_t>(j * rows_ + i)];
+    return data_[static_cast<std::size_t>(i * cols_ + j)];
   }
   real_t operator()(index_t i, index_t j) const {
-    return data_[static_cast<std::size_t>(j * rows_ + i)];
+    return data_[static_cast<std::size_t>(i * cols_ + j)];
   }
 
   /// Sets every entry to `value`.
   void set_all(real_t value);
 
-  /// Fills with uniform values in [lo, hi) from `rng`.
+  /// Fills with uniform values in [lo, hi) from `rng`, drawn for (0,0),
+  /// (1,0), ... — column by column — so a seed gives the same matrix
+  /// whatever the storage order.
   void fill_uniform(Rng& rng, real_t lo = 0.0, real_t hi = 1.0);
 
-  /// Fills with N(mean, stddev) values from `rng`.
+  /// Fills with N(mean, stddev) values from `rng`, in fill_uniform's order.
   void fill_normal(Rng& rng, real_t mean = 0.0, real_t stddev = 1.0);
 
   /// Resizes, discarding contents (re-zeroed).
@@ -75,6 +80,10 @@ class Matrix {
   }
 
  private:
+  /// rows * cols, after checking that both are non-negative and that the
+  /// product fits index_t — before anything is allocated.
+  static std::size_t checked_size(index_t rows, index_t cols);
+
   index_t rows_ = 0;
   index_t cols_ = 0;
   std::vector<real_t> data_;

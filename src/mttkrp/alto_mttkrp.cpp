@@ -63,7 +63,7 @@ ScatterStrategy mttkrp_alto(const AltoTensor& alto,
   const auto& lcos = alto.linearized();
   const auto& vals = alto.values();
 
-  const ColumnGather gather(factors, mode);
+  const RowGather gather(factors, mode);
   with_gather_count(gather.count, [&](auto count) {
     constexpr int G = decltype(count)::value;
     scatter_accumulate(

@@ -62,7 +62,7 @@ simgpu::KernelStats prorate(const simgpu::KernelStats& stats, double share) {
 template <int G, typename Acc>
 void add_blco_nonzero(const BlcoTensor& blco, const BlcoBlock& blk,
                       const BitReader& deltas, index_t i,
-                      const ColumnGather& gather, int mode, index_t rank,
+                      const RowGather& gather, int mode, index_t rank,
                       const Acc& acc) {
   index_t coords[kMaxModes];
   blco.encoding().decode_all(
@@ -81,11 +81,10 @@ index_t range_nnz(const BlcoTensor& blco, index_t block_lo, index_t block_hi) {
 
 // Privatized kernel over the block range [block_lo, block_hi): a grid of
 // `tiles` launch blocks, tile t accumulating its fixed contiguous sub-range
-// into a private row-major output tile, followed by a reduce launch that
-// adds the tiles with the fixed pairwise tree and transposes the sum into
-// `out`. Tile 0 starts as a copy of `out`, so consecutive ranges
-// accumulate. Bit-deterministic regardless of which worker runs which tile.
-// Returns the two records it made.
+// into a private output tile, followed by a reduce launch that adds the
+// tiles into tile 0 with the fixed pairwise tree. Tile 0 is `out` itself,
+// so consecutive ranges accumulate. Bit-deterministic regardless of which
+// worker runs which tile. Returns the two records it made.
 std::vector<simgpu::KernelStats> launch_blco_priv(
     simgpu::Device& dev, const char* name, const BlcoTensor& blco,
     const std::vector<Matrix>& factors, int mode, Matrix& out,
@@ -98,29 +97,26 @@ std::vector<simgpu::KernelStats> launch_blco_priv(
   const double tile_bytes = static_cast<double>(len) * simgpu::kWord;
 
   ScratchPool::Lease lease =
-      ScratchPool::global().acquire(static_cast<std::size_t>(tiles), len);
+      ScratchPool::global().acquire(static_cast<std::size_t>(tiles - 1), len);
   std::vector<real_t*> tile(static_cast<std::size_t>(tiles));
-  for (index_t t = 0; t < tiles; ++t) {
+  tile[0] = out.data();
+  for (index_t t = 1; t < tiles; ++t) {
     tile[static_cast<std::size_t>(t)] =
-        lease.tile(static_cast<std::size_t>(t));
+        lease.tile(static_cast<std::size_t>(t - 1));
   }
   const index_t per_tile = (num_blocks + tiles - 1) / tiles;
 
   // Accumulate launch: base stats plus the tile zero-fill traffic.
   stats.bytes_streamed += static_cast<double>(tiles) * tile_bytes;
   simgpu::LaunchConfig cfg{.grid_dim = tiles, .block_dim = 1};
-  const ColumnGather gather(factors, mode);
+  const RowGather gather(factors, mode);
   std::vector<simgpu::KernelStats> recorded;
   with_gather_count(gather.count, [&](auto count) {
     constexpr int G = decltype(count)::value;
     const auto accumulate = [&](const simgpu::KernelCtx& ctx) {
       const index_t t = ctx.block_idx;
       real_t* dst = tile[static_cast<std::size_t>(t)];
-      if (t == 0) {
-        copy_to_row_major(out, dst);
-      } else {
-        std::fill_n(dst, len, real_t{0});
-      }
+      if (t > 0) std::fill_n(dst, len, real_t{0});
       const auto tile_row = [dst, rank](index_t row) {
         return dst + static_cast<std::size_t>(row * rank);
       };
@@ -139,8 +135,7 @@ std::vector<simgpu::KernelStats> launch_blco_priv(
   });
 
   // Reduce launch: single-block (the element-level parallelism happens
-  // inside deterministic_tree_reduce and the transpose), metered as the
-  // tree's traffic.
+  // inside deterministic_tree_reduce), metered as the tree's traffic.
   simgpu::KernelStats red;
   red.bytes_streamed = 3.0 * static_cast<double>(tiles - 1) * tile_bytes;
   red.flops = static_cast<double>(tiles - 1) * static_cast<double>(len);
@@ -151,7 +146,6 @@ std::vector<simgpu::KernelStats> launch_blco_priv(
       [&](const simgpu::KernelCtx&) {
         deterministic_tree_reduce(tile.data(), static_cast<std::size_t>(tiles),
                                   static_cast<index_t>(len));
-        copy_from_row_major(tile[0], out);
       }));
   return recorded;
 }
@@ -174,7 +168,7 @@ simgpu::KernelStats launch_blco_sorted(simgpu::Device& dev, const char* name,
   simgpu::LaunchConfig cfg{
       .grid_dim = simgpu::blocks_for(segments, kThreads),
       .block_dim = kThreads};
-  const ColumnGather gather(factors, mode);
+  const RowGather gather(factors, mode);
   simgpu::KernelStats recorded;
   with_gather_count(gather.count, [&](auto count) {
     constexpr int G = decltype(count)::value;
@@ -197,8 +191,8 @@ simgpu::KernelStats launch_blco_sorted(simgpu::Device& dev, const char* name,
           add_blco_nonzero<G>(blco, blk, deltas, i - blk.value_offset, gather,
                               mode, rank, into_acc);
         }
-        const index_t out_row = plan.seg_row[static_cast<std::size_t>(s)];
-        for (index_t r = 0; r < rank; ++r) out(out_row, r) += acc[r];
+        real_t* out_row = out.row(plan.seg_row[static_cast<std::size_t>(s)]);
+        for (index_t r = 0; r < rank; ++r) out_row[r] += acc[r];
       }
     };
     recorded = simgpu::launch(dev, name, cfg, stats, sweep);

@@ -54,7 +54,7 @@ ScatterStrategy mttkrp_coo(const SparseTensor& x,
 
   const index_t* out_rows = x.indices(mode).data();
   const real_t* values = x.values().data();
-  const ColumnGather gather(factors, mode);
+  const RowGather gather(factors, mode);
   const index_t* coords[kMaxModes];
   for (int g = 0; g < gather.count; ++g) {
     coords[g] = x.indices(gather.mode[g]).data();

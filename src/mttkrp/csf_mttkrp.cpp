@@ -23,8 +23,9 @@ void walk_subtree(const CsfTensor& csf, const std::vector<Matrix>& factors,
         factors[static_cast<std::size_t>(csf.mode_order()[static_cast<std::size_t>(modes - 1)])];
     for (index_t e = child_lo; e < child_hi; ++e) {
       const real_t v = csf.values()[static_cast<std::size_t>(e)];
-      const index_t fid = leaf_fids[static_cast<std::size_t>(e)];
-      for (index_t r = 0; r < rank; ++r) acc[r] += v * leaf_factor(fid, r);
+      const real_t* row =
+          leaf_factor.data() + leaf_fids[static_cast<std::size_t>(e)] * rank;
+      for (index_t r = 0; r < rank; ++r) acc[r] += v * row[r];
     }
     return;
   }
@@ -38,8 +39,9 @@ void walk_subtree(const CsfTensor& csf, const std::vector<Matrix>& factors,
   for (index_t c = child_lo; c < child_hi; ++c) {
     for (index_t r = 0; r < rank; ++r) child_acc[r] = 0.0;
     walk_subtree(csf, factors, rank, l + 1, c, child_acc, scratch + rank);
-    const index_t fid = child_fids[static_cast<std::size_t>(c)];
-    for (index_t r = 0; r < rank; ++r) acc[r] += child_factor(fid, r) * child_acc[r];
+    const real_t* row =
+        child_factor.data() + child_fids[static_cast<std::size_t>(c)] * rank;
+    for (index_t r = 0; r < rank; ++r) acc[r] += row[r] * child_acc[r];
   }
 }
 
@@ -98,8 +100,8 @@ void mttkrp_csf(const CsfTensor& csf, const std::vector<Matrix>& factors,
     for (index_t node = lo; node < hi; ++node) {
       for (index_t r = 0; r < rank; ++r) acc[r] = 0.0;
       walk_subtree(csf, factors, rank, 0, node, acc, scratch.data() + rank);
-      const index_t row = root_fids[static_cast<std::size_t>(node)];
-      for (index_t r = 0; r < rank; ++r) out(row, r) += acc[r];
+      real_t* row = out.row(root_fids[static_cast<std::size_t>(node)]);
+      for (index_t r = 0; r < rank; ++r) row[r] += acc[r];
     }
   }, /*grain=*/8);
 }

@@ -1,6 +1,5 @@
 #include "mttkrp/dimtree.hpp"
 
-#include <array>
 #include <cstdio>
 #include <cstring>
 
@@ -182,69 +181,12 @@ std::uint64_t content_hash(const Matrix& f) {
   return h;
 }
 
-// Distances between the entries of a row-major row: all 1.
-constexpr std::array<index_t, kMaxModes> kUnitStride = [] {
-  std::array<index_t, kMaxModes> ld{};
-  ld.fill(1);
-  return ld;
-}();
-
-// Row-major copies of the factors one engine loop gathers from, in ascending
-// mode order (gathered factor g's row j is R contiguous entries), carved out
-// of one pooled buffer of sum(I_m) * R reals, plus each one's coordinate
-// array. A column-major gather touches R cache lines per nonzero; a
-// row-major one reads R * 8 contiguous bytes.
-class RowMajorFactors {
- public:
-  /// Copies factors[m] for every m in [lo, hi) except `skip`.
-  RowMajorFactors(const std::vector<Matrix>& factors,
-                  const std::vector<std::vector<index_t>>& coords, int lo,
-                  int hi, int skip = -1)
-      : rank_(factors[0].cols()) {
-    std::size_t total = 0;
-    for (int m = lo; m < hi; ++m) {
-      if (m == skip) continue;
-      total += static_cast<std::size_t>(
-          factors[static_cast<std::size_t>(m)].size());
-    }
-    if (total == 0) return;  // the last mode's derive gathers nothing
-    lease_ = ScratchPool::global().acquire(1, total);
-    real_t* next = lease_.tile(0);
-    for (int m = lo; m < hi; ++m) {
-      if (m == skip) continue;
-      const Matrix& f = factors[static_cast<std::size_t>(m)];
-      copy_to_row_major(f, next);
-      base_[count_] = next;
-      coords_[count_] = coords[static_cast<std::size_t>(m)].data();
-      ++count_;
-      next += f.size();
-    }
-  }
-
-  int count() const { return count_; }
-
-  /// Gathered factor g's row for nonzero i.
-  const real_t* row(int g, std::size_t i) const {
-    return base_[g] + static_cast<std::size_t>(coords_[g][i] * rank_);
-  }
-
-  /// add_krp_product of nonzero i over the copied factors' rows; G must
-  /// equal count().
-  template <int G, typename Seed>
-  void add(real_t* acc, const Seed& seed, std::size_t i) const {
-    const real_t* rows[kMaxModes];
-#pragma GCC unroll kMaxModes
-    for (int g = 0; g < G; ++g) rows[g] = row(g, i);
-    add_krp_product<G>(acc, rank_, seed, rows, kUnitStride.data());
-  }
-
- private:
-  index_t rank_;
-  int count_ = 0;
-  const real_t* base_[kMaxModes] = {};
-  const index_t* coords_[kMaxModes] = {};
-  ScratchPool::Lease lease_;
-};
+// The grid of a dimtree_extend launch over `nnz` chain rows.
+simgpu::LaunchConfig extend_config(index_t nnz) {
+  constexpr index_t kThreads = 128;
+  return simgpu::LaunchConfig{
+      .grid_dim = simgpu::blocks_for(nnz, kThreads), .block_dim = kThreads};
+}
 
 }  // namespace
 
@@ -290,25 +232,32 @@ void DimTreeEngine::check_fingerprints(const std::vector<Matrix>& factors) {
 
 void DimTreeEngine::fold(simgpu::Device& dev,
                          const std::vector<Matrix>& factors, int k) {
+  const simgpu::KernelStats stats = extend_level_stats(dims_, nnz_, rank_, k);
+  if (k == 0) {
+    // P_1 = v ⊙ H_0 is never stored (see mttkrp): record the fold only.
+    simgpu::record_launch(dev, "dimtree_extend", extend_config(nnz_), stats);
+    note_folded(factors, k);
+    return;
+  }
   const index_t rank = rank_;
   const index_t nnz = nnz_;
   const real_t* vals = values_.data();
   real_t* chain = chain_;
-  const RowMajorFactors rows(factors, idx_, k, k + 1);
-  constexpr index_t kThreads = 128;
-  simgpu::LaunchConfig cfg{
-      .grid_dim = simgpu::blocks_for(nnz, kThreads), .block_dim = kThreads};
-  simgpu::launch(dev, "dimtree_extend", cfg,
-                 extend_level_stats(dims_, nnz_, rank_, k),
+  const real_t* h0_rows = factors[0].data();
+  const index_t* h0_at = idx_[0].data();
+  const real_t* factor = factors[static_cast<std::size_t>(k)].data();
+  const index_t* coords = idx_[static_cast<std::size_t>(k)].data();
+  simgpu::launch(dev, "dimtree_extend", extend_config(nnz_), stats,
                  [&](const simgpu::KernelCtx& ctx) {
     for (index_t i = ctx.global_thread_id(); i < nnz;
          i += ctx.total_threads()) {
       real_t* p = chain + static_cast<std::size_t>(i * rank);
-      const real_t* h = rows.row(0, static_cast<std::size_t>(i));
-      if (k == 0) {
+      const real_t* h = factor + coords[i] * rank;
+      if (k == 1) {  // P_2 = (v ⊙ H_0) ⊙ H_1, from the raw nonzero
         const real_t v = vals[static_cast<std::size_t>(i)];
+        const real_t* h0 = h0_rows + h0_at[i] * rank;
         for (index_t r = 0; r < rank; ++r) {
-          p[static_cast<std::size_t>(r)] = v * h[r];
+          p[static_cast<std::size_t>(r)] = v * h0[r] * h[r];
         }
       } else {
         for (index_t r = 0; r < rank; ++r) {
@@ -317,21 +266,28 @@ void DimTreeEngine::fold(simgpu::Device& dev,
       }
     }
   });
-  const Matrix& factor = factors[static_cast<std::size_t>(k)];
+  note_folded(factors, k);
+}
+
+void DimTreeEngine::note_folded(const std::vector<Matrix>& factors, int k) {
+  const Matrix& folded = factors[static_cast<std::size_t>(k)];
   fps_[static_cast<std::size_t>(k)] =
-      Fingerprint{factor.data(), content_hash(factor)};
+      Fingerprint{folded.data(), content_hash(folded)};
   level_ = k + 1;
 }
 
-void DimTreeEngine::extend_to(simgpu::Device& dev,
+bool DimTreeEngine::extend_to(simgpu::Device& dev,
                               const std::vector<Matrix>& factors,
                               int target_level) {
-  ensure_chain();
+  // Only levels 2..N-2 are stored, so a tensor of order <= 3 never
+  // allocates the buffer.
+  if (num_modes() >= 4) ensure_chain();
   check_fingerprints(factors);
   if (level_ > target_level) level_ = 0;  // cannot unfold; rebuild
-  while (level_ < target_level) {
+  while (level_ < target_level - 1) {
     fold(dev, factors, level_);
   }
+  return level_ < target_level;
 }
 
 ScatterStrategy DimTreeEngine::mttkrp(simgpu::Device& dev,
@@ -351,24 +307,94 @@ ScatterStrategy DimTreeEngine::mttkrp(simgpu::Device& dev,
   const index_t rank = rank_;
   const index_t* out_rows = idx_[static_cast<std::size_t>(mode)].data();
 
-  if (mode > 0) extend_to(dev, factors, mode);
-
-  Timer wall;
   if (mode > 0) {
-    const real_t* chain = chain_;
-    const RowMajorFactors suffix(factors, idx_, mode + 1, modes);
-    with_gather_count(suffix.count(), [&](auto count) {
-      constexpr int G = decltype(count)::value;
-      scatter_accumulate(
-          strategy, out, nnz_,
-          [&](index_t i, const auto& acc) {
-            const auto at = static_cast<std::size_t>(i);
-            const real_t* p = chain + at * static_cast<std::size_t>(rank);
-            suffix.add<G>(acc(out_rows[at]), [p](index_t r) { return p[r]; },
-                          at);
-          },
-          plan);
-    });
+    const bool fold_last = extend_to(dev, factors, mode);
+    // The last missing level, k = mode - 1, is folded inside the derive:
+    // each chain row is multiplied by its H_k row as the derive reads it,
+    // stored back, and seeds the suffix product — one pass over the chain
+    // where a separate fold would make two. The fold is recorded first,
+    // as its own launch would have been; its host time is the derive's.
+    // Two levels are never stored. P_1 = v ⊙ H_0 costs one gathered row
+    // to form again, less than writing and rereading a chain row, so
+    // whatever needs it forms it from the raw nonzero. P_{N-1} has one
+    // reader, mode N-1's derive, which multiplies P_{N-2} by H_{N-2} on
+    // the fly. The buffer holds P_level only for 2 <= level <= N-2.
+    const int k = mode - 1;
+    const bool stored = mode >= 2 && mode <= modes - 2;
+    if (fold_last) {
+      simgpu::record_launch(dev, "dimtree_extend", extend_config(nnz_),
+                            extend_level_stats(dims_, nnz_, rank_, k));
+    }
+    Timer wall;
+    real_t* chain = chain_;
+    const RowGather suffix(factors, mode, mode + 1);
+    const index_t* coords[kMaxModes];
+    for (int g = 0; g < suffix.count; ++g) {
+      coords[g] = idx_[static_cast<std::size_t>(suffix.mode[g])].data();
+    }
+    // seed_of(at) gives the suffix product's seed for nonzero `at`: its
+    // row of P_mode, read from the chain, formed, or formed and stored.
+    const auto derive = [&](const auto& seed_of) {
+      with_gather_count(suffix.count, [&](auto count) {
+        constexpr int G = decltype(count)::value;
+        scatter_accumulate(
+            strategy, out, nnz_,
+            [&](index_t i, const auto& acc) {
+              const auto at = static_cast<std::size_t>(i);
+              suffix.add<G>(acc(out_rows[at]), rank, seed_of(at),
+                            [&](int g) { return coords[g][at]; });
+            },
+            plan);
+      });
+    };
+    const auto chain_row = [chain, rank](std::size_t at) {
+      return chain + at * static_cast<std::size_t>(rank);
+    };
+    const real_t* fold_rows = factors[static_cast<std::size_t>(k)].data();
+    const index_t* fold_at = idx_[static_cast<std::size_t>(k)].data();
+    const real_t* h0_rows = factors[0].data();
+    const index_t* h0_at = idx_[0].data();
+    const real_t* values = values_.data();
+    if (stored && !fold_last) {
+      derive([&](std::size_t at) {
+        const real_t* p = chain_row(at);
+        return [p](index_t r) { return p[r]; };
+      });
+    } else if (k == 0) {  // P_1 = v ⊙ H_0
+      derive([&](std::size_t at) {
+        const real_t v = values[at];
+        const real_t* h = fold_rows + fold_at[at] * rank;
+        return [h, v](index_t r) { return v * h[r]; };
+      });
+    } else if (k == 1 && stored) {  // P_2 = (v ⊙ H_0) ⊙ H_1, stored
+      derive([&](std::size_t at) {
+        real_t* p = chain_row(at);
+        const real_t v = values[at];
+        const real_t* h0 = h0_rows + h0_at[at] * rank;
+        const real_t* h = fold_rows + fold_at[at] * rank;
+        return [p, h0, h, v](index_t r) { return p[r] = v * h0[r] * h[r]; };
+      });
+    } else if (k == 1) {  // a 3-way tensor's top level, P_2
+      derive([&](std::size_t at) {
+        const real_t v = values[at];
+        const real_t* h0 = h0_rows + h0_at[at] * rank;
+        const real_t* h = fold_rows + fold_at[at] * rank;
+        return [h0, h, v](index_t r) { return v * h0[r] * h[r]; };
+      });
+    } else if (stored) {
+      derive([&](std::size_t at) {
+        real_t* p = chain_row(at);
+        const real_t* h = fold_rows + fold_at[at] * rank;
+        return [p, h](index_t r) { return p[r] *= h[r]; };
+      });
+    } else {  // the top level, P_{N-1} = P_{N-2} ⊙ H_{N-2}
+      derive([&](std::size_t at) {
+        const real_t* p = chain_row(at);
+        const real_t* h = fold_rows + fold_at[at] * rank;
+        return [p, h](index_t r) { return p[r] * h[r]; };
+      });
+    }
+    if (fold_last) note_folded(factors, k);
     dev.record("dimtree_derive",
                derive_mode_stats(dims_, nnz_, rank_, mode, strategy),
                wall.seconds());
@@ -378,17 +404,23 @@ ScatterStrategy DimTreeEngine::mttkrp(simgpu::Device& dev,
     // which every folded level holds, is updated next, so the chain is
     // dropped and mode 1 rebuilds it. On a 2-way tensor nothing else would:
     // the chain ends a sweep at level 1, the level mode 1 asks for.
+    Timer wall;
     level_ = 0;
-    const RowMajorFactors others(factors, idx_, 0, modes, mode);
+    const RowGather others(factors, mode);
+    const index_t* coords[kMaxModes];
+    for (int g = 0; g < others.count; ++g) {
+      coords[g] = idx_[static_cast<std::size_t>(others.mode[g])].data();
+    }
     const real_t* values = values_.data();
-    with_gather_count(others.count(), [&](auto count) {
+    with_gather_count(others.count, [&](auto count) {
       constexpr int G = decltype(count)::value;
       scatter_accumulate(
           strategy, out, nnz_,
           [&](index_t i, const auto& acc) {
             const auto at = static_cast<std::size_t>(i);
             const real_t v = values[at];
-            others.add<G>(acc(out_rows[at]), [v](index_t) { return v; }, at);
+            others.add<G>(acc(out_rows[at]), rank, [v](index_t) { return v; },
+                          [&](int g) { return coords[g][at]; });
           },
           plan);
     });

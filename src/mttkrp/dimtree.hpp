@@ -27,17 +27,26 @@
 // is bit-identical to the reference. A balanced tree or a suffix cache would
 // regroup the floating-point products and break that property.
 //
+// Host execution: the device program records every extend as its own
+// launch, in the order above, but the host stores only levels 2 .. N-2.
+// P_1 = v ⊙ H_0 is one gathered row away from the raw nonzero, cheaper to
+// form again than to write and reread, and P_{N-1} has one reader, mode
+// N-1's derive, which forms it from P_{N-2} on the fly. A stored level's
+// fold runs inside the derive that first needs it, in the same pass over
+// the chain. Every product keeps the ascending order, so the bits are the
+// stored chain's.
+//
 // Memory: the chain is one nnz x R double buffer leased from ScratchPool
-// (`chain_bytes()`) on the first extend. Whether it fits the
-// `dimtree_budget_bytes` cap is decided once, before an engine exists
-// (`dimtree_fits_budget`): an over-budget tensor runs the flat kernels and
-// gets no engine. Each fold, derive and flat call also leases row-major
-// copies of the factors it gathers from (at most sum(I_m) x R reals) for
-// the call's duration. Staleness: the chain is folded in place, so the
-// buffer only ever holds its top level — when a sweep restarts at mode 0,
-// `invalidate` is called, or the fingerprint backstop finds any folded
-// factor stale, the whole chain is dropped and rebuilt from the
-// overwriting level-0 fold; there is no intermediate level to resume from.
+// (`chain_bytes()`) on the first extend of an order >= 4 tensor. Whether it
+// fits the `dimtree_budget_bytes` cap is decided once, before an engine
+// exists (`dimtree_fits_budget`): an over-budget tensor runs the flat
+// kernels and gets no engine. The chain is the engine's only copy: every
+// fold, derive and flat loop gathers the factors' rows where they are
+// stored. Staleness: the chain is folded in place, so the buffer only ever
+// holds one level — when a sweep restarts at mode 0, `invalidate` is
+// called, or the fingerprint backstop finds any folded factor stale, the
+// whole chain is dropped and rebuilt from the raw nonzeros; there is no
+// intermediate level to resume from.
 // A per-level factor fingerprint (pointer + sampled content hash) catches
 // callers that mutate a folded factor without telling us.
 //
@@ -170,12 +179,15 @@ class DimTreeEngine {
   /// factors; any mismatch drops the whole chain (the backstop behind
   /// invalidate). Probabilistic: the hash samples O(1) entries per factor.
   void check_fingerprints(const std::vector<Matrix>& factors);
-  /// Folds factors[level()] .. factors[target_level - 1] into the chain. A
-  /// target below the current level rebuilds from scratch (the chain
-  /// cannot unfold).
-  void extend_to(simgpu::Device& dev, const std::vector<Matrix>& factors,
+  /// Folds factors[level()] .. factors[target_level - 2] into the chain and
+  /// returns whether level target_level - 1 is still missing: the caller's
+  /// derive folds it. A target below the current level rebuilds from
+  /// scratch (the chain cannot unfold).
+  bool extend_to(simgpu::Device& dev, const std::vector<Matrix>& factors,
                  int target_level);
   void fold(simgpu::Device& dev, const std::vector<Matrix>& factors, int k);
+  /// Records factors[k] as folded: its fingerprint, and level k + 1.
+  void note_folded(const std::vector<Matrix>& factors, int k);
   simgpu::KernelStats extend_stats(int k) const;
   simgpu::KernelStats derive_stats(int mode, ScatterStrategy strategy) const;
   simgpu::KernelStats flat_stats(int mode, ScatterStrategy strategy) const;

@@ -8,9 +8,10 @@
 // the conflict:
 //
 //  * kPrivatized  — each of T fixed nonzero ranges accumulates into its own
-//                   private output tile; tiles are then combined by a
-//                   fixed-shape pairwise tree reduction. Needs T * dims[mode]
-//                   * R reals of scratch — only affordable on short modes.
+//                   private output tile (tile 0 is the output itself);
+//                   tiles are then combined by a fixed-shape pairwise tree
+//                   reduction into tile 0. Needs (T-1) * dims[mode] * R
+//                   reals of scratch — only affordable on short modes.
 //  * kSorted      — nonzeros are bucketed by output row once per (tensor,
 //                   mode) via the radix sort the format builders already use;
 //                   each row's contributions are then contiguous and a single
@@ -153,40 +154,6 @@ ScatterStrategy resolve_scatter_strategy(const ScatterOptions& opts,
 void apply_scatter_stats(simgpu::KernelStats& stats, ScatterStrategy strategy,
                          index_t mode_len, index_t rank, double nnz);
 
-/// Copies `src` (column-major) into `dst` row-major — row i's cols()
-/// entries contiguous at dst + i * cols() — parallel over row blocks. The
-/// privatized tiles and the dimension-tree gathers use this layout: one
-/// nonzero's R-wide row is then one contiguous run, not R strided entries.
-inline void copy_to_row_major(const Matrix& src, real_t* dst) {
-  const index_t rows = src.rows();
-  const index_t cols = src.cols();
-  const real_t* col_major = src.data();
-  parallel_for_blocked(0, rows, [&](index_t lo, index_t hi) {
-    for (index_t i = lo; i < hi; ++i) {
-      for (index_t j = 0; j < cols; ++j) {
-        dst[static_cast<std::size_t>(i * cols + j)] =
-            col_major[static_cast<std::size_t>(j * rows + i)];
-      }
-    }
-  });
-}
-
-/// The inverse of copy_to_row_major: overwrites `dst` from a row-major
-/// buffer of dst.rows() x dst.cols() entries.
-inline void copy_from_row_major(const real_t* src, Matrix& dst) {
-  const index_t rows = dst.rows();
-  const index_t cols = dst.cols();
-  real_t* col_major = dst.data();
-  parallel_for_blocked(0, rows, [&](index_t lo, index_t hi) {
-    for (index_t i = lo; i < hi; ++i) {
-      for (index_t j = 0; j < cols; ++j) {
-        col_major[static_cast<std::size_t>(j * rows + i)] =
-            src[static_cast<std::size_t>(i * cols + j)];
-      }
-    }
-  });
-}
-
 namespace detail {
 /// Builds the segment table from row keys; `order` must be the identity
 /// permutation of the same length. Sorts (stable LSD radix) then scans for
@@ -222,40 +189,37 @@ void with_gather_count(int count, const Body& body) {
 }
 
 /// Adds one nonzero's Khatri-Rao product into the R-vector `acc` in a single
-/// pass: for each r, x = seed(r), then x *= row[g][r * ld[g]] for g = 0 ..
-/// G-1, then acc[r] += x. The product lives in a register; acc[r] is the
-/// only memory written, once. Callers pass the rows in ascending mode order,
-/// so every multiply is mttkrp_ref's, in its order, and each nonzero's
-/// product is added once. `ld[g]` is the distance between row g's entries:
-/// the row count of a column-major factor read in place, 1 for a row-major
-/// copy.
+/// pass: for each r, x = seed(r), then x *= row[g][r] for g = 0 .. G-1,
+/// then acc[r] += x. The product lives in a register; acc[r] is the only
+/// memory written, once. Callers pass the rows in ascending mode order, so
+/// every multiply is mttkrp_ref's, in its order, and each nonzero's product
+/// is added once. Each row is R contiguous reals: a factor row read where it
+/// is stored.
 template <int G, typename Seed>
 inline void add_krp_product(real_t* __restrict acc, index_t rank,
-                            const Seed& seed,
-                            const real_t* const* row, const index_t* ld) {
+                            const Seed& seed, const real_t* const* row) {
   for (index_t r = 0; r < rank; ++r) {
     real_t x = seed(r);
     // GCC -O2 keeps even a constant-count loop rolled; unrolled, the row
-    // pointers and strides stay in registers.
+    // pointers stay in registers.
 #pragma GCC unroll kMaxModes
-    for (int g = 0; g < G; ++g) x *= row[g][r * ld[g]];
+    for (int g = 0; g < G; ++g) x *= row[g][r];
     acc[r] += x;
   }
 }
 
-/// The factors an MTTKRP for mode `skip` gathers from, read in place: every
-/// other mode, in ascending order. Gathered factor g is factors[mode[g]];
-/// its row c starts at data[g] + c, with entries ld[g] (its row count)
-/// apart.
-struct ColumnGather {
-  ColumnGather(const std::vector<Matrix>& factors, int skip) {
+/// The factors an MTTKRP gathers from, read in place: factors[m] for every
+/// mode m >= `first` other than `skip`, in ascending order (a flat MTTKRP
+/// for mode `skip` gathers every other mode; the dimension tree's derive
+/// gathers only the suffix after its mode). Gathered factor g is
+/// factors[mode[g]]; its row c is the R contiguous reals at data[g] + c * R.
+struct RowGather {
+  RowGather(const std::vector<Matrix>& factors, int skip, int first = 0) {
     CSTF_CHECK(factors.size() <= static_cast<std::size_t>(kMaxModes));
-    for (int m = 0; m < static_cast<int>(factors.size()); ++m) {
+    for (int m = first; m < static_cast<int>(factors.size()); ++m) {
       if (m == skip) continue;
-      const Matrix& f = factors[static_cast<std::size_t>(m)];
       mode[count] = m;
-      data[count] = f.data();
-      ld[count] = f.rows();
+      data[count] = factors[static_cast<std::size_t>(m)].data();
       ++count;
     }
   }
@@ -267,24 +231,24 @@ struct ColumnGather {
            const Coord& coord) const {
     const real_t* row[kMaxModes];
 #pragma GCC unroll kMaxModes
-    for (int g = 0; g < G; ++g) row[g] = data[g] + coord(g);
-    add_krp_product<G>(acc, rank, seed, row, ld);
+    for (int g = 0; g < G; ++g) row[g] = data[g] + coord(g) * rank;
+    add_krp_product<G>(acc, rank, seed, row);
   }
 
   int count = 0;
   int mode[kMaxModes] = {};
   const real_t* data[kMaxModes] = {};
-  index_t ld[kMaxModes] = {};
 };
 
 /// The engine: accumulates one rank-length Khatri-Rao product per nonzero
-/// into `out` (dims[mode] x R, column-major) using the given concrete
-/// strategy. `contribute(i, acc)` must add nonzero i's product into the
-/// R-vector `acc(row)`, where `row` is nonzero i's output row — in one pass,
-/// with add_krp_product — and must be safe to call concurrently for
-/// distinct i. Privatized hands it the row's run in the nonzero's private
-/// tile; sorted hands it the segment's accumulator, whatever the row. `plan`
-/// is required for kSorted and ignored otherwise. Zeroes `out` itself.
+/// into `out` (dims[mode] x R) using the given concrete strategy.
+/// `contribute(i, acc)` must add nonzero i's product into the R-vector
+/// `acc(row)`, where `row` is nonzero i's output row — in one pass, with
+/// add_krp_product — and must be safe to call concurrently for distinct i.
+/// Privatized hands it the row in the nonzero's private tile (tile 0 is
+/// `out` itself); sorted hands it the row of `out`, which the segment's
+/// single owner accumulates in plan order. `plan` is required for kSorted
+/// and ignored otherwise. Zeroes `out` itself.
 template <typename Contribute>
 void scatter_accumulate(ScatterStrategy strategy, Matrix& out, index_t nnz,
                         const Contribute& contribute,
@@ -292,24 +256,26 @@ void scatter_accumulate(ScatterStrategy strategy, Matrix& out, index_t nnz,
   CSTF_CHECK_MSG(strategy != ScatterStrategy::kAuto,
                  "scatter_accumulate requires a concrete strategy; resolve "
                  "kAuto with resolve_scatter_strategy first");
-  const index_t mode_len = out.rows();
   const index_t rank = out.cols();
   out.set_all(0.0);
   if (nnz <= 0) return;
+  const auto rows_of = [rank](real_t* base) {
+    return [base, rank](index_t row) { return base + row * rank; };
+  };
 
   switch (strategy) {
     case ScatterStrategy::kPrivatized: {
       const index_t tiles = privatized_tile_count(nnz);
-      const auto len = static_cast<std::size_t>(mode_len * rank);
-      // The pool lends all T row-major tiles, unzeroed — each range zeroes
-      // its own prefix. Row-major, a nonzero's contribution is one
-      // contiguous run of R entries; tile 0 is transposed into `out` last.
+      const auto len = static_cast<std::size_t>(out.size());
+      // Tile 0 is `out`; the pool lends the other T-1 tiles, unzeroed —
+      // each range zeroes its own.
       ScratchPool::Lease lease = ScratchPool::global().acquire(
-          static_cast<std::size_t>(tiles), len);
+          static_cast<std::size_t>(tiles - 1), len);
       std::vector<real_t*> tile(static_cast<std::size_t>(tiles));
-      for (index_t t = 0; t < tiles; ++t) {
+      tile[0] = out.data();
+      for (index_t t = 1; t < tiles; ++t) {
         tile[static_cast<std::size_t>(t)] =
-            lease.tile(static_cast<std::size_t>(t));
+            lease.tile(static_cast<std::size_t>(t - 1));
       }
       const index_t chunk = (nnz + tiles - 1) / tiles;
       // One loop item per tile: tile t accumulates exactly the nonzeros of
@@ -318,10 +284,8 @@ void scatter_accumulate(ScatterStrategy strategy, Matrix& out, index_t nnz,
           0, tiles,
           [&](index_t t) {
             real_t* dst = tile[static_cast<std::size_t>(t)];
-            std::fill_n(dst, len, real_t{0});
-            const auto tile_row = [dst, rank](index_t row) {
-              return dst + static_cast<std::size_t>(row * rank);
-            };
+            if (t > 0) std::fill_n(dst, len, real_t{0});
+            const auto tile_row = rows_of(dst);
             const index_t lo = t * chunk;
             const index_t hi = std::min<index_t>(lo + chunk, nnz);
             for (index_t i = lo; i < hi; ++i) contribute(i, tile_row);
@@ -329,35 +293,23 @@ void scatter_accumulate(ScatterStrategy strategy, Matrix& out, index_t nnz,
           /*grain=*/1);
       deterministic_tree_reduce(tile.data(), static_cast<std::size_t>(tiles),
                                 static_cast<index_t>(len));
-      copy_from_row_major(tile[0], out);
       return;
     }
 
     case ScatterStrategy::kSorted: {
       CSTF_CHECK(plan != nullptr);
       CSTF_CHECK(static_cast<index_t>(plan->order.size()) == nnz);
-      const index_t segments = plan->num_segments();
       // Whole segments per loop item: each output row has exactly one owner,
-      // so the writes are plain stores and the per-row accumulation order is
-      // the plan's (fixed) order.
+      // so the writes are plain adds onto the zeroed row and the per-row
+      // accumulation order is the plan's (fixed) order.
+      const auto out_row = rows_of(out.data());
       parallel_for(
-          0, segments,
+          0, plan->num_segments(),
           [&](index_t s) {
-            thread_local std::vector<real_t> segment_acc;
-            if (segment_acc.size() < static_cast<std::size_t>(rank)) {
-              segment_acc.resize(static_cast<std::size_t>(rank));
-            }
-            real_t* acc = segment_acc.data();
-            std::fill_n(acc, static_cast<std::size_t>(rank), real_t{0});
-            const auto into_acc = [acc](index_t) { return acc; };
             const index_t lo = plan->seg_ptr[static_cast<std::size_t>(s)];
             const index_t hi = plan->seg_ptr[static_cast<std::size_t>(s) + 1];
             for (index_t k = lo; k < hi; ++k) {
-              contribute(plan->order[static_cast<std::size_t>(k)], into_acc);
-            }
-            const index_t out_row = plan->seg_row[static_cast<std::size_t>(s)];
-            for (index_t r = 0; r < rank; ++r) {
-              out(out_row, r) = acc[static_cast<std::size_t>(r)];
+              contribute(plan->order[static_cast<std::size_t>(k)], out_row);
             }
           },
           /*grain=*/16);

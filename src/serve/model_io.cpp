@@ -74,9 +74,7 @@ void save_model(const SavedModel& saved, const std::string& path) {
     w.write_pod(static_cast<std::uint32_t>(meta.name.size()));
     if (!meta.name.empty()) w.write(meta.name.data(), meta.name.size());
     w.write(model.lambda.data(), model.lambda.size() * sizeof(real_t));
-    for (const Matrix& f : model.factors) {
-      w.write(f.data(), static_cast<std::size_t>(f.size()) * sizeof(real_t));
-    }
+    for (const Matrix& f : model.factors) write_column_major(w, f);
     const std::uint64_t checksum = w.digest();
     out.write(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
     out.close();
@@ -145,14 +143,18 @@ SavedModel load_model(const std::string& path) {
   saved.meta.name.resize(name_len);
   if (name_len > 0) r.read(saved.meta.name.data(), name_len, "name");
 
+  // The declared lambda and factors must fit in the file before any is
+  // allocated (each height * rank <= 2^60, so the sum of <= 8 fits).
+  std::uint64_t payload = rank;
+  for (std::uint64_t height : rows) payload += height * rank;
+  r.require_reals(payload, "lambda and factor data");
   saved.model.lambda.resize(static_cast<std::size_t>(rank));
   r.read(saved.model.lambda.data(),
          saved.model.lambda.size() * sizeof(real_t), "lambda");
   for (std::uint64_t m = 0; m < modes; ++m) {
     Matrix f(static_cast<index_t>(rows[static_cast<std::size_t>(m)]),
              static_cast<index_t>(rank));
-    r.read(f.data(), static_cast<std::size_t>(f.size()) * sizeof(real_t),
-           "factor data");
+    read_column_major(r, f, "factor data");
     saved.model.factors.push_back(std::move(f));
   }
 

@@ -122,13 +122,13 @@ std::vector<ScoredEntry> QueryEngine::top_k(
     }
     parallel_for_blocked(runtime_.pool, 0, nrows,
                          [&](index_t lo, index_t hi) {
-                           for (index_t r = 0; r < rank; ++r) {
-                             const real_t* col = target.col(r);
-                             const real_t wr = w[static_cast<std::size_t>(r)];
-                             for (index_t i = lo; i < hi; ++i) {
-                               scores[static_cast<std::size_t>(i)] +=
-                                   wr * col[i];
+                           for (index_t i = lo; i < hi; ++i) {
+                             const real_t* row = target.row(i);
+                             real_t score = 0.0;
+                             for (index_t r = 0; r < rank; ++r) {
+                               score += w[static_cast<std::size_t>(r)] * row[r];
                              }
+                             scores[static_cast<std::size_t>(i)] = score;
                            }
                          });
 

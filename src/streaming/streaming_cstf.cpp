@@ -49,7 +49,7 @@ void slice_mttkrp(const SparseTensor& slice, const std::vector<Matrix>& factors,
   const ScatterPlan plan = coo_scatter_plan(slice, mode);
   const real_t* values = slice.values().data();
   const index_t* out_rows = slice.indices(mode).data();
-  const ColumnGather gather(factors, mode);
+  const RowGather gather(factors, mode);
   const index_t* coords[kMaxModes];
   for (int g = 0; g < gather.count; ++g) {
     coords[g] = slice.indices(gather.mode[g]).data();

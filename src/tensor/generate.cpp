@@ -88,11 +88,11 @@ LowRankTensor generate_low_rank(const LowRankTensorParams& params) {
   for (int m = 0; m < modes; ++m) {
     Matrix f(params.dims[static_cast<std::size_t>(m)], params.rank);
     // Non-negative, sparse-ish factors: most entries small, some strong.
+    // Drawn column by column, (0,0), (1,0), ...
     for (index_t j = 0; j < f.cols(); ++j) {
-      real_t* col = f.col(j);
       for (index_t i = 0; i < f.rows(); ++i) {
         const real_t u = rng.uniform();
-        col[i] = u < 0.7 ? 0.05 * rng.uniform() : rng.uniform();
+        f(i, j) = u < 0.7 ? 0.05 * rng.uniform() : rng.uniform();
       }
     }
     out.factors.push_back(std::move(f));

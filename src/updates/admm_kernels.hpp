@@ -64,10 +64,11 @@ struct AdmmResidualSums {
 
 /// Runs `iterations` cuADMM inner iterations — T = M + rho*(H + U);
 /// H~ = T * inverse; H = prox(H~ - U); U += H - H~ — as one parallel pass
-/// over row tiles: each worker copies a tile of M, H and U into its own
-/// buffers, iterates on it while it stays in cache, and writes H and U back
-/// once. Every element is computed with the expressions of the per-kernel
-/// path (the kernels above and la::gemm's in-order sum), so H and U are
+/// over row tiles: each worker copies a tile of M, H and U (contiguous rows)
+/// into its own column-major buffers, iterates on it while it stays in
+/// cache, and writes H and U back once. Every element is computed with the
+/// expressions of the per-kernel path (the kernels above and la::gemm's
+/// in-order sum), so H and U are
 /// bit-identical to it. `prox` must be elementwise. Returns the last
 /// iteration's residual sums, summed within each tile and then in tile
 /// order. Records nothing.

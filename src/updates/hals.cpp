@@ -1,6 +1,7 @@
 #include "updates/hals.hpp"
 
 #include <algorithm>
+#include <vector>
 
 #include "common/error.hpp"
 #include "simgpu/launch.hpp"
@@ -28,9 +29,8 @@ void HalsUpdate::update(simgpu::Device& dev, const Matrix& s, const Matrix& m,
       stats.working_set_bytes = static_cast<double>(h.size()) * simgpu::kWord;
       stats.bytes_streamed = 2.0 * static_cast<double>(rows) * simgpu::kWord;
       stats.parallel_items = static_cast<double>(rows);
-      const real_t* sr = s.col(r);
-      const real_t* mr = m.col(r);
-      real_t* hr = h.col(r);
+      std::vector<real_t> sr(static_cast<std::size_t>(rank));  // S(:, r)
+      for (index_t k = 0; k < rank; ++k) sr[static_cast<std::size_t>(k)] = s(k, r);
       simgpu::launch(
           dev, "hals_column",
           simgpu::LaunchConfig{.grid_dim = simgpu::blocks_for(rows, 256, 2048),
@@ -38,9 +38,12 @@ void HalsUpdate::update(simgpu::Device& dev, const Matrix& s, const Matrix& m,
           stats, [&](const simgpu::KernelCtx& ctx) {
             for (index_t i = ctx.global_thread_id(); i < rows;
                  i += ctx.total_threads()) {
+              real_t* hi = h.data() + i * rank;
               real_t dot = 0.0;
-              for (index_t k = 0; k < rank; ++k) dot += h(i, k) * sr[k];
-              hr[i] = std::max(eps, hr[i] + (mr[i] - dot) / srr);
+              for (index_t k = 0; k < rank; ++k) {
+                dot += hi[k] * sr[static_cast<std::size_t>(k)];
+              }
+              hi[r] = std::max(eps, hi[r] + (m(i, r) - dot) / srr);
             }
           });
     }

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "la/blas.hpp"
 #include "la/elementwise.hpp"
 #include "parallel/parallel_for.hpp"
 
@@ -98,35 +97,52 @@ void smooth_column(real_t* col, index_t n, real_t lambda,
   }
 }
 
+// Runs fn(col, scratch) on a contiguous copy of each column of `h`, columns
+// in parallel, and writes the column back.
+template <typename Fn>
+void for_each_column(Matrix& h, const Fn& fn) {
+  parallel_for(0, h.cols(), [&](index_t j) {
+    std::vector<real_t> col(static_cast<std::size_t>(h.rows()));
+    std::vector<real_t> scratch;
+    for (index_t i = 0; i < h.rows(); ++i) col[static_cast<std::size_t>(i)] = h(i, j);
+    fn(col.data(), scratch);
+    for (index_t i = 0; i < h.rows(); ++i) h(i, j) = col[static_cast<std::size_t>(i)];
+  }, /*grain=*/1);
+}
+
 }  // namespace
 
 void Proximity::apply(Matrix& h, real_t rho_scale) const {
   if (kind_ == ProxKind::kL2Ball) {
-    // Per-column projection onto the ball of radius a_.
-    parallel_for(0, h.cols(), [&](index_t j) {
-      real_t* col = h.col(j);
-      const real_t norm = la::nrm2(h.rows(), col);
-      if (norm > a_ && norm > 0.0) {
-        la::scal(h.rows(), a_ / norm, col);
+    // Per-column projection onto the ball of radius a_: columns longer than
+    // a_ scale by a_ / norm, the rest by 1 (exact).
+    std::vector<real_t> scale(static_cast<std::size_t>(h.cols()));
+    la::column_norms(h, scale.data());
+    for (real_t& v : scale) v = (v > a_ && v > 0.0) ? a_ / v : 1.0;
+    const index_t cols = h.cols();
+    parallel_for_blocked(0, h.rows(), [&](index_t lo, index_t hi) {
+      for (index_t i = lo; i < hi; ++i) {
+        real_t* row = h.row(i);
+        for (index_t j = 0; j < cols; ++j) row[j] *= scale[static_cast<std::size_t>(j)];
       }
-    }, /*grain=*/1);
+    });
     return;
   }
   if (kind_ == ProxKind::kSimplex) {
-    parallel_for(0, h.cols(), [&](index_t j) {
-      std::vector<real_t> scratch;
-      project_simplex(h.col(j), h.rows(), scratch);
-    }, /*grain=*/1);
+    const index_t n = h.rows();
+    for_each_column(h, [n](real_t* col, std::vector<real_t>& scratch) {
+      project_simplex(col, n, scratch);
+    });
     return;
   }
   if (kind_ == ProxKind::kSmooth) {
     // The prox of (lambda/rho)*(1/2)||D x||^2: the regularization weight is
     // divided by the ADMM step size, like the L1 threshold.
     const real_t effective_lambda = a_ * rho_scale;
-    parallel_for(0, h.cols(), [&](index_t j) {
-      std::vector<real_t> scratch;
-      smooth_column(h.col(j), h.rows(), effective_lambda, scratch);
-    }, /*grain=*/1);
+    const index_t n = h.rows();
+    for_each_column(h, [&](real_t* col, std::vector<real_t>& scratch) {
+      smooth_column(col, n, effective_lambda, scratch);
+    });
     return;
   }
   real_t* p = h.data();
@@ -156,24 +172,24 @@ bool Proximity::is_feasible(const Matrix& h, real_t eps) const {
       return true;
     }
     case ProxKind::kL2Ball: {
-      for (index_t j = 0; j < h.cols(); ++j) {
-        if (la::nrm2(h.rows(), h.col(j)) > a_ + eps) return false;
-      }
-      return true;
+      std::vector<real_t> norms(static_cast<std::size_t>(h.cols()));
+      la::column_norms(h, norms.data());
+      return std::none_of(norms.begin(), norms.end(),
+                          [&](real_t norm) { return norm > a_ + eps; });
     }
     case ProxKind::kSimplex: {
-      for (index_t j = 0; j < h.cols(); ++j) {
-        const real_t* col = h.col(j);
-        real_t sum = 0.0;
-        for (index_t i = 0; i < h.rows(); ++i) {
-          if (col[i] < -eps) return false;
-          sum += col[i];
-        }
-        if (std::abs(sum - 1.0) > 1e-6 + eps * static_cast<real_t>(h.rows())) {
-          return false;
+      std::vector<real_t> sums(static_cast<std::size_t>(h.cols()), 0.0);
+      for (index_t i = 0; i < h.rows(); ++i) {
+        const real_t* row = h.row(i);
+        for (index_t j = 0; j < h.cols(); ++j) {
+          if (row[j] < -eps) return false;
+          sums[static_cast<std::size_t>(j)] += row[j];
         }
       }
-      return true;
+      const real_t tolerance = 1e-6 + eps * static_cast<real_t>(h.rows());
+      return std::none_of(sums.begin(), sums.end(), [&](real_t sum) {
+        return std::abs(sum - 1.0) > tolerance;
+      });
     }
     case ProxKind::kSmooth:
       return true;  // regularizer, not a constraint set

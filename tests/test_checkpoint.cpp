@@ -291,6 +291,72 @@ TEST(Checkpoint, PreviousFormatVersionIsRejected) {
   EXPECT_EQ(load_status(path), ModelIoStatus::kBadVersion);
 }
 
+// A hand-filled two-factor state with a dual for mode 0 only.
+TrainingCheckpoint hand_filled_checkpoint() {
+  TrainingCheckpoint checkpoint;
+  TrainerState& state = checkpoint.state;
+  for (int m = 0; m < 2; ++m) {
+    Matrix f(3 + m, 2);
+    for (index_t i = 0; i < f.rows(); ++i) {
+      for (index_t j = 0; j < f.cols(); ++j) f(i, j) = 100.0 * m + 10.0 * i + j;
+    }
+    state.factors.push_back(std::move(f));
+  }
+  Matrix dual(3, 2);
+  for (index_t i = 0; i < 3; ++i) {
+    for (index_t j = 0; j < 2; ++j) dual(i, j) = -(10.0 * i + j);
+  }
+  state.duals.push_back(std::move(dual));
+  state.duals.emplace_back();
+  state.lambda = {1.0, 2.0};
+  state.rho = {0.5, 0.25};
+  return checkpoint;
+}
+
+TEST(Checkpoint, FactorPayloadIsColumnMajor) {
+  const TrainingCheckpoint checkpoint = hand_filled_checkpoint();
+  const std::string path = temp_path("column_major.ckpt");
+  save_checkpoint(checkpoint, path);
+  const std::vector<char> bytes = read_bytes(path);
+  // The tail: factors, flag + dual 0, flag 1, two rho, the checksum.
+  const std::size_t dual_bytes = 3 * 2 * sizeof(real_t);
+  const std::size_t factor_bytes = (3 * 2 + 4 * 2) * sizeof(real_t);
+  const std::size_t tail = factor_bytes + 1 + dual_bytes + 1 + 2 * 8 + 8;
+  ASSERT_GT(bytes.size(), tail);
+  std::size_t at = bytes.size() - tail;
+  const auto expect_column_major = [&](const Matrix& m, const char* what) {
+    for (index_t j = 0; j < m.cols(); ++j) {
+      for (index_t i = 0; i < m.rows(); ++i) {
+        real_t stored = 0.0;
+        std::memcpy(&stored, bytes.data() + at, sizeof(stored));
+        EXPECT_EQ(stored, m(i, j)) << what << " (" << i << "," << j << ")";
+        at += sizeof(real_t);
+      }
+    }
+  };
+  for (const Matrix& f : checkpoint.state.factors) expect_column_major(f, "factor");
+  EXPECT_EQ(bytes[at++], 1);  // mode 0 carries a dual
+  expect_column_major(checkpoint.state.duals[0], "dual");
+  EXPECT_EQ(bytes[at], 0);  // mode 1 does not
+}
+
+TEST(Checkpoint, OversizedHeaderIsTruncatedBeforeAllocating) {
+  const std::string path = temp_path("oversized.ckpt");
+  save_checkpoint(hand_filled_checkpoint(), path);
+  std::vector<char> bytes = read_bytes(path);
+  // magic, version, digest, seed, 4 RNG words, iteration counter, two
+  // flags, previous fit, history length (0), mode count, rank: then the
+  // first factor height, here declared 2^40 rows (16 TiB at rank 2).
+  const std::size_t height_at = 8 + 4 + 8 + 8 + 4 * 8 + 4 + 1 + 1 + 8 + 8 + 8 + 8;
+  std::uint64_t height = 0;
+  std::memcpy(&height, bytes.data() + height_at, sizeof(height));
+  ASSERT_EQ(height, 3u);
+  height = std::uint64_t{1} << 40;
+  std::memcpy(bytes.data() + height_at, &height, sizeof(height));
+  write_bytes(path, bytes);
+  EXPECT_EQ(load_status(path), ModelIoStatus::kTruncated);
+}
+
 TEST(Checkpoint, NonFiniteFactorsAreRejectedAsInvalidModel) {
   TrainingCheckpoint checkpoint;
   TrainerState& state = checkpoint.state;

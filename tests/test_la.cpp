@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "common/random.hpp"
@@ -63,15 +64,15 @@ TEST(Matrix, ConstructionZeroInitializes) {
   }
 }
 
-TEST(Matrix, ColumnMajorLayout) {
+TEST(Matrix, RowMajorLayout) {
   Matrix m(2, 3);
   m(0, 0) = 1;
-  m(1, 0) = 2;
-  m(0, 1) = 3;
+  m(0, 1) = 2;
+  m(1, 0) = 3;
   EXPECT_EQ(m.data()[0], 1.0);
   EXPECT_EQ(m.data()[1], 2.0);
-  EXPECT_EQ(m.data()[2], 3.0);
-  EXPECT_EQ(m.col(1), m.data() + 2);
+  EXPECT_EQ(m.data()[3], 3.0);
+  EXPECT_EQ(m.row(1), m.data() + 3);
 }
 
 TEST(Matrix, FromRowsAndIdentity) {
@@ -94,11 +95,66 @@ TEST(Matrix, ResizeDiscardsAndZeroes) {
   EXPECT_EQ(m(2, 2), 0.0);
 }
 
+TEST(Matrix, NegativeShapeThrowsBeforeAllocating) {
+  EXPECT_THROW({ Matrix bad(-1, 2); }, Error);
+  EXPECT_THROW({ Matrix bad(2, -1); }, Error);
+  Matrix m(2, 3);
+  EXPECT_THROW(m.resize(-1, 2), Error);
+  EXPECT_EQ(m.rows(), 2);
+  EXPECT_EQ(m.cols(), 3);
+}
+
+TEST(Matrix, OverflowingShapeThrowsBeforeAllocating) {
+  // rows * cols does not fit index_t.
+  const index_t big = std::numeric_limits<index_t>::max() / 2 + 1;
+  EXPECT_THROW({ Matrix bad(big, 2); }, Error);
+  Matrix m(2, 3);
+  EXPECT_THROW(m.resize(2, big), Error);
+  EXPECT_EQ(m.size(), 6);
+}
+
+TEST(Matrix, FillDrawsInColumnMajorOrder) {
+  // Draw k goes to (k % rows, k / rows) whatever the storage order, so a
+  // seed names the same matrix.
+  Matrix u(3, 2);
+  Matrix n(3, 2);
+  Rng rng_u(7);
+  Rng rng_n(8);
+  u.fill_uniform(rng_u, -1.0, 2.0);
+  n.fill_normal(rng_n, 0.5, 3.0);
+  Rng want_u(7);
+  Rng want_n(8);
+  for (index_t j = 0; j < 2; ++j) {
+    for (index_t i = 0; i < 3; ++i) {
+      EXPECT_EQ(u(i, j), want_u.uniform(-1.0, 2.0)) << i << "," << j;
+      EXPECT_EQ(n(i, j), want_n.normal(0.5, 3.0)) << i << "," << j;
+    }
+  }
+}
+
 TEST(Matrix, MaxAbsDiff) {
   Matrix a = Matrix::from_rows({{1, 2}, {3, 4}});
   Matrix b = Matrix::from_rows({{1, 2.5}, {3, 4}});
   EXPECT_DOUBLE_EQ(max_abs_diff(a, b), 0.5);
   EXPECT_DOUBLE_EQ(max_abs_diff(a, a), 0.0);
+}
+
+TEST(Gemm, SkipsTermsWhoseBEntryIsAnExactZero) {
+  // la::gemm never forms 0 * A(i,l): with an infinite A(0,0), C(0,0) is
+  // 1 * 4, not NaN. Both B orientations.
+  const real_t inf = std::numeric_limits<real_t>::infinity();
+  const Matrix a = Matrix::from_rows({{inf, 1.0}, {2.0, 3.0}});
+  const Matrix b = Matrix::from_rows({{0.0, 1.0}, {4.0, 5.0}});
+  const Matrix bt = Matrix::from_rows({{0.0, 4.0}, {1.0, 5.0}});
+  for (int transposed = 0; transposed < 2; ++transposed) {
+    Matrix c(2, 2);
+    la::gemm(Op::kNone, transposed ? Op::kTranspose : Op::kNone, 1.0, a,
+             transposed ? bt : b, 0.0, c);
+    EXPECT_EQ(c(0, 0), 4.0);
+    EXPECT_EQ(c(0, 1), inf);
+    EXPECT_EQ(c(1, 0), 12.0);
+    EXPECT_EQ(c(1, 1), 17.0);
+  }
 }
 
 struct GemmCase {

@@ -689,10 +689,11 @@ std::vector<OracleNonzero> linearized_order(const SparseTensor& t) {
   return nz;
 }
 
-// Adds nonzeros [lo, hi) of `nz` into the column-major tile, in order.
+// Adds nonzeros [lo, hi) of `nz` into the tile, in order. The tile is laid
+// out like the output matrix: row-major, row c at tile[c * R].
 void oracle_accumulate(const std::vector<OracleNonzero>& nz, index_t lo,
                        index_t hi, const std::vector<Matrix>& factors,
-                       int mode, index_t mode_len, std::vector<real_t>& tile) {
+                       int mode, std::vector<real_t>& tile) {
   const index_t rank = factors[0].cols();
   std::vector<real_t> row(static_cast<std::size_t>(rank));
   for (index_t i = lo; i < hi; ++i) {
@@ -708,7 +709,7 @@ void oracle_accumulate(const std::vector<OracleNonzero>& nz, index_t lo,
       }
     }
     for (index_t r = 0; r < rank; ++r) {
-      tile[static_cast<std::size_t>(r * mode_len + e.coords[mode])] +=
+      tile[static_cast<std::size_t>(e.coords[mode] * rank + r)] +=
           row[static_cast<std::size_t>(r)];
     }
   }
@@ -739,7 +740,7 @@ Matrix engine_oracle(const std::vector<OracleNonzero>& nz,
   for (index_t t = 0; t < tiles; ++t) {
     const index_t lo = std::min(t * chunk, nnz);
     oracle_accumulate(nz, lo, std::min(lo + chunk, nnz), factors, mode,
-                      mode_len, tile[static_cast<std::size_t>(t)]);
+                      tile[static_cast<std::size_t>(t)]);
   }
   oracle_tree(tile);
   Matrix out(mode_len, rank);
@@ -770,7 +771,7 @@ void blco_range_oracle(const BlcoTensor& blco,
     if (b_lo >= b_hi) continue;
     const BlcoBlock& end = blco.block(b_hi - 1);
     oracle_accumulate(nz, blco.block(b_lo).value_offset,
-                      end.value_offset + end.count, factors, mode, out.rows(),
+                      end.value_offset + end.count, factors, mode,
                       tile[static_cast<std::size_t>(t)]);
   }
   oracle_tree(tile);
@@ -797,7 +798,7 @@ void sorted_range_oracle(const BlcoTensor& blco,
   const BlcoBlock& end = blco.block(block_hi - 1);
   const index_t hi = end.value_offset + end.count;
   std::vector<real_t> sums(static_cast<std::size_t>(out.size()), 0.0);
-  oracle_accumulate(nz, lo, hi, factors, mode, out.rows(), sums);
+  oracle_accumulate(nz, lo, hi, factors, mode, sums);
   std::vector<bool> touched(static_cast<std::size_t>(out.rows()), false);
   for (index_t i = lo; i < hi; ++i) {
     touched[static_cast<std::size_t>(
@@ -806,7 +807,7 @@ void sorted_range_oracle(const BlcoTensor& blco,
   for (index_t row = 0; row < out.rows(); ++row) {
     if (!touched[static_cast<std::size_t>(row)]) continue;
     for (index_t r = 0; r < out.cols(); ++r) {
-      out(row, r) += sums[static_cast<std::size_t>(r * out.rows() + row)];
+      out(row, r) += sums[static_cast<std::size_t>(row * out.cols() + r)];
     }
   }
 }

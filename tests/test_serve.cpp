@@ -176,6 +176,73 @@ TEST(ModelIo, LoadRejectsBitFlip) {
   EXPECT_EQ(load_status(path), ModelIoStatus::kChecksumMismatch);
 }
 
+// The bytes of a .cstf file whose header declares one factor of 2^40 rows
+// at rank 16 (128 TiB of factor data) and that ends 8 reals into it: 280
+// bytes in all.
+std::vector<char> oversized_model_header() {
+  std::vector<char> bytes;
+  const auto put = [&bytes](const auto& v) {
+    const char* p = reinterpret_cast<const char*>(&v);
+    bytes.insert(bytes.end(), p, p + sizeof(v));
+  };
+  const char magic[8] = {'C', 'S', 'T', 'F', 'S', 'R', 'V', '\n'};
+  bytes.insert(bytes.end(), magic, magic + sizeof(magic));
+  put(kModelFormatVersion);
+  put(std::uint64_t{1});        // modes
+  put(std::uint64_t{16});       // rank
+  put(std::uint64_t{1} << 40);  // factor height
+  put(std::uint32_t{0});        // constraint kind
+  put(0.0);                     // constraint param a
+  put(0.0);                     // constraint param b
+  put(0.0);                     // final fit
+  put(std::uint64_t{0});        // options digest
+  put(std::uint64_t{0});        // seed
+  put(std::uint32_t{0});        // iterations
+  put(std::uint32_t{0});        // name length
+  for (int r = 0; r < 16; ++r) put(1.0);  // lambda
+  bytes.resize(280, 0);
+  return bytes;
+}
+
+TEST(ModelIo, LoadRejectsOversizedHeaderBeforeAllocating) {
+  const std::string path = ::testing::TempDir() + "/oversized.cstf";
+  const std::vector<char> bytes = oversized_model_header();
+  ASSERT_EQ(bytes.size(), 280u);
+  write_bytes(path, bytes);
+  EXPECT_EQ(load_status(path), ModelIoStatus::kTruncated);
+}
+
+TEST(ModelIo, FactorPayloadIsColumnMajor) {
+  // A hand-filled 2-mode model: the file holds each factor column by
+  // column, (0,0), (1,0), ..., whatever the in-memory layout.
+  SavedModel saved;
+  for (int m = 0; m < 2; ++m) {
+    Matrix f(3 + m, 2);
+    for (index_t i = 0; i < f.rows(); ++i) {
+      for (index_t j = 0; j < f.cols(); ++j) f(i, j) = 100.0 * m + 10.0 * i + j;
+    }
+    saved.model.factors.push_back(std::move(f));
+  }
+  saved.model.lambda = {1.0, 2.0};
+  const std::string path = ::testing::TempDir() + "/column_major.cstf";
+  save_model(saved, path);
+  const std::vector<char> bytes = read_bytes(path);
+  // The factors are the last payload before the 8-byte checksum.
+  const std::size_t words = 3 * 2 + 4 * 2;
+  ASSERT_GT(bytes.size(), 8 + words * sizeof(real_t));
+  std::size_t at = bytes.size() - 8 - words * sizeof(real_t);
+  for (const Matrix& f : saved.model.factors) {
+    for (index_t j = 0; j < f.cols(); ++j) {
+      for (index_t i = 0; i < f.rows(); ++i) {
+        real_t stored = 0.0;
+        std::memcpy(&stored, bytes.data() + at, sizeof(stored));
+        EXPECT_EQ(stored, f(i, j)) << "(" << i << "," << j << ")";
+        at += sizeof(real_t);
+      }
+    }
+  }
+}
+
 TEST(ModelIo, SaveRejectsInvalidModel) {
   SavedModel saved = make_saved_model();
   saved.model.factors[1](2, 1) = std::nan("");
