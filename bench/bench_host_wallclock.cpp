@@ -120,7 +120,7 @@ ScatterTimes time_scatter_strategies(const SparseTensor& x, index_t rank,
   const ScatterOptions defaults;
   ScatterTimes t;
   t.pick = resolve_scatter_strategy(defaults, x.dim(0), rank, x.nnz());
-  const bool priv_fits = privatized_fits(defaults, x.dim(0), rank, x.nnz());
+  const bool priv_fits = privatized_fits(x.dim(0), rank, x.nnz());
   Matrix priv_out(x.dim(0), rank), sorted_out(x.dim(0), rank);
   t.privatized = priv_fits ? 1e30 : 0.0;
   t.sorted = 1e30;

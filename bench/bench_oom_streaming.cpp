@@ -66,9 +66,8 @@ int main() {
       "\nShape to verify (the BLCO substrate paper's headline): staging is\n"
       "hidden behind the gather-bound kernel at PCIe speeds — the overlap\n"
       "column stays within 8%% of the resident row, less with smaller\n"
-      "batches (the first transfer is exposed, and each batch pays its own\n"
-      "scatter-tile reduce). Only a badly degraded link (last row) makes\n"
-      "the host transfer the roof.\n"
+      "batches (only the first transfer is exposed). Only a badly degraded\n"
+      "link (last row) makes the host transfer the roof.\n"
       "\"serial [ms]\" stages every batch before its compute with no overlap;\n"
       "\"overlap [ms]\" is the double-buffered staging makespan (a batch's\n"
       "transfer waits for the compute of the batch two back, whose buffer it\n"

@@ -70,23 +70,6 @@ double Rng::normal() {
 
 double Rng::normal(double mean, double stddev) { return mean + stddev * normal(); }
 
-std::uint64_t Rng::poisson(double rate) {
-  CSTF_CHECK(rate >= 0.0);
-  if (rate == 0.0) return 0;
-  if (rate > 30.0) {
-    const double draw = normal(rate, std::sqrt(rate));
-    return draw <= 0.0 ? 0 : static_cast<std::uint64_t>(draw + 0.5);
-  }
-  const double limit = std::exp(-rate);
-  std::uint64_t k = 0;
-  double product = uniform();
-  while (product > limit) {
-    ++k;
-    product *= uniform();
-  }
-  return k;
-}
-
 Rng Rng::split() {
   // Derive a child seed from two fresh outputs; the parent state advances so
   // successive splits are independent.

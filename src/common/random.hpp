@@ -44,11 +44,6 @@ class Rng {
   /// Normal with the given mean and standard deviation.
   double normal(double mean, double stddev);
 
-  /// Poisson-distributed count with the given rate: Knuth's product method
-  /// for small rates, normal approximation (rounded, clamped at 0) above 30.
-  /// Used to synthesize genuine count data for the Poisson-NTF objective.
-  std::uint64_t poisson(double rate);
-
   /// Returns an independent child generator; used to give each thread or each
   /// tensor mode its own stream while remaining reproducible.
   Rng split();

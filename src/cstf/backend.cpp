@@ -3,7 +3,6 @@
 #include "common/error.hpp"
 #include "mttkrp/alto_mttkrp.hpp"
 #include "mttkrp/blco_mttkrp.hpp"
-#include "mttkrp/coo_mttkrp.hpp"
 #include "mttkrp/csf_mttkrp.hpp"
 #include "tensor/dense.hpp"
 
@@ -73,40 +72,8 @@ void AltoBackend::mttkrp(simgpu::Device& dev,
   if (opts.strategy == ScatterStrategy::kSorted) {
     plan = &plans_.get(mode, [&] { return alto_scatter_plan(alto_, mode); });
   }
-  simgpu::KernelStats stats = alto_mttkrp_stats(alto_, factors, mode);
-  apply_scatter_stats(stats, opts.strategy, dim(mode), out.cols(),
-                      static_cast<double>(nnz()));
-  dev.record("mttkrp_alto", stats);
+  dev.record("mttkrp_alto", alto_mttkrp_stats(alto_, factors, mode));
   mttkrp_alto(alto_, factors, mode, out, opts, plan);
-}
-
-CooBackend::CooBackend(SparseTensor coo, ScatterOptions scatter)
-    : coo_(std::move(coo)),
-      norm_sq_(coo_.frobenius_norm_sq()),
-      scatter_(scatter) {}
-
-void CooBackend::mttkrp(simgpu::Device& dev,
-                        const std::vector<Matrix>& factors, int mode,
-                        Matrix& out) const {
-  ScatterOptions opts = scatter_;
-  opts.strategy = resolve_scatter_strategy(opts, dim(mode), out.cols(), nnz());
-  const ScatterPlan* plan = nullptr;
-  if (opts.strategy == ScatterStrategy::kSorted) {
-    plan = &plans_.get(mode, [&] { return coo_scatter_plan(coo_, mode); });
-  }
-  // Traffic mirrors the ALTO accounting minus the compression.
-  simgpu::KernelStats stats;
-  const auto rank = static_cast<double>(factors[0].cols());
-  const auto n = static_cast<double>(coo_.nnz());
-  const int modes = coo_.num_modes();
-  stats.flops = n * rank * static_cast<double>(modes + 1);
-  stats.bytes_streamed =
-      n * (static_cast<double>(modes) * sizeof(index_t) + sizeof(real_t));
-  stats.bytes_random = n * rank * simgpu::kWord * static_cast<double>(modes + 1);
-  stats.parallel_items = n;
-  apply_scatter_stats(stats, opts.strategy, dim(mode), out.cols(), n);
-  dev.record("mttkrp_coo", stats);
-  mttkrp_coo(coo_, factors, mode, out, opts, plan);
 }
 
 DenseBackend::DenseBackend(DenseTensor dense)

@@ -133,26 +133,6 @@ class AltoBackend final : public MttkrpBackend {
   mutable ScatterPlanCache plans_;
 };
 
-/// COO reference backend (tests and tiny problems).
-class CooBackend final : public MttkrpBackend {
- public:
-  explicit CooBackend(SparseTensor coo, ScatterOptions scatter = {});
-
-  std::string name() const override { return "COO"; }
-  int num_modes() const override { return coo_.num_modes(); }
-  index_t dim(int mode) const override { return coo_.dim(mode); }
-  index_t nnz() const override { return coo_.nnz(); }
-  real_t norm_sq() const override { return norm_sq_; }
-  void mttkrp(simgpu::Device& dev, const std::vector<Matrix>& factors,
-              int mode, Matrix& out) const override;
-
- private:
-  SparseTensor coo_;
-  real_t norm_sq_;
-  ScatterOptions scatter_;
-  mutable ScatterPlanCache plans_;
-};
-
 /// Dense backend (the PLANC dense-TF baseline of Figure 1).
 class DenseBackend final : public MttkrpBackend {
  public:

@@ -24,10 +24,9 @@ ScatterStrategy mttkrp_alto(const AltoTensor& alto,
 /// by the mode's decoded coordinate); reusable across iterations.
 ScatterPlan alto_scatter_plan(const AltoTensor& alto, int mode);
 
-/// Cost-model statistics for one mttkrp_alto call: linearized stream read
-/// once, factor gathers charged as random traffic. Describes the shared
-/// (strategy-independent) work; use
-/// `apply_scatter_stats` to add the strategy-specific terms.
+/// Cost-model statistics for one mttkrp_alto call under either scatter
+/// strategy: linearized stream read once, factor gathers charged as random
+/// traffic, the output merged with one streaming pass.
 simgpu::KernelStats alto_mttkrp_stats(const AltoTensor& alto,
                                       const std::vector<Matrix>& factors,
                                       int mode);

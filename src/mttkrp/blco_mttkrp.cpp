@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/timer.hpp"
 #include "simgpu/launch.hpp"
 
 namespace cstf {
@@ -58,7 +59,7 @@ simgpu::KernelStats prorate(const simgpu::KernelStats& stats, double share) {
 
 // Adds nonzero i of block `blk` into the R-vector acc(row), row = its
 // output-mode coordinate: the value times its gathered factor rows, formed
-// and added in one pass (add_krp_product). Shared by both device kernels.
+// and added in one pass (add_krp_product). Shared by both host strategies.
 template <int G, typename Acc>
 void add_blco_nonzero(const BlcoTensor& blco, const BlcoBlock& blk,
                       const BitReader& deltas, index_t i,
@@ -79,22 +80,19 @@ index_t range_nnz(const BlcoTensor& blco, index_t block_lo, index_t block_hi) {
   return last.value_offset + last.count - blco.block(block_lo).value_offset;
 }
 
-// Privatized kernel over the block range [block_lo, block_hi): a grid of
-// `tiles` launch blocks, tile t accumulating its fixed contiguous sub-range
-// into a private output tile, followed by a reduce launch that adds the
-// tiles into tile 0 with the fixed pairwise tree. Tile 0 is `out` itself,
-// so consecutive ranges accumulate. Bit-deterministic regardless of which
-// worker runs which tile. Returns the two records it made.
-std::vector<simgpu::KernelStats> launch_blco_priv(
-    simgpu::Device& dev, const char* name, const BlcoTensor& blco,
-    const std::vector<Matrix>& factors, int mode, Matrix& out,
-    index_t block_lo, index_t block_hi, simgpu::KernelStats stats) {
+// Privatized accumulation over the block range [block_lo, block_hi): tile t
+// adds its fixed contiguous sub-range into a private output tile, then the
+// fixed pairwise tree adds the tiles into tile 0. Tile 0 is `out` itself, so
+// consecutive ranges accumulate. Bit-deterministic regardless of which
+// worker runs which tile.
+void accumulate_privatized(const BlcoTensor& blco,
+                           const std::vector<Matrix>& factors, int mode,
+                           Matrix& out, index_t block_lo, index_t block_hi) {
   const index_t rank = factors[0].cols();
   const index_t num_blocks = block_hi - block_lo;
   const index_t tiles = std::min(
       privatized_tile_count(range_nnz(blco, block_lo, block_hi)), num_blocks);
   const auto len = static_cast<std::size_t>(out.size());
-  const double tile_bytes = static_cast<double>(len) * simgpu::kWord;
 
   ScratchPool::Lease lease =
       ScratchPool::global().acquire(static_cast<std::size_t>(tiles - 1), len);
@@ -106,73 +104,53 @@ std::vector<simgpu::KernelStats> launch_blco_priv(
   }
   const index_t per_tile = (num_blocks + tiles - 1) / tiles;
 
-  // Accumulate launch: base stats plus the tile zero-fill traffic.
-  stats.bytes_streamed += static_cast<double>(tiles) * tile_bytes;
-  simgpu::LaunchConfig cfg{.grid_dim = tiles, .block_dim = 1};
   const RowGather gather(factors, mode);
-  std::vector<simgpu::KernelStats> recorded;
   with_gather_count(gather.count, [&](auto count) {
     constexpr int G = decltype(count)::value;
-    const auto accumulate = [&](const simgpu::KernelCtx& ctx) {
-      const index_t t = ctx.block_idx;
-      real_t* dst = tile[static_cast<std::size_t>(t)];
-      if (t > 0) std::fill_n(dst, len, real_t{0});
-      const auto tile_row = [dst, rank](index_t row) {
-        return dst + static_cast<std::size_t>(row * rank);
-      };
-      const index_t b_lo = block_lo + t * per_tile;
-      const index_t b_hi = std::min<index_t>(b_lo + per_tile, block_hi);
-      for (index_t b = b_lo; b < b_hi; ++b) {
-        const BlcoBlock& blk = blco.block(b);
-        const BitReader deltas(blk.packed_deltas.data(), blk.delta_bits);
-        for (index_t i = 0; i < blk.count; ++i) {
-          add_blco_nonzero<G>(blco, blk, deltas, i, gather, mode, rank,
-                              tile_row);
-        }
-      }
-    };
-    recorded.push_back(simgpu::launch(dev, name, cfg, stats, accumulate));
+    parallel_for(
+        0, tiles,
+        [&](index_t t) {
+          real_t* dst = tile[static_cast<std::size_t>(t)];
+          if (t > 0) std::fill_n(dst, len, real_t{0});
+          const auto tile_row = [dst, rank](index_t row) {
+            return dst + static_cast<std::size_t>(row * rank);
+          };
+          const index_t b_lo = block_lo + t * per_tile;
+          const index_t b_hi = std::min<index_t>(b_lo + per_tile, block_hi);
+          for (index_t b = b_lo; b < b_hi; ++b) {
+            const BlcoBlock& blk = blco.block(b);
+            const BitReader deltas(blk.packed_deltas.data(), blk.delta_bits);
+            for (index_t i = 0; i < blk.count; ++i) {
+              add_blco_nonzero<G>(blco, blk, deltas, i, gather, mode, rank,
+                                  tile_row);
+            }
+          }
+        },
+        /*grain=*/1);
   });
-
-  // Reduce launch: single-block (the element-level parallelism happens
-  // inside deterministic_tree_reduce), metered as the tree's traffic.
-  simgpu::KernelStats red;
-  red.bytes_streamed = 3.0 * static_cast<double>(tiles - 1) * tile_bytes;
-  red.flops = static_cast<double>(tiles - 1) * static_cast<double>(len);
-  red.parallel_items = static_cast<double>(len);
-  recorded.push_back(simgpu::launch(
-      dev, "mttkrp_blco_reduce",
-      simgpu::LaunchConfig{.grid_dim = 1, .block_dim = 1}, red,
-      [&](const simgpu::KernelCtx&) {
-        deterministic_tree_reduce(tile.data(), static_cast<std::size_t>(tiles),
-                                  static_cast<index_t>(len));
-      }));
-  return recorded;
+  deterministic_tree_reduce(tile.data(), static_cast<std::size_t>(tiles),
+                            static_cast<index_t>(len));
 }
 
-// Sorted kernel: threads stride over the plan's segments; each segment owns
-// one output row and adds its sum onto it, so the writes need no atomics
-// and the per-row accumulation order is the plan's (fixed) order. Adding
-// onto `out` lets a streamed batch accumulate on top of earlier batches.
-// Returns the record it made.
-simgpu::KernelStats launch_blco_sorted(simgpu::Device& dev, const char* name,
-                                       const BlcoTensor& blco,
-                                       const std::vector<Matrix>& factors,
-                                       int mode, Matrix& out,
-                                       const ScatterPlan& plan,
-                                       simgpu::KernelStats stats) {
+// Sorted accumulation: threads stride over the plan's segments; each segment
+// owns one output row and adds its sum onto it, so the writes need no
+// atomics and the per-row accumulation order is the plan's (fixed) order.
+// Adding onto `out` lets a streamed batch accumulate on top of earlier
+// batches.
+void accumulate_sorted(const BlcoTensor& blco,
+                       const std::vector<Matrix>& factors, int mode,
+                       Matrix& out, const ScatterPlan& plan) {
   const index_t rank = factors[0].cols();
   const index_t segments = plan.num_segments();
 
   constexpr index_t kThreads = 128;
-  simgpu::LaunchConfig cfg{
+  const simgpu::LaunchConfig cfg{
       .grid_dim = simgpu::blocks_for(segments, kThreads),
       .block_dim = kThreads};
   const RowGather gather(factors, mode);
-  simgpu::KernelStats recorded;
   with_gather_count(gather.count, [&](auto count) {
     constexpr int G = decltype(count)::value;
-    const auto sweep = [&](const simgpu::KernelCtx& ctx) {
+    simgpu::run_grid(cfg, [&](const simgpu::KernelCtx& ctx) {
       thread_local std::vector<real_t> segment_acc;
       if (segment_acc.size() < static_cast<std::size_t>(rank)) {
         segment_acc.resize(static_cast<std::size_t>(rank));
@@ -194,10 +172,31 @@ simgpu::KernelStats launch_blco_sorted(simgpu::Device& dev, const char* name,
         real_t* out_row = out.row(plan.seg_row[static_cast<std::size_t>(s)]);
         for (index_t r = 0; r < rank; ++r) out_row[r] += acc[r];
       }
-    };
-    recorded = simgpu::launch(dev, name, cfg, stats, sweep);
+    });
   });
-  return recorded;
+}
+
+// One device launch `name` of `stats` over blocks [block_lo, block_hi),
+// executed on the host by `strategy` (sorted needs the range's `plan`). The
+// strategy, its tiles and its reduce are host work: the record is the same
+// under either, and their time is its host wall. Returns the record.
+simgpu::KernelStats launch_blco(simgpu::Device& dev, const char* name,
+                                const BlcoTensor& blco,
+                                const std::vector<Matrix>& factors, int mode,
+                                Matrix& out, index_t block_lo,
+                                index_t block_hi, ScatterStrategy strategy,
+                                const ScatterPlan* plan,
+                                const simgpu::KernelStats& stats) {
+  Timer wall;
+  if (strategy == ScatterStrategy::kSorted) {
+    accumulate_sorted(blco, factors, mode, out, *plan);
+  } else {
+    accumulate_privatized(blco, factors, mode, out, block_lo, block_hi);
+  }
+  // One thread block per BLCO block.
+  const simgpu::LaunchConfig cfg{
+      .grid_dim = std::max<index_t>(block_hi - block_lo, 1)};
+  return simgpu::record_launch(dev, name, cfg, stats, wall.seconds());
 }
 
 // Sorted-scatter plan over the nonzeros of blocks [block_lo, block_hi),
@@ -263,17 +262,9 @@ ScatterStrategy mttkrp_blco(simgpu::Device& dev, const BlcoTensor& blco,
   }
 
   zero_output(dev, out);
-  simgpu::KernelStats stats = blco_mttkrp_stats(blco, factors, mode);
-  if (strategy == ScatterStrategy::kSorted) {
-    apply_scatter_stats(stats, strategy, out.rows(), out.cols(),
-                        static_cast<double>(blco.nnz()));
-    launch_blco_sorted(dev, "mttkrp_blco_sorted", blco, factors, mode, out,
-                       *plan, stats);
-  } else {
-    // launch_blco_priv splits the privatized extras over its two launches.
-    launch_blco_priv(dev, "mttkrp_blco_priv", blco, factors, mode, out, 0,
-                     blco.num_blocks(), stats);
-  }
+  launch_blco(dev, "mttkrp_blco", blco, factors, mode, out, 0,
+              blco.num_blocks(), strategy, plan,
+              blco_mttkrp_stats(blco, factors, mode));
   return strategy;
 }
 
@@ -305,11 +296,8 @@ index_t mttkrp_blco_streamed(simgpu::Device& dev, const BlcoTensor& blco,
   batches = std::min(batches, blco.num_blocks());
   const index_t per_batch = (blco.num_blocks() + batches - 1) / batches;
 
-  simgpu::KernelStats full_stats = blco_mttkrp_stats(blco, factors, mode);
-  if (strategy == ScatterStrategy::kSorted) {
-    apply_scatter_stats(full_stats, strategy, out.rows(), out.cols(),
-                        static_cast<double>(blco.nnz()));
-  }
+  const simgpu::KernelStats full_stats =
+      blco_mttkrp_stats(blco, factors, mode);
   for (index_t lo = 0; lo < blco.num_blocks(); lo += per_batch) {
     const index_t hi = std::min<index_t>(lo + per_batch, blco.num_blocks());
     // The batch's compressed bytes cross the host link as their own span.
@@ -327,16 +315,14 @@ index_t mttkrp_blco_streamed(simgpu::Device& dev, const BlcoTensor& blco,
     const simgpu::KernelStats stats =
         prorate(full_stats, static_cast<double>(range_nnz(blco, lo, hi)) /
                                 static_cast<double>(blco.nnz()));
+    // A sorted batch's plan covers its own nonzeros only: it dies with the
+    // batch.
+    ScatterPlan plan;
     if (strategy == ScatterStrategy::kSorted) {
-      // A plan over this batch's nonzeros only: it dies with the batch.
-      const ScatterPlan plan = range_scatter_plan(blco, mode, lo, hi);
-      batch.compute.push_back(launch_blco_sorted(dev, "mttkrp_blco_streamed",
-                                                 blco, factors, mode, out,
-                                                 plan, stats));
-    } else {
-      batch.compute = launch_blco_priv(dev, "mttkrp_blco_streamed", blco,
-                                       factors, mode, out, lo, hi, stats);
+      plan = range_scatter_plan(blco, mode, lo, hi);
     }
+    batch.compute = launch_blco(dev, "mttkrp_blco_streamed", blco, factors,
+                                mode, out, lo, hi, strategy, &plan, stats);
   }
   const auto used = static_cast<index_t>(recorded.batches.size());
   if (records != nullptr) *records = std::move(recorded);
@@ -363,10 +349,7 @@ double staged_makespan_s(const StagedRecords& records,
     const std::size_t i = batch_done.size();
     if (i >= 2) copy = std::max(copy, batch_done[i - 2]);
     copy += time(batch.transfer);
-    compute = std::max(compute, copy);
-    for (const simgpu::KernelStats& stats : batch.compute) {
-      compute += time(stats);
-    }
+    compute = std::max(compute, copy) + time(batch.compute);
     batch_done.push_back(compute);
   }
   return std::max(compute, copy);

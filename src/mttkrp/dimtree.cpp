@@ -36,13 +36,13 @@ double raw_coo_bytes(const std::vector<index_t>& dims, index_t nnz) {
          static_cast<double>(dims.size() + 1) * simgpu::kWord;
 }
 
-// One flat from-raw MTTKRP for `mode` — mirrors blco_mttkrp_stats: the
-// resident tensor streamed once, (N-1) factor-row gathers plus the scatter
+// One flat from-raw MTTKRP — mirrors blco_mttkrp_stats: the resident
+// tensor streamed once, (N-1) factor-row gathers plus the scatter
 // read-modify-write as random traffic against the live-factor working set.
+// The same for every mode.
 simgpu::KernelStats flat_mode_stats(const std::vector<index_t>& dims,
                                     index_t nnz, index_t rank,
-                                    double flat_stream_bytes, int mode,
-                                    ScatterStrategy strategy) {
+                                    double flat_stream_bytes) {
   const auto modes = static_cast<int>(dims.size());
   const auto n = static_cast<double>(nnz);
   const auto r = static_cast<double>(rank);
@@ -61,8 +61,6 @@ simgpu::KernelStats flat_mode_stats(const std::vector<index_t>& dims,
   s.working_set_bytes = factor_bytes;  // other factors + the output tile
   s.parallel_items = n;
   s.compute_efficiency = 0.5;
-  apply_scatter_stats(s, strategy, dims[static_cast<std::size_t>(mode)], rank,
-                      n);
   return s;
 }
 
@@ -92,8 +90,7 @@ simgpu::KernelStats extend_level_stats(const std::vector<index_t>& dims,
 // H_{mode+1..N-1}, scatter. The working set shrinks with the mode — the last
 // mode's derive gathers nothing but the output tile.
 simgpu::KernelStats derive_mode_stats(const std::vector<index_t>& dims,
-                                      index_t nnz, index_t rank, int mode,
-                                      ScatterStrategy strategy) {
+                                      index_t nnz, index_t rank, int mode) {
   const auto modes = static_cast<int>(dims.size());
   const int suffix = modes - 1 - mode;
   const auto n = static_cast<double>(nnz);
@@ -112,41 +109,27 @@ simgpu::KernelStats derive_mode_stats(const std::vector<index_t>& dims,
   s.working_set_bytes = ws;
   s.parallel_items = n;
   s.compute_efficiency = 0.5;
-  apply_scatter_stats(s, strategy, dims[static_cast<std::size_t>(mode)], rank,
-                      n);
   return s;
 }
 
 std::vector<simgpu::KernelStats> tree_sequence_stats(
     const std::vector<index_t>& dims, index_t nnz, index_t rank,
-    double flat_stream_bytes, const ScatterOptions& opts) {
+    double flat_stream_bytes) {
   const auto modes = static_cast<int>(dims.size());
   std::vector<simgpu::KernelStats> seq;
-  seq.push_back(flat_mode_stats(
-      dims, nnz, rank, flat_stream_bytes, 0,
-      resolve_scatter_strategy(opts, dims[0], rank, nnz)));
+  seq.push_back(flat_mode_stats(dims, nnz, rank, flat_stream_bytes));
   for (int m = 1; m < modes; ++m) {
     seq.push_back(extend_level_stats(dims, nnz, rank, m - 1));
-    seq.push_back(derive_mode_stats(
-        dims, nnz, rank, m,
-        resolve_scatter_strategy(
-            opts, dims[static_cast<std::size_t>(m)], rank, nnz)));
+    seq.push_back(derive_mode_stats(dims, nnz, rank, m));
   }
   return seq;
 }
 
 std::vector<simgpu::KernelStats> flat_sequence_stats(
     const std::vector<index_t>& dims, index_t nnz, index_t rank,
-    double flat_stream_bytes, const ScatterOptions& opts) {
-  const auto modes = static_cast<int>(dims.size());
-  std::vector<simgpu::KernelStats> seq;
-  for (int m = 0; m < modes; ++m) {
-    seq.push_back(flat_mode_stats(
-        dims, nnz, rank, flat_stream_bytes, m,
-        resolve_scatter_strategy(
-            opts, dims[static_cast<std::size_t>(m)], rank, nnz)));
-  }
-  return seq;
+    double flat_stream_bytes) {
+  return std::vector<simgpu::KernelStats>(
+      dims.size(), flat_mode_stats(dims, nnz, rank, flat_stream_bytes));
 }
 
 // Sampled content hash: the shape, the first and last entries, and up to
@@ -395,8 +378,7 @@ ScatterStrategy DimTreeEngine::mttkrp(simgpu::Device& dev,
       });
     }
     if (fold_last) note_folded(factors, k);
-    dev.record("dimtree_derive",
-               derive_mode_stats(dims_, nnz_, rank_, mode, strategy),
+    dev.record("dimtree_derive", derive_mode_stats(dims_, nnz_, rank_, mode),
                wall.seconds());
   } else {
     // Mode 0 has no prefix to reuse: the flat from-raw computation, in the
@@ -425,8 +407,7 @@ ScatterStrategy DimTreeEngine::mttkrp(simgpu::Device& dev,
           plan);
     });
     dev.record("dimtree_flat",
-               flat_mode_stats(dims_, nnz_, rank_, flat_stream_bytes_, mode,
-                               strategy),
+               flat_mode_stats(dims_, nnz_, rank_, flat_stream_bytes_),
                wall.seconds());
   }
   return strategy;
@@ -458,18 +439,16 @@ double DimTreeEngine::tree_iteration_flops() const {
   return static_cast<double>(nnz_) * static_cast<double>(rank_) * per_nnz_rank;
 }
 
-std::vector<simgpu::KernelStats> DimTreeEngine::tree_iteration_stats(
-    const ScatterOptions& opts) const {
-  return tree_sequence_stats(dims_, nnz_, rank_, flat_stream_bytes_, opts);
+std::vector<simgpu::KernelStats> DimTreeEngine::tree_iteration_stats() const {
+  return tree_sequence_stats(dims_, nnz_, rank_, flat_stream_bytes_);
 }
 
-std::vector<simgpu::KernelStats> DimTreeEngine::flat_iteration_stats(
-    const ScatterOptions& opts) const {
-  return flat_sequence_stats(dims_, nnz_, rank_, flat_stream_bytes_, opts);
+std::vector<simgpu::KernelStats> DimTreeEngine::flat_iteration_stats() const {
+  return flat_sequence_stats(dims_, nnz_, rank_, flat_stream_bytes_);
 }
 
 MttkrpMode resolve_mttkrp_mode(const SparseTensor& x, index_t rank,
-                               const ScatterOptions& scatter,
+                               const ScatterOptions& /*scatter*/,
                                const simgpu::DeviceSpec& spec,
                                double budget_bytes,
                                double flat_stream_bytes, double nnz_scale) {
@@ -477,12 +456,10 @@ MttkrpMode resolve_mttkrp_mode(const SparseTensor& x, index_t rank,
     return MttkrpMode::kFlat;
   }
   const double flat_s = perfmodel::modeled_sequence_scaled(
-      flat_sequence_stats(x.dims(), x.nnz(), rank, flat_stream_bytes,
-                          scatter),
+      flat_sequence_stats(x.dims(), x.nnz(), rank, flat_stream_bytes),
       nnz_scale, spec);
   const double tree_s = perfmodel::modeled_sequence_scaled(
-      tree_sequence_stats(x.dims(), x.nnz(), rank, flat_stream_bytes,
-                          scatter),
+      tree_sequence_stats(x.dims(), x.nnz(), rank, flat_stream_bytes),
       nnz_scale, spec);
   return tree_s < flat_s ? MttkrpMode::kDimtree : MttkrpMode::kFlat;
 }

@@ -157,15 +157,13 @@ class DimTreeEngine {
   }
 
   /// Modeled kernel sequence of one AO iteration's MTTKRPs through the
-  /// tree: extend(0..N-2) interleaved with derive(0..N-1), with the scatter
-  /// strategy resolved per mode. Used by resolve_mttkrp_mode and exposed
-  /// for tests.
-  std::vector<simgpu::KernelStats> tree_iteration_stats(
-      const ScatterOptions& opts) const;
+  /// tree: extend(0..N-2) interleaved with derive(0..N-1). Like every
+  /// MTTKRP record it prices no scatter strategy. Used by
+  /// resolve_mttkrp_mode and exposed for tests.
+  std::vector<simgpu::KernelStats> tree_iteration_stats() const;
 
   /// The flat counterpart: one from-raw MTTKRP per mode.
-  std::vector<simgpu::KernelStats> flat_iteration_stats(
-      const ScatterOptions& opts) const;
+  std::vector<simgpu::KernelStats> flat_iteration_stats() const;
 
  private:
   struct Fingerprint {
@@ -188,9 +186,6 @@ class DimTreeEngine {
   void fold(simgpu::Device& dev, const std::vector<Matrix>& factors, int k);
   /// Records factors[k] as folded: its fingerprint, and level k + 1.
   void note_folded(const std::vector<Matrix>& factors, int k);
-  simgpu::KernelStats extend_stats(int k) const;
-  simgpu::KernelStats derive_stats(int mode, ScatterStrategy strategy) const;
-  simgpu::KernelStats flat_stats(int mode, ScatterStrategy strategy) const;
   const ScatterPlan& plan_for(int mode);
 
   std::vector<index_t> dims_;
@@ -221,6 +216,9 @@ class DimTreeEngine {
 /// `nnz_scale` scales the extensive stats before modeling — benches pass the
 /// analog's scale factor to ask what the full-size dataset would pick; the
 /// framework resolves the tensor it actually holds with the default 1.
+/// `scatter` is unused — no modeled MTTKRP prices a scatter strategy — and
+/// is kept because perfbench/driver.cpp calls this signature (ROADMAP open
+/// item 2 drops it).
 MttkrpMode resolve_mttkrp_mode(const SparseTensor& x, index_t rank,
                                const ScatterOptions& scatter,
                                const simgpu::DeviceSpec& spec,

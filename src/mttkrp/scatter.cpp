@@ -36,45 +36,20 @@ index_t privatized_tile_count(index_t nnz) {
   return detail::parallel_chunk_count(nnz, workers, kParallelGrainDefault);
 }
 
-bool privatized_fits(const ScatterOptions& opts, index_t mode_len,
-                     index_t rank, index_t nnz) {
+bool privatized_fits(index_t mode_len, index_t rank, index_t nnz) {
   const double tile_bytes = static_cast<double>(mode_len) *
                             static_cast<double>(rank) * simgpu::kWord;
   const auto tiles = static_cast<double>(privatized_tile_count(nnz));
-  return tiles * tile_bytes <= opts.privatization_budget_bytes;
+  return tiles * tile_bytes <= kPrivatizationBudgetBytes;
 }
 
 ScatterStrategy resolve_scatter_strategy(const ScatterOptions& opts,
                                          index_t mode_len, index_t rank,
                                          index_t nnz) {
   if (opts.strategy != ScatterStrategy::kAuto) return opts.strategy;
-  return privatized_fits(opts, mode_len, rank, nnz)
+  return privatized_fits(mode_len, rank, nnz)
              ? ScatterStrategy::kPrivatized
              : ScatterStrategy::kSorted;
-}
-
-void apply_scatter_stats(simgpu::KernelStats& stats, ScatterStrategy strategy,
-                         index_t mode_len, index_t rank, double nnz) {
-  const double out_words =
-      static_cast<double>(mode_len) * static_cast<double>(rank);
-  switch (strategy) {
-    case ScatterStrategy::kPrivatized: {
-      const auto tiles = static_cast<double>(
-          privatized_tile_count(static_cast<index_t>(nnz)));
-      // Zero-fill of every tile, then the tree reduce: each of the tiles-1
-      // combines streams two tiles in and one out.
-      stats.bytes_streamed += (tiles + 3.0 * (tiles - 1.0)) * out_words * simgpu::kWord;
-      stats.flops += (tiles - 1.0) * out_words;
-      break;
-    }
-    case ScatterStrategy::kSorted:
-      // The plan's permutation is streamed once; the nonzero accesses it
-      // drives are already charged (as random traffic) by the base record.
-      stats.bytes_streamed += nnz * static_cast<double>(sizeof(index_t));
-      break;
-    case ScatterStrategy::kAuto:
-      CSTF_CHECK_MSG(false, "apply_scatter_stats requires a concrete strategy");
-  }
 }
 
 namespace detail {

@@ -28,6 +28,12 @@
 // kAuto is one rule: privatized when its tiles fit the scratch budget
 // (`privatized_fits`), otherwise sorted. See DESIGN.md §8 for the
 // measurements behind it.
+//
+// The strategy is a host decision only. The modeled device records the
+// format's own MTTKRP kernel, whose stats come from the tensor's shape and
+// the rank (DESIGN.md §2): no record carries a tile, a tree reduce or a
+// plan, so modeled time does not depend on the strategy or on the host's
+// worker count.
 #pragma once
 
 #include <cstddef>
@@ -64,13 +70,13 @@ bool parse_scatter_strategy(const std::string& name, ScatterStrategy* out);
 /// down to the kernels.
 struct ScatterOptions {
   ScatterStrategy strategy = ScatterStrategy::kAuto;
-
-  /// Upper bound on the private-tile scratch (bytes) the privatized strategy
-  /// may allocate per call; above it, kAuto resolves to sorted. Tiles are
-  /// pooled (ScratchPool), so this bounds steady-state memory, not per-call
-  /// allocation traffic.
-  double privatization_budget_bytes = 64.0 * 1024.0 * 1024.0;
 };
+
+/// Upper bound on the private-tile scratch (bytes) the privatized strategy
+/// may hold for one call; above it, kAuto resolves to sorted. Tiles are
+/// pooled (ScratchPool), so this bounds steady-state memory, not per-call
+/// allocation traffic.
+inline constexpr double kPrivatizationBudgetBytes = 64.0 * 1024.0 * 1024.0;
 
 /// Reusable sorted-scatter plan for one (tensor, mode): the nonzero ids
 /// permuted so equal output rows are contiguous, plus the segment table.
@@ -103,9 +109,9 @@ struct ScatterPlan {
 class ScatterPlanCache {
  public:
   /// `engine` tags this cache's series in the process-wide
-  /// mttkrp.scatter_cache.* counters ("backend" for the MTTKRP backends and
-  /// Poisson NTF, "dimtree" for the dimension-tree engine's cache), the one
-  /// count of plan builds and reuses.
+  /// mttkrp.scatter_cache.* counters ("backend" for the MTTKRP backends,
+  /// "dimtree" for the dimension-tree engine's cache), the one count of plan
+  /// builds and reuses.
   explicit ScatterPlanCache(const char* engine = "backend") : engine_(engine) {}
 
   template <typename BuildFn>
@@ -135,9 +141,8 @@ index_t privatized_tile_count(index_t nnz);
 
 /// Do the privatized strategy's tiles for `nnz` nonzeros — T * mode_len *
 /// rank words, T = privatized_tile_count(nnz) — fit
-/// `opts.privatization_budget_bytes`? The kAuto rule.
-bool privatized_fits(const ScatterOptions& opts, index_t mode_len,
-                     index_t rank, index_t nnz);
+/// kPrivatizationBudgetBytes? The kAuto rule.
+bool privatized_fits(index_t mode_len, index_t rank, index_t nnz);
 
 /// Resolves kAuto to a concrete strategy for one mode: privatized when
 /// privatized_fits, otherwise sorted. Explicit requests pass through
@@ -145,14 +150,6 @@ bool privatized_fits(const ScatterOptions& opts, index_t mode_len,
 ScatterStrategy resolve_scatter_strategy(const ScatterOptions& opts,
                                          index_t mode_len, index_t rank,
                                          index_t nnz);
-
-/// Adds the strategy-specific cost terms to a kernel-stats record that
-/// already accounts for the shared work (stream + factor gathers + scatter
-/// write traffic):
-///  * kPrivatized: tile zeroing plus the tree-reduce traffic and flops;
-///  * kSorted: the streamed read of the plan's permutation.
-void apply_scatter_stats(simgpu::KernelStats& stats, ScatterStrategy strategy,
-                         index_t mode_len, index_t rank, double nnz);
 
 namespace detail {
 /// Builds the segment table from row keys; `order` must be the identity

@@ -59,7 +59,8 @@ struct KernelCtx {
 /// `stats` with launches/parallel_items auto-filled if left 0. Returns the
 /// record as the device received it. launch() records through this; a
 /// caller that executes a kernel's work some other way (the row-tiled ADMM
-/// pass) meters it as the same launch with it.
+/// pass, the BLCO MTTKRP's host scatter) meters it as the same launch with
+/// it.
 inline KernelStats record_launch(Device& device, const std::string& kernel_name,
                                  const LaunchConfig& cfg, KernelStats stats,
                                  double wall_s = 0.0) {
@@ -72,14 +73,13 @@ inline KernelStats record_launch(Device& device, const std::string& kernel_name,
   return stats;
 }
 
-/// Executes `body` for every (block, thread) pair and records `stats` on
-/// `device` (record_launch); returns the recorded stats.
+/// Executes `body` for every (block, thread) pair of `cfg` and records
+/// nothing. launch() is run_grid() then record_launch(); a kernel whose
+/// device record does not follow its host grid (the BLCO MTTKRP, whose
+/// scatter strategy is host-only) runs its grid here and records itself.
 template <typename Body>
-KernelStats launch(Device& device, const std::string& kernel_name,
-                   LaunchConfig cfg, const KernelStats& stats,
-                   const Body& body) {
+void run_grid(const LaunchConfig& cfg, const Body& body) {
   CSTF_CHECK(cfg.grid_dim >= 1 && cfg.block_dim >= 1);
-  Timer wall;
   const auto shmem = static_cast<std::size_t>(cfg.shmem_reals);
   parallel_for(0, cfg.grid_dim, [&](index_t block) {
     // Per-worker scratch reused across every block this worker runs; only the
@@ -98,6 +98,16 @@ KernelStats launch(Device& device, const std::string& kernel_name,
       body(ctx);
     }
   }, /*grain=*/1);
+}
+
+/// Executes `body` for every (block, thread) pair (run_grid) and records
+/// `stats` on `device` (record_launch); returns the recorded stats.
+template <typename Body>
+KernelStats launch(Device& device, const std::string& kernel_name,
+                   LaunchConfig cfg, const KernelStats& stats,
+                   const Body& body) {
+  Timer wall;
+  run_grid(cfg, body);
   return record_launch(device, kernel_name, cfg, stats, wall.seconds());
 }
 

@@ -184,8 +184,6 @@ std::vector<real_t> StreamingCstf::ingest_impl(const SparseTensor& slice) {
     stats.bytes_random =
         static_cast<double>(slice.nnz() * rank * (modes + 1)) * simgpu::kWord;
     stats.parallel_items = static_cast<double>(slice.nnz());
-    apply_scatter_stats(stats, ScatterStrategy::kSorted, b.rows(), rank,
-                        static_cast<double>(slice.nnz()));
     device_.record("stream_slice_mttkrp", stats);
 
     // Fold the slice into the exponentially aged accumulators:

@@ -38,27 +38,31 @@ inline void append_admm_rounds(std::vector<ExpectedSpan>& program,
   }
 }
 
+/// Every KernelStats field of `got` equals `want`'s exactly.
+inline void expect_same_stats(const simgpu::KernelStats& got,
+                              const simgpu::KernelStats& want) {
+  EXPECT_EQ(got.flops, want.flops);
+  EXPECT_EQ(got.bytes_streamed, want.bytes_streamed);
+  EXPECT_EQ(got.bytes_reused, want.bytes_reused);
+  EXPECT_EQ(got.working_set_bytes, want.working_set_bytes);
+  EXPECT_EQ(got.bytes_random, want.bytes_random);
+  EXPECT_EQ(got.host_link_bytes, want.host_link_bytes);
+  EXPECT_EQ(got.serial_depth, want.serial_depth);
+  EXPECT_EQ(got.atomic_ops, want.atomic_ops);
+  EXPECT_EQ(got.parallel_items, want.parallel_items);
+  EXPECT_EQ(got.launches, want.launches);
+  EXPECT_EQ(got.compute_efficiency, want.compute_efficiency);
+}
+
 /// Every span `tracer` logged, in issue order.
 inline void expect_device_program(const simgpu::Tracer& tracer,
                                   const std::vector<ExpectedSpan>& expected) {
   const std::vector<simgpu::TraceSpan> spans = tracer.spans();
   ASSERT_EQ(spans.size(), expected.size());
   for (std::size_t i = 0; i < expected.size(); ++i) {
-    const simgpu::TraceSpan& span = spans[i];
-    const simgpu::KernelStats& want = expected[i].stats;
     SCOPED_TRACE("span " + std::to_string(i) + " " + expected[i].kernel);
-    EXPECT_EQ(span.kernel, expected[i].kernel);
-    EXPECT_EQ(span.stats.flops, want.flops);
-    EXPECT_EQ(span.stats.bytes_streamed, want.bytes_streamed);
-    EXPECT_EQ(span.stats.bytes_reused, want.bytes_reused);
-    EXPECT_EQ(span.stats.working_set_bytes, want.working_set_bytes);
-    EXPECT_EQ(span.stats.bytes_random, want.bytes_random);
-    EXPECT_EQ(span.stats.host_link_bytes, want.host_link_bytes);
-    EXPECT_EQ(span.stats.serial_depth, want.serial_depth);
-    EXPECT_EQ(span.stats.atomic_ops, want.atomic_ops);
-    EXPECT_EQ(span.stats.parallel_items, want.parallel_items);
-    EXPECT_EQ(span.stats.launches, want.launches);
-    EXPECT_EQ(span.stats.compute_efficiency, want.compute_efficiency);
+    EXPECT_EQ(spans[i].kernel, expected[i].kernel);
+    expect_same_stats(spans[i].stats, expected[i].stats);
   }
 }
 

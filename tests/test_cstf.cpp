@@ -14,8 +14,10 @@
 #include "cstf/footprint.hpp"
 #include "cstf/framework.hpp"
 #include "cstf/ktensor.hpp"
+#include "device_program.hpp"
 #include "la/blas.hpp"
 #include "la/elementwise.hpp"
+#include "metrics/registry.hpp"
 #include "mttkrp/coo_mttkrp.hpp"
 #include "perfmodel/admm_model.hpp"
 #include "tensor/datasets.hpp"
@@ -37,6 +39,26 @@ LowRankTensor make_low_rank(std::uint64_t seed = 1) {
   params.seed = seed;
   return generate_low_rank(params);
 }
+
+// The sequential reference MTTKRP (mttkrp_ref) as a backend. It records
+// nothing on the device.
+class RefBackend final : public MttkrpBackend {
+ public:
+  explicit RefBackend(const SparseTensor& x) : x_(x) {}
+
+  std::string name() const override { return "ref"; }
+  int num_modes() const override { return x_.num_modes(); }
+  index_t dim(int mode) const override { return x_.dim(mode); }
+  index_t nnz() const override { return x_.nnz(); }
+  real_t norm_sq() const override { return x_.frobenius_norm_sq(); }
+  void mttkrp(simgpu::Device&, const std::vector<Matrix>& factors, int mode,
+              Matrix& out) const override {
+    mttkrp_ref(x_, factors, mode, out);
+  }
+
+ private:
+  const SparseTensor& x_;
+};
 
 TEST(KTensor, ValueAtMatchesExplicitSum) {
   KTensor kt;
@@ -223,8 +245,8 @@ TEST(Auntf, UncomputedFitReturnsNaN) {
 }
 
 TEST(Auntf, SameSeedSameResultAcrossBackends) {
-  // The driver's math must not depend on the MTTKRP format: BLCO, CSF,
-  // ALTO, and COO backends produce the same factorization.
+  // The driver's math must not depend on the MTTKRP format: BLCO, CSF and
+  // ALTO backends produce the reference MTTKRP's factorization.
   const LowRankTensor lr = make_low_rank(6);
   AdmmOptions admm_opt;
   admm_opt.inner_iterations = 5;
@@ -245,22 +267,24 @@ TEST(Auntf, SameSeedSameResultAcrossBackends) {
   BlcoBackend blco(lr.tensor);
   CsfBackend csf(lr.tensor);
   AltoBackend alto(lr.tensor);
-  CooBackend coo(lr.tensor);
+  RefBackend ref(lr.tensor);
   const KTensor kt_blco = run_with(blco);
   const KTensor kt_csf = run_with(csf);
   const KTensor kt_alto = run_with(alto);
-  const KTensor kt_coo = run_with(coo);
+  const KTensor kt_ref = run_with(ref);
   for (int m = 0; m < 3; ++m) {
     EXPECT_LT(max_abs_diff(kt_blco.factors[m], kt_csf.factors[m]), 1e-8);
     EXPECT_LT(max_abs_diff(kt_blco.factors[m], kt_alto.factors[m]), 1e-8);
-    EXPECT_LT(max_abs_diff(kt_blco.factors[m], kt_coo.factors[m]), 1e-8);
+    EXPECT_LT(max_abs_diff(kt_blco.factors[m], kt_ref.factors[m]), 1e-8);
   }
 }
 
 TEST(Auntf, ScatterStrategiesAgreeAcrossEngines) {
-  // The scatter strategy changes only the accumulation schedule, never the
-  // math: both concrete strategies must factor to (numerically) the same
-  // model.
+  // The scatter strategy changes only the host's accumulation schedule,
+  // never the math or the modeled device: through the flat BLCO kernel and
+  // through the dimension tree, both concrete strategies factor to
+  // (numerically) the same model, and their devices hold the same kernels,
+  // field for field, and the same modeled time.
   const LowRankTensor lr = make_low_rank(6);
   AdmmOptions admm_opt;
   admm_opt.inner_iterations = 5;
@@ -269,26 +293,51 @@ TEST(Auntf, ScatterStrategiesAgreeAcrossEngines) {
   opt.rank = 4;
   opt.seed = 99;
 
-  auto run_with = [&](ScatterStrategy strategy) {
+  struct Run {
+    KTensor model;
+    std::map<std::string, simgpu::KernelStats> kernels;
+    double modeled_s = 0.0;
+  };
+  auto run_with = [&](ScatterStrategy strategy, bool dimtree) {
     ScatterOptions scatter;
     scatter.strategy = strategy;
     simgpu::Device dev(simgpu::a100());
     BlcoBackend backend(lr.tensor, 4096, scatter);
+    if (dimtree) {
+      EXPECT_TRUE(backend.enable_dimtree(lr.tensor, opt.rank));
+    }
     Auntf driver(dev, backend, update, opt);
     driver.initialize();
     driver.iterate();
     driver.iterate();
-    const auto& kernels = dev.per_kernel();
-    const bool sorted = strategy == ScatterStrategy::kSorted;
-    EXPECT_EQ(kernels.count("mttkrp_blco_sorted"), sorted ? 1u : 0u);
-    EXPECT_EQ(kernels.count("mttkrp_blco_priv"), sorted ? 0u : 1u);
-    return driver.ktensor();
+    return Run{driver.ktensor(), dev.per_kernel(), dev.modeled_time_s()};
   };
 
-  const KTensor privatized = run_with(ScatterStrategy::kPrivatized);
-  const KTensor sorted = run_with(ScatterStrategy::kSorted);
-  for (int m = 0; m < 3; ++m) {
-    EXPECT_LT(max_abs_diff(privatized.factors[m], sorted.factors[m]), 1e-8);
+  for (const bool dimtree : {false, true}) {
+    SCOPED_TRACE(dimtree ? "dimtree" : "flat");
+    const Run privatized = run_with(ScatterStrategy::kPrivatized, dimtree);
+    const Run sorted = run_with(ScatterStrategy::kSorted, dimtree);
+    for (int m = 0; m < 3; ++m) {
+      EXPECT_LT(
+          max_abs_diff(privatized.model.factors[m], sorted.model.factors[m]),
+          1e-8);
+    }
+    std::vector<std::string> privatized_names, sorted_names;
+    for (const auto& [name, stats] : privatized.kernels) {
+      privatized_names.push_back(name);
+    }
+    for (const auto& [name, stats] : sorted.kernels) {
+      sorted_names.push_back(name);
+    }
+    ASSERT_EQ(privatized_names, sorted_names);
+    EXPECT_EQ(privatized.kernels.count(dimtree ? "dimtree_derive"
+                                               : "mttkrp_blco"),
+              1u);
+    for (const auto& [name, stats] : privatized.kernels) {
+      SCOPED_TRACE(name);
+      golden::expect_same_stats(stats, sorted.kernels.at(name));
+    }
+    EXPECT_EQ(privatized.modeled_s, sorted.modeled_s);
   }
 }
 
@@ -323,9 +372,15 @@ TEST(Framework, BackendResolvesAutoAndCachesSortedPlans) {
   ScatterOptions scatter;
   scatter.strategy = ScatterStrategy::kSorted;
   BlcoBackend backend(lr.tensor, 4096, scatter);
-  CooBackend reference(lr.tensor);
   simgpu::Device dev(simgpu::a100());
-  simgpu::Device ref_dev(simgpu::a100());
+  // The device records one kernel whatever the strategy; the backend's plan
+  // cache counts each sorted plan it builds (a miss) and reuses (a hit).
+  auto& registry = metrics::MetricsRegistry::global();
+  const metrics::Labels cache = {{"engine", "backend"}};
+  const metrics::Counter* misses =
+      registry.counter("mttkrp.scatter_cache.misses", cache);
+  const metrics::Counter* hits =
+      registry.counter("mttkrp.scatter_cache.hits", cache);
   Rng rng(8);
   std::vector<Matrix> factors;
   for (int m = 0; m < backend.num_modes(); ++m) {
@@ -335,14 +390,17 @@ TEST(Framework, BackendResolvesAutoAndCachesSortedPlans) {
   for (int mode = 0; mode < backend.num_modes(); ++mode) {
     Matrix got(backend.dim(mode), 4), want(backend.dim(mode), 4);
     dev.reset();
+    const double missed = misses->value();
     backend.mttkrp(dev, factors, mode, got);
-    EXPECT_EQ(dev.per_kernel().count("mttkrp_blco_sorted"), 1u);
-    EXPECT_EQ(dev.per_kernel().count("mttkrp_blco_priv"), 0u);
-    reference.mttkrp(ref_dev, factors, mode, want);
+    EXPECT_EQ(dev.per_kernel().count("mttkrp_blco"), 1u);
+    EXPECT_EQ(misses->value(), missed + 1.0) << "mode " << mode;
+    mttkrp_ref(lr.tensor, factors, mode, want);
     EXPECT_LT(max_abs_diff(got, want), 1e-10) << "mode " << mode;
     // Second call reuses the cached plan and must agree exactly.
+    const double hit = hits->value();
     Matrix again(backend.dim(mode), 4);
     backend.mttkrp(dev, factors, mode, again);
+    EXPECT_EQ(hits->value(), hit + 1.0) << "mode " << mode;
     EXPECT_DOUBLE_EQ(max_abs_diff(got, again), 0.0) << "mode " << mode;
   }
 }
@@ -480,9 +538,9 @@ TEST(Framework, DimtreeOverBudgetResolvesFlat) {
   int blco_spans = 0;
   for (const simgpu::TraceSpan& span : tracer.spans()) {
     EXPECT_NE(span.kernel.rfind("dimtree_", 0), 0u) << span.kernel;
-    if (span.kernel.rfind("mttkrp_blco_", 0) == 0) ++blco_spans;
+    if (span.kernel == "mttkrp_blco") ++blco_spans;
   }
-  EXPECT_GE(blco_spans, lr.tensor.num_modes());
+  EXPECT_EQ(blco_spans, lr.tensor.num_modes());
 
   CstfFramework flat(lr.tensor, flat_opts);
   flat.run();
@@ -567,22 +625,22 @@ const std::vector<ProgramCase>& program_cases() {
   static const std::vector<ProgramCase> cases = {
       {"flat, fit", MttkrpMode::kFlat, true,
        {{"GRAM", 1.6049645390070977e-05},
-        {"MTTKRP", 3.204807893142541e-05},
+        {"MTTKRP", 3.2044048734287019e-05},
         {"NORMALIZE", 3.6064539007091929e-05},
-        {"UPDATE", 0.0022725234042553187}}},
+        {"UPDATE", 0.0022725234042553191}}},
       {"flat, no fit", MttkrpMode::kFlat, false,
        {{"GRAM", 1.6049645390070977e-05},
-        {"MTTKRP", 3.204807893142541e-05},
+        {"MTTKRP", 3.2044048734287019e-05},
         {"NORMALIZE", 3.2057446808510378e-05},
-        {"UPDATE", 0.0022725234042553187}}},
+        {"UPDATE", 0.0022725234042553191}}},
       {"dimtree, fit", MttkrpMode::kDimtree, true,
        {{"GRAM", 1.6049645390070977e-05},
-        {"MTTKRP", 1.2180683726163477e-05},
+        {"MTTKRP", 1.2163549606208457e-05},
         {"NORMALIZE", 3.6064539007091929e-05},
         {"UPDATE", 0.0022725234042553187}}},
       {"dimtree, no fit", MttkrpMode::kDimtree, false,
        {{"GRAM", 1.6049645390070977e-05},
-        {"MTTKRP", 1.2180683726163477e-05},
+        {"MTTKRP", 1.2163549606208457e-05},
         {"NORMALIZE", 3.2057446808510378e-05},
         {"UPDATE", 0.0022725234042553187}}},
   };

@@ -267,11 +267,10 @@ TEST(DimtreeStats, TreeSequenceModelsFasterOnTreeFavorableShape) {
   const BlcoTensor blco(data.tensor);
   DimTreeEngine engine(data.tensor, 32);
   engine.set_flat_stream_bytes(blco.storage_bytes());
-  const ScatterOptions opts;
   const double flat_s = perfmodel::modeled_sequence_scaled(
-      engine.flat_iteration_stats(opts), data.nnz_scale(), simgpu::a100());
+      engine.flat_iteration_stats(), data.nnz_scale(), simgpu::a100());
   const double tree_s = perfmodel::modeled_sequence_scaled(
-      engine.tree_iteration_stats(opts), data.nnz_scale(), simgpu::a100());
+      engine.tree_iteration_stats(), data.nnz_scale(), simgpu::a100());
   EXPECT_GT(flat_s / tree_s, 1.3);
 }
 

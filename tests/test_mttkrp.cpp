@@ -179,14 +179,14 @@ TEST(Mttkrp, BlcoMetersTrafficAndLaunches) {
   ScatterOptions sorted;
   sorted.strategy = ScatterStrategy::kSorted;
   mttkrp_blco(dev, blco, factors, 0, out, sorted);
-  const auto& stats = dev.per_kernel().at("mttkrp_blco_sorted");
+  // The output's zero-fill and one kernel, whose record is the shape's.
+  ASSERT_EQ(dev.per_kernel().size(), 2u);
+  EXPECT_EQ(dev.per_kernel().at("mttkrp_zero_out").launches, 1);
+  const auto& stats = dev.per_kernel().at("mttkrp_blco");
   EXPECT_GT(stats.flops, 0.0);
   EXPECT_GT(stats.bytes_random, 0.0);
-  // The compressed tensor plus the plan's permutation, each streamed once.
-  EXPECT_NEAR(stats.bytes_streamed,
-              blco.storage_bytes() +
-                  static_cast<double>(blco.nnz()) * sizeof(index_t),
-              1.0);
+  // The compressed tensor, streamed once; the plan is host work.
+  EXPECT_EQ(stats.bytes_streamed, blco.storage_bytes());
   EXPECT_EQ(stats.launches, 1);
   EXPECT_GT(dev.modeled_time_s(), 0.0);
 }
@@ -216,8 +216,14 @@ TEST(Mttkrp, StreamedMatchesResidentExactly) {
         mttkrp_blco_streamed(dev, blco, factors, mode, got, budget);
     mttkrp_blco_streamed(dev, blco, factors, mode, again, budget);
     EXPECT_GE(batches, 4);
-    EXPECT_EQ(dev.per_kernel().count("mttkrp_blco_reduce"),
-              strategy == ScatterStrategy::kPrivatized ? 1u : 0u)
+    // Under either strategy: the zero-fill, then per batch its transfer
+    // and one compute launch.
+    ASSERT_EQ(dev.per_kernel().size(), 3u) << "mode " << mode;
+    EXPECT_EQ(dev.per_kernel().at("mttkrp_zero_out").launches, 2);
+    EXPECT_EQ(dev.per_kernel().at("mttkrp_stage_batch").launches,
+              2 * batches);
+    EXPECT_EQ(dev.per_kernel().at("mttkrp_blco_streamed").launches,
+              2 * batches)
         << "mode " << mode;
     EXPECT_EQ(max_abs_diff(got, again), 0.0) << "mode " << mode;
     EXPECT_LT(max_abs_diff(got, want), 1e-12) << "mode " << mode;
@@ -233,7 +239,7 @@ TEST(Mttkrp, StreamedDegeneratesToResidentWhenItFits) {
   const index_t batches = mttkrp_blco_streamed(dev, blco, factors, 0, out,
                                                2.0 * blco.storage_bytes());
   EXPECT_EQ(batches, 1);
-  EXPECT_EQ(dev.per_kernel().count("mttkrp_blco_priv"), 1u);
+  EXPECT_EQ(dev.per_kernel().count("mttkrp_blco"), 1u);
   EXPECT_EQ(dev.per_kernel().count("mttkrp_blco_streamed"), 0u);
 }
 
@@ -321,7 +327,7 @@ StagedRecords serial_batches(
   StagedRecords records;
   for (const auto& [transfer_s, compute_s] : batches) {
     records.batches.push_back(
-        {serial_span(spec, transfer_s), {serial_span(spec, compute_s)}});
+        {serial_span(spec, transfer_s), serial_span(spec, compute_s)});
   }
   return records;
 }
@@ -332,9 +338,7 @@ double serial_sum_s(const StagedRecords& records,
   double t = simgpu::model_time(records.zero_fill, spec).total_s;
   for (const StagedRecords::Batch& batch : records.batches) {
     t += simgpu::model_time(batch.transfer, spec).total_s;
-    for (const simgpu::KernelStats& stats : batch.compute) {
-      t += simgpu::model_time(stats, spec).total_s;
-    }
+    t += simgpu::model_time(batch.compute, spec).total_s;
   }
   return t;
 }
@@ -379,7 +383,7 @@ TEST(StagedMakespan, ComputeHidesBehindHostLinkTransfer) {
   copy.host_link_bytes = 1e9;
   copy.parallel_items = 1.0;
   StagedRecords records;
-  for (int i = 0; i < 4; ++i) records.batches.push_back({copy, {compute}});
+  for (int i = 0; i < 4; ++i) records.batches.push_back({copy, compute});
   const double t_compute = simgpu::model_time(compute, spec).total_s;
   const double t_copy = simgpu::model_time(copy, spec).total_s;
   const double makespan = staged_makespan_s(records, spec);
@@ -398,7 +402,7 @@ TEST(StagedMakespan, ScalesExtensiveQuantities) {
   simgpu::KernelStats link;
   link.host_link_bytes = 1e9;
   StagedRecords records;
-  records.batches.push_back({link, {memory}});
+  records.batches.push_back({link, memory});
   const double base = staged_makespan_s(records, spec);
   EXPECT_NEAR(staged_makespan_s(records, spec, 10.0), 10.0 * base,
               1e-9 * base);
@@ -532,27 +536,30 @@ TEST(Scatter, DeterministicRunsAreBitIdentical) {
 }
 
 TEST(Scatter, ResolutionRespectsBudgetDeterminismAndContention) {
-  // One rule: privatized when its tiles fit the budget, otherwise sorted —
-  // whatever the updates per row; neither choice uses atomics.
+  // One rule: privatized when its tiles fit kPrivatizationBudgetBytes,
+  // otherwise sorted — whatever the updates per row; neither choice uses
+  // atomics. The rule is arithmetic on the shape, so these cases straddle
+  // the 64 MiB constant by mode length and allocate nothing.
   ScatterOptions opts;  // kAuto
-  // Short mode, tiles fit the default 64 MB budget -> privatized.
-  EXPECT_TRUE(privatized_fits(opts, 512, 32, 100000));
+  // Short mode, tiles fit the budget -> privatized.
+  EXPECT_TRUE(privatized_fits(512, 32, 100000));
   EXPECT_EQ(resolve_scatter_strategy(opts, 512, 32, 100000),
             ScatterStrategy::kPrivatized);
-  // Budget below one tile -> sorted, with ~195 updates per row...
-  opts.privatization_budget_bytes = 1024.0;
-  EXPECT_FALSE(privatized_fits(opts, 512, 32, 100000));
-  EXPECT_EQ(resolve_scatter_strategy(opts, 512, 32, 100000),
+  // The budget compares against exactly T tiles of mode_len x rank words.
+  // 4,096 nonzeros make T = 4 tiles at any worker count (the grain caps the
+  // chunk count), so at rank 8,192 the boundary is mode length 256: four
+  // 256 x 8,192-word tiles are the budget to the byte.
+  ASSERT_EQ(privatized_tile_count(4096), 4);
+  ASSERT_EQ(4.0 * 256.0 * 8192.0 * 8.0, kPrivatizationBudgetBytes);
+  EXPECT_TRUE(privatized_fits(256, 8192, 4096));
+  EXPECT_FALSE(privatized_fits(257, 8192, 4096));
+  // Over the budget -> sorted, with ~16 updates per row...
+  EXPECT_EQ(resolve_scatter_strategy(opts, 257, 8192, 4096),
             ScatterStrategy::kSorted);
   // ...and with ~0.1 updates per row on a long sparse mode.
+  EXPECT_FALSE(privatized_fits(1 << 20, 32, 100000));
   EXPECT_EQ(resolve_scatter_strategy(opts, 1 << 20, 32, 100000),
             ScatterStrategy::kSorted);
-  // The budget compares against exactly T tiles of mode_len x rank words.
-  const double tiles = static_cast<double>(privatized_tile_count(100000));
-  opts.privatization_budget_bytes = tiles * 512.0 * 32.0 * 8.0;
-  EXPECT_TRUE(privatized_fits(opts, 512, 32, 100000));
-  opts.privatization_budget_bytes -= 1.0;
-  EXPECT_FALSE(privatized_fits(opts, 512, 32, 100000));
   // Explicit requests pass through.
   opts.strategy = ScatterStrategy::kPrivatized;
   EXPECT_EQ(resolve_scatter_strategy(opts, 1 << 20, 32, 100000),
@@ -571,20 +578,6 @@ TEST(Scatter, StrategyNamesRoundTrip) {
   EXPECT_FALSE(parse_scatter_strategy("bogus", &untouched));
   EXPECT_FALSE(parse_scatter_strategy("atomic", &untouched));
   EXPECT_EQ(untouched, ScatterStrategy::kSorted);
-}
-
-TEST(Scatter, ApplyStatsMetersPrivatizedAndSortedTraffic) {
-  simgpu::KernelStats priv;
-  apply_scatter_stats(priv, ScatterStrategy::kPrivatized, /*mode_len=*/100,
-                      /*rank=*/8, /*nnz=*/5000.0);
-  EXPECT_DOUBLE_EQ(priv.atomic_ops, 0.0);
-  EXPECT_GT(priv.bytes_streamed, 0.0);  // tile zero/accumulate/reduce traffic
-  EXPECT_GT(priv.flops, 0.0);           // the tree combine
-
-  simgpu::KernelStats sorted;
-  apply_scatter_stats(sorted, ScatterStrategy::kSorted, 100, 8, 5000.0);
-  EXPECT_DOUBLE_EQ(sorted.atomic_ops, 0.0);
-  EXPECT_DOUBLE_EQ(sorted.bytes_streamed, 5000.0 * sizeof(index_t));
 }
 
 // Regression (scatter-engine audit): each nonzero's product must be formed
@@ -996,44 +989,38 @@ TEST(Mttkrp, DatasetAnalogAllFormatsAgree) {
   }
 }
 
-// Golden decision table for the scatter resolver across a (mode length,
-// nnz, budget) sweep. Budgets are expressed as multiples of the exact tile
-// footprint so the table is independent of the host's worker count.
+// Golden decision table for the scatter resolver across a mode-length sweep
+// that straddles kPrivatizationBudgetBytes. At 4,096 nonzeros the tile count
+// is 4 at any worker count (the grain caps the chunk count), and at rank
+// 8,192 a 256-row mode's four tiles are the budget to the byte, so the table
+// is independent of the host's worker count.
 TEST(DecisionGolden, ScatterStrategyTable) {
-  const index_t rank = 16;
-  const auto tile_footprint = [&](index_t mode_len, index_t nnz) {
-    return static_cast<double>(privatized_tile_count(nnz)) *
-           static_cast<double>(mode_len) * static_cast<double>(rank) * 8.0;
-  };
+  const index_t rank = 8192;
+  const index_t nnz = 4096;
+  ASSERT_EQ(privatized_tile_count(nnz), 4);
   struct Case {
     index_t mode_len;
-    index_t nnz;
-    double budget_mult;  // x tile_footprint
     ScatterStrategy want;
   };
   const Case table[] = {
-      // Fits the scratch budget -> privatized.
-      {256, 4096, 2.0, ScatterStrategy::kPrivatized},
-      {4096, 4096, 1.0, ScatterStrategy::kPrivatized},
-      // Over budget -> sorted, at 16, 8 or 1 updates per row alike.
-      {256, 4096, 0.5, ScatterStrategy::kSorted},
-      {512, 4096, 0.5, ScatterStrategy::kSorted},
-      {4096, 4096, 0.5, ScatterStrategy::kSorted},
+      // Fits the scratch budget -> privatized: half of it, then exactly it.
+      {128, ScatterStrategy::kPrivatized},
+      {256, ScatterStrategy::kPrivatized},
+      // Over budget -> sorted, at ~16, 8 or 1 updates per row alike.
+      {257, ScatterStrategy::kSorted},
+      {512, ScatterStrategy::kSorted},
+      {4096, ScatterStrategy::kSorted},
   };
+  const ScatterOptions opts;  // kAuto
   for (const Case& c : table) {
-    ScatterOptions opts;
-    opts.privatization_budget_bytes =
-        c.budget_mult * tile_footprint(c.mode_len, c.nnz);
-    EXPECT_EQ(resolve_scatter_strategy(opts, c.mode_len, rank, c.nnz), c.want)
-        << "mode_len=" << c.mode_len << " nnz=" << c.nnz
-        << " budget_mult=" << c.budget_mult;
+    EXPECT_EQ(resolve_scatter_strategy(opts, c.mode_len, rank, nnz), c.want)
+        << "mode_len=" << c.mode_len;
   }
 
-  // Explicit requests pass through, whatever the budget.
+  // Explicit requests pass through, whatever the footprint.
   ScatterOptions forced;
   forced.strategy = ScatterStrategy::kPrivatized;
-  forced.privatization_budget_bytes = 1.0;
-  EXPECT_EQ(resolve_scatter_strategy(forced, 4096, rank, 4096),
+  EXPECT_EQ(resolve_scatter_strategy(forced, 1 << 20, rank, nnz),
             ScatterStrategy::kPrivatized);
 }
 

@@ -318,8 +318,8 @@ TEST(StreamingProgram, EachSliceProjectsSolvesTimeThenUpdatesEveryMode) {
     golden::append_admm_rounds(program, round_1x2, temporal_rounds);
     for (const golden::AdmmRoundStats& round : {round_4x2, round_3x2}) {
       program.push_back({"stream_slice_mttkrp",
-                         {.flops = 8 * nnz, .bytes_streamed = 8 * nnz,
-                          .bytes_random = 48 * nnz, .parallel_items = nnz}});
+                         {.flops = 8 * nnz, .bytes_random = 48 * nnz,
+                          .parallel_items = nnz}});
       program.push_back(factor);
       program.push_back(invert);
       golden::append_admm_rounds(program, round, 10);
