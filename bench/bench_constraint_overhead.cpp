@@ -22,17 +22,13 @@ int main() {
   for (const auto& name : bench::dataset_names()) {
     const DatasetAnalog data = bench::load_dataset(name);
     BlcoBackend backend(data.tensor);
-    std::vector<double> mode_scales;
-    for (int m = 0; m < data.tensor.num_modes(); ++m) {
-      mode_scales.push_back(data.dim_scale(m));
-    }
     AlsUpdate als;
-    const auto t_als = bench::modeled_iteration(
-        backend, als, spec, rank, mode_scales, data.nnz_scale());
+    const auto t_als =
+        bench::modeled_iteration(data, backend, als, spec, rank);
     auto cuadmm = CstfFramework::make_update(UpdateScheme::kCuAdmm,
                                              Proximity::non_negative(), 10);
-    const auto t_admm = bench::modeled_iteration(
-        backend, *cuadmm, spec, rank, mode_scales, data.nnz_scale());
+    const auto t_admm =
+        bench::modeled_iteration(data, backend, *cuadmm, spec, rank);
     const double overhead = t_admm.total() / t_als.total();
     overheads.push_back(overhead);
     std::printf("%-12s %12.5f %12.5f %11.2fx %15.1f%%\n", name.c_str(),

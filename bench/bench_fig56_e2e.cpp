@@ -53,7 +53,8 @@ int main() {
     const auto cpu = bench::splatt_iteration(data, rank);
     std::vector<bench::ModeledIteration> per_mode;
     const auto gpu = bench::gpu_iteration(data, spec, UpdateScheme::kCuAdmm,
-                                          rank, &per_mode);
+                                          rank, MttkrpMode::kFlat,
+                                          /*wall=*/nullptr, &per_mode);
     const double ovl = bench::overlapped_total(per_mode);
     const double speedup = cpu.total() / gpu.total();
     speedups.push_back(speedup);
@@ -64,7 +65,7 @@ int main() {
     // below). The dimtree run adds its own JSON record; both engines'
     // modeled MTTKRP seconds ride along as extras on it.
     if (data.tensor.num_modes() >= 4) {
-      const auto tree = bench::gpu_iteration_mttkrp(
+      const auto tree = bench::gpu_iteration(
           data, spec, UpdateScheme::kCuAdmm, rank, MttkrpMode::kDimtree);
       session.annotate_last("mttkrp_flat_s", gpu.mttkrp);
       session.annotate_last("mttkrp_dimtree_s", tree.mttkrp);

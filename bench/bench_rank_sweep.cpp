@@ -24,12 +24,12 @@ int main() {
     for (index_t rank : {16, 32, 64}) {
       const auto cpu = bench::splatt_iteration(data, rank);
       bench::ModeledIteration flat_wall, tree_wall;
-      const auto a100 = bench::gpu_iteration_mttkrp(
+      const auto a100 = bench::gpu_iteration(
           data, simgpu::a100(), UpdateScheme::kCuAdmm, rank, MttkrpMode::kFlat,
           &flat_wall);
       const auto h100 =
           bench::gpu_iteration(data, simgpu::h100(), UpdateScheme::kCuAdmm, rank);
-      const auto tree = bench::gpu_iteration_mttkrp(
+      const auto tree = bench::gpu_iteration(
           data, simgpu::a100(), UpdateScheme::kCuAdmm, rank,
           MttkrpMode::kDimtree, &tree_wall);
       session.annotate_last("mttkrp_flat_s", a100.mttkrp);

@@ -24,10 +24,6 @@ int main() {
 
   for (const auto& name : bench::dataset_names()) {
     const DatasetAnalog data = bench::load_dataset(name);
-    std::vector<double> mode_scales;
-    for (int m = 0; m < data.tensor.num_modes(); ++m) {
-      mode_scales.push_back(data.dim_scale(m));
-    }
 
     // Per-mode, per-phase costs on each machine.
     std::vector<bench::ModeledIteration> gpu_modes, cpu_modes;
@@ -35,17 +31,16 @@ int main() {
       BlcoBackend backend(data.tensor);
       auto update = CstfFramework::make_update(UpdateScheme::kCuAdmm,
                                                Proximity::non_negative(), 10);
-      bench::modeled_iteration(backend, *update, gpu_spec, rank, mode_scales,
-                               data.nnz_scale(), nullptr, &gpu_modes);
+      bench::modeled_iteration(data, backend, *update, gpu_spec, rank,
+                               nullptr, &gpu_modes);
     }
     {
       CsfBackend backend(data.tensor);
       BlockAdmmOptions opt;
       opt.prox = Proximity::non_negative();
       BlockAdmmUpdate update(opt);
-      bench::modeled_iteration(backend, update, simgpu::xeon_8367hc(), rank,
-                               mode_scales, data.nnz_scale(), nullptr,
-                               &cpu_modes);
+      bench::modeled_iteration(data, backend, update, simgpu::xeon_8367hc(),
+                               rank, nullptr, &cpu_modes);
     }
 
     // Phase chain with link-boundary sizes. The tensor itself is resident on

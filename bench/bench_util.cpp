@@ -4,14 +4,13 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
+#include <tuple>
 
 #include "common/env.hpp"
 #include "common/error.hpp"
 #include "common/timer.hpp"
-#include "la/blas.hpp"
-#include "la/elementwise.hpp"
-#include "simgpu/dblas.hpp"
 #include "tensor/io.hpp"
 
 namespace cstf::bench {
@@ -64,16 +63,6 @@ void JsonSession::add_record(BenchRecord record) {
 void JsonSession::annotate_last(const std::string& key, double value) {
   if (records_.empty()) return;
   records_.back().extras.emplace_back(key, value);
-}
-
-void JsonSession::set_dataset_context(std::string dataset) {
-  dataset_context_ = std::move(dataset);
-}
-
-std::string JsonSession::take_dataset_context() {
-  std::string out;
-  std::swap(out, dataset_context_);
-  return out;
 }
 
 std::string JsonSession::to_json() const {
@@ -147,152 +136,85 @@ DatasetAnalog load_dataset(const std::string& name) {
   return make_analog(spec, default_analog_nnz());
 }
 
-ModeledIteration modeled_iteration(const DatasetAnalog& data,
+namespace {
+
+double& phase_seconds(ModeledIteration& it, const std::string& phase) {
+  if (phase == phase::kGram) return it.gram;
+  if (phase == phase::kMttkrp) return it.mttkrp;
+  if (phase == phase::kUpdate) return it.update;
+  CSTF_CHECK_MSG(phase == phase::kNormalize,
+                 "record outside the four AO phases: '" << phase << "'");
+  return it.normalize;
+}
+
+/// One Auntf iteration on a traced `spec` device, modeled at full scale and
+/// added to the JSON session as a record labelled `dataset`.
+ModeledIteration trainer_iteration(const std::string& dataset,
                                    const MttkrpBackend& backend,
-                                   const UpdateMethod& update,
-                                   const simgpu::DeviceSpec& spec,
-                                   index_t rank, ModeledIteration* wall,
-                                   std::vector<ModeledIteration>* per_mode) {
-  std::vector<double> mode_scales;
-  for (int m = 0; m < backend.num_modes(); ++m) {
-    mode_scales.push_back(data.dim_scale(m));
-  }
-  if (JsonSession::current() != nullptr) {
-    JsonSession::current()->set_dataset_context(data.spec.name);
-  }
-  return modeled_iteration(backend, update, spec, rank, mode_scales,
-                           data.nnz_scale(), wall, per_mode);
-}
-
-double overlapped_total(const std::vector<ModeledIteration>& per_mode) {
-  // t is when Normalize_{n-1} ends. Gram_n starts there on its own lane,
-  // MTTKRP_n on the main one; the update waits for both.
-  double t = 0.0;
-  for (const ModeledIteration& m : per_mode) {
-    t = std::max(t + m.gram, t + m.mttkrp) + m.update + m.normalize;
-  }
-  return t;
-}
-
-ModeledIteration modeled_iteration(const MttkrpBackend& backend,
                                    const UpdateMethod& update,
                                    const simgpu::DeviceSpec& spec,
                                    index_t rank,
                                    const std::vector<double>& mode_scales,
                                    double nnz_scale, ModeledIteration* wall,
                                    std::vector<ModeledIteration>* per_mode) {
-  const int modes = backend.num_modes();
-  if (per_mode) per_mode->assign(static_cast<std::size_t>(modes), {});
+  CSTF_CHECK(static_cast<int>(mode_scales.size()) == backend.num_modes());
   simgpu::Device dev(spec);
-  // The tracer survives the per-phase dev.reset() calls, so its per-kernel
-  // aggregates cover the whole iteration for the telemetry record.
   simgpu::Tracer tracer;
   dev.set_tracer(&tracer);
+  AuntfOptions options;
+  options.rank = rank;
+  options.max_iterations = 1;
+  options.seed = 7;
+  options.compute_fit = false;
+  Auntf driver(dev, backend, update, options);
+  driver.initialize();
+  driver.iterate();
 
-  // Factors + cached grams, as the driver holds them.
-  Rng rng(7);
-  std::vector<Matrix> factors;
-  std::vector<Matrix> grams;
-  std::vector<ModeState> states(static_cast<std::size_t>(modes));
-  for (int m = 0; m < modes; ++m) {
-    Matrix f(backend.dim(m), rank);
-    f.fill_uniform(rng, 0.0, 1.0);
-    Matrix g(rank, rank);
-    la::gram(f, g);
-    factors.push_back(std::move(f));
-    grams.push_back(std::move(g));
+  // Sum each (mode, phase, kernel)'s records in issue order, as a Device
+  // does. A record's phase is the first component of its path (the
+  // row-tiled cuADMM pass nests "UPDATE/admm_row_tiles"). The trainer opens
+  // every mode with a GRAM-phase gram_hadamard, so that record starts the
+  // next mode; the mode's own Gram recompute, issued after its NORMALIZE,
+  // stays with it.
+  std::map<std::tuple<int, std::string, std::string>, simgpu::KernelStats>
+      sums;
+  int mode = -1;
+  for (const simgpu::TraceSpan& span : tracer.spans()) {
+    const std::string phase = span.phase.substr(0, span.phase.find('/'));
+    if (phase == phase::kGram && span.kernel == "gram_hadamard") ++mode;
+    CSTF_CHECK_MSG(mode >= 0, "record '" << span.kernel
+                                         << "' before mode 0's Hadamard");
+    sums[{mode, phase, span.kernel}] += span.stats;
   }
+  CSTF_CHECK(mode + 1 == backend.num_modes());
 
+  // Model each sum once at full scale: MTTKRP by the nonzero count, every
+  // other phase by its mode's length.
+  std::vector<ModeledIteration> modes(
+      static_cast<std::size_t>(backend.num_modes()));
+  for (const auto& [key, stats] : sums) {
+    const auto& [n, phase, kernel] = key;
+    const auto m = static_cast<std::size_t>(n);
+    const double scale = phase == phase::kMttkrp ? nnz_scale : mode_scales[m];
+    phase_seconds(modes[m], phase) +=
+        simgpu::model_time(simgpu::scale_stats(stats, scale), spec).total_s;
+  }
   ModeledIteration out;
-  ModeledIteration wall_local;  // always measured, so telemetry has wall times
-  Matrix s(rank, rank), m_out;
-  std::vector<real_t> lambda(static_cast<std::size_t>(rank), 1.0);
+  for (const ModeledIteration& m : modes) out += m;
+  if (per_mode) *per_mode = std::move(modes);
 
-  for (int n = 0; n < modes; ++n) {
-    Matrix& h = factors[static_cast<std::size_t>(n)];
-    const double mode_scale = mode_scales[static_cast<std::size_t>(n)];
-
-    // --- GRAM: Hadamard of cached grams (R^2, negligible but metered) plus
-    // the post-update dsyrk of this mode's factor.
-    dev.reset();
-    Timer t_gram;
-    tracer.begin_phase(phase::kGram);
-    s.set_all(1.0);
-    for (int m = 0; m < modes; ++m) {
-      if (m != n) la::hadamard_inplace(s, grams[static_cast<std::size_t>(m)]);
-    }
-    simgpu::dsyrk_gram(dev, h, grams[static_cast<std::size_t>(n)]);
-    {
-      const double dt = perfmodel::modeled_time_scaled(dev, mode_scale);
-      out.gram += dt;
-      if (per_mode) (*per_mode)[static_cast<std::size_t>(n)].gram += dt;
-    }
-    wall_local.gram += t_gram.seconds();
-    tracer.end_phase();
-
-    // --- MTTKRP.
-    dev.reset();
-    Timer t_mttkrp;
-    tracer.begin_phase(phase::kMttkrp);
-    if (!m_out.same_shape(h)) m_out.resize(h.rows(), h.cols());
-    backend.mttkrp(dev, factors, n, m_out);
-    {
-      const double dt = perfmodel::modeled_time_scaled(dev, nnz_scale);
-      out.mttkrp += dt;
-      if (per_mode) (*per_mode)[static_cast<std::size_t>(n)].mttkrp += dt;
-    }
-    wall_local.mttkrp += t_mttkrp.seconds();
-    tracer.end_phase();
-
-    // --- UPDATE.
-    dev.reset();
-    Timer t_update;
-    tracer.begin_phase(phase::kUpdate);
-    update.update(dev, s, m_out, h, states[static_cast<std::size_t>(n)]);
-    {
-      const double dt = perfmodel::modeled_time_scaled(dev, mode_scale);
-      out.update += dt;
-      if (per_mode) (*per_mode)[static_cast<std::size_t>(n)].update += dt;
-    }
-    wall_local.update += t_update.seconds();
-    tracer.end_phase();
-
-    // --- NORMALIZE (column 2-norms absorbed into lambda).
-    dev.reset();
-    Timer t_norm;
-    tracer.begin_phase(phase::kNormalize);
-    {
-      simgpu::KernelStats stats;
-      stats.flops = 3.0 * static_cast<double>(h.size());
-      stats.bytes_streamed = 2.0 * static_cast<double>(h.size()) * simgpu::kWord;
-      stats.parallel_items = static_cast<double>(h.cols());
-      stats.launches = 2;
-      dev.record("normalize", stats);
-    }
-    la::column_norms(h, lambda.data());
-    la::scale_columns_inv(h, lambda.data());
-    {
-      const double dt = perfmodel::modeled_time_scaled(dev, mode_scale);
-      out.normalize += dt;
-      if (per_mode) (*per_mode)[static_cast<std::size_t>(n)].normalize += dt;
-    }
-    wall_local.normalize += t_norm.seconds();
-    tracer.end_phase();
-  }
-  if (wall) {
-    wall->gram += wall_local.gram;
-    wall->mttkrp += wall_local.mttkrp;
-    wall->update += wall_local.update;
-    wall->normalize += wall_local.normalize;
-  }
+  const PhaseTimer& timer = driver.phases();
+  const ModeledIteration wall_s{
+      timer.total(phase::kGram), timer.total(phase::kMttkrp),
+      timer.total(phase::kUpdate), timer.total(phase::kNormalize)};
+  if (wall) *wall += wall_s;
   if (JsonSession* session = JsonSession::current()) {
     BenchRecord rec;
-    rec.dataset = session->take_dataset_context();
-    if (rec.dataset.empty()) rec.dataset = "synthetic";
+    rec.dataset = dataset;
     rec.machine = spec.name;
     rec.rank = rank;
     rec.phases = out;
-    rec.wall = wall_local;
+    rec.wall = wall_s;
     for (const auto& [kernel, agg] : tracer.per_kernel()) {
       BenchKernelRow row;
       row.name = kernel;
@@ -309,25 +231,51 @@ ModeledIteration modeled_iteration(const MttkrpBackend& backend,
   return out;
 }
 
+}  // namespace
+
+ModeledIteration modeled_iteration(const MttkrpBackend& backend,
+                                   const UpdateMethod& update,
+                                   const simgpu::DeviceSpec& spec,
+                                   index_t rank,
+                                   const std::vector<double>& mode_scales,
+                                   double nnz_scale, ModeledIteration* wall,
+                                   std::vector<ModeledIteration>* per_mode) {
+  return trainer_iteration("synthetic", backend, update, spec, rank,
+                           mode_scales, nnz_scale, wall, per_mode);
+}
+
+ModeledIteration modeled_iteration(const DatasetAnalog& data,
+                                   const MttkrpBackend& backend,
+                                   const UpdateMethod& update,
+                                   const simgpu::DeviceSpec& spec,
+                                   index_t rank, ModeledIteration* wall,
+                                   std::vector<ModeledIteration>* per_mode) {
+  std::vector<double> mode_scales;
+  for (int m = 0; m < backend.num_modes(); ++m) {
+    mode_scales.push_back(data.dim_scale(m));
+  }
+  return trainer_iteration(data.spec.name, backend, update, spec, rank,
+                           mode_scales, data.nnz_scale(), wall, per_mode);
+}
+
+double overlapped_total(const std::vector<ModeledIteration>& per_mode) {
+  // t is when Normalize_{n-1} ends. Gram_n starts there on its own lane,
+  // MTTKRP_n on the main one; the update waits for both.
+  double t = 0.0;
+  for (const ModeledIteration& m : per_mode) {
+    t = std::max(t + m.gram, t + m.mttkrp) + m.update + m.normalize;
+  }
+  return t;
+}
+
 ModeledIteration gpu_iteration(const DatasetAnalog& data,
                                const simgpu::DeviceSpec& gpu_spec,
                                UpdateScheme scheme, index_t rank,
+                               MttkrpMode engine, ModeledIteration* wall,
                                std::vector<ModeledIteration>* per_mode) {
-  BlcoBackend backend(data.tensor);
-  auto update = CstfFramework::make_update(scheme, Proximity::non_negative(),
-                                           /*admm_inner_iterations=*/10);
-  return modeled_iteration(data, backend, *update, gpu_spec, rank,
-                           /*wall=*/nullptr, per_mode);
-}
-
-ModeledIteration gpu_iteration_mttkrp(const DatasetAnalog& data,
-                                      const simgpu::DeviceSpec& gpu_spec,
-                                      UpdateScheme scheme, index_t rank,
-                                      MttkrpMode engine, ModeledIteration* wall,
-                                      std::vector<ModeledIteration>* per_mode) {
   CSTF_CHECK_MSG(engine != MttkrpMode::kAuto,
-                 "gpu_iteration_mttkrp wants an explicit engine; resolve "
-                 "kAuto with full_scale_mttkrp_mode first");
+                 "gpu_iteration wants an explicit engine; resolve kAuto "
+                 "with full_scale_mttkrp_mode first");
   BlcoBackend backend(data.tensor);
   if (engine == MttkrpMode::kDimtree) backend.enable_dimtree(data.tensor, rank);
   auto update = CstfFramework::make_update(scheme, Proximity::non_negative(),

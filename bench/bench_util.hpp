@@ -1,12 +1,17 @@
 // Shared bench harness: dataset loading, per-phase modeled timing at full
 // dataset scale, table formatting, and machine-readable JSON telemetry.
 //
-// Modeled-time methodology (see DESIGN.md §2): every kernel executes for
-// real on the host and meters its flops/bytes; benches scale each phase's
-// metered record to the full-size dataset (nnz_scale for MTTKRP,
-// per-mode dim_scale for the factor-update phases) and feed the roofline
-// cost model with the target machine's spec. Host wall-clock times are also
-// reported where meaningful. If CSTF_DATA_DIR is set and contains
+// Modeled-time methodology (see DESIGN.md §2): a bench runs one iteration of
+// the trainer itself, an `Auntf` over the bench's backend and update on a
+// traced device of the target machine's spec, so every kernel executes for
+// real on the host and meters its flops/bytes. The traced records are summed
+// per (mode, phase, kernel) and each sum is scaled to the full-size dataset
+// once — MTTKRP-phase records by nnz_scale, every other phase by its mode's
+// dim_scale — and fed to the roofline cost model. Mode attribution: the
+// trainer opens each mode with a GRAM-phase `gram_hadamard` record, so each
+// such record starts the next mode, and a record's phase is the first
+// component of its trace phase path. Host wall-clock times per phase come
+// from the trainer's PhaseTimer. If CSTF_DATA_DIR is set and contains
 // "<Name>.tns" (FROSTT format), the real tensor is loaded instead of the
 // synthetic analog and all scale factors are 1.
 //
@@ -60,13 +65,22 @@ struct ModeledIteration {
   double normalize = 0.0;
 
   double total() const { return gram + mttkrp + update + normalize; }
+
+  ModeledIteration& operator+=(const ModeledIteration& o) {
+    gram += o.gram;
+    mttkrp += o.mttkrp;
+    update += o.update;
+    normalize += o.normalize;
+    return *this;
+  }
 };
 
-/// Runs one metered outer iteration (all modes) of the AUNTF loop with the
-/// given backend/update and models each phase at full scale for `spec`.
-/// `mode_scales[n]` scales mode-n factor phases (GRAM/UPDATE/NORMALIZE) and
-/// `nnz_scale` scales MTTKRP. Also accumulates host wall-clock per phase
-/// into `wall` when non-null.
+/// Runs one outer iteration (all modes) of an `Auntf` with the given
+/// backend/update on a `spec` device (seed 7, no fit) and models each phase
+/// at full scale. `mode_scales[n]` scales mode n's GRAM/UPDATE/NORMALIZE
+/// records and `nnz_scale` its MTTKRP records. Also accumulates the
+/// trainer's host wall-clock per phase into `wall`, and fills `per_mode`
+/// with each mode's modeled phases, when non-null.
 ModeledIteration modeled_iteration(const MttkrpBackend& backend,
                                    const UpdateMethod& update,
                                    const simgpu::DeviceSpec& spec,
@@ -76,7 +90,8 @@ ModeledIteration modeled_iteration(const MttkrpBackend& backend,
                                    ModeledIteration* wall = nullptr,
                                    std::vector<ModeledIteration>* per_mode = nullptr);
 
-/// DatasetAnalog convenience overload: scales taken from the analog.
+/// DatasetAnalog convenience overload: scales taken from the analog, and the
+/// JSON record named after it (the overload above records "synthetic").
 ModeledIteration modeled_iteration(const DatasetAnalog& data,
                                    const MttkrpBackend& backend,
                                    const UpdateMethod& update,
@@ -94,24 +109,20 @@ ModeledIteration modeled_iteration(const DatasetAnalog& data,
 /// always within [max-per-mode-path, serial total].
 double overlapped_total(const std::vector<ModeledIteration>& per_mode);
 
-/// Convenience bundles for the three systems the figures compare.
+/// Convenience bundles for the three systems the figures compare. The GPU
+/// framework is BLCO + `scheme` on `gpu_spec` with the MTTKRP engine forced:
+/// kDimtree routes every mode through the dimension-tree reuse engine
+/// (DESIGN.md §13) when its chain fits the default budget and runs flat
+/// otherwise, as the framework does. kAuto is rejected — resolve it
+/// explicitly with full_scale_mttkrp_mode() so benches report which engine
+/// actually ran.
 ModeledIteration gpu_iteration(const DatasetAnalog& data,
                                const simgpu::DeviceSpec& gpu_spec,
                                UpdateScheme scheme, index_t rank,
+                               MttkrpMode engine = MttkrpMode::kFlat,
+                               ModeledIteration* wall = nullptr,
                                std::vector<ModeledIteration>* per_mode = nullptr);
 ModeledIteration splatt_iteration(const DatasetAnalog& data, index_t rank);
-
-/// gpu_iteration() with the MTTKRP engine forced: kDimtree routes every
-/// mode through the dimension-tree reuse engine (DESIGN.md §13) when its
-/// chain fits the default budget and runs flat otherwise, as the framework
-/// does; kFlat matches gpu_iteration(). kAuto is rejected — resolve it
-/// explicitly with full_scale_mttkrp_mode() so benches report which engine
-/// actually ran.
-ModeledIteration gpu_iteration_mttkrp(
-    const DatasetAnalog& data, const simgpu::DeviceSpec& gpu_spec,
-    UpdateScheme scheme, index_t rank, MttkrpMode engine,
-    ModeledIteration* wall = nullptr,
-    std::vector<ModeledIteration>* per_mode = nullptr);
 
 /// The engine resolve_mttkrp_mode would pick for this dataset at FULL size:
 /// analog MTTKRP stats scaled by nnz_scale, flat streaming charged at the
@@ -180,10 +191,6 @@ class JsonSession {
   /// modeled_iteration() auto-added the record, e.g. overlap parity numbers.
   void annotate_last(const std::string& key, double value);
 
-  /// Dataset label applied to the next auto-added record (set by the
-  /// DatasetAnalog overload of modeled_iteration; consumed once).
-  void set_dataset_context(std::string dataset);
-
   /// The JSON document for the records so far (exposed for tests).
   std::string to_json() const;
 
@@ -192,17 +199,9 @@ class JsonSession {
   std::string write();
 
  private:
-  friend ModeledIteration modeled_iteration(
-      const MttkrpBackend&, const UpdateMethod&, const simgpu::DeviceSpec&,
-      index_t, const std::vector<double>&, double, ModeledIteration*,
-      std::vector<ModeledIteration>*);
-
-  std::string take_dataset_context();
-
   std::string name_;
   bool enabled_ = false;
   bool written_ = false;
-  std::string dataset_context_;
   std::vector<BenchRecord> records_;
 };
 

@@ -32,23 +32,6 @@ class Timer {
 /// Accumulates wall time per named phase across repeated iterations.
 class PhaseTimer {
  public:
-  /// RAII scope: adds elapsed time to `phase` on destruction.
-  class Scope {
-   public:
-    Scope(PhaseTimer& parent, std::string phase)
-        : parent_(parent), phase_(std::move(phase)) {}
-    Scope(const Scope&) = delete;
-    Scope& operator=(const Scope&) = delete;
-    ~Scope() { parent_.add(phase_, timer_.seconds()); }
-
-   private:
-    PhaseTimer& parent_;
-    std::string phase_;
-    Timer timer_;
-  };
-
-  Scope scope(std::string phase) { return Scope(*this, std::move(phase)); }
-
   void add(const std::string& phase, double seconds) {
     totals_[phase] += seconds;
   }
@@ -56,13 +39,6 @@ class PhaseTimer {
   double total(const std::string& phase) const {
     auto it = totals_.find(phase);
     return it == totals_.end() ? 0.0 : it->second;
-  }
-
-  /// Sum over all phases.
-  double grand_total() const {
-    double t = 0.0;
-    for (const auto& [phase, seconds] : totals_) t += seconds;
-    return t;
   }
 
   const std::map<std::string, double>& totals() const { return totals_; }

@@ -82,22 +82,10 @@ std::size_t Tracer::phase_depth() const {
   return phase_stack_.size();
 }
 
-std::size_t Tracer::span_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return spans_.size();
-}
-
 std::map<std::string, Tracer::Aggregate> Tracer::per_kernel() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::map<std::string, Aggregate> out;
   for (const TraceSpan& span : spans_) accumulate(out[span.kernel], span);
-  return out;
-}
-
-std::map<std::string, Tracer::Aggregate> Tracer::per_phase() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::map<std::string, Aggregate> out;
-  for (const TraceSpan& span : spans_) accumulate(out[span.phase], span);
   return out;
 }
 
@@ -108,13 +96,6 @@ double Tracer::total_modeled_s() const {
   return t;
 }
 
-double Tracer::total_wall_s() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  double t = 0.0;
-  for (const TraceSpan& span : spans_) t += span.wall_s;
-  return t;
-}
-
 std::string Tracer::summary_table() const {
   const auto kernels = per_kernel();
   std::vector<std::pair<std::string, Aggregate>> rows(kernels.begin(),
@@ -122,8 +103,12 @@ std::string Tracer::summary_table() const {
   std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
     return a.second.modeled_s > b.second.modeled_s;
   });
-  double total_modeled = 0.0;
-  for (const auto& [name, agg] : rows) total_modeled += agg.modeled_s;
+  Aggregate total;
+  for (const auto& [name, agg] : rows) {
+    total.modeled_s += agg.modeled_s;
+    total.wall_s += agg.wall_s;
+    total.spans += agg.spans;
+  }
 
   std::ostringstream os;
   char line[256];
@@ -141,14 +126,15 @@ std::string Tracer::summary_table() const {
                   agg.stats.flops / 1e9, bytes / 1e9,
                   bytes > 0.0 ? agg.stats.flops / bytes : 0.0, agg.modeled_s,
                   agg.wall_s,
-                  total_modeled > 0.0 ? 100.0 * agg.modeled_s / total_modeled
-                                      : 0.0);
+                  total.modeled_s > 0.0
+                      ? 100.0 * agg.modeled_s / total.modeled_s
+                      : 0.0);
     os << line;
   }
   os << std::string(104, '-') << '\n';
-  std::snprintf(line, sizeof(line), "%-26s %6zu %8s %10s %10s %8s %12.6f %12.6f\n",
-                "total", span_count(), "", "", "", "", total_modeled,
-                total_wall_s());
+  std::snprintf(line, sizeof(line), "%-26s %6lld %8s %10s %10s %8s %12.6f %12.6f\n",
+                "total", static_cast<long long>(total.spans), "", "", "", "",
+                total.modeled_s, total.wall_s);
   os << line;
   return os.str();
 }

@@ -57,7 +57,7 @@ struct PhaseSpan {
 /// thread but is serialized under the same mutex.
 class Tracer {
  public:
-  /// Per-kernel (or per-phase) accumulated record.
+  /// Per-kernel accumulated record.
   struct Aggregate {
     KernelStats stats;       ///< summed exactly like Device::record
     double wall_s = 0.0;
@@ -86,18 +86,13 @@ class Tracer {
   /// Joined path of the currently open phases ("" when none).
   std::string current_phase() const;
   std::size_t phase_depth() const;
-  std::size_t span_count() const;
 
   /// Per-kernel aggregates (stats summed with KernelStats::operator+=,
   /// matching the Device's own per-kernel accounting).
   std::map<std::string, Aggregate> per_kernel() const;
 
-  /// Per-phase aggregates, keyed by joined phase path.
-  std::map<std::string, Aggregate> per_phase() const;
-
-  /// Sum of per-span modeled / wall seconds over every span.
+  /// Sum of per-span modeled seconds over every span.
   double total_modeled_s() const;
-  double total_wall_s() const;
 
   /// Human-readable per-kernel summary, sorted by modeled time descending:
   /// kernel, spans, launches, gflops, gbytes, flop/byte, modeled s, wall s,

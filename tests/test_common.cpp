@@ -232,19 +232,8 @@ TEST(PhaseTimer, AccumulatesAcrossScopes) {
   EXPECT_DOUBLE_EQ(pt.total(phase::kGram), 3.0);
   EXPECT_DOUBLE_EQ(pt.total(phase::kMttkrp), 0.5);
   EXPECT_DOUBLE_EQ(pt.total(phase::kUpdate), 0.0);
-  EXPECT_DOUBLE_EQ(pt.grand_total(), 3.5);
   pt.clear();
-  EXPECT_DOUBLE_EQ(pt.grand_total(), 0.0);
-}
-
-TEST(PhaseTimer, ScopeRecordsElapsedTime) {
-  PhaseTimer pt;
-  {
-    auto s = pt.scope(phase::kUpdate);
-    volatile double sink = 0.0;
-    for (int i = 0; i < 1000; ++i) sink = sink + i;
-  }
-  EXPECT_GT(pt.total(phase::kUpdate), 0.0);
+  EXPECT_TRUE(pt.totals().empty());
 }
 
 TEST(Log, LevelRoundTripsAndFiltersBelowThreshold) {

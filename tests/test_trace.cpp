@@ -7,8 +7,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "common/error.hpp"
@@ -108,8 +110,9 @@ TEST(Tracer, AggregationMatchesDeviceCountersExactly) {
 }
 
 TEST(Tracer, AggregationSurvivesDeviceReset) {
-  // bench_util resets the device per phase; the tracer must keep the whole
-  // history so bench JSON kernel rows cover the full iteration.
+  // Auntf::initialize() resets the device after the tracer is attached; the
+  // tracer must keep the whole history so bench JSON kernel rows cover
+  // everything the traced run recorded.
   simgpu::Device dev(simgpu::a100());
   Tracer tracer;
   dev.set_tracer(&tracer);
@@ -118,23 +121,6 @@ TEST(Tracer, AggregationSurvivesDeviceReset) {
   dev.record("k", make_stats(2, 16));
   EXPECT_EQ(tracer.per_kernel().at("k").stats.flops, 3.0);
   EXPECT_EQ(dev.per_kernel().at("k").flops, 2.0);  // device forgot, by design
-}
-
-TEST(Tracer, PerPhaseAggregation) {
-  Tracer tracer;
-  {
-    simgpu::ScopedPhase p(&tracer, "GRAM");
-    tracer.add_span("k", make_stats(10, 80), 0.0, 1.0);
-  }
-  {
-    simgpu::ScopedPhase p(&tracer, "MTTKRP");
-    tracer.add_span("k", make_stats(30, 240), 0.0, 3.0);
-  }
-  const auto by_phase = tracer.per_phase();
-  ASSERT_EQ(by_phase.size(), 2u);
-  EXPECT_DOUBLE_EQ(by_phase.at("GRAM").modeled_s, 1.0);
-  EXPECT_DOUBLE_EQ(by_phase.at("MTTKRP").modeled_s, 3.0);
-  EXPECT_DOUBLE_EQ(by_phase.at("MTTKRP").stats.flops, 30.0);
 }
 
 TEST(Tracer, SummaryTableListsKernels) {
@@ -284,6 +270,63 @@ TEST(BenchUtil, OverlappedTotalPipelinesGramBehindMttkrp) {
   EXPECT_EQ(serial, 3.75);
   EXPECT_EQ(bench::overlapped_total(modes), 2.5);
   EXPECT_EQ(bench::overlapped_total({}), 0.0);
+}
+
+TEST(BenchUtil, ModeledIterationRunsTheTrainersProgram) {
+  // A bench record lists exactly the kernels one Auntf iteration issues over
+  // the same backend, update, rank and seed, gram_hadamard included, with
+  // the same launches, flops and bytes; its per-mode split sums to the
+  // iteration it returns.
+  unsetenv("CSTF_BENCH_JSON");
+  unsetenv("CSTF_BENCH_JSON_DIR");
+  const DatasetAnalog data = make_analog(dataset_by_name("Uber"), 2000);
+  BlcoBackend backend(data.tensor);
+  AdmmOptions opt;
+  opt.prox = Proximity::non_negative();
+  opt.inner_iterations = 3;
+  AdmmUpdate update(opt);
+  const index_t rank = 6;
+
+  bench::JsonSession session("trainer_program");
+  std::vector<bench::ModeledIteration> per_mode;
+  const bench::ModeledIteration total = bench::modeled_iteration(
+      data, backend, update, simgpu::a100(), rank, nullptr, &per_mode);
+  const json::Value doc = json::parse(session.to_json());
+  const json::Value& rows =
+      *doc.find("records")->array.at(0).find("kernels");
+
+  simgpu::Device dev(simgpu::a100());
+  AuntfOptions options;
+  options.rank = rank;
+  options.max_iterations = 1;
+  options.seed = 7;
+  options.compute_fit = false;
+  Auntf driver(dev, backend, update, options);
+  driver.initialize();
+  driver.iterate();
+  const std::map<std::string, simgpu::KernelStats>& want = dev.per_kernel();
+  ASSERT_TRUE(want.count("gram_hadamard"));
+  ASSERT_EQ(rows.array.size(), want.size());
+  auto kernel = want.begin();
+  for (const json::Value& row : rows.array) {
+    SCOPED_TRACE(kernel->first);
+    EXPECT_EQ(row.find("name")->str, kernel->first);
+    EXPECT_EQ(row.find("launches")->num,
+              static_cast<double>(kernel->second.launches));
+    EXPECT_EQ(row.find("flops")->num, kernel->second.flops);
+    EXPECT_EQ(row.find("bytes")->num, kernel->second.total_bytes());
+    ++kernel;
+  }
+
+  ASSERT_EQ(per_mode.size(), static_cast<std::size_t>(backend.num_modes()));
+  for (const bench::ModeledIteration& m : per_mode) EXPECT_GT(m.update, 0.0);
+  using It = bench::ModeledIteration;
+  for (double It::*phase : {&It::gram, &It::mttkrp, &It::update,
+                            &It::normalize}) {
+    double sum = 0.0;
+    for (const It& m : per_mode) sum += m.*phase;
+    EXPECT_NEAR(sum, total.*phase, 1e-12 * total.*phase);
+  }
 }
 
 TEST(BenchJson, SessionWritesSchemaValidFileWhenEnabled) {
